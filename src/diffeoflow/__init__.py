@@ -10,7 +10,6 @@ from .data import (
     TargetMap,
     builtin_target,
     custom_target,
-    eval_target,
     identity_target,
     load_dataset_csv,
     make_grid_dataset,
@@ -91,7 +90,6 @@ __all__ = [
     "cost_of_endpoints",
     "custom_target",
     "eval_hamiltonian",
-    "eval_target",
     "exp_norm_bound",
     "family_from_name",
     "fd_gradient_oracle",

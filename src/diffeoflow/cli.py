@@ -23,7 +23,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -293,7 +292,9 @@ def save_control_csv(path, u: ControlGrid) -> None:
 def load_control_csv(path) -> ControlGrid:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty control file {path}")
         expected = [f"u{i + 1}" for i in range(len(header))]
         if header != expected:
             raise ValueError(f"unexpected control header in {path}: {header}")
@@ -500,21 +501,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _apply_thread_cap(threads: int | None) -> None:
-    # Best effort: BLAS pools read these when they start.  Results do not
-    # depend on the cap, only timing does.
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffeoflow",
         description="Train linear-control ResNets to approximate planar diffeomorphisms.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one configuration")
@@ -546,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_thread_cap(args.threads)
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError) as err:

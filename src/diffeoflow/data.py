@@ -56,11 +56,6 @@ class TargetMap:
         return self.jacobian_fn(np.asarray(x, dtype=float))
 
 
-def eval_target(target: TargetMap, x: np.ndarray) -> np.ndarray:
-    """Apply a target map to a batch of points."""
-    return target(x)
-
-
 def identity_target(dim: int = 2) -> TargetMap:
     eye = np.eye(dim)
 
@@ -138,7 +133,7 @@ def make_grid_dataset(
 ) -> Dataset:
     """Grid sources on the centered square paired with their target images."""
     sources = square_grid(side, per_axis)
-    return Dataset(sources=sources, targets=eval_target(target, sources))
+    return Dataset(sources=sources, targets=target(sources))
 
 
 def make_random_testset(
@@ -155,7 +150,7 @@ def make_random_testset(
         raise ValueError(f"side must be positive, got {side}")
     rng = np.random.Generator(np.random.Philox(seed))
     sources = rng.uniform(-0.5 * side, 0.5 * side, size=(count, target.dim))
-    return Dataset(sources=sources, targets=eval_target(target, sources))
+    return Dataset(sources=sources, targets=target(sources))
 
 
 def save_dataset_csv(path, data: Dataset) -> None:
@@ -173,7 +168,9 @@ def load_dataset_csv(path) -> Dataset:
     """Read a dataset written by save_dataset_csv."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty dataset file {path}")
         if len(header) % 2 != 0 or len(header) < 2:
             raise ValueError(f"malformed dataset header in {path}: {header}")
         dim = len(header) // 2

@@ -94,7 +94,11 @@ def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Affine8(VectorFieldFamily):
-    """Constant, Gaussian-damped constant, and linear fields on the plane."""
+    """Constant, Gaussian-damped constant, and linear fields on the plane.
+
+    ``values`` and ``jacobians`` fill fields 0-7 and leave any further
+    fields to ``_fill_extra_values`` and ``_fill_extra_jacobians``.
+    """
 
     nu: float = DEFAULT_GAUSSIAN_WIDTH
     kind: ClassVar[str] = "affine8"
@@ -105,7 +109,7 @@ class Affine8(VectorFieldFamily):
         x = _as_points(x, 2)
         x1, x2 = x[..., 0], x[..., 1]
         g = np.exp(-0.5 * (x1 * x1 + x2 * x2) / self.nu)
-        out = np.zeros(x.shape[:-1] + (8, 2))
+        out = np.zeros(x.shape[:-1] + (self.n_fields, 2))
         out[..., 0, 0] = 1.0
         out[..., 1, 1] = 1.0
         out[..., 2, 0] = g
@@ -114,6 +118,7 @@ class Affine8(VectorFieldFamily):
         out[..., 5, 0] = x2
         out[..., 6, 1] = x1
         out[..., 7, 1] = x2
+        self._fill_extra_values(out, x1, x2, g)
         return out
 
     def jacobians(self, x: np.ndarray) -> np.ndarray:
@@ -122,7 +127,7 @@ class Affine8(VectorFieldFamily):
         g = np.exp(-0.5 * (x1 * x1 + x2 * x2) / self.nu)
         dg1 = -g * x1 / self.nu
         dg2 = -g * x2 / self.nu
-        out = np.zeros(x.shape[:-1] + (8, 2, 2))
+        out = np.zeros(x.shape[:-1] + (self.n_fields, 2, 2))
         out[..., 2, 0, 0] = dg1
         out[..., 2, 0, 1] = dg2
         out[..., 3, 1, 0] = dg1
@@ -131,52 +136,30 @@ class Affine8(VectorFieldFamily):
         out[..., 5, 0, 1] = 1.0
         out[..., 6, 1, 0] = 1.0
         out[..., 7, 1, 1] = 1.0
+        self._fill_extra_jacobians(out, x1, x2, g, dg1, dg2)
         return out
+
+    def _fill_extra_values(self, out, x1, x2, g) -> None:
+        pass
+
+    def _fill_extra_jacobians(self, out, x1, x2, g, dg1, dg2) -> None:
+        pass
 
 
 @dataclass(frozen=True)
-class Enriched14(VectorFieldFamily):
+class Enriched14(Affine8):
     """Affine8 plus the six Gaussian-damped quadratic fields."""
 
-    nu: float = DEFAULT_GAUSSIAN_WIDTH
     kind: ClassVar[str] = "enriched14"
-    dim: ClassVar[int] = 2
     n_fields: ClassVar[int] = 14
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        x = _as_points(x, 2)
-        x1, x2 = x[..., 0], x[..., 1]
-        g = np.exp(-0.5 * (x1 * x1 + x2 * x2) / self.nu)
-        out = np.zeros(x.shape[:-1] + (14, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        out[..., 2, 0] = g
-        out[..., 3, 1] = g
-        out[..., 4, 0] = x1
-        out[..., 5, 0] = x2
-        out[..., 6, 1] = x1
-        out[..., 7, 1] = x2
+    def _fill_extra_values(self, out, x1, x2, g) -> None:
         quads = (x1 * x1 * g, x1 * x2 * g, x2 * x2 * g)
         for m, q in enumerate(quads):
             out[..., 8 + m, 0] = q
             out[..., 11 + m, 1] = q
-        return out
 
-    def jacobians(self, x: np.ndarray) -> np.ndarray:
-        x = _as_points(x, 2)
-        x1, x2 = x[..., 0], x[..., 1]
-        g = np.exp(-0.5 * (x1 * x1 + x2 * x2) / self.nu)
-        dg1 = -g * x1 / self.nu
-        dg2 = -g * x2 / self.nu
-        out = np.zeros(x.shape[:-1] + (14, 2, 2))
-        out[..., 2, 0, 0] = dg1
-        out[..., 2, 0, 1] = dg2
-        out[..., 3, 1, 0] = dg1
-        out[..., 3, 1, 1] = dg2
-        out[..., 4, 0, 0] = 1.0
-        out[..., 5, 0, 1] = 1.0
-        out[..., 6, 1, 0] = 1.0
-        out[..., 7, 1, 1] = 1.0
+    def _fill_extra_jacobians(self, out, x1, x2, g, dg1, dg2) -> None:
         # grad(p * g) = g * grad(p) + p * grad(g), with grad(g) = -g x / nu.
         monomials = (
             (x1 * x1, 2.0 * x1, np.zeros_like(x1)),
@@ -190,7 +173,6 @@ class Enriched14(VectorFieldFamily):
             out[..., 8 + m, 0, 1] = row2
             out[..., 11 + m, 1, 0] = row1
             out[..., 11 + m, 1, 1] = row2
-        return out
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,28 @@
-"""Projected-gradient-flow trainer with Armijo backtracking.
+"""Projected-gradient-flow trainer with Armijo backtracking, and the shared loop.
 
-Each pass proposes u_new = u - gamma * g, where g is the objective gradient
-in slab-average coordinates, and accepts it only under sufficient decrease:
+Both trainers run one loop, ``_descend``, each with its own ``propose``
+step; the loop accepts the proposal or shrinks gamma by tau (never growing
+it back).  Every pass counts toward max_iter and produces one trace record,
+so backtracking is visible; a rejected row reports the testing error of the
+unchanged control.
+
+The gradient-flow step proposes u_new = u - gamma * g, where g is the
+objective gradient in slab-average coordinates, and accepts it only under
+sufficient decrease:
 
     cost(u) >= cost(u_new) + c * gamma * |g|_{L2}^2.
 
-On rejection gamma shrinks by tau and the same proposal direction is
-retried; gamma is never grown back.  Covectors are recomputed only after an
-accepted step, since a rejected one leaves the trajectories unchanged.
-Every pass through the loop, accepted or not, counts toward max_iter and
-produces one trace record, so backtracking is visible in the output.
-
-An optional mini-batch mode draws a fresh subset of samples (without
-replacement) each pass and runs the same proposal/acceptance logic on the
-batch cost alone.
+A rejected step leaves the trajectories unchanged, so the gradient is
+recomputed only after an accepted one.  An optional mini-batch mode draws a
+fresh subset of samples (without replacement) each pass and runs the same
+proposal/acceptance logic on the batch cost alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .objective import (
     Dataset,
     ObjectiveValue,
     control_gradient,
+    cost,
     cost_of_endpoints,
     mean_loss,
 )
@@ -121,20 +125,61 @@ def _testing_error(
     return mean_loss(states[:, -1], test_data.targets)
 
 
-def _init_control(
-    n_layers: int, n_fields: int, init: ControlGrid | None
-) -> ControlGrid:
+def _descend(
+    family: VectorFieldFamily,
+    data: Dataset,
+    n_layers: int,
+    cfg: TrainConfig,
+    init: ControlGrid | None,
+    test_data: Dataset | None,
+    propose: Callable[..., tuple],
+) -> TrainReport:
+    """The loop both trainers share: propose, accept or shrink gamma, record.
+
+    ``propose(u, states, current, gamma)`` gets the accepted control, its
+    trajectories and cost, and returns ``(proposal, states_new, cost_new,
+    accepted)``.  The test cloud is flowed once initially and once per
+    accepted pass.
+    """
+    if data.dim != family.dim:
+        raise ValueError(f"dataset dimension {data.dim} does not match family dimension {family.dim}")
+    if n_layers < 1:
+        raise ValueError(f"n_layers must be positive, got {n_layers}")
     if init is None:
-        return ControlGrid.zeros(n_layers, n_fields)
-    if init.n_layers != n_layers or init.n_fields != n_fields:
+        u = ControlGrid.zeros(n_layers, family.n_fields)
+    elif init.n_layers != n_layers or init.n_fields != family.n_fields:
         raise ValueError(
-            f"init control has shape {init.values.shape}, expected ({n_layers}, {n_fields})"
+            f"init control has shape {init.values.shape}, expected ({n_layers}, {family.n_fields})"
         )
-    return ControlGrid(init.values.copy())
+    else:
+        u = ControlGrid(init.values.copy())
 
-
-def _batch_indices(rng: np.random.Generator, n_samples: int, batch_size: int) -> np.ndarray:
-    return rng.choice(n_samples, size=batch_size, replace=False)
+    states = forward_euler(family, u, data.sources)
+    current = cost_of_endpoints(states[:, -1], data.targets, u, cfg.beta)
+    testing_error = _testing_error(family, u, test_data)
+    records = [
+        IterationRecord(0, current.total, current.data_term, testing_error, cfg.gamma0, True)
+    ]
+    gamma = cfg.gamma0
+    try:
+        for it in range(1, cfg.max_iter + 1):
+            proposal, states_new, cost_new, accepted = propose(u, states, current, gamma)
+            if accepted:
+                u, states, current = proposal, states_new, cost_new
+                testing_error = _testing_error(family, u, test_data)
+            records.append(
+                IterationRecord(
+                    it, cost_new.total, cost_new.data_term, testing_error, gamma, accepted
+                )
+            )
+            if not accepted:
+                gamma *= cfg.tau
+    except FlowError as err:
+        partial = TrainReport(records, u, cost(family, u, data, cfg.beta))
+        raise TrainAbort(
+            f"flow failed at training pass {len(records)}: {err}", partial, err
+        ) from err
+    return TrainReport(records, u, cost(family, u, data, cfg.beta))
 
 
 def train_gradient_flow(
@@ -151,96 +196,27 @@ def train_gradient_flow(
     0) and one row per pass.  The reported final cost is always evaluated on
     the full dataset, also in mini-batch mode.
     """
-    if data.dim != family.dim:
-        raise ValueError(f"dataset dimension {data.dim} does not match family dimension {family.dim}")
-    if n_layers < 1:
-        raise ValueError(f"n_layers must be positive, got {n_layers}")
     if cfg.batch_size is not None and cfg.batch_size > data.n_samples:
-        raise ValueError(
-            f"batch_size {cfg.batch_size} exceeds dataset size {data.n_samples}"
-        )
-    u = _init_control(n_layers, family.n_fields, init)
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {data.n_samples}")
     batching = cfg.batch_size is not None and cfg.batch_size < data.n_samples
     rng = np.random.Generator(np.random.Philox(cfg.seed))
+    grad_u = grad = None  # the gradient is cached until the control changes
 
-    states = forward_euler(family, u, data.sources)
-    current = cost_of_endpoints(states[:, -1], data.targets, u, cfg.beta)
-    records = [
-        IterationRecord(
-            iteration=0,
-            cost=current.total,
-            data_term=current.data_term,
-            testing_error=_testing_error(family, u, test_data),
-            gamma=cfg.gamma0,
-            accepted=True,
-        )
-    ]
-
-    gamma = cfg.gamma0
-    need_gradient = True
-    grad = np.zeros_like(u.values)
-    try:
-        for it in range(1, cfg.max_iter + 1):
-            if batching:
-                idx = _batch_indices(rng, data.n_samples, cfg.batch_size)
-                batch = data.subset(idx)
-                states = forward_euler(family, u, batch.sources)
-                current = cost_of_endpoints(states[:, -1], batch.targets, u, cfg.beta)
-                grad = control_gradient(
-                    family, u, states, batch.targets, cfg.beta, cfg.gradient_method
-                )
-                targets = batch.targets
-                sources = batch.sources
-            else:
-                if need_gradient:
-                    grad = control_gradient(
-                        family, u, states, data.targets, cfg.beta, cfg.gradient_method
-                    )
-                    need_gradient = False
-                targets = data.targets
-                sources = data.sources
-
-            proposal = ControlGrid(u.values - gamma * grad)
-            states_new = forward_euler(family, proposal, sources)
-            cost_new = cost_of_endpoints(states_new[:, -1], targets, proposal, cfg.beta)
-            decrease = cfg.c * gamma * proposal.step * float(np.sum(grad * grad))
-            accepted = current.total >= cost_new.total + decrease
-            if accepted:
-                u = proposal
-                states = states_new
-                current = cost_new
-                need_gradient = True
-            records.append(
-                IterationRecord(
-                    iteration=it,
-                    cost=cost_new.total,
-                    data_term=cost_new.data_term,
-                    testing_error=_testing_error(family, u, test_data),
-                    gamma=gamma,
-                    accepted=accepted,
-                )
+    def armijo_step(u, states, current, gamma):
+        nonlocal grad_u, grad
+        batch = data
+        if batching:
+            batch = data.subset(rng.choice(data.n_samples, size=cfg.batch_size, replace=False))
+            states = forward_euler(family, u, batch.sources)
+            current = cost_of_endpoints(states[:, -1], batch.targets, u, cfg.beta)
+        if batching or grad_u is not u:
+            grad_u, grad = u, control_gradient(
+                family, u, states, batch.targets, cfg.beta, cfg.gradient_method
             )
-            if not accepted:
-                gamma *= cfg.tau
-    except FlowError as err:
-        partial = TrainReport(
-            records=records,
-            control=u,
-            final_cost=_full_cost(family, u, data, cfg.beta),
-        )
-        raise TrainAbort(
-            f"flow failed at training pass {len(records)}: {err}", partial, err
-        ) from err
+        proposal = ControlGrid(u.values - gamma * grad)
+        states_new = forward_euler(family, proposal, batch.sources)
+        cost_new = cost_of_endpoints(states_new[:, -1], batch.targets, proposal, cfg.beta)
+        decrease = cfg.c * gamma * proposal.step * float(np.sum(grad * grad))
+        return proposal, states_new, cost_new, current.total >= cost_new.total + decrease
 
-    return TrainReport(
-        records=records,
-        control=u,
-        final_cost=_full_cost(family, u, data, cfg.beta),
-    )
-
-
-def _full_cost(
-    family: VectorFieldFamily, u: ControlGrid, data: Dataset, beta: float
-) -> ObjectiveValue:
-    states = forward_euler(family, u, data.sources)
-    return cost_of_endpoints(states[:, -1], data.targets, u, beta)
+    return _descend(family, data, n_layers, cfg, init, test_data, armijo_step)

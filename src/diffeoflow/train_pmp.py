@@ -14,8 +14,13 @@ The maximizer is available in closed form because H is quadratic in v:
 Covectors solve the backward transport with terminal value
 -(1/M) grad a(x_N - y); inside a sweep they are corrected at each node for
 the drift of the updated trajectory before the control update uses them.
-A pass is accepted only if the cost strictly decreased; otherwise the saved
-state, control, and covector bundles are restored and gamma shrinks by tau.
+
+The sweep is the ``propose`` step of the loop shared with the gradient-flow
+trainer (``train_gd._descend``): a pass is accepted only if the cost
+strictly decreased, otherwise gamma shrinks by tau, and a rejected row
+reports the testing error of the unchanged control.  The sweep works on
+copies of the accepted states and covectors, so a rejection needs no
+restore; covectors are recomputed only after an accepted pass.
 """
 
 from __future__ import annotations
@@ -23,21 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, FlowError, backward_covector, forward_euler
-from .objective import (
-    Dataset,
-    cost_of_endpoints,
-    loss_grad,
-)
-from .train_gd import (
-    IterationRecord,
-    TrainAbort,
-    TrainConfig,
-    TrainReport,
-    _full_cost,
-    _init_control,
-    _testing_error,
-)
+# forward_euler is unused here, but perfbench's tracing self-test expects this module to bind it.
+from .flow import ControlGrid, FlowError, backward_covector, forward_euler  # noqa: F401
+from .objective import Dataset, cost_of_endpoints, loss_grad
+from .train_gd import TrainConfig, TrainReport, _descend
 
 
 def eval_hamiltonian(
@@ -80,105 +74,43 @@ def train_pmp(
     Records follow the same convention: iteration 0 is the initial state,
     then one row per pass with its proposal cost and accepted flag.
     """
-    if data.dim != family.dim:
-        raise ValueError(f"dataset dimension {data.dim} does not match family dimension {family.dim}")
-    if n_layers < 1:
-        raise ValueError(f"n_layers must be positive, got {n_layers}")
     if cfg.batch_size is not None and cfg.batch_size != data.n_samples:
         raise ValueError("mini-batch mode is not supported by the maximum-principle trainer")
-
-    u = _init_control(n_layers, family.n_fields, init)
-    h = u.step
     n_pts = data.n_samples
     targets = data.targets
+    cov_u = cov = None  # covectors are cached until the control changes
 
-    states = forward_euler(family, u, data.sources)
-    current = cost_of_endpoints(states[:, -1], targets, u, cfg.beta)
-    records = [
-        IterationRecord(
-            iteration=0,
-            cost=current.total,
-            data_term=current.data_term,
-            testing_error=_testing_error(family, u, test_data),
-            gamma=cfg.gamma0,
-            accepted=True,
-        )
-    ]
-
-    gamma = cfg.gamma0
-    lam: np.ndarray | None = None
-    need_covectors = True
-    try:
-        for it in range(1, cfg.max_iter + 1):
-            if need_covectors:
-                terminal = -loss_grad(states[:, -1] - targets) / n_pts
-                lam = backward_covector(family, u, states, terminal, scheme="implicit")
-                need_covectors = False
-            saved_states = states.copy()
-            saved_controls = u.values.copy()
-            saved_lam = lam.copy()
-
-            new_controls = u.values.copy()
-            for k in range(1, n_layers + 1):
-                # The sweep has already moved nodes 1..k-1; shift the covector
-                # by the change this causes in the endpoint penalty gradients.
-                drift = (
-                    loss_grad(saved_states[:, k - 1] - targets)
-                    - loss_grad(states[:, k - 1] - targets)
-                ) / n_pts
-                lam[:, k - 1] += drift
-                vals = family.values(states[:, k - 1])  # (M, l, dim)
-                pairing = np.einsum("mn,mln->l", lam[:, k - 1], vals)
-                new_controls[k - 1] = maximized_controls(
-                    pairing, saved_controls[k - 1], gamma, cfg.beta
-                )
-                states[:, k] = states[:, k - 1] + h * np.einsum(
-                    "mln,l->mn", vals, new_controls[k - 1]
-                )
-                if not np.isfinite(states[:, k]).all():
-                    bad = ~np.isfinite(states[:, k]).all(axis=1)
-                    raise FlowError(
-                        f"non-finite state for sample {int(np.argmax(bad))} at layer {k} "
-                        "during a maximization sweep",
-                        sample=int(np.argmax(bad)),
-                        layer=k,
-                    )
-
-            proposal = ControlGrid(new_controls)
-            cost_new = cost_of_endpoints(states[:, -1], targets, proposal, cfg.beta)
-            accepted = current.total > cost_new.total
-            gamma_used = gamma
-            if accepted:
-                u = proposal
-                current = cost_new
-                need_covectors = True
-            else:
-                states = saved_states
-                u = ControlGrid(saved_controls)
-                lam = saved_lam
-                gamma *= cfg.tau
-            records.append(
-                IterationRecord(
-                    iteration=it,
-                    cost=cost_new.total,
-                    data_term=cost_new.data_term,
-                    testing_error=_testing_error(family, u, test_data),
-                    gamma=gamma_used,
-                    accepted=accepted,
-                )
+    def sweep(u, states, current, gamma):
+        nonlocal cov_u, cov
+        if cov_u is not u:
+            terminal = -loss_grad(states[:, -1] - targets) / n_pts
+            cov_u, cov = u, backward_covector(family, u, states, terminal, scheme="implicit")
+        lam = cov.copy()
+        swept = states.copy()
+        new_controls = u.values.copy()
+        for k in range(1, u.n_layers + 1):
+            # The sweep has already moved nodes 1..k-1; shift the covector
+            # by the change this causes in the endpoint penalty gradients.
+            drift = (
+                loss_grad(states[:, k - 1] - targets) - loss_grad(swept[:, k - 1] - targets)
+            ) / n_pts
+            lam[:, k - 1] += drift
+            vals = family.values(swept[:, k - 1])  # (M, l, dim)
+            pairing = np.einsum("mn,mln->l", lam[:, k - 1], vals)
+            new_controls[k - 1] = maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
+            swept[:, k] = swept[:, k - 1] + u.step * np.einsum(
+                "mln,l->mn", vals, new_controls[k - 1]
             )
-    except FlowError as err:
-        partial = TrainReport(
-            records=records,
-            control=u,
-            final_cost=_full_cost(family, u, data, cfg.beta),
-        )
-        raise TrainAbort(
-            f"flow failed at training pass {len(records)}: {err}", partial, err
-        ) from err
+            if not np.isfinite(swept[:, k]).all():
+                bad = ~np.isfinite(swept[:, k]).all(axis=1)
+                raise FlowError(
+                    f"non-finite state for sample {int(np.argmax(bad))} at layer {k} "
+                    "during a maximization sweep",
+                    sample=int(np.argmax(bad)),
+                    layer=k,
+                )
+        proposal = ControlGrid(new_controls)
+        cost_new = cost_of_endpoints(swept[:, -1], targets, proposal, cfg.beta)
+        return proposal, swept, cost_new, current.total > cost_new.total
 
-    return TrainReport(
-        records=records,
-        control=u,
-        final_cost=_full_cost(family, u, data, cfg.beta),
-    )
+    return _descend(family, data, n_layers, cfg, init, test_data, sweep)

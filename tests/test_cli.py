@@ -1,13 +1,18 @@
 """End-to-end checks of the command line interface.
 
 Everything here drives ``diffeoflow.cli.main`` in process with tiny problem
-sizes; one smoke test exercises the installed console script.
+sizes; one smoke test exercises the installed console script, and two more
+check ``python -m diffeoflow`` and the console-script entry without an
+install.
 """
 
 import csv
+import importlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +303,19 @@ def test_eval_rejects_control_width_mismatch(tmp_path, capsys):
     assert "field columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["dataset_file", "control"])
+def test_empty_csv_is_a_bad_input(which, tmp_path, capsys):
+    empty = tmp_path / "empty_input.csv"
+    empty.write_bytes(b"")
+    out = str(tmp_path / "out")
+    if which == "dataset_file":
+        argv = ["train", "--config", str(write_config(tmp_path, dataset_file=str(empty))), "--out", out]
+    else:
+        argv = ["eval", "--config", str(write_config(tmp_path)), "--control", str(empty), "--out", out]
+    assert main(argv) == 2
+    assert "empty_input.csv" in capsys.readouterr().err
+
+
 def test_control_csv_round_trip(tmp_path):
     rng = np.random.Generator(np.random.Philox(5))
     u = ControlGrid(rng.standard_normal((6, 14)))
@@ -358,6 +376,34 @@ def test_console_script_help():
     assert proc.returncode == 0
     for word in ("train", "reproduce-tables", "gradcheck", "eval"):
         assert word in proc.stdout
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_module_entry_point_help_without_install(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffeoflow", "--help"],
+        capture_output=True, text=True, check=False, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for word in ("train", "reproduce-tables", "gradcheck", "eval"):
+        assert word in proc.stdout
+
+
+def test_console_script_entry_resolves_to_cli_main():
+    section, scripts = None, {}
+    for line in (SRC.parent / "pyproject.toml").read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, target = (part.strip().strip('"') for part in line.split("=", 1))
+            scripts[name] = target
+    assert scripts == {"diffeoflow": "diffeoflow.cli:main"}
+    module, attr = scripts["diffeoflow"].split(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_run_config_defaults_are_valid():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import diffeoflow.train_gd as train_gd_module
 from diffeoflow import (
     ControlGrid,
     FieldSpec,
@@ -11,6 +12,7 @@ from diffeoflow import (
     cost,
     make_custom,
     train_gradient_flow,
+    train_pmp,
 )
 from diffeoflow.objective import Dataset
 
@@ -84,6 +86,31 @@ def test_rejected_rows_leave_control_unchanged(affine8, grid25):
     # so they may exceed the running cost; the accepted subsequence may not.
     acc = rep.accepted_costs
     assert all(a >= b for a, b in zip(acc, acc[1:]))
+
+
+@pytest.mark.parametrize(
+    "trainer, gamma0", [(train_gradient_flow, 1e4), (train_pmp, 50.0)], ids=["gd", "pmp"]
+)
+def test_shared_loop_flows_test_cloud_only_for_accepted_controls(
+    trainer, gamma0, affine8, grid25, testset300, monkeypatch
+):
+    flowed = []
+    real = train_gd_module.forward_euler
+
+    def counting(family, u, sources):
+        if sources is testset300.sources:
+            flowed.append(u)
+        return real(family, u, sources)
+
+    monkeypatch.setattr(train_gd_module, "forward_euler", counting)
+    cfg = TrainConfig(beta=0.01, max_iter=30, gamma0=gamma0)
+    rep = trainer(affine8, grid25, 6, cfg, test_data=testset300)
+    rows = rep.records[1:]
+    assert any(r.accepted for r in rows) and any(not r.accepted for r in rows)
+    assert len(flowed) == 1 + sum(r.accepted for r in rows)
+    for prev, row in zip(rep.records, rows):
+        if not row.accepted:
+            assert row.testing_error == prev.testing_error
 
 
 def test_deterministic_given_seed(affine8, grid25):
