@@ -174,6 +174,33 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+def _check_types(raw: dict) -> None:
+    """Reject a JSON value whose type does not match its RunConfig field.
+
+    Integer fields take integers but not booleans; float fields take finite
+    real numbers (an integer included); the rest take strings.  A field
+    annotated ``| None`` also takes null.
+    """
+    for f in dataclasses.fields(RunConfig):
+        if f.name not in raw:
+            continue
+        value = raw[f.name]
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional:
+            continue
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind == "int":
+            ok, want = number and isinstance(value, int), "an integer"
+        elif kind == "float":
+            # abs(x) <= max is False for NaN, infinities and ints too large for a float.
+            ok, want = number and abs(value) <= sys.float_info.max, "a finite number"
+        else:
+            ok, want = isinstance(value, str), "a string"
+        if not ok:
+            or_null = " or null" if optional else ""
+            raise ConfigError(f"{f.name}: must be {want}{or_null}, got {json.dumps(value)}")
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -186,6 +213,7 @@ def load_config(path) -> RunConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    _check_types(raw)
     cfg = RunConfig(**raw)
     cfg.validate()
     return cfg

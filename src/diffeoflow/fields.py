@@ -1,9 +1,19 @@
-"""Controlled vector-field families: batched values and Jacobians.
+"""Controlled vector-field families: values, Jacobians and their contractions.
 
 A family is an ordered tuple of smooth fields F_1, ..., F_l on R^n.  The
 network layers move points along constant-coefficient combinations of these
-fields, so everything downstream (flow, gradients, metrics) only ever needs
-two primitives per field: its value and its Jacobian at a batch of points.
+fields, so the flow, the gradients and the metrics use three contractions
+of the fields at a batch of points:
+
+    displacement(x, u)  = sum_i u_i F_i(x)           (one layer's step),
+    layer_matrix(x, u)  = sum_i u_i DF_i(x)          (its state matrix),
+    pairing(x, lam)[i]  = sum_j <lam^j, F_i(x^j)>    (the control gradient).
+
+The base class computes them from the stacked ``values`` and ``jacobians``
+of the fields, so a family only has to supply those two.  The built-in
+families compute them in closed form instead, without the mostly-zero
+``(..., l, n[, n])`` tensors, and add terms in the same order as the dense
+contraction, so both give bit-identical results.
 
 Two planar built-ins are provided.
 
@@ -51,7 +61,8 @@ class VectorFieldFamily(ABC):
     """Ordered family of smooth fields on R^n.
 
     Evaluation is pure: instances hold no mutable state and may be shared
-    freely across threads.
+    freely across threads.  Subclasses supply ``values`` and ``jacobians``;
+    the contractions default to dense einsums over them.
     """
 
     kind: str
@@ -66,6 +77,22 @@ class VectorFieldFamily(ABC):
     @abstractmethod
     def jacobians(self, x: np.ndarray) -> np.ndarray:
         """Stacked field Jacobians at ``x``: shape ``(..., n_fields, dim, dim)``."""
+
+    def displacement(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
+        """sum_i u_row[i] * F_i(x): shape ``(..., dim)``."""
+        return np.einsum("...ln,l->...n", self.values(x), u_row)
+
+    def layer_matrix(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
+        """sum_i u_row[i] * DF_i(x): shape ``(..., dim, dim)``."""
+        return np.einsum("...lpq,l->...pq", self.jacobians(x), u_row)
+
+    def pairing(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """sum_j <lam^j, F_i(x^j)> over the first axis of ``x`` and ``lam``.
+
+        Both have shape ``(M, ..., dim)``; the result has shape
+        ``(..., n_fields)``, keeping any middle axes.
+        """
+        return np.einsum("m...n,m...ln->...l", lam, self.values(x))
 
     def value(self, i: int, x: np.ndarray) -> np.ndarray:
         """Value of field ``i`` (0-based) at ``x``: shape ``(..., dim)``."""
@@ -92,58 +119,98 @@ def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
+def _axis_sums(axes, terms, weights) -> list:
+    """Per axis, the sum of terms[i] * weights[i] over the fields along it.
+
+    Each sum starts from 0 and adds its terms in family order, as the dense
+    einsum does, so it is bit-identical to it; a None term is zero.
+    """
+    sums = [0.0, 0.0]
+    for axis, t, w in zip(axes, terms, weights):
+        if t is not None:
+            sums[axis] = sums[axis] + t * w
+    return sums
+
+
 @dataclass(frozen=True)
 class Affine8(VectorFieldFamily):
     """Constant, Gaussian-damped constant, and linear fields on the plane.
 
-    ``values`` and ``jacobians`` fill fields 0-7 and leave any further
-    fields to ``_fill_extra_values`` and ``_fill_extra_jacobians``.
+    Each field is a scalar coefficient times one coordinate direction:
+    field i is c_i(x) e_{axes[i]}.  ``_coefficients`` and ``_gradients``
+    list c_i and grad c_i in family order, and values, Jacobians and the
+    three contractions are all computed from these lists, so a subclass
+    that appends fields only extends the lists.
     """
 
     nu: float = DEFAULT_GAUSSIAN_WIDTH
     kind: ClassVar[str] = "affine8"
     dim: ClassVar[int] = 2
     n_fields: ClassVar[int] = 8
+    axes: ClassVar[tuple[int, ...]] = (0, 1, 0, 1, 0, 0, 1, 1)
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    def _coefficients(self, x1, x2, g) -> tuple:
+        """c_i at the points; 1.0 stands for a constant coefficient."""
+        return (1.0, 1.0, g, g, x1, x2, x1, x2)
+
+    def _gradients(self, x1, x2, g, dg1, dg2) -> tuple:
+        """(dc_i/dx1, dc_i/dx2) at the points; None stands for zero."""
+        return (
+            (None, None), (None, None), (dg1, dg2), (dg1, dg2),
+            (1.0, None), (None, 1.0), (1.0, None), (None, 1.0),
+        )
+
+    def _planar(self, x: np.ndarray) -> tuple:
         x = _as_points(x, 2)
         x1, x2 = x[..., 0], x[..., 1]
         g = np.exp(-0.5 * (x1 * x1 + x2 * x2) / self.nu)
+        return x, x1, x2, g
+
+    def _planar_gradients(self, x: np.ndarray) -> tuple:
+        x, x1, x2, g = self._planar(x)
+        dg1 = -g * x1 / self.nu
+        dg2 = -g * x2 / self.nu
+        return x, self._gradients(x1, x2, g, dg1, dg2)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        x, x1, x2, g = self._planar(x)
         out = np.zeros(x.shape[:-1] + (self.n_fields, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        out[..., 2, 0] = g
-        out[..., 3, 1] = g
-        out[..., 4, 0] = x1
-        out[..., 5, 0] = x2
-        out[..., 6, 1] = x1
-        out[..., 7, 1] = x2
-        self._fill_extra_values(out, x1, x2, g)
+        for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(x1, x2, g))):
+            out[..., i, axis] = c
         return out
 
     def jacobians(self, x: np.ndarray) -> np.ndarray:
-        x = _as_points(x, 2)
-        x1, x2 = x[..., 0], x[..., 1]
-        g = np.exp(-0.5 * (x1 * x1 + x2 * x2) / self.nu)
-        dg1 = -g * x1 / self.nu
-        dg2 = -g * x2 / self.nu
+        x, grads = self._planar_gradients(x)
         out = np.zeros(x.shape[:-1] + (self.n_fields, 2, 2))
-        out[..., 2, 0, 0] = dg1
-        out[..., 2, 0, 1] = dg2
-        out[..., 3, 1, 0] = dg1
-        out[..., 3, 1, 1] = dg2
-        out[..., 4, 0, 0] = 1.0
-        out[..., 5, 0, 1] = 1.0
-        out[..., 6, 1, 0] = 1.0
-        out[..., 7, 1, 1] = 1.0
-        self._fill_extra_jacobians(out, x1, x2, g, dg1, dg2)
+        for i, (axis, grad) in enumerate(zip(self.axes, grads)):
+            for j, d in enumerate(grad):
+                if d is not None:
+                    out[..., i, axis, j] = d
         return out
 
-    def _fill_extra_values(self, out, x1, x2, g) -> None:
-        pass
+    def displacement(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
+        x, x1, x2, g = self._planar(x)
+        out = np.empty(x.shape)
+        out[..., 0], out[..., 1] = _axis_sums(self.axes, self._coefficients(x1, x2, g), u_row)
+        return out
 
-    def _fill_extra_jacobians(self, out, x1, x2, g, dg1, dg2) -> None:
-        pass
+    def layer_matrix(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
+        x, grads = self._planar_gradients(x)
+        out = np.empty(x.shape + (2,))
+        for j in (0, 1):
+            column = [grad[j] for grad in grads]
+            out[..., 0, j], out[..., 1, j] = _axis_sums(self.axes, column, u_row)
+        return out
+
+    def pairing(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        x, x1, x2, g = self._planar(x)
+        lam = np.asarray(lam, dtype=float)
+        terms = np.empty(x.shape[:-1] + (self.n_fields,))
+        for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(x1, x2, g))):
+            np.multiply(lam[..., axis], c, out=terms[..., i])
+        # A reduction over the leading axis adds the samples in order, as the
+        # einsum does; a 1-D sum per field would add them pairwise.
+        return terms.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -152,27 +219,21 @@ class Enriched14(Affine8):
 
     kind: ClassVar[str] = "enriched14"
     n_fields: ClassVar[int] = 14
+    axes: ClassVar[tuple[int, ...]] = Affine8.axes + (0, 0, 0, 1, 1, 1)
 
-    def _fill_extra_values(self, out, x1, x2, g) -> None:
+    def _coefficients(self, x1, x2, g) -> tuple:
         quads = (x1 * x1 * g, x1 * x2 * g, x2 * x2 * g)
-        for m, q in enumerate(quads):
-            out[..., 8 + m, 0] = q
-            out[..., 11 + m, 1] = q
+        return super()._coefficients(x1, x2, g) + quads + quads
 
-    def _fill_extra_jacobians(self, out, x1, x2, g, dg1, dg2) -> None:
+    def _gradients(self, x1, x2, g, dg1, dg2) -> tuple:
         # grad(p * g) = g * grad(p) + p * grad(g), with grad(g) = -g x / nu.
-        monomials = (
-            (x1 * x1, 2.0 * x1, np.zeros_like(x1)),
-            (x1 * x2, x2, x1),
-            (x2 * x2, np.zeros_like(x2), 2.0 * x2),
+        p11, p12, p22 = x1 * x1, x1 * x2, x2 * x2
+        quads = (
+            (g * (2.0 * x1) + p11 * dg1, p11 * dg2),
+            (g * x2 + p12 * dg1, g * x1 + p12 * dg2),
+            (p22 * dg1, g * (2.0 * x2) + p22 * dg2),
         )
-        for m, (p, dp1, dp2) in enumerate(monomials):
-            row1 = g * dp1 + p * dg1
-            row2 = g * dp2 + p * dg2
-            out[..., 8 + m, 0, 0] = row1
-            out[..., 8 + m, 0, 1] = row2
-            out[..., 11 + m, 1, 0] = row1
-            out[..., 11 + m, 1, 1] = row2
+        return super()._gradients(x1, x2, g, dg1, dg2) + quads + quads
 
 
 @dataclass(frozen=True)

@@ -94,12 +94,46 @@ def _as_bundle(points: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
 
 def displacement(family: VectorFieldFamily, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
     """sum_i u_row[i] * F_i(x) for a bundle x of shape (M, dim)."""
-    return np.einsum("mln,l->mn", family.values(x), u_row)
+    return family.displacement(x, u_row)
 
 
 def layer_matrix(family: VectorFieldFamily, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
     """sum_i u_row[i] * DF_i(x): the state matrix of one layer, shape (M, dim, dim)."""
-    return np.einsum("mlpq,l->mpq", family.jacobians(x), u_row)
+    return family.layer_matrix(x, u_row)
+
+
+def _spectral_norm_2x2(mats: np.ndarray) -> np.ndarray:
+    """Largest singular value of a batch of 2x2 matrices, in closed form:
+
+        sigma_max = ( sqrt((a+d)^2 + (b-c)^2) + sqrt((a-d)^2 + (b+c)^2) ) / 2.
+    """
+    a = mats[..., 0, 0]
+    b = mats[..., 0, 1]
+    c = mats[..., 1, 0]
+    d = mats[..., 1, 1]
+    s1 = np.sqrt((a + d) ** 2 + (b - c) ** 2)
+    s2 = np.sqrt((a - d) ** 2 + (b + c) ** 2)
+    return 0.5 * (s1 + s2)
+
+
+def _worst_conditioned(mats: np.ndarray) -> tuple[int, float]:
+    """Index and 2-norm condition number of the worst-conditioned matrix in a batch.
+
+    2x2 batches are screened in closed form, cond = sigma_max^2 / |det|
+    (since sigma_max * sigma_min = |det|), and LAPACK computes the condition
+    number of the single worst matrix only; larger matrices go to LAPACK
+    whole.  A NaN ranks as worst, so it fails the guard.
+    """
+    if mats.shape[-2:] != (2, 2):
+        conds = np.linalg.cond(mats)
+        j = int(np.argmax(conds))
+        return j, float(conds[j])
+    smax = _spectral_norm_2x2(mats)
+    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        screen = smax * smax / np.abs(det)
+    j = int(np.argmax(screen))
+    return j, float(np.linalg.cond(mats[j]))
 
 
 def forward_euler(
@@ -180,10 +214,8 @@ def backward_covector(
         a = layer_matrix(family, states[:, k - 1], u.values[k - 1])
         if scheme == "implicit":
             b = eye - h * a
-            conds = np.linalg.cond(b)
-            worst = np.nanmax(conds)
+            j, worst = _worst_conditioned(b)
             if not np.isfinite(worst) or worst > cond_limit:
-                j = int(np.nanargmax(conds))
                 raise FlowError(
                     f"covector solve ill-conditioned for sample {j} at layer {k} "
                     f"(condition estimate {worst:.3e} exceeds {cond_limit:.1e})",

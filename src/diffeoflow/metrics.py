@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, variational_jacobian
+from .flow import ControlGrid, _spectral_norm_2x2, variational_jacobian
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,13 @@ class MetricsBlock:
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Largest singular value of a batch of matrices, shape (..., n, n).
 
-    2x2 batches use the closed form
-
-        sigma_max = ( sqrt((a+d)^2 + (b-c)^2) + sqrt((a-d)^2 + (b+c)^2) ) / 2,
-
-    anything else falls back to LAPACK singular values.
+    2x2 batches use the closed form of ``flow._spectral_norm_2x2``, which
+    the covector conditioning guard shares; anything else falls back to
+    LAPACK singular values.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.shape[-2:] == (2, 2):
-        a = mats[..., 0, 0]
-        b = mats[..., 0, 1]
-        c = mats[..., 1, 0]
-        d = mats[..., 1, 1]
-        s1 = np.sqrt((a + d) ** 2 + (b - c) ** 2)
-        s2 = np.sqrt((a - d) ** 2 + (b + c) ** 2)
-        return 0.5 * (s1 + s2)
+        return _spectral_norm_2x2(mats)
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 

@@ -160,12 +160,10 @@ def control_gradient(
     terminal = loss_grad(states[:, -1] - targets) / n_pts
     if method == "exact":
         lam = backward_covector(family, u, states, terminal, scheme="explicit")
-        vals = family.values(states[:, :-1])  # (M, N, l, dim), fields at left nodes
-        grad = np.einsum("mkn,mkln->kl", lam[:, 1:], vals)
+        grad = family.pairing(states[:, :-1], lam[:, 1:])  # fields at left nodes
     elif method == "trapezoid":
         lam = backward_covector(family, u, states, terminal, scheme="implicit")
-        vals = family.values(states)  # (M, N+1, l, dim)
-        node = np.einsum("mkn,mkln->kl", lam, vals)
+        node = family.pairing(states, lam)  # (N+1, l)
         grad = 0.5 * (node[:-1] + node[1:])
     else:
         raise ValueError(f"unknown gradient method {method!r}")

@@ -43,7 +43,7 @@ def eval_hamiltonian(
 ) -> float:
     """H(x, lambda, v) summed over the sample bundle at one time node."""
     controls = np.asarray(controls, dtype=float)
-    pairing = float(np.einsum("mn,mln,l->", lam, family.values(x), controls))
+    pairing = float(family.pairing(x, lam) @ controls)
     return pairing - 0.5 * beta * float(np.dot(controls, controls))
 
 
@@ -95,7 +95,7 @@ def train_pmp(
                 loss_grad(states[:, k - 1] - targets) - loss_grad(swept[:, k - 1] - targets)
             ) / n_pts
             lam[:, k - 1] += drift
-            vals = family.values(swept[:, k - 1])  # (M, l, dim)
+            vals = family.values(swept[:, k - 1])  # (M, l, dim), feeds pairing and update
             pairing = np.einsum("mn,mln->l", lam[:, k - 1], vals)
             new_controls[k - 1] = maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
             swept[:, k] = swept[:, k - 1] + u.step * np.einsum(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffeoflow import ControlGrid, forward_euler, loss, make_affine8
+from diffeoflow import ControlGrid, VectorFieldFamily, forward_euler, loss, make_affine8
 from diffeoflow.cli import (
     GRADCHECK_TOLERANCE,
     REFERENCE_RESULTS,
@@ -92,6 +92,36 @@ def test_load_config_validation(tmp_path, overrides):
     path = write_config(tmp_path, **overrides)
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_layers", "16"),
+        ("n_layers", 16.5),
+        ("n_layers", True),
+        ("max_iter", 3.0),
+        ("batch_size", False),
+        ("seed", None),
+        ("grid_per_axis", "3"),
+        ("test_count", 5.5),
+        ("test_seed", [0]),
+        ("gamma0", float("inf")),
+        ("beta", float("nan")),
+        ("nu", "20"),
+        ("tau", True),
+        pytest.param("grid_side", 10**400, id="grid_side-int_beyond_float"),
+        ("rate_constant", float("-inf")),
+        ("family", 8),
+        ("dataset_file", 5),
+    ],
+)
+def test_wrongly_typed_config_field_exits_two_naming_it(field, value, tmp_path, capsys):
+    path = write_config(tmp_path, **{field: value})
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:"), err
+    assert "Traceback" not in err
 
 
 def test_main_exits_two_on_bad_input(tmp_path, capsys):
@@ -185,12 +215,16 @@ def test_gradcheck_command_passes_on_clean_instance(tmp_path, capsys):
     assert "gradcheck OK" in capsys.readouterr().out
 
 
-class _SkewedJacobians:
+class _SkewedJacobians(VectorFieldFamily):
     """Delegate a field family but rescale its Jacobians.
 
     The forward flow stays intact while every covector transport step picks
     up a systematic error, which the finite-difference comparison must flag.
+    The contractions are the base class's dense ones, so the flow's layer
+    matrices see the skewed Jacobians.
     """
+
+    kind = "skewed"
 
     def __init__(self, base, factor=1.01):
         self._base = base

@@ -1,9 +1,16 @@
-"""Field families: values, Jacobians, ordering, and input validation."""
+"""Field families: values, Jacobians, contractions, ordering, and input validation."""
 
 import numpy as np
 import pytest
 
-from diffeoflow import FieldSpec, family_from_name, make_affine8, make_custom, make_enriched14
+from diffeoflow import (
+    FieldSpec,
+    VectorFieldFamily,
+    family_from_name,
+    make_affine8,
+    make_custom,
+    make_enriched14,
+)
 
 
 def fd_jacobian(family, i, x, eps=1e-6):
@@ -135,3 +142,71 @@ def test_custom_family_round_trip(rng):
         make_custom([], dim=2)
     with pytest.raises(ValueError):
         make_custom([rot], dim=0)
+
+
+CONTRACTIONS = ("displacement", "layer_matrix", "pairing")
+
+
+def _contraction_args(fam, name, x, rng):
+    if name == "pairing":
+        return (x, rng.normal(size=x.shape))
+    return (x, rng.normal(size=fam.n_fields))
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (900, 2), (10_000, 2), (900, 16, 2), (1_000, 33, 2)])
+@pytest.mark.parametrize("maker", [make_affine8, make_enriched14])
+@pytest.mark.parametrize("name", CONTRACTIONS)
+def test_closed_form_contractions_equal_dense_path_bit_for_bit(name, maker, shape, rng):
+    fam = maker(20.0)
+    x = rng.normal(scale=1.5, size=shape)
+    x.reshape(-1)[::5] = 0.0  # grid points on the axes
+    args = _contraction_args(fam, name, x, rng)
+    got = getattr(fam, name)(*args)
+    dense = getattr(VectorFieldFamily, name)(fam, *args)
+    assert got.shape == dense.shape
+    assert np.array_equal(got, dense)
+
+
+@pytest.mark.parametrize("name", CONTRACTIONS)
+def test_dense_contractions_match_explicit_einsums(name, enriched14, rng):
+    x = rng.normal(size=(50, 7, 2))
+    args = _contraction_args(enriched14, name, x, rng)
+    dense = getattr(VectorFieldFamily, name)(enriched14, *args)
+    if name == "displacement":
+        want = np.einsum("mkln,l->mkn", enriched14.values(x), args[1])
+    elif name == "layer_matrix":
+        want = np.einsum("mklpq,l->mkpq", enriched14.jacobians(x), args[1])
+    else:
+        want = np.einsum("mkn,mkln->kl", args[1], enriched14.values(x))
+    assert np.array_equal(dense, want)
+
+
+def test_pairing_keeps_middle_axes_and_accepts_strided_slices(affine8, rng):
+    states = rng.normal(size=(40, 9, 2))
+    lam = rng.normal(size=(40, 9, 2))
+    got = affine8.pairing(states[:, :-1], lam[:, 1:])
+    assert got.shape == (8, 8)
+    want = VectorFieldFamily.pairing(affine8, states[:, :-1], lam[:, 1:])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", CONTRACTIONS)
+def test_custom_family_inherits_dense_contractions(name, rng):
+    rot = FieldSpec(
+        value=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
+        jacobian=lambda x: np.broadcast_to(
+            np.array([[0.0, -1.0], [1.0, 0.0]]), x.shape[:-1] + (2, 2)
+        ).copy(),
+    )
+    shift = FieldSpec(value=lambda x: np.ones_like(x), jacobian=lambda x: np.zeros(x.shape + (2,)))
+    fam = make_custom([rot, shift], dim=2)
+    assert getattr(type(fam), name) is getattr(VectorFieldFamily, name)
+    x = rng.normal(size=(10_000, 2))
+    args = _contraction_args(fam, name, x, rng)
+    if name == "displacement":
+        want = np.einsum("mln,l->mn", fam.values(x), args[1])
+    elif name == "layer_matrix":
+        want = np.einsum("mlpq,l->mpq", fam.jacobians(x), args[1])
+    else:
+        want = np.einsum("mn,mln->l", args[1], fam.values(x))
+    assert np.array_equal(getattr(fam, name)(*args), want)

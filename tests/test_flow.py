@@ -5,13 +5,16 @@ import pytest
 
 from diffeoflow import (
     ControlGrid,
+    FieldSpec,
     FlowError,
     backward_covector,
     commutator_order_check,
     forward_euler,
     make_affine8,
+    make_custom,
     variational_jacobian,
 )
+from diffeoflow.flow import _spectral_norm_2x2, _worst_conditioned, layer_matrix
 
 
 def linear_grid(n_layers, a11, a12, a21, a22):
@@ -223,3 +226,67 @@ def test_commutator_argument_validation(affine8):
         commutator_order_check(affine8, 5, 6, x, 0.1, substeps=16)
     with pytest.raises(IndexError):
         commutator_order_check(affine8, 5, 99, x, 0.1)
+
+
+def test_guard_names_the_one_singular_sample_and_its_layer(affine8):
+    # On layer 3 the damped field 2 and the x1-stretch field 4 give
+    # Id - h A a (0, 0) entry of 1 - h (u2 dg/dx1 + u4) = 1 - h u4 = 0 exactly
+    # where x1 = 0 (dg/dx1 vanishes there), and about 0.05 elsewhere.
+    u = np.zeros((4, 8))
+    u[2, 2] = 5.0
+    u[2, 4] = 4.0
+    pts = np.array([[1.0, 0.5], [-0.8, 0.2], [0.0, 0.7], [0.6, -0.9]])
+    states = forward_euler(affine8, ControlGrid(u), pts)
+    with pytest.raises(FlowError, match="sample 2 at layer 3") as err:
+        backward_covector(affine8, ControlGrid(u), states, np.ones((4, 2)), scheme="implicit")
+    assert (err.value.sample, err.value.layer) == (2, 3)
+
+
+def test_guard_limit_applies_to_the_lapack_condition_of_the_worst_sample(affine8, rng):
+    u = ControlGrid(rng.normal(scale=2.0, size=(1, 8)))
+    pts = rng.uniform(-1.5, 1.5, size=(500, 2))
+    states = forward_euler(affine8, u, pts)
+    conds = np.linalg.cond(np.eye(2) - u.step * layer_matrix(affine8, pts, u.values[0]))
+    worst = int(np.argmax(conds))
+    term = rng.normal(size=(500, 2))
+    with pytest.raises(FlowError) as err:
+        backward_covector(affine8, u, states, term, cond_limit=conds[worst] * (1 - 1e-12))
+    assert (err.value.sample, err.value.layer) == (worst, 1)
+    assert f"{conds[worst]:.3e}" in str(err.value)
+    backward_covector(affine8, u, states, term, cond_limit=conds[worst] * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_closed_form_screen_picks_the_lapack_argmax(seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    mats = np.eye(2) + 0.3 * rng.normal(size=(10_000, 2, 2))
+    conds = np.linalg.cond(mats)
+    j, worst = _worst_conditioned(mats)
+    assert j == int(np.argmax(conds))
+    assert worst == conds[j]
+    smax = _spectral_norm_2x2(mats)
+    screen = smax * smax / np.abs(np.linalg.det(mats))
+    assert np.allclose(screen, conds, rtol=1e-10)
+
+
+def test_three_dimensional_family_goes_through_lapack(monkeypatch):
+    # F(x) = (x1^2 / 2, 0, 0) has DF = diag(x1, 0, 0), so with h u = 1 the
+    # implicit factor is singular exactly at the sample with x1 = 1.
+    half_square = FieldSpec(
+        value=lambda x: np.stack([0.5 * x[..., 0] ** 2, 0 * x[..., 1], 0 * x[..., 2]], axis=-1),
+        jacobian=lambda x: np.einsum("...,pq->...pq", x[..., 0], np.diag([1.0, 0.0, 0.0])),
+    )
+    fam = make_custom([half_square], dim=3)
+    u = ControlGrid(np.array([[1.0]]))
+    pts = np.array([[0.2, 0.0, 1.0], [1.0, 2.0, 0.0], [-0.5, 1.0, 1.0]])
+    states = forward_euler(fam, u, pts)
+    shapes = []
+    lapack_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m: shapes.append(np.shape(m)) or lapack_cond(m))
+    with pytest.raises(FlowError) as err:
+        backward_covector(fam, u, states, np.ones((3, 3)), scheme="implicit")
+    assert (err.value.sample, err.value.layer) == (1, 1)
+    assert shapes == [(3, 3, 3)]
+    lam = backward_covector(fam, ControlGrid(np.array([[0.5]])), states, np.ones((3, 3)))
+    assert np.isfinite(lam).all()
+    assert shapes[1:] == [(3, 3, 3)]
