@@ -11,7 +11,7 @@ Subcommands:
 
 Configuration is a flat JSON object; unknown keys are rejected and every
 validation message names the offending field.  All outputs are plain CSV
-and JSON, floats written with 17 significant digits so reruns with the same
+(the table format of ``data.write_table``) and JSON, so reruns with the same
 config and seed reproduce them byte for byte (the summary additionally
 carries a wall-clock figure, which of course varies).
 """
@@ -19,7 +19,6 @@ carries a wall-clock figure, which of course varies).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -33,7 +32,9 @@ from .data import (
     load_dataset_csv,
     make_grid_dataset,
     make_random_testset,
+    read_table,
     target_from_name,
+    write_table,
 )
 from .fields import family_from_name
 from .flow import ControlGrid, forward_euler
@@ -293,47 +294,32 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
 
 
 def write_trace_csv(path, report: TrainReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in report.records:
-            writer.writerow(
-                [
-                    r.iteration,
-                    f"{r.cost:.17g}",
-                    f"{r.data_term:.17g}",
-                    f"{r.testing_error:.17g}",
-                    f"{r.gamma:.17g}",
-                    int(r.accepted),
-                ]
-            )
+    rows = [
+        [r.iteration, r.cost, r.data_term, r.testing_error, r.gamma, r.accepted]
+        for r in report.records
+    ]
+    write_table(path, TRACE_COLUMNS, rows)
 
 
 def save_control_csv(path, u: ControlGrid) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"u{i + 1}" for i in range(u.n_fields)])
-        for row in u.values:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_table(path, [f"u{i + 1}" for i in range(u.n_fields)], u.values)
 
 
 def load_control_csv(path) -> ControlGrid:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"empty control file {path}")
-        expected = [f"u{i + 1}" for i in range(len(header))]
-        if header != expected:
-            raise ValueError(f"unexpected control header in {path}: {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    return ControlGrid(np.asarray(rows, dtype=float))
+    header, values = read_table(path, "control")
+    if header != [f"u{i + 1}" for i in range(len(header))]:
+        raise ValueError(f"unexpected control header in {path}: {header}")
+    return ControlGrid(values)
 
 
-def _write_summary(path, summary: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_run(out: Path, report: TrainReport, summary: dict | None) -> None:
+    """Write a run's trace.csv and control.csv, and summary.json when there is one."""
+    write_trace_csv(out / "trace.csv", report)
+    save_control_csv(out / "control.csv", report.control)
+    if summary is not None:
+        with open(out / "summary.json", "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def cmd_train(args) -> int:
@@ -346,13 +332,10 @@ def cmd_train(args) -> int:
     try:
         report, summary = run_training(cfg)
     except TrainAbort as err:
-        write_trace_csv(out / "trace.csv", err.report)
-        save_control_csv(out / "control.csv", err.report.control)
+        _write_run(out, err.report, None)
         print(f"error: {err}", file=sys.stderr)
         return 1
-    write_trace_csv(out / "trace.csv", report)
-    save_control_csv(out / "control.csv", report.control)
-    _write_summary(out / "summary.json", summary)
+    _write_run(out, report, summary)
     final = summary["final"]
     test_msg = "n/a" if final["testing_error"] is None else f"{final['testing_error']:.6f}"
     print(
@@ -394,9 +377,7 @@ def run_table(
         )
         sub = out_dir / f"table{table}_beta{beta:g}"
         sub.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(sub / "trace.csv", report)
-        save_control_csv(sub / "control.csv", report.control)
-        _write_summary(sub / "summary.json", summary)
+        _write_run(sub, report, summary)
     return rows
 
 
@@ -411,11 +392,7 @@ def _write_table_outputs(table: int, rows: list[dict], out_dir: Path) -> None:
         "ref_testing_error",
         "wall_clock_seconds",
     ]
-    with open(out_dir / f"table{table}.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([f"{row[c]:.17g}" if isinstance(row[c], float) else row[c] for c in columns])
+    write_table(out_dir / f"table{table}.csv", columns, [[row[c] for c in columns] for row in rows])
     family_name, n_layers, algorithm = TABLE_SETTINGS[table]
     lines = [
         f"# Benchmark table {table}: {family_name}, {n_layers} layers, {algorithm}",
@@ -497,34 +474,24 @@ def cmd_eval(args) -> int:
     family, _, data, _ = build_problem(cfg)
     u = load_control_csv(args.control)
     if u.n_fields != family.n_fields:
-        print(
-            f"error: control has {u.n_fields} field columns, family {cfg.family} has "
-            f"{family.n_fields}",
-            file=sys.stderr,
+        raise ValueError(
+            f"control {args.control} has {u.n_fields} field columns, family {cfg.family} "
+            f"has {family.n_fields}"
         )
-        return 1
     states = forward_euler(family, u, data.sources)
     endpoints = states[:, -1]
     point_loss = loss(endpoints - data.targets)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dim = data.dim
-    with open(out / "eval.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = (
-            [f"x{i + 1}" for i in range(dim)]
-            + [f"mapped{i + 1}" for i in range(dim)]
-            + [f"y{i + 1}" for i in range(dim)]
-            + ["point_loss"]
-        )
-        writer.writerow(header)
-        for src, end, tgt, pl in zip(data.sources, endpoints, data.targets, point_loss):
-            writer.writerow(
-                [f"{v:.17g}" for v in src]
-                + [f"{v:.17g}" for v in end]
-                + [f"{v:.17g}" for v in tgt]
-                + [f"{pl:.17g}"]
-            )
+    header = (
+        [f"x{i + 1}" for i in range(dim)]
+        + [f"mapped{i + 1}" for i in range(dim)]
+        + [f"y{i + 1}" for i in range(dim)]
+        + ["point_loss"]
+    )
+    table = np.column_stack([data.sources, endpoints, data.targets, point_loss])
+    write_table(out / "eval.csv", header, table)
     print(f"mean error {mean_loss(endpoints, data.targets):.6f} over {data.n_samples} samples")
     return 0
 

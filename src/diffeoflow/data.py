@@ -16,14 +16,18 @@ at the origin (endpoints included).  Held-out clouds are drawn uniformly at
 random from the same square with the Philox counter-based 64-bit generator,
 so a seed pins the cloud down across platforms and runs.
 
-Dataset CSV files carry one sample per row with header
-``x1,...,xn,y1,...,yn``; floats are written with 17 significant digits so a
-round-trip reproduces them bit for bit.
+Every float file the package writes or reads (datasets, controls, traces,
+evaluations, benchmark tables) is one table format, kept here in
+``write_table``/``read_table``: a header line of comma-separated column
+names, then one comma-separated row per record, every value written by numpy
+with 17 significant digits (so reading it back reproduces the float bit for
+bit) and every line ended by CRLF.  Dataset files carry one sample per row
+with header ``x1,...,xn,y1,...,yn``.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -153,32 +157,54 @@ def make_random_testset(
     return Dataset(sources=sources, targets=target(sources))
 
 
-def save_dataset_csv(path, data: Dataset) -> None:
-    """Write one sample per row as x1..xn,y1..yn with 17 significant digits."""
-    dim = data.dim
-    header = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
+def write_table(path, header, table) -> None:
+    """Write a header line and one row per record of a 2-D float table."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for src, tgt in zip(data.sources, data.targets):
-            writer.writerow([f"{v:.17g}" for v in src] + [f"{v:.17g}" for v in tgt])
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(header),
+                   comments="", newline="\r\n")
+
+
+def read_table(path, what: str) -> tuple[list[str], np.ndarray]:
+    """Read a table written by write_table: its header names and a 2-D float array.
+
+    Quoted or space-padded numbers, blank lines and a missing final newline
+    are accepted.  ``what`` names the kind of file in error messages; an
+    empty file, a header without rows and a malformed row are ValueErrors
+    naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header:
+            raise ValueError(f"empty {what} file {path}")
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise ValueError(f"{what} file {path} has a header but no rows")
+        try:
+            table = np.loadtxt(
+                itertools.chain([first], fh), delimiter=",", ndmin=2, quotechar='"', comments=None
+            )
+        except ValueError as err:
+            raise ValueError(f"malformed {what} file {path}: {err}") from err
+    return header.rstrip("\n").split(","), table
+
+
+def _dataset_header(dim: int) -> list[str]:
+    return [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
+
+
+def save_dataset_csv(path, data: Dataset) -> None:
+    """Write one sample per row as x1..xn,y1..yn."""
+    write_table(path, _dataset_header(data.dim), np.hstack([data.sources, data.targets]))
 
 
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset written by save_dataset_csv."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"empty dataset file {path}")
-        if len(header) % 2 != 0 or len(header) < 2:
-            raise ValueError(f"malformed dataset header in {path}: {header}")
-        dim = len(header) // 2
-        expected = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
-        if header != expected:
-            raise ValueError(f"unexpected dataset header in {path}: {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 * dim:
+    header, arr = read_table(path, "dataset")
+    if len(header) % 2 != 0 or len(header) < 2:
+        raise ValueError(f"malformed dataset header in {path}: {header}")
+    dim = len(header) // 2
+    if header != _dataset_header(dim):
+        raise ValueError(f"unexpected dataset header in {path}: {header}")
+    if arr.shape[1] != 2 * dim:
         raise ValueError(f"malformed dataset body in {path}")
     return Dataset(sources=arr[:, :dim], targets=arr[:, dim:])

@@ -136,6 +136,15 @@ def _worst_conditioned(mats: np.ndarray) -> tuple[int, float]:
     return j, float(np.linalg.cond(mats[j]))
 
 
+def _check_finite(states: np.ndarray, layer: int, context: str) -> None:
+    """Raise FlowError naming the first sample whose (M, dim) state at ``layer`` is not finite."""
+    if not np.isfinite(states).all():
+        j = int(np.argmin(np.isfinite(states).all(axis=1)))
+        raise FlowError(
+            f"non-finite state for sample {j} at layer {layer}{context}", sample=j, layer=layer
+        )
+
+
 def forward_euler(
     family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray
 ) -> np.ndarray:
@@ -158,15 +167,7 @@ def forward_euler(
     for k in range(1, n_layers + 1):
         prev = states[:, k - 1]
         states[:, k] = prev + h * displacement(family, prev, u.values[k - 1])
-        bad = ~np.isfinite(states[:, k]).all(axis=1)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise FlowError(
-                f"non-finite state for sample {j} at layer {k}; "
-                "the flow overflowed, reduce the step size or the controls",
-                sample=j,
-                layer=k,
-            )
+        _check_finite(states[:, k], k, "; the flow overflowed, reduce the step size or the controls")
     return states
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .fields import VectorFieldFamily
 # forward_euler is unused here, but perfbench's tracing self-test expects this module to bind it.
-from .flow import ControlGrid, FlowError, backward_covector, forward_euler  # noqa: F401
+from .flow import ControlGrid, _check_finite, backward_covector, forward_euler  # noqa: F401
 from .objective import Dataset, cost_of_endpoints, loss_grad
 from .train_gd import TrainConfig, TrainReport, _descend
 
@@ -101,14 +101,7 @@ def train_pmp(
             swept[:, k] = swept[:, k - 1] + u.step * np.einsum(
                 "mln,l->mn", vals, new_controls[k - 1]
             )
-            if not np.isfinite(swept[:, k]).all():
-                bad = ~np.isfinite(swept[:, k]).all(axis=1)
-                raise FlowError(
-                    f"non-finite state for sample {int(np.argmax(bad))} at layer {k} "
-                    "during a maximization sweep",
-                    sample=int(np.argmax(bad)),
-                    layer=k,
-                )
+            _check_finite(swept[:, k], k, " during a maximization sweep")
         proposal = ControlGrid(new_controls)
         cost_new = cost_of_endpoints(swept[:, -1], targets, proposal, cfg.beta)
         return proposal, swept, cost_new, current.total > cost_new.total

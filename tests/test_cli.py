@@ -333,19 +333,33 @@ def test_eval_rejects_control_width_mismatch(tmp_path, capsys):
             str(tmp_path / "ev"),
         ]
     )
-    assert code == 1
-    assert "field columns" in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "field columns" in err and "narrow.csv" in err and "affine8" in err
 
 
-@pytest.mark.parametrize("which", ["dataset_file", "control"])
-def test_empty_csv_is_a_bad_input(which, tmp_path, capsys):
+DATASET_HEADER = b"x1,x2,y1,y2\r\n"
+CONTROL_HEADER = b",".join(b"u%d" % (i + 1) for i in range(8)) + b"\r\n"
+
+
+@pytest.mark.parametrize(
+    "which, content",
+    [
+        pytest.param("dataset_file", b"", id="dataset_file"),
+        pytest.param("control", b"", id="control"),
+        pytest.param("dataset_file", DATASET_HEADER, id="dataset_file-header_only"),
+        pytest.param("test_file", DATASET_HEADER + b"\r\n", id="test_file-header_only"),
+        pytest.param("control", CONTROL_HEADER, id="control-header_only"),
+    ],
+)
+def test_empty_csv_is_a_bad_input(which, content, tmp_path, capsys):
     empty = tmp_path / "empty_input.csv"
-    empty.write_bytes(b"")
+    empty.write_bytes(content)
     out = str(tmp_path / "out")
-    if which == "dataset_file":
-        argv = ["train", "--config", str(write_config(tmp_path, dataset_file=str(empty))), "--out", out]
-    else:
+    if which == "control":
         argv = ["eval", "--config", str(write_config(tmp_path)), "--control", str(empty), "--out", out]
+    else:
+        argv = ["train", "--config", str(write_config(tmp_path, **{which: str(empty)})), "--out", out]
     assert main(argv) == 2
     assert "empty_input.csv" in capsys.readouterr().err
 

@@ -13,6 +13,7 @@ from diffeoflow import (
     square_grid,
     target_from_name,
 )
+from diffeoflow.data import read_table, write_table
 from diffeoflow.objective import Dataset
 
 
@@ -111,6 +112,47 @@ def test_dataset_csv_round_trip(tmp_path, target):
     back = load_dataset_csv(path)
     assert np.array_equal(back.sources, data.sources)
     assert np.array_equal(back.targets, data.targets)
+
+
+def test_write_table_golden_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    nan, inf = float("nan"), float("inf")
+    write_table(path, ["a", "b", "c"], np.array([[nan, inf, -inf], [-0.0, 1e-320, 3.0], [0.1, 1.0, -2.5e300]]))
+    assert path.read_bytes() == (
+        b"a,b,c\r\n"
+        b"nan,inf,-inf\r\n"
+        b"-0,9.9998886718268301e-321,3\r\n"
+        b"0.10000000000000001,1,-2.5000000000000001e+300\r\n"
+    )
+
+
+def test_read_table_round_trip_is_bit_exact(tmp_path, rng):
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, size=(200, 5))
+    table = np.where(rng.uniform(size=(200, 5)) < 0.5, -magnitudes, magnitudes)
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b", "c", "d", "e"], table)
+    header, back = read_table(path, "test")
+    assert header == ["a", "b", "c", "d", "e"]
+    assert np.array_equal(back.view(np.int64), table.view(np.int64))
+
+
+def test_read_table_accepts_quoted_and_padded_numbers(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('a,b\n"1.5", 2\n\n 3 ,"-4e-3"', encoding="utf-8")
+    header, table = read_table(path, "test")
+    assert header == ["a", "b"]
+    assert np.array_equal(table, [[1.5, 2.0], [3.0, -0.004]])
+
+
+@pytest.mark.parametrize(
+    "content", ["", "a,b\n", "a,b\n\n\n", "a,b\n1,x\n", "a,b\n1,2\n3\n", "a,b\n# note\n1,2\n"],
+    ids=["empty", "header_only", "blank_rows", "not_a_number", "ragged", "comment"],
+)
+def test_read_table_rejects_a_bad_file_naming_it(tmp_path, content):
+    path = tmp_path / "bad_table.csv"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError, match="bad_table.csv"):
+        read_table(path, "test")
 
 
 def test_dataset_csv_header_validated(tmp_path):
