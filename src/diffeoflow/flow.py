@@ -154,21 +154,26 @@ def forward_euler(
     the sources and node N the mapped points.  Each sample is advanced
     independently, so results do not depend on batch composition.
 
+    The bundle is stored layer-major: the result is a transposed view of an
+    (N+1, M, dim) C-order buffer, so each node ``states[:, k]`` is one
+    contiguous (M, dim) block, which is what every layer loop reads.
+
     Raises FlowError if any state turns non-finite, naming the first
-    offending sample and the layer where it happened.
+    offending sample and the layer where it happened; overflow inside the
+    fields is left to that check rather than reported as a numpy warning.
     """
     _check_compatible(family, u)
     pts, _ = _as_bundle(sources, family.dim)
-    n_pts = pts.shape[0]
     n_layers = u.n_layers
     h = u.step
-    states = np.empty((n_pts, n_layers + 1, family.dim))
-    states[:, 0] = pts
-    for k in range(1, n_layers + 1):
-        prev = states[:, k - 1]
-        states[:, k] = prev + h * displacement(family, prev, u.values[k - 1])
-        _check_finite(states[:, k], k, "; the flow overflowed, reduce the step size or the controls")
-    return states
+    nodes = np.empty((n_layers + 1,) + pts.shape)
+    nodes[0] = pts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_layers + 1):
+            prev = nodes[k - 1]
+            np.add(prev, h * displacement(family, prev, u.values[k - 1]), out=nodes[k])
+            _check_finite(nodes[k], k, "; the flow overflowed, reduce the step size or the controls")
+    return nodes.transpose(1, 0, 2)
 
 
 def backward_covector(
@@ -188,10 +193,12 @@ def backward_covector(
       explicit:  lambda_{k-1} = lambda_k (Id + h A_k)
                  (the exact transpose of the forward layer linearization).
 
-    ``states`` must be the trajectory bundle the controls produced.  Returns
-    covectors of shape (M, N+1, dim).  The implicit solve fails with a
-    FlowError naming sample and layer when a layer matrix has condition
-    estimate above ``cond_limit``.
+    ``states`` must be the trajectory bundle the controls produced, in any
+    memory layout.  Returns covectors of shape (M, N+1, dim), stored
+    layer-major like the output of ``forward_euler`` (a transposed view of an
+    (N+1, M, dim) buffer).  The implicit solve fails with a FlowError naming
+    sample and layer when a layer matrix has condition estimate above
+    ``cond_limit``.
     """
     if scheme not in ("implicit", "explicit"):
         raise ValueError(f"unknown covector scheme {scheme!r}")
@@ -209,8 +216,8 @@ def backward_covector(
         raise ValueError(f"terminal covectors must have shape ({n_pts}, {dim}), got {term.shape}")
     h = u.step
     eye = np.eye(dim)
-    lam = np.empty_like(states)
-    lam[:, n_layers] = term
+    lam = np.empty((n_nodes, n_pts, dim))
+    lam[n_layers] = term
     for k in range(n_layers, 0, -1):
         a = layer_matrix(family, states[:, k - 1], u.values[k - 1])
         if scheme == "implicit":
@@ -224,12 +231,10 @@ def backward_covector(
                     layer=k,
                 )
             # Row convention: lambda_{k-1} B = lambda_k, so solve B^T y = lambda_k^T.
-            lam[:, k - 1] = np.linalg.solve(
-                np.swapaxes(b, -1, -2), lam[:, k][..., None]
-            )[..., 0]
+            lam[k - 1] = np.linalg.solve(np.swapaxes(b, -1, -2), lam[k][..., None])[..., 0]
         else:
-            lam[:, k - 1] = np.einsum("mp,mpn->mn", lam[:, k], eye + h * a)
-    return lam
+            lam[k - 1] = np.einsum("mp,mpn->mn", lam[k], eye + h * a)
+    return lam.transpose(1, 0, 2)
 
 
 def variational_jacobian(

@@ -39,7 +39,8 @@ class Dataset:
             raise ValueError(f"targets shape {tgt.shape} does not match sources shape {src.shape}")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ValueError("dataset points must all be finite")
-        if np.unique(src, axis=0).shape[0] != src.shape[0]:
+        rows = src[np.lexsort(src.T)]  # lexicographic order puts equal rows side by side
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ValueError("source points must be pairwise distinct")
         object.__setattr__(self, "sources", src)
         object.__setattr__(self, "targets", tgt)

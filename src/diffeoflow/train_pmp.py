@@ -20,7 +20,8 @@ trainer (``train_gd._descend``): a pass is accepted only if the cost
 strictly decreased, otherwise gamma shrinks by tau, and a rejected row
 reports the testing error of the unchanged control.  The sweep works on
 copies of the accepted states and covectors, so a rejection needs no
-restore; covectors are recomputed only after an accepted pass.
+restore; covectors and the penalty gradients along the accepted trajectory
+are recomputed only after an accepted pass.
 """
 
 from __future__ import annotations
@@ -78,30 +79,31 @@ def train_pmp(
         raise ValueError("mini-batch mode is not supported by the maximum-principle trainer")
     n_pts = data.n_samples
     targets = data.targets
-    cov_u = cov = None  # covectors are cached until the control changes
+    cov_u = cov = grads = None  # cached until the control changes
 
     def sweep(u, states, current, gamma):
-        nonlocal cov_u, cov
+        nonlocal cov_u, cov, grads
         if cov_u is not u:
-            terminal = -loss_grad(states[:, -1] - targets) / n_pts
+            grads = loss_grad(states - targets[:, None])
+            terminal = -grads[:, -1] / n_pts
             cov_u, cov = u, backward_covector(family, u, states, terminal, scheme="implicit")
-        lam = cov.copy()
-        swept = states.copy()
+        # np.copy keeps the layer-major layout (order 'K'); ndarray.copy would not.
+        lam = np.copy(cov)
+        swept = np.copy(states)
         new_controls = u.values.copy()
-        for k in range(1, u.n_layers + 1):
-            # The sweep has already moved nodes 1..k-1; shift the covector
-            # by the change this causes in the endpoint penalty gradients.
-            drift = (
-                loss_grad(states[:, k - 1] - targets) - loss_grad(swept[:, k - 1] - targets)
-            ) / n_pts
-            lam[:, k - 1] += drift
-            vals = family.values(swept[:, k - 1])  # (M, l, dim), feeds pairing and update
-            pairing = np.einsum("mn,mln->l", lam[:, k - 1], vals)
-            new_controls[k - 1] = maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
-            swept[:, k] = swept[:, k - 1] + u.step * np.einsum(
-                "mln,l->mn", vals, new_controls[k - 1]
-            )
-            _check_finite(swept[:, k], k, " during a maximization sweep")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, u.n_layers + 1):
+                # The sweep has already moved nodes 1..k-1; shift the covector
+                # by the change this causes in the endpoint penalty gradients.
+                drift = (grads[:, k - 1] - loss_grad(swept[:, k - 1] - targets)) / n_pts
+                lam[:, k - 1] += drift
+                vals = family.values(swept[:, k - 1])  # (M, l, dim), feeds pairing and update
+                pairing = np.einsum("mn,mln->l", lam[:, k - 1], vals)
+                new_controls[k - 1] = maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
+                swept[:, k] = swept[:, k - 1] + u.step * np.einsum(
+                    "mln,l->mn", vals, new_controls[k - 1]
+                )
+                _check_finite(swept[:, k], k, " during a maximization sweep")
         proposal = ControlGrid(new_controls)
         cost_new = cost_of_endpoints(swept[:, -1], targets, proposal, cfg.beta)
         return proposal, swept, cost_new, current.total > cost_new.total

@@ -440,6 +440,26 @@ def test_module_entry_point_help_without_install(tmp_path):
         assert word in proc.stdout
 
 
+def test_overflowing_run_prints_only_the_abort_line(tmp_path):
+    # The sweep with gamma0 5 on enriched14 (nu 5) overflows at pass 3; with
+    # warnings turned into errors, any numpy RuntimeWarning would end the
+    # run in a traceback instead of the one-line abort message.
+    cfg_path = write_config(
+        tmp_path, family="enriched14", nu=5.0, algorithm="pmp", n_layers=10,
+        grid_per_axis=12, gamma0=5.0, beta=1e-3, max_iter=10, test_count=20,
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "diffeoflow", "train",
+         "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, check=False, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: flow failed at training pass")
+
+
 def test_console_script_entry_resolves_to_cli_main():
     section, scripts = None, {}
     for line in (SRC.parent / "pyproject.toml").read_text(encoding="utf-8").splitlines():

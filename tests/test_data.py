@@ -13,7 +13,7 @@ from diffeoflow import (
     square_grid,
     target_from_name,
 )
-from diffeoflow.data import read_table, write_table
+from diffeoflow.data import _ROWS_PER_BLOCK, read_table, write_table
 from diffeoflow.objective import Dataset
 
 
@@ -124,6 +124,29 @@ def test_write_table_golden_bytes(tmp_path):
         b"-0,9.9998886718268301e-321,3\r\n"
         b"0.10000000000000001,1,-2.5000000000000001e+300\r\n"
     )
+
+
+def savetxt_bytes(path, header, table):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(header),
+                   comments="", newline="\r\n")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n_cols", [1, 3])
+def test_write_table_matches_savetxt_across_blocks(tmp_path, rng, n_cols):
+    n_rows = 2 * _ROWS_PER_BLOCK + 17
+    table = rng.normal(scale=1e3, size=(n_rows, n_cols))
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-320, 0.1, -2.5e300])
+    picks = rng.integers(0, n_rows, size=(40, n_cols))
+    for col in range(n_cols):
+        table[picks[:, col], col] = rng.choice(specials, size=40)
+    header = [f"c{i}" for i in range(n_cols)]
+    write_table(tmp_path / "t.csv", header, table)
+    want = savetxt_bytes(tmp_path / "ref.csv", header, table)
+    assert (tmp_path / "t.csv").read_bytes() == want
+    write_table(tmp_path / "col.csv", ["c0"], table[:, 0])
+    assert (tmp_path / "col.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", ["c0"], table[:, 0])
 
 
 def test_read_table_round_trip_is_bit_exact(tmp_path, rng):

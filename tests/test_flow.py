@@ -12,9 +12,11 @@ from diffeoflow import (
     forward_euler,
     make_affine8,
     make_custom,
+    make_enriched14,
     variational_jacobian,
 )
 from diffeoflow.flow import _spectral_norm_2x2, _worst_conditioned, layer_matrix
+from diffeoflow.objective import control_gradient
 
 
 def linear_grid(n_layers, a11, a12, a21, a22):
@@ -290,3 +292,85 @@ def test_three_dimensional_family_goes_through_lapack(monkeypatch):
     lam = backward_covector(fam, ControlGrid(np.array([[0.5]])), states, np.ones((3, 3)))
     assert np.isfinite(lam).all()
     assert shapes[1:] == [(3, 3, 3)]
+
+
+def sample_major_forward(family, u, pts):
+    """The forward recursion on an (M, N+1, dim) C-order buffer, written out."""
+    states = np.empty((pts.shape[0], u.n_layers + 1, family.dim))
+    states[:, 0] = pts
+    for k in range(1, u.n_layers + 1):
+        prev = states[:, k - 1]
+        states[:, k] = prev + u.step * family.displacement(prev, u.values[k - 1])
+    return states
+
+
+def rotation_and_bump():
+    """A nonlinear planar custom family: the rotation field and a Gaussian bump along e1."""
+    rot = FieldSpec(
+        value=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
+        jacobian=lambda x: np.broadcast_to(np.array([[0.0, -1.0], [1.0, 0.0]]), x.shape + (2,)).copy(),
+    )
+
+    def bump(x):
+        return np.exp(-0.5 * np.sum(x * x, axis=-1))
+
+    def bump_jacobian(x):
+        out = np.zeros(x.shape + (2,))
+        out[..., 0, :] = -bump(x)[..., None] * x
+        return out
+
+    bump_e1 = FieldSpec(
+        value=lambda x: np.stack([bump(x), np.zeros(x.shape[:-1])], axis=-1),
+        jacobian=bump_jacobian,
+    )
+    return make_custom([rot, bump_e1], dim=2)
+
+
+FAMILIES = {
+    "affine8": lambda: make_affine8(20.0),
+    "enriched14": lambda: make_enriched14(20.0),
+    "custom": rotation_and_bump,
+}
+SIZES = [(900, 16), (10_000, 32)]
+
+
+def random_problem(name, n_pts, n_layers, seed=7):
+    fam = FAMILIES[name]()
+    rng = np.random.Generator(np.random.Philox(seed))
+    u = ControlGrid(rng.normal(scale=0.3, size=(n_layers, fam.n_fields)))
+    return fam, u, rng.uniform(-1.0, 1.0, size=(n_pts, 2)), rng
+
+
+def nodes_are_contiguous(bundle):
+    return all(bundle[:, k].flags.c_contiguous for k in range(bundle.shape[1]))
+
+
+@pytest.mark.parametrize("size", SIZES, ids=lambda s: f"m{s[0]}_n{s[1]}")
+@pytest.mark.parametrize("name", ["affine8", "enriched14"])
+def test_forward_is_layer_major_and_matches_the_sample_major_loop(name, size):
+    fam, u, pts, _ = random_problem(name, *size)
+    states = forward_euler(fam, u, pts)
+    assert states.shape == (size[0], size[1] + 1, 2)
+    assert nodes_are_contiguous(states)
+    want = sample_major_forward(fam, u, pts)
+    assert np.array_equal(states.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("size", SIZES, ids=lambda s: f"m{s[0]}_n{s[1]}")
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_transport_and_gradients_do_not_depend_on_the_trajectory_layout(name, size):
+    fam, u, pts, rng = random_problem(name, *size)
+    states = forward_euler(fam, u, pts)
+    dense = np.ascontiguousarray(states)
+    assert dense.flags.c_contiguous and not states.flags.c_contiguous
+    terminal = rng.normal(size=pts.shape)
+    for scheme in ("implicit", "explicit"):
+        lam = backward_covector(fam, u, states, terminal, scheme=scheme)
+        lam_dense = backward_covector(fam, u, dense, terminal, scheme=scheme)
+        assert nodes_are_contiguous(lam) and nodes_are_contiguous(lam_dense)
+        assert np.array_equal(lam.view(np.int64), lam_dense.view(np.int64))
+    targets = pts + 0.5
+    for method in ("exact", "trapezoid"):
+        grad = control_gradient(fam, u, states, targets, 1e-3, method)
+        grad_dense = control_gradient(fam, u, dense, targets, 1e-3, method)
+        assert np.array_equal(grad.view(np.int64), grad_dense.view(np.int64))

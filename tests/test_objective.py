@@ -171,6 +171,27 @@ def test_dataset_validation():
     assert sub.n_samples == 1 and sub.dim == 2
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dataset_finds_a_repeated_source_anywhere(dim, rng):
+    src = rng.uniform(-1, 1, size=(50, dim))
+    Dataset(src, src)
+    repeated = src.copy()
+    repeated[37] = src[4]  # far from its twin in input order
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Dataset(repeated, src)
+
+
+def test_dataset_treats_signed_zeros_as_equal():
+    src = np.array([[0.0, 1.0], [-0.0, 0.0], [2.0, 2.0], [-0.0, 1.0]])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Dataset(src, src)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Dataset(np.array([[0.0], [0.5], [-0.0]]), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(np.array([[np.nan, 0.0], [np.nan, 0.0]]), np.zeros((2, 2)))
+    Dataset(np.array([[0.0, 1.0], [-0.0, 0.0]]), np.zeros((2, 2)))
+
+
 def test_endpoint_states_feed_cost(affine8, grid25):
     u = ControlGrid(np.full((5, 8), 0.1))
     states = forward_euler(affine8, u, grid25.sources)

@@ -1,5 +1,7 @@
 """Maximum-principle trainer: sweep updates, acceptance, closed-form maximizer."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,26 @@ def test_matches_gradient_trainer_on_translation(rng):
     rep_p = train_pmp(fam, data, 4, cfg)
     rep_g = train_gradient_flow(fam, data, 4, cfg)
     assert abs(rep_p.final_cost.total - rep_g.final_cost.total) < 5e-3
+
+
+def test_sweep_proposals_keep_the_layer_major_layout(affine8, grid25, monkeypatch):
+    # The package re-exports the trainers under their module names.
+    pmp_module = importlib.import_module("diffeoflow.train_pmp")
+    descend = importlib.import_module("diffeoflow.train_gd")._descend
+    seen = []
+
+    def recording_descend(family, data, n_layers, cfg, init, test_data, propose):
+        def recorded(u, states, current, gamma):
+            result = propose(u, states, current, gamma)
+            seen.append((states, result[1]))
+            return result
+
+        return descend(family, data, n_layers, cfg, init, test_data, recorded)
+
+    monkeypatch.setattr(pmp_module, "_descend", recording_descend)
+    rep = train_pmp(affine8, grid25, 6, TrainConfig(beta=0.01, max_iter=5))
+    assert len(seen) == 5 and any(r.accepted for r in rep.records[1:])
+    for accepted, proposal in seen:
+        for bundle in (accepted, proposal):
+            assert bundle.shape == (25, 7, 2)
+            assert all(bundle[:, k].flags.c_contiguous for k in range(7))
