@@ -348,7 +348,11 @@ def cmd_train(args) -> int:
 def run_table(
     table: int, out_dir: Path, max_iter: int = 500, test_seed: int = 0
 ) -> list[dict]:
-    """Run the beta sweep of one benchmark table; returns one row dict per beta."""
+    """Run the beta sweep of one benchmark table; returns one row dict per beta.
+
+    Each run writes its outputs to ``table<t>_beta<beta>``; an aborted run
+    writes its partial trace and control there and raises TrainAbort.
+    """
     family_name, n_layers, algorithm = TABLE_SETTINGS[table]
     rows = []
     for beta in BETA_SWEEP:
@@ -361,7 +365,13 @@ def run_table(
             test_seed=test_seed,
         )
         cfg.validate()
-        report, summary = run_training(cfg)
+        sub = out_dir / f"table{table}_beta{beta:g}"
+        sub.mkdir(parents=True, exist_ok=True)
+        try:
+            report, summary = run_training(cfg)
+        except TrainAbort as err:
+            _write_run(sub, err.report, None)
+            raise TrainAbort(f"table {table}, beta {beta:g}: {err}", err.report, err.cause) from err
         ref = REFERENCE_RESULTS[table][beta]
         rows.append(
             {
@@ -375,8 +385,6 @@ def run_table(
                 "wall_clock_seconds": summary["wall_clock_seconds"],
             }
         )
-        sub = out_dir / f"table{table}_beta{beta:g}"
-        sub.mkdir(parents=True, exist_ok=True)
         _write_run(sub, report, summary)
     return rows
 
@@ -414,7 +422,11 @@ def cmd_reproduce_tables(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     tables = [args.table] if args.table is not None else sorted(TABLE_SETTINGS)
     for table in tables:
-        rows = run_table(table, out, max_iter=args.max_iter, test_seed=args.test_seed)
+        try:
+            rows = run_table(table, out, max_iter=args.max_iter, test_seed=args.test_seed)
+        except TrainAbort as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
         _write_table_outputs(table, rows, out)
         print(f"table {table} written to {out / f'table{table}.md'}")
     return 0

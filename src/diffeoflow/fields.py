@@ -2,12 +2,16 @@
 
 A family is an ordered tuple of smooth fields F_1, ..., F_l on R^n.  The
 network layers move points along constant-coefficient combinations of these
-fields, so the flow, the gradients and the metrics use three contractions
+fields, so the flow, the gradients and the metrics use four contractions
 of the fields at a batch of points:
 
     displacement(x, u)  = sum_i u_i F_i(x)           (one layer's step),
     layer_matrix(x, u)  = sum_i u_i DF_i(x)          (its state matrix),
-    pairing(x, lam)[i]  = sum_j <lam^j, F_i(x^j)>    (the control gradient).
+    pairing(x, lam)[i]  = sum_j <lam^j, F_i(x^j)>    (the control gradient),
+    adjoint_step(x, u, lam, h)                        (one node of the
+                        = (pairing(x, lam),            backward sweep: its
+                           lam (I + h layer_matrix))   gradient row and the
+                                                       stepped covector).
 
 The base class computes them from the stacked ``values`` and ``jacobians``
 of the fields, so a family only has to supply those two.  The built-in
@@ -94,6 +98,19 @@ class VectorFieldFamily(ABC):
         """
         return np.einsum("m...n,m...ln->...l", lam, self.values(x))
 
+    def adjoint_step(
+        self, x: np.ndarray, u_row: np.ndarray, lam: np.ndarray, h: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One node of the backward sweep through the layer x -> x + h sum_i u_row[i] F_i(x).
+
+        ``x`` and ``lam`` have shape ``(M, dim)``.  Returns the pairing row
+        ``sum_j <lam^j, F_i(x^j)>`` of shape ``(n_fields,)`` and the covector
+        ``lam (I + h sum_i u_row[i] DF_i(x))`` of shape ``(M, dim)``.
+        """
+        eye = np.eye(self.dim)
+        step = np.einsum("mp,mpn->mn", lam, eye + h * self.layer_matrix(x, u_row))
+        return self.pairing(x, lam), step
+
     def value(self, i: int, x: np.ndarray) -> np.ndarray:
         """Value of field ``i`` (0-based) at ``x``: shape ``(..., dim)``."""
         self._check_index(i)
@@ -166,11 +183,15 @@ class Affine8(VectorFieldFamily):
         g = np.exp(-0.5 * (x1 * x1 + x2 * x2) / self.nu)
         return x, x1, x2, g
 
-    def _planar_gradients(self, x: np.ndarray) -> tuple:
-        x, x1, x2, g = self._planar(x)
+    def _planar_gradients(self, x1, x2, g) -> tuple:
         dg1 = -g * x1 / self.nu
         dg2 = -g * x2 / self.nu
-        return x, self._gradients(x1, x2, g, dg1, dg2)
+        return self._gradients(x1, x2, g, dg1, dg2)
+
+    def _layer_entries(self, grads, u_row) -> list:
+        """Entries a[p][q] of sum_i u_row[i] DF_i, each summed column by column."""
+        columns = [_axis_sums(self.axes, [grad[q] for grad in grads], u_row) for q in (0, 1)]
+        return [[columns[q][p] for q in (0, 1)] for p in (0, 1)]
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x, x1, x2, g = self._planar(x)
@@ -180,7 +201,8 @@ class Affine8(VectorFieldFamily):
         return out
 
     def jacobians(self, x: np.ndarray) -> np.ndarray:
-        x, grads = self._planar_gradients(x)
+        x, x1, x2, g = self._planar(x)
+        grads = self._planar_gradients(x1, x2, g)
         out = np.zeros(x.shape[:-1] + (self.n_fields, 2, 2))
         for i, (axis, grad) in enumerate(zip(self.axes, grads)):
             for j, d in enumerate(grad):
@@ -195,22 +217,43 @@ class Affine8(VectorFieldFamily):
         return out
 
     def layer_matrix(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-        x, grads = self._planar_gradients(x)
+        x, x1, x2, g = self._planar(x)
+        a = self._layer_entries(self._planar_gradients(x1, x2, g), u_row)
         out = np.empty(x.shape + (2,))
-        for j in (0, 1):
-            column = [grad[j] for grad in grads]
-            out[..., 0, j], out[..., 1, j] = _axis_sums(self.axes, column, u_row)
+        for p in (0, 1):
+            out[..., p, 0], out[..., p, 1] = a[p]
         return out
+
+    def _pairing(self, lam, x1, x2, g) -> np.ndarray:
+        lam = np.asarray(lam, dtype=float)
+        terms = np.empty(lam.shape[:-1] + (self.n_fields,))
+        for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(x1, x2, g))):
+            np.multiply(lam[..., axis], c, out=terms[..., i])
+        # A reduction over the leading axis of this C-order array adds the
+        # samples in order, as the einsum does; a 1-D sum per field would add
+        # them pairwise.
+        return np.add.reduce(terms, axis=0)
 
     def pairing(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         x, x1, x2, g = self._planar(x)
+        return self._pairing(lam, x1, x2, g)
+
+    def adjoint_step(
+        self, x: np.ndarray, u_row: np.ndarray, lam: np.ndarray, h: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        x, x1, x2, g = self._planar(x)
         lam = np.asarray(lam, dtype=float)
-        terms = np.empty(x.shape[:-1] + (self.n_fields,))
-        for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(x1, x2, g))):
-            np.multiply(lam[..., axis], c, out=terms[..., i])
-        # A reduction over the leading axis adds the samples in order, as the
-        # einsum does; a 1-D sum per field would add them pairwise.
-        return terms.sum(axis=0)
+        row = self._pairing(lam, x1, x2, g)
+        a = self._layer_entries(self._planar_gradients(x1, x2, g), u_row)
+        # b = I + h a entry by entry; 0.0 + keeps the signed zeros of eye + h * a.
+        b = [[(1.0 if p == q else 0.0) + h * a[p][q] for q in (0, 1)] for p in (0, 1)]
+        l0, l1 = lam[:, 0], lam[:, 1]
+        step = np.empty(lam.shape)
+        for q in (0, 1):
+            step[:, q] = l0 * b[0][q] + l1 * b[1][q]
+        # The einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does.
+        step += 0.0
+        return row, step
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,18 @@ def _check_finite(states: np.ndarray, layer: int, context: str) -> None:
         )
 
 
+def _as_trajectory(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray) -> np.ndarray:
+    """Check that ``states`` is an (M, N+1, dim) bundle for the controls ``u``."""
+    _check_compatible(family, u)
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 3 or states.shape[1:] != (u.n_layers + 1, family.dim):
+        raise ValueError(
+            f"trajectory bundle shape {states.shape} does not match "
+            f"{u.n_layers} layers in dimension {family.dim}"
+        )
+    return states
+
+
 def forward_euler(
     family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray
 ) -> np.ndarray:
@@ -191,7 +203,8 @@ def backward_covector(
       implicit:  lambda_{k-1} = lambda_k (Id - h A_k)^{-1}
                  (backward-Euler transport of the continuous covector flow),
       explicit:  lambda_{k-1} = lambda_k (Id + h A_k)
-                 (the exact transpose of the forward layer linearization).
+                 (the exact transpose of the forward layer linearization,
+                 taken from the family's ``adjoint_step``).
 
     ``states`` must be the trajectory bundle the controls produced, in any
     memory layout.  Returns covectors of shape (M, N+1, dim), stored
@@ -202,15 +215,9 @@ def backward_covector(
     """
     if scheme not in ("implicit", "explicit"):
         raise ValueError(f"unknown covector scheme {scheme!r}")
-    _check_compatible(family, u)
-    states = np.asarray(states, dtype=float)
+    states = _as_trajectory(family, u, states)
     n_pts, n_nodes, dim = states.shape
     n_layers = u.n_layers
-    if n_nodes != n_layers + 1 or dim != family.dim:
-        raise ValueError(
-            f"trajectory bundle shape {states.shape} does not match "
-            f"{n_layers} layers in dimension {family.dim}"
-        )
     term = np.asarray(terminal, dtype=float)
     if term.shape != (n_pts, dim):
         raise ValueError(f"terminal covectors must have shape ({n_pts}, {dim}), got {term.shape}")
@@ -219,9 +226,10 @@ def backward_covector(
     lam = np.empty((n_nodes, n_pts, dim))
     lam[n_layers] = term
     for k in range(n_layers, 0, -1):
-        a = layer_matrix(family, states[:, k - 1], u.values[k - 1])
-        if scheme == "implicit":
-            b = eye - h * a
+        if scheme == "explicit":
+            lam[k - 1] = family.adjoint_step(states[:, k - 1], u.values[k - 1], lam[k], h)[1]
+        else:
+            b = eye - h * layer_matrix(family, states[:, k - 1], u.values[k - 1])
             j, worst = _worst_conditioned(b)
             if not np.isfinite(worst) or worst > cond_limit:
                 raise FlowError(
@@ -232,8 +240,6 @@ def backward_covector(
                 )
             # Row convention: lambda_{k-1} B = lambda_k, so solve B^T y = lambda_k^T.
             lam[k - 1] = np.linalg.solve(np.swapaxes(b, -1, -2), lam[k][..., None])[..., 0]
-        else:
-            lam[k - 1] = np.einsum("mp,mpn->mn", lam[k], eye + h * a)
     return lam.transpose(1, 0, 2)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, backward_covector, forward_euler
+from .flow import ControlGrid, _as_trajectory, backward_covector, forward_euler
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def loss(z: np.ndarray) -> np.ndarray:
     there, so a runaway proposal reports a huge cost instead of NaN.
     """
     z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # s = inf gives inf / inf here
         s = np.sum(z * z, axis=-1)
         plain = s / (1.0 + np.sqrt(1.0 + s))
     if np.isfinite(s).all():
@@ -139,13 +139,16 @@ def control_gradient(
 ) -> np.ndarray:
     """Gradient array (N, l) in slab-average coordinates, from a stored trajectory.
 
-    method="exact" backpropagates through the discrete layers: covectors are
-    transported with the explicit factor (Id + h A_k) and paired with the
-    fields at the node where the control acts,
+    method="exact" backpropagates through the discrete layers in one sweep,
+    k = N..1.  At each node one ``family.adjoint_step`` pairs the covector
+    with the fields at the node where the control acts and steps it back
+    with the explicit factor (Id + h A_k),
 
-        g[k-1, i] = sum_j <lambda_k^j, F_i(x_{k-1}^j)> + beta * u[k-1, i],
+        g[k-1, i]     = sum_j <lambda_k^j, F_i(x_{k-1}^j)> + beta * u[k-1, i],
+        lambda_{k-1}  = lambda_k (Id + h A_k),
 
-    which makes h * g[k-1, i] the exact partial derivative of cost.
+    which makes h * g[k-1, i] the exact partial derivative of cost.  Only
+    the current node's (M, dim) covector is held; none are stored.
 
     method="trapezoid" instead transports covectors with the implicit factor
     (Id - h A_k)^{-1} and averages the pairing over the two slab endpoints,
@@ -156,12 +159,14 @@ def control_gradient(
     a second-order quadrature of the continuous gradient on each slab.  The
     two methods agree up to O(1/N).
     """
-    states = np.asarray(states, dtype=float)
+    states = _as_trajectory(family, u, states)
     n_pts = states.shape[0]
     terminal = loss_grad(states[:, -1] - targets) / n_pts
     if method == "exact":
-        lam = backward_covector(family, u, states, terminal, scheme="explicit")
-        grad = family.pairing(states[:, :-1], lam[:, 1:])  # fields at left nodes
+        grad = np.empty(u.values.shape)
+        lam = terminal
+        for k in range(u.n_layers, 0, -1):
+            grad[k - 1], lam = family.adjoint_step(states[:, k - 1], u.values[k - 1], lam, u.step)
     elif method == "trapezoid":
         lam = backward_covector(family, u, states, terminal, scheme="implicit")
         node = family.pairing(states, lam)  # (N+1, l)

@@ -4,7 +4,8 @@ Both trainers run one loop, ``_descend``, each with its own ``propose``
 step; the loop accepts the proposal or shrinks gamma by tau (never growing
 it back).  Every pass counts toward max_iter and produces one trace record,
 so backtracking is visible; a rejected row reports the testing error of the
-unchanged control.
+unchanged control, and a proposal whose flow overflows is a rejected row
+with cost +inf.
 
 The gradient-flow step proposes u_new = u - gamma * g, where g is the
 objective gradient in slab-average coordinates, and accepts it only under
@@ -81,8 +82,9 @@ class IterationRecord:
     """One trace row; iteration 0 is the initial state before any proposal.
 
     cost and data_term describe the proposal evaluated in that pass (for
-    row 0, the initial control).  testing_error is NaN when no test set was
-    supplied.  gamma is the step size the proposal used.
+    row 0, the initial control); both are +inf when its flow overflowed.
+    testing_error is NaN when no test set was supplied.  gamma is the step
+    size the proposal used.
     """
 
     iteration: int
@@ -116,6 +118,20 @@ class TrainAbort(RuntimeError):
         self.cause = cause
 
 
+# The cost recorded for a proposal whose flow failed.
+_OVERFLOWED = ObjectiveValue(math.inf, math.inf, math.inf)
+
+
+def _cost_or_overflow(
+    family: VectorFieldFamily, u: ControlGrid, data: Dataset, beta: float
+) -> ObjectiveValue:
+    """cost() of an aborted run's control, which may itself fail to flow."""
+    try:
+        return cost(family, u, data, beta)
+    except FlowError:
+        return _OVERFLOWED
+
+
 def _testing_error(
     family: VectorFieldFamily, u: ControlGrid, test_data: Dataset | None
 ) -> float:
@@ -138,8 +154,10 @@ def _descend(
 
     ``propose(u, states, current, gamma)`` gets the accepted control, its
     trajectories and cost, and returns ``(proposal, states_new, cost_new,
-    accepted)``.  The test cloud is flowed once initially and once per
-    accepted pass.
+    accepted)``.  A proposal whose flow fails (a FlowError inside
+    ``propose``) is a rejected pass with cost +inf.  The test cloud is
+    flowed once initially and once per accepted pass; a FlowError there, or
+    in the initial flow, aborts training with TrainAbort.
     """
     if data.dim != family.dim:
         raise ValueError(f"dataset dimension {data.dim} does not match family dimension {family.dim}")
@@ -154,19 +172,23 @@ def _descend(
     else:
         u = ControlGrid(init.values.copy())
 
-    states = forward_euler(family, u, data.sources)
-    current = cost_of_endpoints(states[:, -1], data.targets, u, cfg.beta)
-    testing_error = _testing_error(family, u, test_data)
-    records = [
-        IterationRecord(0, current.total, current.data_term, testing_error, cfg.gamma0, True)
-    ]
+    records: list[IterationRecord] = []
     gamma = cfg.gamma0
     try:
+        states = forward_euler(family, u, data.sources)
+        current = cost_of_endpoints(states[:, -1], data.targets, u, cfg.beta)
+        testing_error = _testing_error(family, u, test_data)
+        records.append(
+            IterationRecord(0, current.total, current.data_term, testing_error, gamma, True)
+        )
         for it in range(1, cfg.max_iter + 1):
-            proposal, states_new, cost_new, accepted = propose(u, states, current, gamma)
+            try:
+                proposal, states_new, cost_new, accepted = propose(u, states, current, gamma)
+            except FlowError:
+                cost_new, accepted = _OVERFLOWED, False
             if accepted:
+                testing_error = _testing_error(family, proposal, test_data)
                 u, states, current = proposal, states_new, cost_new
-                testing_error = _testing_error(family, u, test_data)
             records.append(
                 IterationRecord(
                     it, cost_new.total, cost_new.data_term, testing_error, gamma, accepted
@@ -174,12 +196,12 @@ def _descend(
             )
             if not accepted:
                 gamma *= cfg.tau
+        return TrainReport(records, u, cost(family, u, data, cfg.beta))
     except FlowError as err:
-        partial = TrainReport(records, u, cost(family, u, data, cfg.beta))
+        partial = TrainReport(records, u, _cost_or_overflow(family, u, data, cfg.beta))
         raise TrainAbort(
             f"flow failed at training pass {len(records)}: {err}", partial, err
         ) from err
-    return TrainReport(records, u, cost(family, u, data, cfg.beta))
 
 
 def train_gradient_flow(

@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffeoflow import ControlGrid, VectorFieldFamily, forward_euler, loss, make_affine8
+from diffeoflow import ControlGrid, VectorFieldFamily, forward_euler, loss, make_affine8, save_dataset_csv
 from diffeoflow.cli import (
     GRADCHECK_TOLERANCE,
     REFERENCE_RESULTS,
+    TRACE_COLUMNS,
     RunConfig,
     ConfigError,
     load_config,
@@ -29,6 +30,7 @@ from diffeoflow.cli import (
     run_gradcheck,
     save_control_csv,
 )
+from diffeoflow.objective import Dataset
 
 SMALL = {
     "family": "affine8",
@@ -198,15 +200,20 @@ def test_train_seed_override_is_recorded(tmp_path):
 
 
 def test_train_abort_leaves_partial_outputs(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, gamma0=1e160, algorithm="pmp", beta=0.0)
+    # |x|^2 overflows at the far test point, so the quadratic fields of
+    # enriched14 are inf * 0 there and the initial test-cloud flow fails.
+    far = np.array([[1e200, 0.0], [0.5, 0.5]])
+    save_dataset_csv(tmp_path / "test.csv", Dataset(far, far))
+    cfg_path = write_config(tmp_path, family="enriched14", test_file=str(tmp_path / "test.csv"))
     out = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+    code = main(["train", "--config", str(cfg_path), "--out", str(out)])
     assert code == 1
-    assert (out / "trace.csv").exists()
+    assert read_trace(out / "trace.csv") == [list(TRACE_COLUMNS)]
     assert (out / "control.csv").exists()
     assert not (out / "summary.json").exists()
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: flow failed at training pass 0: non-finite state for sample 0 at layer 1; "
+                   "the flow overflowed, reduce the step size or the controls"]
 
 
 def test_gradcheck_command_passes_on_clean_instance(tmp_path, capsys):
@@ -440,24 +447,41 @@ def test_module_entry_point_help_without_install(tmp_path):
         assert word in proc.stdout
 
 
-def test_overflowing_run_prints_only_the_abort_line(tmp_path):
+def run_warnings_as_errors(tmp_path, *args):
+    """Run ``python -W error -m diffeoflow`` with the given arguments."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "diffeoflow", *args],
+        capture_output=True, text=True, check=False, env=env, cwd=tmp_path,
+    )
+
+
+def test_overflowing_sweep_is_a_rejected_row_under_warnings_as_errors(tmp_path):
     # The sweep with gamma0 5 on enriched14 (nu 5) overflows at pass 3; with
     # warnings turned into errors, any numpy RuntimeWarning would end the
-    # run in a traceback instead of the one-line abort message.
+    # run in a traceback instead of a rejected row.
     cfg_path = write_config(
         tmp_path, family="enriched14", nu=5.0, algorithm="pmp", n_layers=10,
         grid_per_axis=12, gamma0=5.0, beta=1e-3, max_iter=10, test_count=20,
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "diffeoflow", "train",
-         "--config", str(cfg_path), "--out", str(tmp_path / "run")],
-        capture_output=True, text=True, check=False, env=env, cwd=tmp_path,
-    )
-    assert proc.returncode == 1, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("error: flow failed at training pass")
+    proc = run_warnings_as_errors(tmp_path, "train", "--config", str(cfg_path), "--out", "run")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    header, *rows = read_trace(tmp_path / "run" / "trace.csv")
+    row = dict(zip(header, rows[3]))
+    assert (row["iteration"], row["cost"], row["training_error"], row["accepted"]) == ("3", "inf", "inf", "0")
+    assert float(dict(zip(header, rows[4]))["gamma"]) == 0.5 * float(row["gamma"])
+
+
+def test_reproduce_table_6_runs_under_warnings_as_errors(tmp_path):
+    # The beta 0.1 sweep of table 6 overflows at pass 2; that pass is a
+    # rejected row and every run of the table finishes.
+    proc = run_warnings_as_errors(tmp_path, "reproduce-tables", "--table", "6", "--max-iter", "3", "--out", "t")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    header, *rows = read_trace(tmp_path / "t" / "table6_beta0.1" / "trace.csv")
+    assert [dict(zip(header, r))["cost"] for r in rows].count("inf") >= 1
+    assert len(read_trace(tmp_path / "t" / "table6.csv")) == 1 + 5
 
 
 def test_console_script_entry_resolves_to_cli_main():

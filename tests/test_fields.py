@@ -210,3 +210,30 @@ def test_custom_family_inherits_dense_contractions(name, rng):
     else:
         want = np.einsum("mn,mln->l", args[1], fam.values(x))
     assert np.array_equal(getattr(fam, name)(*args), want)
+
+
+@pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 3, 0.7, 1.0])
+@pytest.mark.parametrize("maker", [make_affine8, make_enriched14])
+def test_closed_form_adjoint_step_equals_dense_step_bit_for_bit(maker, h, rng):
+    fam = maker(20.0)
+    x = rng.normal(scale=1.5, size=(900, 2))
+    x.reshape(-1)[::5] = 0.0  # grid points on the axes
+    lam = rng.normal(size=(900, 2))
+    lam[::3] = -0.0  # rows of signed zeros
+    lam[1::7, 0] = 0.0
+    for u_row in (rng.normal(size=fam.n_fields), np.where(np.arange(fam.n_fields) % 2, -0.0, 0.0)):
+        row, step = fam.adjoint_step(x, u_row, lam, h)
+        dense_row, dense_step = VectorFieldFamily.adjoint_step(fam, x, u_row, lam, h)
+        assert row.shape == (fam.n_fields,) and step.shape == lam.shape
+        assert np.array_equal(row.view(np.int64), dense_row.view(np.int64))
+        assert np.array_equal(step.view(np.int64), dense_step.view(np.int64))
+
+
+def test_dense_adjoint_step_is_the_pairing_and_the_transposed_layer():
+    fam = make_affine8(20.0)
+    rng = np.random.Generator(np.random.Philox(2))
+    x, lam, u_row = rng.normal(size=(40, 2)), rng.normal(size=(40, 2)), rng.normal(size=8)
+    row, step = VectorFieldFamily.adjoint_step(fam, x, u_row, lam, 0.25)
+    assert np.array_equal(row, fam.pairing(x, lam))
+    want = np.einsum("mp,mpn->mn", lam, np.eye(2) + 0.25 * np.einsum("mlpq,l->mpq", fam.jacobians(x), u_row))
+    assert np.array_equal(step, want)

@@ -1,10 +1,14 @@
 """Loss, cost assembly, and the adjoint gradient against finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diffeoflow import (
     ControlGrid,
+    FieldSpec,
+    VectorFieldFamily,
     adjoint_gradient,
     cost,
     cost_of_endpoints,
@@ -13,10 +17,11 @@ from diffeoflow import (
     loss,
     loss_grad,
     make_affine8,
+    make_custom,
     make_enriched14,
     mean_loss,
 )
-from diffeoflow.objective import Dataset
+from diffeoflow.objective import Dataset, control_gradient
 
 
 def test_loss_known_values():
@@ -198,3 +203,68 @@ def test_endpoint_states_feed_cost(affine8, grid25):
     via_states = cost_of_endpoints(states[:, -1], grid25.targets, u, beta=0.2)
     direct = cost(affine8, u, grid25, beta=0.2)
     assert via_states == direct
+
+
+def three_field_family():
+    rot = FieldSpec(
+        value=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
+        jacobian=lambda x: np.broadcast_to(np.array([[0.0, -1.0], [1.0, 0.0]]), x.shape[:-1] + (2, 2)).copy(),
+    )
+    shift = FieldSpec(value=lambda x: np.ones_like(x), jacobian=lambda x: np.zeros(x.shape + (2,)))
+    bend = FieldSpec(
+        value=lambda x: np.stack([x[..., 0] ** 2, np.sin(x[..., 1])], axis=-1),
+        jacobian=lambda x: np.stack(
+            [np.stack([2.0 * x[..., 0], 0.0 * x[..., 0]], axis=-1),
+             np.stack([0.0 * x[..., 1], np.cos(x[..., 1])], axis=-1)],
+            axis=-2,
+        ),
+    )
+    return make_custom([rot, shift, bend], dim=2)
+
+
+def two_pass_gradient(fam, u, states, targets, beta):
+    """The exact gradient as two passes: store every covector, then pair them all.
+
+    The covectors are transported with the dense step lambda (I + h A) of the
+    base class, and the pairing is the base-class einsum over all layers at once.
+    """
+    n_pts, n_nodes, dim = states.shape
+    h = u.step
+    lam = np.empty((n_pts, n_nodes, dim))
+    lam[:, -1] = loss_grad(states[:, -1] - targets) / n_pts
+    for k in range(n_nodes - 1, 0, -1):
+        a = VectorFieldFamily.layer_matrix(fam, states[:, k - 1], u.values[k - 1])
+        lam[:, k - 1] = np.einsum("mp,mpn->mn", lam[:, k], np.eye(dim) + h * a)
+    return VectorFieldFamily.pairing(fam, states[:, :-1], lam[:, 1:]) + beta * u.values
+
+
+@pytest.mark.parametrize("size", [(7, 3), (900, 16), (10_000, 32)], ids=lambda s: f"m{s[0]}_n{s[1]}")
+@pytest.mark.parametrize("name", ["affine8", "enriched14", "custom"])
+def test_exact_gradient_is_the_two_pass_gradient_bit_for_bit(name, size):
+    fam = {"affine8": make_affine8(20.0), "enriched14": make_enriched14(5.0), "custom": three_field_family()}[name]
+    n_pts, n_layers = size
+    rng = np.random.Generator(np.random.Philox(n_pts + n_layers))
+    u = ControlGrid(rng.normal(scale=0.5, size=(n_layers, fam.n_fields)))
+    src = rng.uniform(-1.5, 1.5, size=(n_pts, 2))
+    src[::5] = 0.0
+    targets = src + rng.normal(scale=0.5, size=src.shape)
+    targets[::7] = src[::7]  # zero residuals give zero covectors
+    states = forward_euler(fam, u, src)
+    want = two_pass_gradient(fam, u, states, targets, 1e-3)
+    for layout in (states, np.ascontiguousarray(states)):
+        got = control_gradient(fam, u, layout, targets, 1e-3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_exact_gradient_stores_no_covectors(enriched14):
+    rng = np.random.Generator(np.random.Philox(5))
+    u = ControlGrid(rng.normal(scale=0.3, size=(32, 14)))
+    src = rng.uniform(-1.5, 1.5, size=(2000, 2))
+    states = forward_euler(enriched14, u, src)
+    tracemalloc.start()
+    try:
+        control_gradient(enriched14, u, states, src + 0.3, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < states.nbytes

@@ -145,12 +145,52 @@ def test_trapezoid_method_also_descends(affine8, grid25):
     assert rep.final_cost.total < rep.records[0].cost
 
 
-def test_flow_failure_becomes_train_abort(affine8, grid25):
+def test_overflowing_proposal_is_a_rejected_pass(affine8, grid25):
     cfg = TrainConfig(beta=0.0, max_iter=5, gamma0=1e160)
-    with np.errstate(over="ignore"), pytest.raises(TrainAbort) as err:
-        train_gradient_flow(affine8, grid25, 4, cfg)
-    assert err.value.report.records
-    assert err.value.cause.layer is not None
+    rep = train_gradient_flow(affine8, grid25, 4, cfg)
+    rows = rep.records[1:]
+    assert [r.iteration for r in rows] == [1, 2, 3, 4, 5]
+    assert all(r.cost == np.inf and r.data_term == np.inf and not r.accepted for r in rows)
+    assert [r.gamma for r in rows] == [1e160 * 0.5**k for k in range(5)]
+    assert np.array_equal(rep.control.values, np.zeros((4, 8)))
+    assert rep.final_cost.total == rep.records[0].cost
+
+
+def dilation_family():
+    """One field F(x) = x: every layer scales all points by one factor."""
+    return make_custom(
+        [FieldSpec(value=np.array, jacobian=lambda x: np.broadcast_to(np.eye(2), x.shape + (2,)).copy())],
+        dim=2,
+    )
+
+
+@pytest.mark.parametrize("trainer", [train_gradient_flow, train_pmp])
+def test_test_cloud_overflow_aborts_with_the_partial_report(trainer, rng):
+    # The first accepted pass dilates the plane, which carries the far test
+    # point past the largest float; the training cloud stays finite.
+    src = rng.uniform(-1, 1, size=(12, 2))
+    far = np.array([[1.7e308, 0.0], [0.5, 0.5]])
+    with pytest.raises(TrainAbort, match="training pass 1") as err:
+        trainer(dilation_family(), Dataset(src, 2.0 * src), 4, TrainConfig(beta=0.0, max_iter=5),
+                test_data=Dataset(far, far))
+    assert (err.value.cause.sample, err.value.cause.layer) == (0, 1)
+    # The partial report ends at the last recorded control, the initial one.
+    assert [r.iteration for r in err.value.report.records] == [0]
+    assert np.array_equal(err.value.report.control.values, np.zeros((4, 1)))
+    assert err.value.report.final_cost.total == err.value.report.records[0].cost
+
+
+@pytest.mark.parametrize("trainer", [train_gradient_flow, train_pmp])
+def test_initial_flow_overflow_aborts_at_pass_0(trainer, enriched14, grid25):
+    # |x|^2 overflows at the far source, where the quadratic fields are inf * 0.
+    far = Dataset(np.vstack([grid25.sources, [[1e200, 0.0]]]), np.vstack([grid25.targets, [[0.0, 0.0]]]))
+    cfg = TrainConfig(beta=0.1, max_iter=3)
+    with pytest.raises(TrainAbort, match="training pass 0: non-finite state for sample 25 at layer 1") as err:
+        trainer(enriched14, far, 4, cfg)
+    assert err.value.report.records == [] and err.value.report.final_cost.total == np.inf
+    with pytest.raises(TrainAbort, match="training pass 0") as err:
+        trainer(enriched14, grid25, 4, cfg, test_data=far)
+    assert err.value.report.records == [] and np.isfinite(err.value.report.final_cost.total)
 
 
 def test_argument_validation(affine8, grid25, rng):

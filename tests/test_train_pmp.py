@@ -7,7 +7,6 @@ import pytest
 
 from diffeoflow import (
     ControlGrid,
-    TrainAbort,
     TrainConfig,
     cost,
     eval_hamiltonian,
@@ -129,12 +128,14 @@ def test_minibatch_config_rejected(affine8, grid25):
     assert len(rep.records) == 2
 
 
-def test_flow_failure_becomes_train_abort(affine8, grid25):
+def test_overflowing_sweep_is_a_rejected_pass(affine8, grid25):
     cfg = TrainConfig(beta=0.0, max_iter=5, gamma0=1e160)
-    with np.errstate(over="ignore"), pytest.raises(TrainAbort) as err:
-        train_pmp(affine8, grid25, 4, cfg)
-    assert err.value.cause.layer is not None
-    assert err.value.report.records[0].iteration == 0
+    rep = train_pmp(affine8, grid25, 4, cfg)
+    rows = rep.records[1:]
+    assert [r.iteration for r in rows] == [1, 2, 3, 4, 5]
+    assert all(r.cost == np.inf and r.data_term == np.inf and not r.accepted for r in rows)
+    assert [r.gamma for r in rows] == [1e160 * 0.5**k for k in range(5)]
+    assert np.array_equal(rep.control.values, np.zeros((4, 8)))
 
 
 def test_argument_validation(affine8, grid25):
