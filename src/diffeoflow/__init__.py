@@ -38,7 +38,6 @@ from .flow import (
 from .metrics import (
     MetricsBlock,
     build_metrics,
-    exp_norm_bound,
     generalization_bound,
     lipschitz_estimate,
     spectral_norms,
@@ -63,7 +62,7 @@ from .train_gd import (
     TrainReport,
     train_gradient_flow,
 )
-from .train_pmp import eval_hamiltonian, maximized_controls, train_pmp
+from .train_pmp import maximized_controls, train_pmp
 
 __version__ = "0.1.0"
 
@@ -89,8 +88,6 @@ __all__ = [
     "cost",
     "cost_of_endpoints",
     "custom_target",
-    "eval_hamiltonian",
-    "exp_norm_bound",
     "family_from_name",
     "fd_gradient_oracle",
     "forward_euler",

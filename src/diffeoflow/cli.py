@@ -125,7 +125,6 @@ class RunConfig:
     max_iter: int = 500
     batch_size: int | None = None
     seed: int = 0
-    gradient_method: str = "exact"
     target: str = "builtin"
     grid_side: float = 1.5
     grid_per_axis: int = 30
@@ -133,7 +132,6 @@ class RunConfig:
     test_count: int = 300
     test_seed: int = 0
     test_file: str | None = None
-    rate_constant: float | None = None
 
     def validate(self) -> None:
         if self.family not in ("affine8", "enriched14"):
@@ -144,22 +142,7 @@ class RunConfig:
             raise ConfigError(f"n_layers: must be a positive integer, got {self.n_layers}")
         if self.algorithm not in ("gd", "pmp"):
             raise ConfigError(f"algorithm: expected 'gd' or 'pmp', got {self.algorithm!r}")
-        if self.beta < 0.0:
-            raise ConfigError(f"beta: must be nonnegative, got {self.beta}")
-        if self.gamma0 <= 0.0:
-            raise ConfigError(f"gamma0: must be positive, got {self.gamma0}")
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError(f"tau: must lie strictly between 0 and 1, got {self.tau}")
-        if not 0.0 < self.c < 1.0:
-            raise ConfigError(f"c: must lie strictly between 0 and 1, got {self.c}")
-        if self.max_iter < 0:
-            raise ConfigError(f"max_iter: must be nonnegative, got {self.max_iter}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size: must be positive when set, got {self.batch_size}")
-        if self.gradient_method not in ("exact", "trapezoid"):
-            raise ConfigError(
-                f"gradient_method: expected 'exact' or 'trapezoid', got {self.gradient_method!r}"
-            )
+        train_config_of(self)
         if self.target not in ("builtin", "identity"):
             raise ConfigError(f"target: expected 'builtin' or 'identity', got {self.target!r}")
         if self.grid_side <= 0.0:
@@ -168,8 +151,6 @@ class RunConfig:
             raise ConfigError(f"grid_per_axis: must be at least 2, got {self.grid_per_axis}")
         if self.test_count < 0:
             raise ConfigError(f"test_count: must be nonnegative, got {self.test_count}")
-        if self.rate_constant is not None and self.rate_constant < 0.0:
-            raise ConfigError(f"rate_constant: must be nonnegative, got {self.rate_constant}")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -240,16 +221,19 @@ def build_problem(cfg: RunConfig) -> tuple:
 
 
 def train_config_of(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        beta=cfg.beta,
-        max_iter=cfg.max_iter,
-        gamma0=cfg.gamma0,
-        tau=cfg.tau,
-        c=cfg.c,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        gradient_method=cfg.gradient_method,
-    )
+    """The trainer fields of a run config; TrainConfig checks them, naming the field."""
+    try:
+        return TrainConfig(
+            beta=cfg.beta,
+            max_iter=cfg.max_iter,
+            gamma0=cfg.gamma0,
+            tau=cfg.tau,
+            c=cfg.c,
+            batch_size=cfg.batch_size,
+            seed=cfg.seed,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
@@ -271,7 +255,6 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
         training_error=report.final_cost.data_term,
         n_train=train.n_samples,
         side=cfg.grid_side,
-        rate_constant=cfg.rate_constant,
     )
     report.metrics = block.as_dict()
     final_test = report.records[-1].testing_error if report.records else float("nan")
@@ -458,7 +441,7 @@ def run_gradcheck(cfg: RunConfig, family=None) -> tuple[float, int, int]:
         )
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     u = ControlGrid(rng.uniform(-1.0, 1.0, size=(cfg.n_layers, family.n_fields)))
-    got = adjoint_gradient(family, u, train, cfg.beta, method=cfg.gradient_method).values
+    got = adjoint_gradient(family, u, train, cfg.beta).values
     want = fd_gradient_oracle(family, u, train, cfg.beta).values
     denom = np.abs(want) + 1e-8
     rel = np.abs(got - want) / denom
@@ -546,7 +529,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -193,28 +193,24 @@ def backward_covector(
     u: ControlGrid,
     states: np.ndarray,
     terminal: np.ndarray,
-    scheme: str = "implicit",
-    cond_limit: float = CONDITION_LIMIT,
 ) -> np.ndarray:
-    """Transport row covectors from node N back to node 0.
+    """Transport row covectors from node N back to node 0 by backward Euler.
 
-    With A_k = sum_i u[k-1, i] * DF_i(x_{k-1}) the two schemes are
+    With A_k = sum_i u[k-1, i] * DF_i(x_{k-1}) each step solves
 
-      implicit:  lambda_{k-1} = lambda_k (Id - h A_k)^{-1}
-                 (backward-Euler transport of the continuous covector flow),
-      explicit:  lambda_{k-1} = lambda_k (Id + h A_k)
-                 (the exact transpose of the forward layer linearization,
-                 taken from the family's ``adjoint_step``).
+        lambda_{k-1} = lambda_k (Id - h A_k)^{-1},
+
+    the backward-Euler transport of the continuous covector flow.  (The
+    exact transpose of the forward layer, lambda_k (Id + h A_k), is the
+    family's ``adjoint_step``.)
 
     ``states`` must be the trajectory bundle the controls produced, in any
     memory layout.  Returns covectors of shape (M, N+1, dim), stored
     layer-major like the output of ``forward_euler`` (a transposed view of an
-    (N+1, M, dim) buffer).  The implicit solve fails with a FlowError naming
-    sample and layer when a layer matrix has condition estimate above
-    ``cond_limit``.
+    (N+1, M, dim) buffer).  The solve fails with a FlowError naming sample
+    and layer when a layer matrix has condition estimate above
+    ``CONDITION_LIMIT``.
     """
-    if scheme not in ("implicit", "explicit"):
-        raise ValueError(f"unknown covector scheme {scheme!r}")
     states = _as_trajectory(family, u, states)
     n_pts, n_nodes, dim = states.shape
     n_layers = u.n_layers
@@ -226,20 +222,17 @@ def backward_covector(
     lam = np.empty((n_nodes, n_pts, dim))
     lam[n_layers] = term
     for k in range(n_layers, 0, -1):
-        if scheme == "explicit":
-            lam[k - 1] = family.adjoint_step(states[:, k - 1], u.values[k - 1], lam[k], h)[1]
-        else:
-            b = eye - h * layer_matrix(family, states[:, k - 1], u.values[k - 1])
-            j, worst = _worst_conditioned(b)
-            if not np.isfinite(worst) or worst > cond_limit:
-                raise FlowError(
-                    f"covector solve ill-conditioned for sample {j} at layer {k} "
-                    f"(condition estimate {worst:.3e} exceeds {cond_limit:.1e})",
-                    sample=j,
-                    layer=k,
-                )
-            # Row convention: lambda_{k-1} B = lambda_k, so solve B^T y = lambda_k^T.
-            lam[k - 1] = np.linalg.solve(np.swapaxes(b, -1, -2), lam[k][..., None])[..., 0]
+        b = eye - h * layer_matrix(family, states[:, k - 1], u.values[k - 1])
+        j, worst = _worst_conditioned(b)
+        if not np.isfinite(worst) or worst > CONDITION_LIMIT:
+            raise FlowError(
+                f"covector solve ill-conditioned for sample {j} at layer {k} "
+                f"(condition estimate {worst:.3e} exceeds {CONDITION_LIMIT:.1e})",
+                sample=j,
+                layer=k,
+            )
+        # Row convention: lambda_{k-1} B = lambda_k, so solve B^T y = lambda_k^T.
+        lam[k - 1] = np.linalg.solve(np.swapaxes(b, -1, -2), lam[k][..., None])[..., 0]
     return lam.transpose(1, 0, 2)
 
 

@@ -28,14 +28,13 @@ from .flow import ControlGrid, _spectral_norm_2x2, variational_jacobian
 
 @dataclass(frozen=True)
 class MetricsBlock:
-    """Diagnostics attached to a finished run; exp_bound needs a rate constant."""
+    """Diagnostics attached to a finished run."""
 
     lipschitz_flow: float
     lipschitz_target: float
     control_norm: float
     w1_bound: float
     generalization_bound: float
-    exp_bound: float | None = None
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -96,17 +95,6 @@ def generalization_bound(
     return training_error + 1.0 * (lipschitz_target + lipschitz_flow) * w1
 
 
-def exp_norm_bound(rate_constant: float, u: ControlGrid) -> float:
-    """A-priori Lipschitz bound exp(C * |u|_{L2}) for a user-supplied C.
-
-    The constant C depends on the field family and the working region and
-    must be supplied by the caller; no default is assumed.
-    """
-    if rate_constant < 0.0:
-        raise ValueError(f"rate constant must be nonnegative, got {rate_constant}")
-    return math.exp(rate_constant * math.sqrt(u.l2_norm_sq()))
-
-
 def build_metrics(
     family: VectorFieldFamily,
     u: ControlGrid,
@@ -115,7 +103,6 @@ def build_metrics(
     training_error: float,
     n_train: int,
     side: float,
-    rate_constant: float | None = None,
 ) -> MetricsBlock:
     """Assemble the full diagnostics block for a finished run."""
     l_flow = lipschitz_estimate(family, u, probes)
@@ -127,5 +114,4 @@ def build_metrics(
         control_norm=math.sqrt(u.l2_norm_sq()),
         w1_bound=w1,
         generalization_bound=generalization_bound(training_error, l_target, l_flow, w1),
-        exp_bound=None if rate_constant is None else exp_norm_bound(rate_constant, u),
     )

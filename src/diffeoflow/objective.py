@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, _as_trajectory, backward_covector, forward_euler
+from .flow import ControlGrid, _as_trajectory, forward_euler
 
 
 @dataclass(frozen=True)
@@ -135,57 +135,34 @@ def control_gradient(
     states: np.ndarray,
     targets: np.ndarray,
     beta: float,
-    method: str = "exact",
 ) -> np.ndarray:
     """Gradient array (N, l) in slab-average coordinates, from a stored trajectory.
 
-    method="exact" backpropagates through the discrete layers in one sweep,
-    k = N..1.  At each node one ``family.adjoint_step`` pairs the covector
-    with the fields at the node where the control acts and steps it back
-    with the explicit factor (Id + h A_k),
+    Backpropagates through the discrete layers in one sweep, k = N..1.  At
+    each node one ``family.adjoint_step`` pairs the covector with the fields
+    at the node where the control acts and steps it back with the explicit
+    factor (Id + h A_k),
 
         g[k-1, i]     = sum_j <lambda_k^j, F_i(x_{k-1}^j)> + beta * u[k-1, i],
         lambda_{k-1}  = lambda_k (Id + h A_k),
 
     which makes h * g[k-1, i] the exact partial derivative of cost.  Only
     the current node's (M, dim) covector is held; none are stored.
-
-    method="trapezoid" instead transports covectors with the implicit factor
-    (Id - h A_k)^{-1} and averages the pairing over the two slab endpoints,
-
-        g[k-1, i] = sum_j ( <lambda_{k-1}^j, F_i(x_{k-1}^j)>
-                          + <lambda_k^j,     F_i(x_k^j)> ) / 2 + beta * u[k-1, i],
-
-    a second-order quadrature of the continuous gradient on each slab.  The
-    two methods agree up to O(1/N).
     """
     states = _as_trajectory(family, u, states)
-    n_pts = states.shape[0]
-    terminal = loss_grad(states[:, -1] - targets) / n_pts
-    if method == "exact":
-        grad = np.empty(u.values.shape)
-        lam = terminal
-        for k in range(u.n_layers, 0, -1):
-            grad[k - 1], lam = family.adjoint_step(states[:, k - 1], u.values[k - 1], lam, u.step)
-    elif method == "trapezoid":
-        lam = backward_covector(family, u, states, terminal, scheme="implicit")
-        node = family.pairing(states, lam)  # (N+1, l)
-        grad = 0.5 * (node[:-1] + node[1:])
-    else:
-        raise ValueError(f"unknown gradient method {method!r}")
+    grad = np.empty(u.values.shape)
+    lam = loss_grad(states[:, -1] - targets) / states.shape[0]
+    for k in range(u.n_layers, 0, -1):
+        grad[k - 1], lam = family.adjoint_step(states[:, k - 1], u.values[k - 1], lam, u.step)
     return grad + beta * u.values
 
 
 def adjoint_gradient(
-    family: VectorFieldFamily,
-    u: ControlGrid,
-    data: Dataset,
-    beta: float,
-    method: str = "exact",
+    family: VectorFieldFamily, u: ControlGrid, data: Dataset, beta: float
 ) -> ControlGrid:
     """Objective gradient in slab-average coordinates via covector transport."""
     states = forward_euler(family, u, data.sources)
-    return ControlGrid(control_gradient(family, u, states, data.targets, beta, method))
+    return ControlGrid(control_gradient(family, u, states, data.targets, beta))
 
 
 def fd_gradient_oracle(

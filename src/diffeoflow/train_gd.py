@@ -46,9 +46,8 @@ class TrainConfig:
     gamma0 is the initial step size, tau the backtracking factor, c the
     sufficient-decrease constant (ignored by the maximum-principle trainer,
     which accepts on any strict decrease).  batch_size, when set, must be
-    at most the dataset size; seed feeds the batch sampler.
-    gradient_method selects "exact" backpropagation or the "trapezoid"
-    slab-average quadrature (gradient-flow trainer only).
+    at most the dataset size; seed feeds the batch sampler.  Each invalid
+    value raises a ValueError whose message starts with the field name.
     """
 
     beta: float
@@ -58,23 +57,20 @@ class TrainConfig:
     c: float = 0.1
     batch_size: int | None = None
     seed: int = 0
-    gradient_method: str = "exact"
 
     def __post_init__(self) -> None:
         if self.beta < 0.0 or not math.isfinite(self.beta):
-            raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if self.gamma0 <= 0.0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
+            raise ValueError(f"beta: must be nonnegative and finite, got {self.beta}")
+        if self.gamma0 <= 0.0 or not math.isfinite(self.gamma0):
+            raise ValueError(f"gamma0: must be positive and finite, got {self.gamma0}")
         if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+            raise ValueError(f"tau: must lie strictly between 0 and 1, got {self.tau}")
         if not 0.0 < self.c < 1.0:
-            raise ValueError(f"c must lie in (0, 1), got {self.c}")
+            raise ValueError(f"c: must lie strictly between 0 and 1, got {self.c}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter: must be nonnegative, got {self.max_iter}")
         if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive when set, got {self.batch_size}")
-        if self.gradient_method not in ("exact", "trapezoid"):
-            raise ValueError(f"unknown gradient_method {self.gradient_method!r}")
+            raise ValueError(f"batch_size: must be positive when set, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -232,9 +228,7 @@ def train_gradient_flow(
             states = forward_euler(family, u, batch.sources)
             current = cost_of_endpoints(states[:, -1], batch.targets, u, cfg.beta)
         if batching or grad_u is not u:
-            grad_u, grad = u, control_gradient(
-                family, u, states, batch.targets, cfg.beta, cfg.gradient_method
-            )
+            grad_u, grad = u, control_gradient(family, u, states, batch.targets, cfg.beta)
         proposal = ControlGrid(u.values - gamma * grad)
         states_new = forward_euler(family, proposal, batch.sources)
         cost_new = cost_of_endpoints(states_new[:, -1], batch.targets, proposal, cfg.beta)

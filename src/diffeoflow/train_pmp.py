@@ -11,8 +11,8 @@ The maximizer is available in closed form because H is quadratic in v:
 
     v_i = (u_old_k[i] + gamma * sum_j <lambda_{k-1}^j, F_i(x_{k-1}^j)>) / (1 + gamma * beta).
 
-Covectors solve the backward transport with terminal value
--(1/M) grad a(x_N - y); inside a sweep they are corrected at each node for
+Covectors solve the backward-Euler transport of ``flow.backward_covector``
+with terminal value -(1/M) grad a(x_N - y); inside a sweep they are corrected at each node for
 the drift of the updated trajectory before the control update uses them.
 
 The sweep is the ``propose`` step of the loop shared with the gradient-flow
@@ -33,19 +33,6 @@ from .fields import VectorFieldFamily
 from .flow import ControlGrid, _check_finite, backward_covector, forward_euler  # noqa: F401
 from .objective import Dataset, cost_of_endpoints, loss_grad
 from .train_gd import TrainConfig, TrainReport, _descend
-
-
-def eval_hamiltonian(
-    family: VectorFieldFamily,
-    x: np.ndarray,
-    lam: np.ndarray,
-    controls: np.ndarray,
-    beta: float,
-) -> float:
-    """H(x, lambda, v) summed over the sample bundle at one time node."""
-    controls = np.asarray(controls, dtype=float)
-    pairing = float(family.pairing(x, lam) @ controls)
-    return pairing - 0.5 * beta * float(np.dot(controls, controls))
 
 
 def maximized_controls(
@@ -71,7 +58,7 @@ def train_pmp(
     """Train by successive layerwise Hamiltonian maximization.
 
     Accepts the same configuration as the gradient-flow trainer, except that
-    c and gradient_method are ignored and mini-batch mode is not available.
+    c is ignored and mini-batch mode is not available.
     Records follow the same convention: iteration 0 is the initial state,
     then one row per pass with its proposal cost and accepted flag.
     """
@@ -86,7 +73,7 @@ def train_pmp(
         if cov_u is not u:
             grads = loss_grad(states - targets[:, None])
             terminal = -grads[:, -1] / n_pts
-            cov_u, cov = u, backward_covector(family, u, states, terminal, scheme="implicit")
+            cov_u, cov = u, backward_covector(family, u, states, terminal)
         # np.copy keeps the layer-major layout (order 'K'); ndarray.copy would not.
         lam = np.copy(cov)
         swept = np.copy(states)

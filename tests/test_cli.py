@@ -86,7 +86,6 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         {"beta": -1e-3},
         {"grid_per_axis": 1},
         {"batch_size": 0},
-        {"gradient_method": "midpoint"},
         {"target": "rotation"},
     ],
 )
@@ -113,7 +112,6 @@ def test_load_config_validation(tmp_path, overrides):
         ("nu", "20"),
         ("tau", True),
         pytest.param("grid_side", 10**400, id="grid_side-int_beyond_float"),
-        ("rate_constant", float("-inf")),
         ("family", 8),
         ("dataset_file", 5),
     ],
@@ -123,6 +121,36 @@ def test_wrongly_typed_config_field_exits_two_naming_it(field, value, tmp_path, 
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}:"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("gradient_method", "exact"), ("rate_constant", 0.5)])
+def test_removed_config_keys_are_unknown(key, value, tmp_path, capsys):
+    path = write_config(tmp_path, **{key: value})
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["train_config_directory", "eval_control_directory", "train_out_file", "reproduce_tables_out_file"],
+)
+def test_unusable_path_exits_two_with_one_error_line(command, tmp_path, capsys):
+    config = write_config(tmp_path)
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    existing = tmp_path / "a_file"
+    existing.write_text("x", encoding="utf-8")
+    out = str(tmp_path / "o")
+    argv = {
+        "train_config_directory": ["train", "--config", str(directory), "--out", out],
+        "eval_control_directory": ["eval", "--config", str(config), "--control", str(directory), "--out", out],
+        "train_out_file": ["train", "--config", str(config), "--out", str(existing)],
+        "reproduce_tables_out_file": ["reproduce-tables", "--table", "1", "--max-iter", "0", "--out", str(existing)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
 
 

@@ -15,6 +15,7 @@ from diffeoflow import (
     make_enriched14,
     variational_jacobian,
 )
+from diffeoflow import flow
 from diffeoflow.flow import _spectral_norm_2x2, _worst_conditioned, layer_matrix
 from diffeoflow.objective import control_gradient
 
@@ -66,14 +67,22 @@ def test_scalar_stretch_endpoint(affine8):
     assert np.allclose(states[0, 1], [1.5, 0.0], rtol=0, atol=1e-15)
 
 
+def explicit_covector_at_source(family, u, states, terminal):
+    """lambda_0 of the explicit transport lambda_{k-1} = lambda_k (Id + h A_k), via adjoint_step."""
+    lam = terminal
+    for k in range(u.n_layers, 0, -1):
+        lam = family.adjoint_step(states[:, k - 1], u.values[k - 1], lam, u.step)[1]
+    return lam
+
+
 def test_explicit_covector_known_value(affine8):
     # One layer, h = 1, control 3 on the x1-stretching field. The explicit
     # transport multiplies the first component by (1 + 3) = 4.
     u = np.zeros((1, 8))
     u[0, 4] = 3.0
     states = forward_euler(affine8, ControlGrid(u), np.array([[1.0, 0.0]]))
-    lam = backward_covector(affine8, ControlGrid(u), states, np.array([[1.0, 1.0]]), scheme="explicit")
-    assert np.allclose(lam[0, 0], [4.0, 1.0], rtol=0, atol=1e-14)
+    lam0 = explicit_covector_at_source(affine8, ControlGrid(u), states, np.array([[1.0, 1.0]]))
+    assert np.allclose(lam0[0], [4.0, 1.0], rtol=0, atol=1e-14)
 
 
 def test_explicit_covector_dual_to_variational_jacobian(affine8, rng):
@@ -81,11 +90,11 @@ def test_explicit_covector_dual_to_variational_jacobian(affine8, rng):
     x0 = rng.uniform(-1, 1, size=(5, 2))
     states = forward_euler(affine8, u, x0)
     term = rng.normal(size=(5, 2))
-    lam = backward_covector(affine8, u, states, term, scheme="explicit")
+    lam0 = explicit_covector_at_source(affine8, u, states, term)
     v0 = rng.normal(size=(5, 2))
     for m in range(5):
         v_end = variational_jacobian(affine8, u, x0[m]) @ v0[m]
-        assert abs(term[m] @ v_end - lam[m, 0] @ v0[m]) <= 1e-10
+        assert abs(term[m] @ v_end - lam0[m] @ v0[m]) <= 1e-10
 
 
 def smooth_controls(n_layers, n_fields):
@@ -104,8 +113,6 @@ def test_scheme_mismatch_shrinks_under_refinement(affine8):
     O(h) gap across the whole pipeline.  Halving the step should shrink the
     one-step gap about 4x and the pipeline gap about 2x.
     """
-    from diffeoflow.flow import layer_matrix
-
     x = np.array([[0.4, -0.3]])
     u_row = np.array([0.0, 0.5, 0.0, 0.0, 0.8, -0.6, 0.3, 0.2])
     a = layer_matrix(affine8, x, u_row)[0]
@@ -124,9 +131,9 @@ def test_scheme_mismatch_shrinks_under_refinement(affine8):
     for n in (8, 16, 32, 64):
         u = smooth_controls(n, 8)
         states = forward_euler(affine8, u, x0)
-        li = backward_covector(affine8, u, states, terminal, scheme="implicit")
-        le = backward_covector(affine8, u, states, terminal, scheme="explicit")
-        pipeline.append(np.abs(li[0, 0] - le[0, 0]).max())
+        li = backward_covector(affine8, u, states, terminal)
+        le = explicit_covector_at_source(affine8, u, states, terminal)
+        pipeline.append(np.abs(li[0, 0] - le[0]).max())
     for coarse, fine in zip(pipeline, pipeline[1:]):
         assert 1.6 < coarse / fine < 2.5
 
@@ -158,14 +165,7 @@ def test_singular_implicit_transport_raises(affine8):
     u[0, 4] = 1.0
     states = forward_euler(affine8, ControlGrid(u), np.array([[1.0, 0.0]]))
     with pytest.raises(FlowError):
-        backward_covector(affine8, ControlGrid(u), states, np.array([[1.0, 1.0]]), scheme="implicit")
-
-
-def test_unknown_scheme_rejected(affine8):
-    u = ControlGrid.zeros(2, 8)
-    states = forward_euler(affine8, u, np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        backward_covector(affine8, u, states, np.zeros((1, 2)), scheme="midpoint")
+        backward_covector(affine8, ControlGrid(u), states, np.array([[1.0, 1.0]]))
 
 
 def test_variational_jacobian_closed_form(affine8, rng):
@@ -240,22 +240,24 @@ def test_guard_names_the_one_singular_sample_and_its_layer(affine8):
     pts = np.array([[1.0, 0.5], [-0.8, 0.2], [0.0, 0.7], [0.6, -0.9]])
     states = forward_euler(affine8, ControlGrid(u), pts)
     with pytest.raises(FlowError, match="sample 2 at layer 3") as err:
-        backward_covector(affine8, ControlGrid(u), states, np.ones((4, 2)), scheme="implicit")
+        backward_covector(affine8, ControlGrid(u), states, np.ones((4, 2)))
     assert (err.value.sample, err.value.layer) == (2, 3)
 
 
-def test_guard_limit_applies_to_the_lapack_condition_of_the_worst_sample(affine8, rng):
+def test_guard_limit_applies_to_the_lapack_condition_of_the_worst_sample(affine8, rng, monkeypatch):
     u = ControlGrid(rng.normal(scale=2.0, size=(1, 8)))
     pts = rng.uniform(-1.5, 1.5, size=(500, 2))
     states = forward_euler(affine8, u, pts)
     conds = np.linalg.cond(np.eye(2) - u.step * layer_matrix(affine8, pts, u.values[0]))
     worst = int(np.argmax(conds))
     term = rng.normal(size=(500, 2))
+    monkeypatch.setattr(flow, "CONDITION_LIMIT", conds[worst] * (1 - 1e-12))
     with pytest.raises(FlowError) as err:
-        backward_covector(affine8, u, states, term, cond_limit=conds[worst] * (1 - 1e-12))
+        backward_covector(affine8, u, states, term)
     assert (err.value.sample, err.value.layer) == (worst, 1)
     assert f"{conds[worst]:.3e}" in str(err.value)
-    backward_covector(affine8, u, states, term, cond_limit=conds[worst] * (1 + 1e-12))
+    monkeypatch.setattr(flow, "CONDITION_LIMIT", conds[worst] * (1 + 1e-12))
+    backward_covector(affine8, u, states, term)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -286,7 +288,7 @@ def test_three_dimensional_family_goes_through_lapack(monkeypatch):
     lapack_cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda m: shapes.append(np.shape(m)) or lapack_cond(m))
     with pytest.raises(FlowError) as err:
-        backward_covector(fam, u, states, np.ones((3, 3)), scheme="implicit")
+        backward_covector(fam, u, states, np.ones((3, 3)))
     assert (err.value.sample, err.value.layer) == (1, 1)
     assert shapes == [(3, 3, 3)]
     lam = backward_covector(fam, ControlGrid(np.array([[0.5]])), states, np.ones((3, 3)))
@@ -364,13 +366,11 @@ def test_transport_and_gradients_do_not_depend_on_the_trajectory_layout(name, si
     dense = np.ascontiguousarray(states)
     assert dense.flags.c_contiguous and not states.flags.c_contiguous
     terminal = rng.normal(size=pts.shape)
-    for scheme in ("implicit", "explicit"):
-        lam = backward_covector(fam, u, states, terminal, scheme=scheme)
-        lam_dense = backward_covector(fam, u, dense, terminal, scheme=scheme)
-        assert nodes_are_contiguous(lam) and nodes_are_contiguous(lam_dense)
-        assert np.array_equal(lam.view(np.int64), lam_dense.view(np.int64))
+    lam = backward_covector(fam, u, states, terminal)
+    lam_dense = backward_covector(fam, u, dense, terminal)
+    assert nodes_are_contiguous(lam) and nodes_are_contiguous(lam_dense)
+    assert np.array_equal(lam.view(np.int64), lam_dense.view(np.int64))
     targets = pts + 0.5
-    for method in ("exact", "trapezoid"):
-        grad = control_gradient(fam, u, states, targets, 1e-3, method)
-        grad_dense = control_gradient(fam, u, dense, targets, 1e-3, method)
-        assert np.array_equal(grad.view(np.int64), grad_dense.view(np.int64))
+    grad = control_gradient(fam, u, states, targets, 1e-3)
+    grad_dense = control_gradient(fam, u, dense, targets, 1e-3)
+    assert np.array_equal(grad.view(np.int64), grad_dense.view(np.int64))

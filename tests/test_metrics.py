@@ -6,7 +6,6 @@ import pytest
 from diffeoflow import (
     ControlGrid,
     build_metrics,
-    exp_norm_bound,
     forward_euler,
     generalization_bound,
     lipschitz_estimate,
@@ -84,18 +83,10 @@ def test_generalization_bound_arithmetic():
         generalization_bound(-0.1, 1.0, 1.0, 0.1)
 
 
-def test_exp_norm_bound():
-    u = ControlGrid(np.full((4, 2), 3.0))  # |u|_L2^2 = 0.25 * 8 * 9 = 18
-    assert np.isclose(exp_norm_bound(0.5, u), np.exp(0.5 * np.sqrt(18.0)), rtol=1e-14)
-    assert exp_norm_bound(0.0, u) == 1.0
-    with pytest.raises(ValueError):
-        exp_norm_bound(-1.0, u)
-
-
 def test_build_metrics_assembly(affine8, target, rng):
     u = ControlGrid(rng.normal(scale=0.3, size=(8, 8)))
     probes = square_grid(1.5, 10)
-    block = build_metrics(affine8, u, target, probes, training_error=0.4, n_train=100, side=1.5, rate_constant=0.2)
+    block = build_metrics(affine8, u, target, probes, training_error=0.4, n_train=100, side=1.5)
     assert block.lipschitz_flow == lipschitz_estimate(affine8, u, probes)
     assert block.lipschitz_target == target_lipschitz_estimate(target, probes)
     assert np.isclose(block.w1_bound, w1_grid_bound(100, 1.5), rtol=1e-15)
@@ -105,7 +96,6 @@ def test_build_metrics_assembly(affine8, target, rng):
         rtol=1e-15,
     )
     assert np.isclose(block.control_norm, np.sqrt(u.l2_norm_sq()), rtol=1e-15)
-    assert block.exp_bound == exp_norm_bound(0.2, u)
     d = block.as_dict()
     assert set(d) == {
         "lipschitz_flow",
@@ -113,7 +103,4 @@ def test_build_metrics_assembly(affine8, target, rng):
         "control_norm",
         "w1_bound",
         "generalization_bound",
-        "exp_bound",
     }
-    no_rate = build_metrics(affine8, u, target, probes, training_error=0.4, n_train=100, side=1.5)
-    assert no_rate.exp_bound is None

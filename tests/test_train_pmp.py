@@ -9,7 +9,6 @@ from diffeoflow import (
     ControlGrid,
     TrainConfig,
     cost,
-    eval_hamiltonian,
     forward_euler,
     maximized_controls,
     train_pmp,
@@ -106,17 +105,6 @@ def test_maximizer_matches_dense_grid_search(rng):
                 - (grid - u_old[i]) ** 2 / (2.0 * gamma)
             )
             assert abs(got[i] - grid[np.argmax(phi)]) <= 1e-3
-
-
-def test_hamiltonian_value(affine8):
-    x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    lam = np.array([[1.0, 0.0], [0.0, -2.0]])
-    v = np.zeros(8)
-    v[0] = 2.0  # constant field d/dx1
-    v[7] = 1.0  # linear field x2 d/dx2
-    # Sample 1: <(1,0), (2,0) + (0,0)> = 2; sample 2: <(0,-2), (2,0)+(0,1)> = -2.
-    want = 2.0 - 2.0 - 0.5 * 0.3 * 5.0
-    assert np.isclose(eval_hamiltonian(affine8, x, lam, v, beta=0.3), want, rtol=1e-14)
 
 
 def test_minibatch_config_rejected(affine8, grid25):
