@@ -87,6 +87,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         {"grid_per_axis": 1},
         {"batch_size": 0},
         {"target": "rotation"},
+        {"max_iter": -1},
     ],
 )
 def test_load_config_validation(tmp_path, overrides):
@@ -122,6 +123,20 @@ def test_wrongly_typed_config_field_exits_two_naming_it(field, value, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}:"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iter", -1), ("gamma0", -2.0), ("tau", 1.0), ("c", 1.5), ("batch_size", 0)],
+)
+def test_trainer_field_value_error_exits_two_naming_it(field, value, tmp_path, capsys):
+    # Well-typed but out-of-range trainer fields are rejected by TrainConfig;
+    # the CLI reports its message as one error line that names the field.
+    path = write_config(tmp_path, **{field: value})
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [("gradient_method", "exact"), ("rate_constant", 0.5)])
