@@ -110,20 +110,21 @@ class ConfigError(ValueError):
     """A run configuration failed validation."""
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Flat run configuration; every field has a JSON key of the same name."""
+@dataclasses.dataclass(frozen=True)
+class RunConfig(TrainConfig):
+    """Flat run configuration; every field has a JSON key of the same name.
 
+    The trainer fields (beta, max_iter, gamma0, tau, c) are TrainConfig's,
+    with beta defaulting to 1e-3; the rest describe the problem.  seed only
+    picks the random control of gradcheck's instance, and test_seed the
+    held-out cloud.  Each invalid value raises a ConfigError naming the field.
+    """
+
+    beta: float = 1e-3
     family: str = "affine8"
     nu: float = 20.0
     n_layers: int = 16
     algorithm: str = "gd"
-    beta: float = 1e-3
-    gamma0: float = 1.0
-    tau: float = 0.5
-    c: float = 0.1
-    max_iter: int = 500
-    batch_size: int | None = None
     seed: int = 0
     target: str = "builtin"
     grid_side: float = 1.5
@@ -133,7 +134,11 @@ class RunConfig:
     test_seed: int = 0
     test_file: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        try:
+            super().__post_init__()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         if self.family not in ("affine8", "enriched14"):
             raise ConfigError(f"family: expected 'affine8' or 'enriched14', got {self.family!r}")
         if self.nu <= 0.0:
@@ -142,7 +147,8 @@ class RunConfig:
             raise ConfigError(f"n_layers: must be a positive integer, got {self.n_layers}")
         if self.algorithm not in ("gd", "pmp"):
             raise ConfigError(f"algorithm: expected 'gd' or 'pmp', got {self.algorithm!r}")
-        train_config_of(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
         if self.target not in ("builtin", "identity"):
             raise ConfigError(f"target: expected 'builtin' or 'identity', got {self.target!r}")
         if self.grid_side <= 0.0:
@@ -151,6 +157,8 @@ class RunConfig:
             raise ConfigError(f"grid_per_axis: must be at least 2, got {self.grid_per_axis}")
         if self.test_count < 0:
             raise ConfigError(f"test_count: must be nonnegative, got {self.test_count}")
+        if self.test_seed < 0:
+            raise ConfigError(f"test_seed: must be nonnegative, got {self.test_seed}")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -196,9 +204,7 @@ def load_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     _check_types(raw)
-    cfg = RunConfig(**raw)
-    cfg.validate()
-    return cfg
+    return RunConfig(**raw)
 
 
 def build_problem(cfg: RunConfig) -> tuple:
@@ -220,31 +226,14 @@ def build_problem(cfg: RunConfig) -> tuple:
     return family, target, train, test
 
 
-def train_config_of(cfg: RunConfig) -> TrainConfig:
-    """The trainer fields of a run config; TrainConfig checks them, naming the field."""
-    try:
-        return TrainConfig(
-            beta=cfg.beta,
-            max_iter=cfg.max_iter,
-            gamma0=cfg.gamma0,
-            tau=cfg.tau,
-            c=cfg.c,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-
 def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
     """Train per config and return the report plus the summary document."""
     family, target, train, test = build_problem(cfg)
-    tc = train_config_of(cfg)
     start = time.perf_counter()
     if cfg.algorithm == "gd":
-        report = train_gradient_flow(family, train, cfg.n_layers, tc, test_data=test)
+        report = train_gradient_flow(family, train, cfg.n_layers, cfg, test_data=test)
     else:
-        report = train_pmp(family, train, cfg.n_layers, tc, test_data=test)
+        report = train_pmp(family, train, cfg.n_layers, cfg, test_data=test)
     elapsed = time.perf_counter() - start
 
     block = build_metrics(
@@ -256,11 +245,10 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
         n_train=train.n_samples,
         side=cfg.grid_side,
     )
-    report.metrics = block.as_dict()
-    final_test = report.records[-1].testing_error if report.records else float("nan")
+    final_test = report.records[-1].testing_error
     summary = {
         "config": cfg.as_dict(),
-        "metrics": report.metrics,
+        "metrics": block.as_dict(),
         "final": {
             "cost": report.final_cost.total,
             "training_error": report.final_cost.data_term,
@@ -307,9 +295,6 @@ def _write_run(out: Path, report: TrainReport, summary: dict | None) -> None:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -347,7 +332,6 @@ def run_table(
             max_iter=max_iter,
             test_seed=test_seed,
         )
-        cfg.validate()
         sub = out_dir / f"table{table}_beta{beta:g}"
         sub.mkdir(parents=True, exist_ok=True)
         try:
@@ -401,8 +385,7 @@ def _write_table_outputs(table: int, rows: list[dict], out_dir: Path) -> None:
 
 
 def cmd_reproduce_tables(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # run_table makes it with its first run directory
     tables = [args.table] if args.table is not None else sorted(TABLE_SETTINGS)
     for table in tables:
         try:
@@ -431,7 +414,7 @@ def run_gradcheck(cfg: RunConfig, family=None) -> tuple[float, int, int]:
             f"n_layers: gradcheck instances are capped at {GRADCHECK_MAX_LAYERS} layers, "
             f"got {cfg.n_layers}"
         )
-    resolved_family, _, train, _ = build_problem(cfg)
+    resolved_family, _, train, _ = build_problem(dataclasses.replace(cfg, test_count=0, test_file=None))
     if family is None:
         family = resolved_family
     if train.n_samples > GRADCHECK_MAX_SAMPLES:
@@ -466,7 +449,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    family, _, data, _ = build_problem(cfg)
+    family, _, data, _ = build_problem(dataclasses.replace(cfg, test_count=0, test_file=None))
     u = load_control_csv(args.control)
     if u.n_fields != family.n_fields:
         raise ValueError(
@@ -501,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one configuration")
     p_train.add_argument("--config", required=True, help="path to a flat JSON config")
     p_train.add_argument("--out", required=True, help="output directory")
-    p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_train.set_defaults(func=cmd_train)
 
     p_tab = sub.add_parser("reproduce-tables", help="rerun the benchmark beta sweeps")

@@ -53,9 +53,6 @@ class Dataset:
     def dim(self) -> int:
         return self.sources.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.sources[indices], self.targets[indices])
-
 
 @dataclass(frozen=True)
 class ObjectiveValue:

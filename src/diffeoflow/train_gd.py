@@ -14,15 +14,15 @@ sufficient decrease:
     cost(u) >= cost(u_new) + c * gamma * |g|_{L2}^2.
 
 A rejected step leaves the trajectories unchanged, so the gradient is
-recomputed only after an accepted one.  An optional mini-batch mode draws a
-fresh subset of samples (without replacement) each pass and runs the same
-proposal/acceptance logic on the batch cost alone.
+recomputed only after an accepted one.  Both trainers work on the full
+dataset: the cost is the training error over every sample plus the
+control penalty.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,9 +45,8 @@ class TrainConfig:
 
     gamma0 is the initial step size, tau the backtracking factor, c the
     sufficient-decrease constant (ignored by the maximum-principle trainer,
-    which accepts on any strict decrease).  batch_size, when set, must be
-    at most the dataset size; seed feeds the batch sampler.  Each invalid
-    value raises a ValueError whose message starts with the field name.
+    which accepts on any strict decrease).  Each invalid value raises a
+    ValueError whose message starts with the field name.
     """
 
     beta: float
@@ -55,8 +54,6 @@ class TrainConfig:
     gamma0: float = 1.0
     tau: float = 0.5
     c: float = 0.1
-    batch_size: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.beta < 0.0 or not math.isfinite(self.beta):
@@ -69,8 +66,6 @@ class TrainConfig:
             raise ValueError(f"c: must lie strictly between 0 and 1, got {self.c}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter: must be nonnegative, got {self.max_iter}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size: must be positive when set, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,6 @@ class TrainReport:
     records: list[IterationRecord]
     control: ControlGrid
     final_cost: ObjectiveValue
-    metrics: dict | None = field(default=None)
 
     @property
     def accepted_costs(self) -> list[float]:
@@ -211,27 +205,17 @@ def train_gradient_flow(
     """Minimize the objective by backtracking gradient descent.
 
     Returns a TrainReport whose records include the initial state (iteration
-    0) and one row per pass.  The reported final cost is always evaluated on
-    the full dataset, also in mini-batch mode.
+    0) and one row per pass.
     """
-    if cfg.batch_size is not None and cfg.batch_size > data.n_samples:
-        raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {data.n_samples}")
-    batching = cfg.batch_size is not None and cfg.batch_size < data.n_samples
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
     grad_u = grad = None  # the gradient is cached until the control changes
 
     def armijo_step(u, states, current, gamma):
         nonlocal grad_u, grad
-        batch = data
-        if batching:
-            batch = data.subset(rng.choice(data.n_samples, size=cfg.batch_size, replace=False))
-            states = forward_euler(family, u, batch.sources)
-            current = cost_of_endpoints(states[:, -1], batch.targets, u, cfg.beta)
-        if batching or grad_u is not u:
-            grad_u, grad = u, control_gradient(family, u, states, batch.targets, cfg.beta)
+        if grad_u is not u:
+            grad_u, grad = u, control_gradient(family, u, states, data.targets, cfg.beta)
         proposal = ControlGrid(u.values - gamma * grad)
-        states_new = forward_euler(family, proposal, batch.sources)
-        cost_new = cost_of_endpoints(states_new[:, -1], batch.targets, proposal, cfg.beta)
+        states_new = forward_euler(family, proposal, data.sources)
+        cost_new = cost_of_endpoints(states_new[:, -1], data.targets, proposal, cfg.beta)
         decrease = cfg.c * gamma * proposal.step * float(np.sum(grad * grad))
         return proposal, states_new, cost_new, current.total >= cost_new.total + decrease
 

@@ -58,12 +58,10 @@ def train_pmp(
     """Train by successive layerwise Hamiltonian maximization.
 
     Accepts the same configuration as the gradient-flow trainer, except that
-    c is ignored and mini-batch mode is not available.
-    Records follow the same convention: iteration 0 is the initial state,
-    then one row per pass with its proposal cost and accepted flag.
+    c is ignored.  Records follow the same convention: iteration 0 is the
+    initial state, then one row per pass with its proposal cost and
+    accepted flag.
     """
-    if cfg.batch_size is not None and cfg.batch_size != data.n_samples:
-        raise ValueError("mini-batch mode is not supported by the maximum-principle trainer")
     n_pts = data.n_samples
     targets = data.targets
     cov_u = cov = grads = None  # cached until the control changes

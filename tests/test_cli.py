@@ -85,9 +85,10 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         {"gamma0": 0.0},
         {"beta": -1e-3},
         {"grid_per_axis": 1},
-        {"batch_size": 0},
         {"target": "rotation"},
         {"max_iter": -1},
+        {"seed": -1},
+        {"test_seed": -1},
     ],
 )
 def test_load_config_validation(tmp_path, overrides):
@@ -103,7 +104,6 @@ def test_load_config_validation(tmp_path, overrides):
         ("n_layers", 16.5),
         ("n_layers", True),
         ("max_iter", 3.0),
-        ("batch_size", False),
         ("seed", None),
         ("grid_per_axis", "3"),
         ("test_count", 5.5),
@@ -127,7 +127,7 @@ def test_wrongly_typed_config_field_exits_two_naming_it(field, value, tmp_path, 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("max_iter", -1), ("gamma0", -2.0), ("tau", 1.0), ("c", 1.5), ("batch_size", 0)],
+    [("max_iter", -1), ("gamma0", -2.0), ("tau", 1.0), ("c", 1.5)],
 )
 def test_trainer_field_value_error_exits_two_naming_it(field, value, tmp_path, capsys):
     # Well-typed but out-of-range trainer fields are rejected by TrainConfig;
@@ -139,11 +139,27 @@ def test_trainer_field_value_error_exits_two_naming_it(field, value, tmp_path, c
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [("gradient_method", "exact"), ("rate_constant", 0.5)])
+@pytest.mark.parametrize(
+    "key, value", [("gradient_method", "exact"), ("rate_constant", 0.5), ("batch_size", 4)]
+)
 def test_removed_config_keys_are_unknown(key, value, tmp_path, capsys):
     path = write_config(tmp_path, **{key: value})
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+
+@pytest.mark.parametrize(
+    "command, field", [("train", "seed"), ("train", "test_seed"), ("reproduce-tables", "test_seed")]
+)
+def test_negative_seed_exits_two_naming_it_before_any_output(command, field, tmp_path, capsys):
+    out = tmp_path / "o"
+    if command == "train":
+        argv = ["train", "--config", str(write_config(tmp_path, **{field: -1})), "--out", str(out)]
+    else:
+        argv = ["reproduce-tables", "--table", "1", "--test-seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {field}: must be nonnegative, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -232,14 +248,6 @@ def test_train_reruns_are_bit_identical(tmp_path):
         assert doc.pop("wall_clock_seconds") > 0.0
         summaries.append(doc)
     assert summaries[0] == summaries[1]
-
-
-def test_train_seed_override_is_recorded(tmp_path):
-    cfg_path = write_config(tmp_path, seed=0)
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg_path), "--out", str(out), "--seed", "9"]) == 0
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["config"]["seed"] == 9
 
 
 def test_train_abort_leaves_partial_outputs(tmp_path, capsys):
@@ -366,6 +374,15 @@ def test_eval_applies_trained_control(tmp_path):
         rows = list(csv.reader(fh))[1:]
     mapped = np.array([[float(r[2]), float(r[3])] for r in rows])
     np.testing.assert_allclose(mapped, endpoints, rtol=0, atol=0)
+
+
+def test_eval_does_not_read_the_test_file(tmp_path):
+    cfg_path = write_config(tmp_path, test_file=str(tmp_path / "missing.csv"))
+    control_path = tmp_path / "zero.csv"
+    save_control_csv(control_path, ControlGrid(np.zeros((4, 8))))
+    out = tmp_path / "ev"
+    assert main(["eval", "--config", str(cfg_path), "--control", str(control_path), "--out", str(out)]) == 0
+    assert (out / "eval.csv").exists()
 
 
 def test_eval_rejects_control_width_mismatch(tmp_path, capsys):
@@ -516,6 +533,14 @@ def test_overflowing_sweep_is_a_rejected_row_under_warnings_as_errors(tmp_path):
     assert float(dict(zip(header, rows[4]))["gamma"]) == 0.5 * float(row["gamma"])
 
 
+def test_train_has_no_seed_flag(tmp_path):
+    cfg_path = write_config(tmp_path)
+    proc = run_warnings_as_errors(tmp_path, "train", "--config", str(cfg_path), "--out", "run", "--seed", "9")
+    assert proc.returncode == 2
+    assert "error: unrecognized arguments: --seed 9" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_reproduce_table_6_runs_under_warnings_as_errors(tmp_path):
     # The beta 0.1 sweep of table 6 overflows at pass 2; that pass is a
     # rejected row and every run of the table finishes.
@@ -542,7 +567,7 @@ def test_console_script_entry_resolves_to_cli_main():
 
 
 def test_run_config_defaults_are_valid():
-    RunConfig().validate()
+    RunConfig()
 
 
 if __name__ == "__main__":

@@ -121,7 +121,7 @@ def test_gradient_invariant_under_sample_permutation(affine8, grid25, rng):
     u = ControlGrid(rng.normal(scale=0.3, size=(6, 8)))
     g1 = adjoint_gradient(affine8, u, grid25, beta=0.1).values
     perm = rng.permutation(grid25.n_samples)
-    g2 = adjoint_gradient(affine8, u, grid25.subset(perm), beta=0.1).values
+    g2 = adjoint_gradient(affine8, u, Dataset(grid25.sources[perm], grid25.targets[perm]), beta=0.1).values
     assert np.allclose(g1, g2, rtol=0, atol=1e-12)
 
 
@@ -141,7 +141,7 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((0, 2)), np.zeros((0, 2)))
     d = Dataset(good, good + 1.0)
-    sub = d.subset(np.array([1]))
+    sub = Dataset(d.sources[[1]], d.targets[[1]])
     assert sub.n_samples == 1 and sub.dim == 2
 
 

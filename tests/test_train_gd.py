@@ -113,24 +113,6 @@ def test_shared_loop_flows_test_cloud_only_for_accepted_controls(
             assert row.testing_error == prev.testing_error
 
 
-def test_deterministic_given_seed(affine8, grid25):
-    cfg = TrainConfig(beta=0.01, max_iter=40, batch_size=10, seed=7)
-    r1 = train_gradient_flow(affine8, grid25, 6, cfg, test_data=grid25)
-    r2 = train_gradient_flow(affine8, grid25, 6, cfg, test_data=grid25)
-    assert np.array_equal(r1.control.values, r2.control.values)
-    assert r1.records == r2.records
-    r3 = train_gradient_flow(affine8, grid25, 6, TrainConfig(beta=0.01, max_iter=40, batch_size=10, seed=8))
-    assert not np.array_equal(r1.control.values, r3.control.values)
-
-
-def test_minibatch_final_cost_uses_full_dataset(affine8, grid25):
-    cfg = TrainConfig(beta=0.05, max_iter=50, batch_size=5, seed=3)
-    rep = train_gradient_flow(affine8, grid25, 6, cfg, test_data=grid25)
-    full = cost(affine8, rep.control, grid25, 0.05)
-    assert np.isclose(rep.final_cost.total, full.total, rtol=1e-14)
-    assert np.isfinite(rep.records[-1].testing_error)
-
-
 def test_custom_init_control_is_used(affine8, grid25, rng):
     init = ControlGrid(rng.normal(scale=0.2, size=(6, 8)))
     rep = train_gradient_flow(affine8, grid25, 6, TrainConfig(beta=0.1, max_iter=0), init=init)
@@ -189,8 +171,6 @@ def test_argument_validation(affine8, grid25, rng):
     with pytest.raises(ValueError):
         train_gradient_flow(affine8, grid25, 0, TrainConfig(beta=0.1))
     with pytest.raises(ValueError):
-        train_gradient_flow(affine8, grid25, 4, TrainConfig(beta=0.1, batch_size=26))
-    with pytest.raises(ValueError):
         bad_init = ControlGrid(rng.normal(size=(3, 8)))
         train_gradient_flow(affine8, grid25, 4, TrainConfig(beta=0.1), init=bad_init)
     one_d = Dataset(np.array([[0.0], [1.0]]), np.array([[0.5], [1.5]]))
@@ -210,7 +190,6 @@ def test_argument_validation(affine8, grid25, rng):
         {"beta": 0.1, "tau": 0.0},
         {"beta": 0.1, "c": 0.0},
         {"beta": 0.1, "c": 1.5},
-        {"beta": 0.1, "batch_size": 0},
     ],
 )
 def test_config_validation(kwargs):

@@ -107,15 +107,6 @@ def test_maximizer_matches_dense_grid_search(rng):
             assert abs(got[i] - grid[np.argmax(phi)]) <= 1e-3
 
 
-def test_minibatch_config_rejected(affine8, grid25):
-    with pytest.raises(ValueError):
-        train_pmp(affine8, grid25, 6, TrainConfig(beta=0.1, batch_size=10))
-    with pytest.raises(ValueError):
-        train_pmp(affine8, grid25, 6, TrainConfig(beta=0.1, batch_size=26))
-    rep = train_pmp(affine8, grid25, 2, TrainConfig(beta=0.1, max_iter=1, batch_size=25))
-    assert len(rep.records) == 2
-
-
 def test_overflowing_sweep_is_a_rejected_pass(affine8, grid25):
     cfg = TrainConfig(beta=0.0, max_iter=5, gamma0=1e160)
     rep = train_pmp(affine8, grid25, 4, cfg)
