@@ -32,6 +32,7 @@ from .flow import (
     FlowError,
     backward_covector,
     commutator_order_check,
+    flow_endpoints,
     forward_euler,
     variational_jacobian,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "custom_target",
     "family_from_name",
     "fd_gradient_oracle",
+    "flow_endpoints",
     "forward_euler",
     "generalization_bound",
     "identity_target",

@@ -37,7 +37,9 @@ from .data import (
     write_table,
 )
 from .fields import family_from_name
-from .flow import ControlGrid, forward_euler
+from .flow import ControlGrid, FlowError, flow_endpoints
+# forward_euler is unused here, but perfbench's tracing self-test expects this module to bind it.
+from .flow import forward_euler  # noqa: F401
 from .metrics import build_metrics
 from .objective import adjoint_gradient, fd_gradient_oracle, loss, mean_loss
 from .train_gd import TrainAbort, TrainConfig, TrainReport, train_gradient_flow
@@ -456,8 +458,7 @@ def cmd_eval(args) -> int:
             f"control {args.control} has {u.n_fields} field columns, family {cfg.family} "
             f"has {family.n_fields}"
         )
-    states = forward_euler(family, u, data.sources)
-    endpoints = states[:, -1]
+    endpoints = flow_endpoints(family, u, data.sources)
     point_loss = loss(endpoints - data.targets)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -514,6 +515,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except FlowError as err:  # an eval or gradcheck flow overflowed; training raises TrainAbort
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -229,10 +229,9 @@ class Affine8(VectorFieldFamily):
         terms = np.empty(lam.shape[:-1] + (self.n_fields,))
         for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(x1, x2, g))):
             np.multiply(lam[..., axis], c, out=terms[..., i])
-        # A reduction over the leading axis of this C-order array adds the
-        # samples in order, as the einsum does; a 1-D sum per field would add
-        # them pairwise.
-        return np.add.reduce(terms, axis=0)
+        # This einsum adds the samples in order, starting from +0.0, as the
+        # dense einsum does; a 1-D sum per field would add them pairwise.
+        return np.einsum("m...i->...i", terms)
 
     def pairing(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         x, x1, x2, g = self._planar(x)

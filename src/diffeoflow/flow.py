@@ -157,18 +157,15 @@ def _as_trajectory(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray
     return states
 
 
-def forward_euler(
-    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray
+def _euler(
+    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, keep: int
 ) -> np.ndarray:
-    """Push a bundle of points through all layers.
+    """Run the Euler recursion, holding node k in slot ``k % keep`` of a (keep, M, dim) buffer.
 
-    Returns the full trajectory bundle of shape (M, N+1, dim); node 0 holds
-    the sources and node N the mapped points.  Each sample is advanced
-    independently, so results do not depend on batch composition.
-
-    The bundle is stored layer-major: the result is a transposed view of an
-    (N+1, M, dim) C-order buffer, so each node ``states[:, k]`` is one
-    contiguous (M, dim) block, which is what every layer loop reads.
+    With ``keep = N+1`` the buffer is the whole layer-major trajectory; with
+    ``keep = 2`` it holds the current node and the previous one only.  Each
+    sample is advanced independently, so results do not depend on batch
+    composition, nor on ``keep``.
 
     Raises FlowError if any state turns non-finite, naming the first
     offending sample and the layer where it happened; overflow inside the
@@ -176,16 +173,45 @@ def forward_euler(
     """
     _check_compatible(family, u)
     pts, _ = _as_bundle(sources, family.dim)
-    n_layers = u.n_layers
     h = u.step
-    nodes = np.empty((n_layers + 1,) + pts.shape)
+    nodes = np.empty((keep,) + pts.shape)
     nodes[0] = pts
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_layers + 1):
-            prev = nodes[k - 1]
-            np.add(prev, h * displacement(family, prev, u.values[k - 1]), out=nodes[k])
-            _check_finite(nodes[k], k, "; the flow overflowed, reduce the step size or the controls")
-    return nodes.transpose(1, 0, 2)
+        for k in range(1, u.n_layers + 1):
+            prev, node = nodes[(k - 1) % keep], nodes[k % keep]
+            np.add(prev, h * displacement(family, prev, u.values[k - 1]), out=node)
+            _check_finite(node, k, "; the flow overflowed, reduce the step size or the controls")
+    return nodes
+
+
+def forward_euler(
+    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray
+) -> np.ndarray:
+    """Push a bundle of points through all layers, keeping every node.
+
+    Returns the full trajectory bundle of shape (M, N+1, dim); node 0 holds
+    the sources and node N the mapped points.
+
+    The bundle is stored layer-major: the result is a transposed view of an
+    (N+1, M, dim) C-order buffer, so each node ``states[:, k]`` is one
+    contiguous (M, dim) block, which is what every layer loop reads.
+
+    Raises FlowError if any state turns non-finite, naming the first
+    offending sample and the layer where it happened.
+    """
+    return _euler(family, u, sources, u.n_layers + 1).transpose(1, 0, 2)
+
+
+def flow_endpoints(
+    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray
+) -> np.ndarray:
+    """The mapped points, shape (M, dim): node N of ``forward_euler``, bit for bit.
+
+    Holds two nodes at a time instead of the (N+1, M, dim) trajectory, for
+    callers that read the endpoints only.  Raises the same FlowError as
+    ``forward_euler``.
+    """
+    return _euler(family, u, sources, 2)[u.n_layers % 2]
 
 
 def backward_covector(
@@ -241,20 +267,18 @@ def variational_jacobian(
 ) -> np.ndarray:
     """Jacobian of the input-to-output map at x0.
 
-    Accumulates V <- (Id + h A_k) V along the trajectory started at x0, which
-    is the exact derivative of the discrete flow.  Accepts a single point
-    (dim,) or a bundle (M, dim) and returns (dim, dim) or (M, dim, dim).
+    Accumulates V <- (Id + h A_k) V along the ``forward_euler`` trajectory
+    started at x0, which is the exact derivative of the discrete flow.
+    Accepts a single point (dim,) or a bundle (M, dim) and returns (dim, dim)
+    or (M, dim, dim); raises the trajectory's FlowError if the flow overflows.
     """
-    _check_compatible(family, u)
     pts, single = _as_bundle(x0, family.dim)
+    states = forward_euler(family, u, pts)
     h = u.step
     eye = np.eye(family.dim)
     jac = np.broadcast_to(eye, (pts.shape[0], family.dim, family.dim)).copy()
-    x = pts
     for k in range(1, u.n_layers + 1):
-        a = layer_matrix(family, x, u.values[k - 1])
-        jac = (eye + h * a) @ jac
-        x = x + h * displacement(family, x, u.values[k - 1])
+        jac = (eye + h * layer_matrix(family, states[:, k - 1], u.values[k - 1])) @ jac
     return jac[0] if single else jac
 
 

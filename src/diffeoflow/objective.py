@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, _as_trajectory, forward_euler
+from .flow import ControlGrid, _as_trajectory, flow_endpoints, forward_euler
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ def cost(
     """Run the flow on the dataset sources and evaluate the objective."""
     if beta < 0.0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    states = forward_euler(family, u, data.sources)
-    return cost_of_endpoints(states[:, -1], data.targets, u, beta)
+    return cost_of_endpoints(flow_endpoints(family, u, data.sources), data.targets, u, beta)
 
 
 def control_gradient(

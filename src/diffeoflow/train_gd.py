@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, FlowError, forward_euler
+from .flow import ControlGrid, FlowError, flow_endpoints, forward_euler
 from .objective import (
     Dataset,
     ObjectiveValue,
@@ -127,8 +127,7 @@ def _testing_error(
 ) -> float:
     if test_data is None:
         return float("nan")
-    states = forward_euler(family, u, test_data.sources)
-    return mean_loss(states[:, -1], test_data.targets)
+    return mean_loss(flow_endpoints(family, u, test_data.sources), test_data.targets)
 
 
 def _descend(
@@ -186,7 +185,7 @@ def _descend(
             )
             if not accepted:
                 gamma *= cfg.tau
-        return TrainReport(records, u, cost(family, u, data, cfg.beta))
+        return TrainReport(records, u, current)
     except FlowError as err:
         partial = TrainReport(records, u, _cost_or_overflow(family, u, data, cfg.beta))
         raise TrainAbort(

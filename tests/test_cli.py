@@ -541,6 +541,29 @@ def test_train_has_no_seed_flag(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_overflowing_eval_exits_one_with_one_error_line(tmp_path):
+    cfg_path = write_config(tmp_path, family="enriched14", nu=5.0, n_layers=4, grid_per_axis=5, test_count=0)
+    control_path = tmp_path / "huge.csv"
+    save_control_csv(control_path, ControlGrid(np.full((4, 14), 1e150)))
+    proc = run_warnings_as_errors(
+        tmp_path, "eval", "--config", str(cfg_path), "--control", str(control_path), "--out", "ev"
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: non-finite state for sample 0 at layer 3;")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "ev").exists()
+
+
+def test_overflowing_gradcheck_exits_one_with_one_error_line(tmp_path):
+    huge = np.array([[1e308, 1e308], [-1e308, 1e308]])
+    save_dataset_csv(tmp_path / "huge.csv", Dataset(huge, huge))
+    cfg_path = write_config(tmp_path, n_layers=1, dataset_file=str(tmp_path / "huge.csv"), test_count=0)
+    proc = run_warnings_as_errors(tmp_path, "gradcheck", "--config", str(cfg_path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: non-finite state for sample 1 at layer 1;")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_reproduce_table_6_runs_under_warnings_as_errors(tmp_path):
     # The beta 0.1 sweep of table 6 overflows at pass 2; that pass is a
     # rejected row and every run of the table finishes.

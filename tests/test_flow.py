@@ -9,6 +9,7 @@ from diffeoflow import (
     FlowError,
     backward_covector,
     commutator_order_check,
+    flow_endpoints,
     forward_euler,
     make_affine8,
     make_custom,
@@ -156,6 +157,34 @@ def test_overflow_raises_flow_error(affine8):
         forward_euler(affine8, ControlGrid(u), np.array([[1.0, 1.0], [2.0, 2.0]]))
     assert err.value.layer == 2
     assert err.value.sample == 0
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 5, 16])
+@pytest.mark.parametrize("n_pts", [1, 900])
+@pytest.mark.parametrize("kind", ["affine8", "enriched14"])
+def test_flow_endpoints_equal_the_last_trajectory_node_bit_for_bit(kind, n_pts, n_layers, request, rng):
+    family = request.getfixturevalue(kind)
+    u = ControlGrid(rng.normal(scale=2.0, size=(n_layers, family.n_fields)))
+    pts = rng.uniform(-1.5, 1.5, size=(n_pts, 2))
+    pts[: n_pts // 2] *= 1e-300  # underflowing products and signed zeros in the fields
+    pts[0] = [-0.0, 0.0]
+    end = flow_endpoints(family, u, pts)
+    assert end.shape == (n_pts, 2)
+    assert np.array_equal(end.view(np.int64), forward_euler(family, u, pts)[:, -1].view(np.int64))
+
+
+@pytest.mark.parametrize("n_layers", [3, 4])
+def test_every_flow_raises_the_trajectory_flow_error(affine8, n_layers):
+    u = np.zeros((n_layers, 8))
+    u[:, 4] = 1e200  # stretches x1 only, so the sample with x1 = 0 stays finite
+    pts = np.array([[0.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
+    errors = []
+    for fn in (forward_euler, flow_endpoints, variational_jacobian):
+        with pytest.raises(FlowError) as err:
+            fn(affine8, ControlGrid(u), pts)
+        errors.append((str(err.value), err.value.sample, err.value.layer))
+    assert errors[0] == errors[1] == errors[2]
+    assert errors[0][1:] == (1, 2)
 
 
 def test_singular_implicit_transport_raises(affine8):

@@ -95,14 +95,14 @@ def test_shared_loop_flows_test_cloud_only_for_accepted_controls(
     trainer, gamma0, affine8, grid25, testset300, monkeypatch
 ):
     flowed = []
-    real = train_gd_module.forward_euler
+    real = train_gd_module.flow_endpoints
 
     def counting(family, u, sources):
         if sources is testset300.sources:
             flowed.append(u)
         return real(family, u, sources)
 
-    monkeypatch.setattr(train_gd_module, "forward_euler", counting)
+    monkeypatch.setattr(train_gd_module, "flow_endpoints", counting)
     cfg = TrainConfig(beta=0.01, max_iter=30, gamma0=gamma0)
     rep = trainer(affine8, grid25, 6, cfg, test_data=testset300)
     rows = rep.records[1:]
@@ -111,6 +111,17 @@ def test_shared_loop_flows_test_cloud_only_for_accepted_controls(
     for prev, row in zip(rep.records, rows):
         if not row.accepted:
             assert row.testing_error == prev.testing_error
+
+
+@pytest.mark.parametrize("kind", ["affine8", "enriched14"])
+@pytest.mark.parametrize(
+    "trainer, gamma0", [(train_gradient_flow, 1e4), (train_pmp, 50.0)], ids=["gd", "pmp"]
+)
+def test_final_cost_is_the_cost_of_the_final_control_exactly(trainer, gamma0, kind, grid25, request):
+    family = request.getfixturevalue(kind)
+    rep = trainer(family, grid25, 6, TrainConfig(beta=0.01, max_iter=30, gamma0=gamma0))
+    assert any(r.accepted for r in rep.records[1:])
+    assert rep.final_cost == cost(family, rep.control, grid25, 0.01)
 
 
 def test_custom_init_control_is_used(affine8, grid25, rng):
