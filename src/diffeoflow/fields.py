@@ -72,7 +72,6 @@ class VectorFieldFamily(ABC):
     kind: str
     dim: int
     n_fields: int
-    nu: float
 
     @abstractmethod
     def values(self, x: np.ndarray) -> np.ndarray:
@@ -180,7 +179,8 @@ class Affine8(VectorFieldFamily):
     def _planar(self, x: np.ndarray) -> tuple:
         x = _as_points(x, 2)
         x1, x2 = x[..., 0], x[..., 1]
-        g = np.exp(-0.5 * (x1 * x1 + x2 * x2) / self.nu)
+        with np.errstate(over="ignore"):  # |x|^2 = inf gives g = exp(-inf) = 0, the exact limit
+            g = np.exp(-0.5 * (x1 * x1 + x2 * x2) / self.nu)
         return x, x1, x2, g
 
     def _planar_gradients(self, x1, x2, g) -> tuple:
@@ -296,7 +296,6 @@ class CustomFamily(VectorFieldFamily):
 
     fields: tuple[FieldSpec, ...]
     dim: int
-    nu: float = DEFAULT_GAUSSIAN_WIDTH
     kind: ClassVar[str] = "custom"
 
     @property
@@ -335,14 +334,12 @@ def make_enriched14(nu: float = DEFAULT_GAUSSIAN_WIDTH) -> Enriched14:
     return Enriched14(nu=_check_width(nu))
 
 
-def make_custom(
-    fields: Sequence[FieldSpec], dim: int, nu: float = DEFAULT_GAUSSIAN_WIDTH
-) -> CustomFamily:
+def make_custom(fields: Sequence[FieldSpec], dim: int) -> CustomFamily:
     if dim < 1:
         raise ValueError("dim must be at least 1")
     if len(fields) == 0:
         raise ValueError("a family needs at least one field")
-    return CustomFamily(fields=tuple(fields), dim=int(dim), nu=_check_width(nu))
+    return CustomFamily(fields=tuple(fields), dim=int(dim))
 
 
 def family_from_name(name: str, nu: float = DEFAULT_GAUSSIAN_WIDTH) -> VectorFieldFamily:

@@ -4,8 +4,8 @@ Both trainers run one loop, ``_descend``, each with its own ``propose``
 step; the loop accepts the proposal or shrinks gamma by tau (never growing
 it back).  Every pass counts toward max_iter and produces one trace record,
 so backtracking is visible; a rejected row reports the testing error of the
-unchanged control, and a proposal whose flow overflows is a rejected row
-with cost +inf.
+unchanged control, and a proposal whose control or flow overflows is a
+rejected row with cost +inf.
 
 The gradient-flow step proposes u_new = u - gamma * g, where g is the
 objective gradient in slab-average coordinates, and accepts it only under
@@ -33,7 +33,6 @@ from .objective import (
     Dataset,
     ObjectiveValue,
     control_gradient,
-    cost,
     cost_of_endpoints,
     mean_loss,
 )
@@ -108,18 +107,9 @@ class TrainAbort(RuntimeError):
         self.cause = cause
 
 
-# The cost recorded for a proposal whose flow failed.
+# The cost recorded for a proposal whose control or flow overflowed, and the
+# final cost of a run whose initial flow failed.
 _OVERFLOWED = ObjectiveValue(math.inf, math.inf, math.inf)
-
-
-def _cost_or_overflow(
-    family: VectorFieldFamily, u: ControlGrid, data: Dataset, beta: float
-) -> ObjectiveValue:
-    """cost() of an aborted run's control, which may itself fail to flow."""
-    try:
-        return cost(family, u, data, beta)
-    except FlowError:
-        return _OVERFLOWED
 
 
 def _testing_error(
@@ -143,10 +133,12 @@ def _descend(
 
     ``propose(u, states, current, gamma)`` gets the accepted control, its
     trajectories and cost, and returns ``(proposal, states_new, cost_new,
-    accepted)``.  A proposal whose flow fails (a FlowError inside
-    ``propose``) is a rejected pass with cost +inf.  The test cloud is
-    flowed once initially and once per accepted pass; a FlowError there, or
-    in the initial flow, aborts training with TrainAbort.
+    accepted)``.  A proposal whose control or flow overflows (a FlowError
+    inside ``propose``) is a rejected pass with cost +inf.  The test cloud
+    is flowed once initially and once per accepted pass; a FlowError there,
+    or in the initial flow, aborts training with TrainAbort, whose partial
+    report carries the last accepted control and its cost (+inf when the
+    initial flow failed).
     """
     if data.dim != family.dim:
         raise ValueError(f"dataset dimension {data.dim} does not match family dimension {family.dim}")
@@ -163,6 +155,7 @@ def _descend(
 
     records: list[IterationRecord] = []
     gamma = cfg.gamma0
+    current = _OVERFLOWED  # an abort reports the last accepted cost
     try:
         states = forward_euler(family, u, data.sources)
         current = cost_of_endpoints(states[:, -1], data.targets, u, cfg.beta)
@@ -187,7 +180,7 @@ def _descend(
                 gamma *= cfg.tau
         return TrainReport(records, u, current)
     except FlowError as err:
-        partial = TrainReport(records, u, _cost_or_overflow(family, u, data, cfg.beta))
+        partial = TrainReport(records, u, current)
         raise TrainAbort(
             f"flow failed at training pass {len(records)}: {err}", partial, err
         ) from err
@@ -212,7 +205,11 @@ def train_gradient_flow(
         nonlocal grad_u, grad
         if grad_u is not u:
             grad_u, grad = u, control_gradient(family, u, states, data.targets, cfg.beta)
-        proposal = ControlGrid(u.values - gamma * grad)
+        with np.errstate(over="ignore"):
+            values = u.values - gamma * grad
+        if not np.isfinite(values).all():
+            raise FlowError(f"the proposed control overflowed at step size {gamma:g}")
+        proposal = ControlGrid(values)
         states_new = forward_euler(family, proposal, data.sources)
         cost_new = cost_of_endpoints(states_new[:, -1], data.targets, proposal, cfg.beta)
         decrease = cfg.c * gamma * proposal.step * float(np.sum(grad * grad))

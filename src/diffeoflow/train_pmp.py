@@ -18,10 +18,10 @@ the drift of the updated trajectory before the control update uses them.
 The sweep is the ``propose`` step of the loop shared with the gradient-flow
 trainer (``train_gd._descend``): a pass is accepted only if the cost
 strictly decreased, otherwise gamma shrinks by tau, and a rejected row
-reports the testing error of the unchanged control.  The sweep works on
-copies of the accepted states and covectors, so a rejection needs no
-restore; covectors and the penalty gradients along the accepted trajectory
-are recomputed only after an accepted pass.
+reports the testing error of the unchanged control.  The sweep works on a
+copy of the accepted states and reads the cached covectors without
+changing them, so a rejection needs no restore.  The cache holds the
+covectors only; they are recomputed only after an accepted pass.
 """
 
 from __future__ import annotations
@@ -64,26 +64,25 @@ def train_pmp(
     """
     n_pts = data.n_samples
     targets = data.targets
-    cov_u = cov = grads = None  # cached until the control changes
+    cov_u = cov = None  # the covectors are cached until the control changes
 
     def sweep(u, states, current, gamma):
-        nonlocal cov_u, cov, grads
+        nonlocal cov_u, cov
         if cov_u is not u:
-            grads = loss_grad(states - targets[:, None])
-            terminal = -grads[:, -1] / n_pts
+            terminal = -loss_grad(states[:, -1] - targets) / n_pts
             cov_u, cov = u, backward_covector(family, u, states, terminal)
         # np.copy keeps the layer-major layout (order 'K'); ndarray.copy would not.
-        lam = np.copy(cov)
         swept = np.copy(states)
         new_controls = u.values.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, u.n_layers + 1):
                 # The sweep has already moved nodes 1..k-1; shift the covector
                 # by the change this causes in the endpoint penalty gradients.
-                drift = (grads[:, k - 1] - loss_grad(swept[:, k - 1] - targets)) / n_pts
-                lam[:, k - 1] += drift
+                lam = cov[:, k - 1] + (
+                    loss_grad(states[:, k - 1] - targets) - loss_grad(swept[:, k - 1] - targets)
+                ) / n_pts
                 vals = family.values(swept[:, k - 1])  # (M, l, dim), feeds pairing and update
-                pairing = np.einsum("mn,mln->l", lam[:, k - 1], vals)
+                pairing = np.einsum("mn,mln->l", lam, vals)
                 new_controls[k - 1] = maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
                 swept[:, k] = swept[:, k - 1] + u.step * np.einsum(
                     "mln,l->mn", vals, new_controls[k - 1]

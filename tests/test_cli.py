@@ -289,7 +289,6 @@ class _SkewedJacobians(VectorFieldFamily):
         self._factor = factor
         self.n_fields = base.n_fields
         self.dim = base.dim
-        self.nu = base.nu
 
     def values(self, x):
         return self._base.values(x)
@@ -562,6 +561,35 @@ def test_overflowing_gradcheck_exits_one_with_one_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: non-finite state for sample 1 at layer 1;")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_overflowing_gradient_step_is_a_rejected_row_under_warnings_as_errors(tmp_path):
+    # With gamma0 1e308 the step gamma * grad overflows, so the proposed
+    # control itself is not finite: the pass is rejected like a flow overflow.
+    src = np.array([[100.0, 50.0], [80.0, -30.0], [-60.0, 20.0]])
+    save_dataset_csv(tmp_path / "far.csv", Dataset(src, src + 5.0))
+    cfg_path = write_config(
+        tmp_path, n_layers=4, beta=0.0, gamma0=1e308, max_iter=3, target="identity",
+        test_count=0, dataset_file=str(tmp_path / "far.csv"),
+    )
+    proc = run_warnings_as_errors(tmp_path, "train", "--config", str(cfg_path), "--out", "run")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    header, *rows = read_trace(tmp_path / "run" / "trace.csv")
+    assert [(r[0], r[1], r[-1]) for r in rows[1:]] == [(str(i), "inf", "0") for i in (1, 2, 3)]
+
+
+def test_gradcheck_far_from_the_origin_runs_under_warnings_as_errors(tmp_path):
+    # |x|^2 overflows in the Gaussian weight, whose limit exp(-inf) = 0 is exact.
+    src = np.array([[1e308, 1e308], [-1e308, 5e307]])
+    save_dataset_csv(tmp_path / "far.csv", Dataset(src, np.array([[0.0, 0.0], [1.0, 1.0]])))
+    cfg_path = write_config(
+        tmp_path, n_layers=1, seed=1, test_count=0, dataset_file=str(tmp_path / "far.csv")
+    )
+    proc = run_warnings_as_errors(tmp_path, "gradcheck", "--config", str(cfg_path))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("gradcheck MISMATCH: ") and proc.stdout.count("\n") == 1
 
 
 def test_reproduce_table_6_runs_under_warnings_as_errors(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import diffeoflow.objective as objective_module
 import diffeoflow.train_gd as train_gd_module
 from diffeoflow import (
     ControlGrid,
@@ -163,6 +164,30 @@ def test_test_cloud_overflow_aborts_with_the_partial_report(trainer, rng):
     assert [r.iteration for r in err.value.report.records] == [0]
     assert np.array_equal(err.value.report.control.values, np.zeros((4, 1)))
     assert err.value.report.final_cost.total == err.value.report.records[0].cost
+
+
+@pytest.mark.parametrize("trainer", [train_gradient_flow, train_pmp])
+def test_abort_reports_the_last_accepted_cost_without_flowing_again(trainer, rng, monkeypatch):
+    # The far test point survives the first accepted control (it dilates by
+    # at most 1.68) and overflows under the second (by at least 2.1).
+    flowed = []
+    real = objective_module.flow_endpoints
+
+    def counting(family, u, sources):
+        flowed.append(u)
+        return real(family, u, sources)
+
+    monkeypatch.setattr(objective_module, "flow_endpoints", counting)
+    src = rng.uniform(-1, 1, size=(12, 2))
+    far = np.array([[1e308, 0.0], [0.5, 0.5]])
+    with pytest.raises(TrainAbort, match="training pass 2") as err:
+        trainer(dilation_family(), Dataset(src, 2.0 * src), 4, TrainConfig(beta=0.0, max_iter=5),
+                test_data=Dataset(far, far))
+    report = err.value.report
+    assert [(r.iteration, r.accepted) for r in report.records] == [(0, True), (1, True)]
+    assert report.final_cost.total == report.records[-1].cost
+    assert report.final_cost.data_term == report.records[-1].data_term
+    assert flowed == []
 
 
 @pytest.mark.parametrize("trainer", [train_gradient_flow, train_pmp])
