@@ -9,7 +9,6 @@ maximization.
 from .data import (
     TargetMap,
     builtin_target,
-    custom_target,
     identity_target,
     load_dataset_csv,
     make_grid_dataset,
@@ -31,7 +30,6 @@ from .flow import (
     ControlGrid,
     FlowError,
     backward_covector,
-    commutator_order_check,
     flow_endpoints,
     forward_euler,
     variational_jacobian,
@@ -63,7 +61,7 @@ from .train_gd import (
     TrainReport,
     train_gradient_flow,
 )
-from .train_pmp import maximized_controls, train_pmp
+from .train_pmp import train_pmp
 
 __version__ = "0.1.0"
 
@@ -85,10 +83,8 @@ __all__ = [
     "backward_covector",
     "build_metrics",
     "builtin_target",
-    "commutator_order_check",
     "cost",
     "cost_of_endpoints",
-    "custom_target",
     "family_from_name",
     "fd_gradient_oracle",
     "flow_endpoints",
@@ -104,7 +100,6 @@ __all__ = [
     "make_enriched14",
     "make_grid_dataset",
     "make_random_testset",
-    "maximized_controls",
     "mean_loss",
     "save_dataset_csv",
     "spectral_norms",

@@ -162,9 +162,6 @@ class RunConfig(TrainConfig):
         if self.test_seed < 0:
             raise ConfigError(f"test_seed: must be nonnegative, got {self.test_seed}")
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _check_types(raw: dict) -> None:
     """Reject a JSON value whose type does not match its RunConfig field.
@@ -241,7 +238,7 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
     block = build_metrics(
         family,
         report.control,
-        target,
+        None if cfg.dataset_file is not None else target,  # the bounds describe the grid only
         probes=train.sources,
         training_error=report.final_cost.data_term,
         n_train=train.n_samples,
@@ -249,8 +246,8 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
     )
     final_test = report.records[-1].testing_error
     summary = {
-        "config": cfg.as_dict(),
-        "metrics": block.as_dict(),
+        "config": dataclasses.asdict(cfg),
+        "metrics": dataclasses.asdict(block),
         "final": {
             "cost": report.final_cost.total,
             "training_error": report.final_cost.data_term,
@@ -290,9 +287,9 @@ def _write_run(out: Path, report: TrainReport, summary: dict | None) -> None:
     write_trace_csv(out / "trace.csv", report)
     save_control_csv(out / "control.csv", report.control)
     if summary is not None:
-        with open(out / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # Strict JSON: a NaN or infinity raises here instead of writing a non-standard token.
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        (out / "summary.json").write_text(text + "\n", encoding="utf-8")
 
 
 def cmd_train(args) -> int:
@@ -404,21 +401,17 @@ GRADCHECK_MAX_LAYERS = 8
 GRADCHECK_MAX_SAMPLES = 10
 
 
-def run_gradcheck(cfg: RunConfig, family=None) -> tuple[float, int, int]:
+def run_gradcheck(cfg: RunConfig) -> tuple[float, int, int]:
     """Compare covector and finite-difference gradients on a small instance.
 
-    Returns (max relative error, worst layer, worst field).  The ``family``
-    parameter lets a test substitute a family with corrupted Jacobians to
-    confirm the check trips.
+    Returns (max relative error, worst layer, worst field).
     """
     if cfg.n_layers > GRADCHECK_MAX_LAYERS:
         raise ConfigError(
             f"n_layers: gradcheck instances are capped at {GRADCHECK_MAX_LAYERS} layers, "
             f"got {cfg.n_layers}"
         )
-    resolved_family, _, train, _ = build_problem(dataclasses.replace(cfg, test_count=0, test_file=None))
-    if family is None:
-        family = resolved_family
+    family, _, train, _ = build_problem(dataclasses.replace(cfg, test_count=0, test_file=None))
     if train.n_samples > GRADCHECK_MAX_SAMPLES:
         raise ConfigError(
             f"dataset: gradcheck instances are capped at {GRADCHECK_MAX_SAMPLES} samples, "

@@ -102,14 +102,6 @@ def builtin_target() -> TargetMap:
     return TargetMap(kind="builtin", dim=2, value_fn=value, jacobian_fn=jac)
 
 
-def custom_target(
-    value_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
-    dim: int = 2,
-) -> TargetMap:
-    return TargetMap(kind="custom", dim=dim, value_fn=value_fn, jacobian_fn=jacobian_fn)
-
-
 def target_from_name(name: str) -> TargetMap:
     if name == "builtin":
         return builtin_target()

@@ -110,23 +110,6 @@ class VectorFieldFamily(ABC):
         step = np.einsum("mp,mpn->mn", lam, eye + h * self.layer_matrix(x, u_row))
         return self.pairing(x, lam), step
 
-    def value(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Value of field ``i`` (0-based) at ``x``: shape ``(..., dim)``."""
-        self._check_index(i)
-        return self.values(x)[..., i, :]
-
-    def jacobian(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Jacobian of field ``i`` (0-based) at ``x``: shape ``(..., dim, dim)``."""
-        self._check_index(i)
-        return self.jacobians(x)[..., i, :, :]
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n_fields:
-            raise IndexError(
-                f"field index {i} out of range for family {self.kind!r} "
-                f"with {self.n_fields} fields"
-            )
-
 
 def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)

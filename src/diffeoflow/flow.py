@@ -9,15 +9,13 @@ with piecewise-constant controls on N equal slabs of width h = 1/N:
     x_k = x_{k-1} + h * sum_i u[k-1, i] * F_i(x_{k-1}),   k = 1..N.
 
 This module advances point bundles through that recursion, transports row
-covectors backward through its linearization, accumulates the Jacobian of
-the input-to-output map, and provides a numerical check that composing
-small flows back and forth realizes the commutator field at second order.
+covectors backward through its linearization and accumulates the Jacobian
+of the input-to-output map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -280,60 +278,3 @@ def variational_jacobian(
     for k in range(1, u.n_layers + 1):
         jac = (eye + h * layer_matrix(family, states[:, k - 1], u.values[k - 1])) @ jac
     return jac[0] if single else jac
-
-
-def _rk4(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray, span: float, steps: int) -> np.ndarray:
-    dt = span / steps
-    for _ in range(steps):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
-def commutator_order_check(
-    family: VectorFieldFamily,
-    i1: int,
-    i2: int,
-    x: np.ndarray,
-    step: float,
-    substeps: int = 64,
-) -> float:
-    """Second-order defect of the back-and-forth flow composition.
-
-    Composes time-``step`` flows of F_{i1}, F_{i2}, -F_{i1}, -F_{i2} (in that
-    application order) starting at x, flows the commutator field
-    DF_{i2} F_{i1} - DF_{i1} F_{i2} for time step**2 from the same x, and
-    returns the distance between the two endpoints divided by step**2.
-    The ratio tends to zero as the step shrinks; each flow is integrated
-    with fixed-step RK4.
-    """
-    if not 0.0 < step < 0.25:
-        raise ValueError(f"step must lie in (0, 0.25), got {step}")
-    if substeps < 64:
-        raise ValueError("at least 64 RK4 substeps are required")
-    family._check_index(i1)
-    family._check_index(i2)
-    x = np.asarray(x, dtype=float)
-
-    def f1(y: np.ndarray) -> np.ndarray:
-        return family.value(i1, y)
-
-    def f2(y: np.ndarray) -> np.ndarray:
-        return family.value(i2, y)
-
-    def bracket(y: np.ndarray) -> np.ndarray:
-        v1 = family.value(i1, y)
-        v2 = family.value(i2, y)
-        j1 = family.jacobian(i1, y)
-        j2 = family.jacobian(i2, y)
-        return j2 @ v1 - j1 @ v2
-
-    y = _rk4(f1, x, step, substeps)
-    y = _rk4(f2, y, step, substeps)
-    y = _rk4(lambda z: -f1(z), y, step, substeps)
-    y = _rk4(lambda z: -f2(z), y, step, substeps)
-    z = _rk4(bracket, x, step * step, substeps)
-    return float(np.linalg.norm(y - z) / (step * step))

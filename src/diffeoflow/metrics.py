@@ -18,7 +18,7 @@ cell diagonal of a grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +28,13 @@ from .flow import ControlGrid, _spectral_norm_2x2, variational_jacobian
 
 @dataclass(frozen=True)
 class MetricsBlock:
-    """Diagnostics attached to a finished run."""
+    """Diagnostics attached to a finished run; see ``build_metrics`` for the None fields."""
 
     lipschitz_flow: float
-    lipschitz_target: float
+    lipschitz_target: float | None
     control_norm: float
-    w1_bound: float
-    generalization_bound: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    w1_bound: float | None
+    generalization_bound: float | None
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -57,7 +54,6 @@ def lipschitz_estimate(
     family: VectorFieldFamily, u: ControlGrid, probes: np.ndarray
 ) -> float:
     """Largest Jacobian spectral norm of the trained map over probe points."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
     jacs = variational_jacobian(family, u, probes)
     return float(np.max(spectral_norms(jacs)))
 
@@ -104,14 +100,22 @@ def build_metrics(
     n_train: int,
     side: float,
 ) -> MetricsBlock:
-    """Assemble the full diagnostics block for a finished run."""
+    """Assemble the full diagnostics block for a finished run.
+
+    ``target`` is None when the training data are not the target's grid on
+    the square of side ``side``; the target's Lipschitz constant, W1 and the
+    bound then describe no data and are None.
+    """
     l_flow = lipschitz_estimate(family, u, probes)
-    l_target = target_lipschitz_estimate(target, probes)
-    w1 = w1_grid_bound(n_train, side)
+    l_target = w1 = bound = None
+    if target is not None:
+        l_target = target_lipschitz_estimate(target, probes)
+        w1 = w1_grid_bound(n_train, side)
+        bound = generalization_bound(training_error, l_target, l_flow, w1)
     return MetricsBlock(
         lipschitz_flow=l_flow,
         lipschitz_target=l_target,
         control_norm=math.sqrt(u.l2_norm_sq()),
         w1_bound=w1,
-        generalization_bound=generalization_bound(training_error, l_target, l_flow, w1),
+        generalization_bound=bound,
     )

@@ -162,11 +162,7 @@ def adjoint_gradient(
 
 
 def fd_gradient_oracle(
-    family: VectorFieldFamily,
-    u: ControlGrid,
-    data: Dataset,
-    beta: float,
-    step: float = 1e-5,
+    family: VectorFieldFamily, u: ControlGrid, data: Dataset, beta: float
 ) -> ControlGrid:
     """Central-difference gradient of cost, entry by entry, divided by h.
 
@@ -174,8 +170,7 @@ def fd_gradient_oracle(
     as adjoint_gradient, so the two can be compared directly.  Intended for
     small problems only; every entry costs two flow evaluations.
     """
-    if step <= 0.0:
-        raise ValueError("finite-difference step must be positive")
+    step = 1e-5
     h = u.step
     base = u.values
     grad = np.empty_like(base)

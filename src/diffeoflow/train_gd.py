@@ -93,10 +93,6 @@ class TrainReport:
     control: ControlGrid
     final_cost: ObjectiveValue
 
-    @property
-    def accepted_costs(self) -> list[float]:
-        return [r.cost for r in self.records if r.accepted]
-
 
 class TrainAbort(RuntimeError):
     """Flow failure mid-training; carries the report for the completed part."""

@@ -35,7 +35,7 @@ from .objective import Dataset, cost_of_endpoints, loss_grad
 from .train_gd import TrainConfig, TrainReport, _descend
 
 
-def maximized_controls(
+def _maximized_controls(
     field_pairing: np.ndarray, u_old: np.ndarray, gamma: float, beta: float
 ) -> np.ndarray:
     """Closed-form maximizer of the proximally damped Hamiltonian.
@@ -83,7 +83,7 @@ def train_pmp(
                 ) / n_pts
                 vals = family.values(swept[:, k - 1])  # (M, l, dim), feeds pairing and update
                 pairing = np.einsum("mn,mln->l", lam, vals)
-                new_controls[k - 1] = maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
+                new_controls[k - 1] = _maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
                 swept[:, k] = swept[:, k - 1] + u.step * np.einsum(
                     "mln,l->mn", vals, new_controls[k - 1]
                 )

@@ -45,6 +45,42 @@ def grid25(target):
     return make_grid_dataset(target, side=1.5, per_axis=5)
 
 
+@pytest.fixture(scope="session")
+def commutator_defect():
+    """Second-order defect of the back-and-forth flow composition.
+
+    ``defect(family, i1, i2, x, step)`` composes time-``step`` flows of
+    F_{i1}, F_{i2}, -F_{i1}, -F_{i2} (in that application order) from x,
+    flows the commutator field DF_{i2} F_{i1} - DF_{i1} F_{i2} for time
+    step**2 from the same x, and returns the distance between the two
+    endpoints divided by step**2.  The ratio tends to zero as the step
+    shrinks; each flow is integrated with 64 fixed RK4 steps.
+    """
+
+    def rk4(rhs, x, span, steps=64):
+        dt = span / steps
+        for _ in range(steps):
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * dt * k1)
+            k3 = rhs(x + 0.5 * dt * k2)
+            k4 = rhs(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return x
+
+    def defect(family, i1, i2, x, step):
+        def bracket(y):
+            v, j = family.values(y), family.jacobians(y)
+            return j[i2] @ v[i1] - j[i1] @ v[i2]
+
+        y = np.asarray(x, dtype=float)
+        for i, sign in ((i1, 1.0), (i2, 1.0), (i1, -1.0), (i2, -1.0)):
+            y = rk4(lambda z, i=i, sign=sign: sign * family.values(z)[i], y, step)
+        z = rk4(bracket, np.asarray(x, dtype=float), step * step)
+        return float(np.linalg.norm(y - z) / (step * step))
+
+    return defect
+
+
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.Philox(1234))

@@ -24,7 +24,6 @@ from diffeoflow import (
     ControlGrid,
     FieldSpec,
     adjoint_gradient,
-    commutator_order_check,
     cost,
     fd_gradient_oracle,
     forward_euler,
@@ -34,7 +33,7 @@ from diffeoflow import (
 )
 from diffeoflow.cli import build_problem, load_config, run_training
 from diffeoflow.objective import Dataset
-from diffeoflow.train_pmp import maximized_controls
+from diffeoflow.train_pmp import _maximized_controls
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -260,7 +259,7 @@ def test_criterion_10_closed_form_maximizer_beats_grid_search():
         gamma = float(rng.uniform(0.05, 4.0))
         beta = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
         closed = float(
-            maximized_controls(np.array([pairing]), np.array([u_old]), gamma, beta)[0]
+            _maximized_controls(np.array([pairing]), np.array([u_old]), gamma, beta)[0]
         )
         # the objective is separable per component, so a scalar grid is exhaustive
         reach = abs(u_old) + gamma * abs(pairing) + 1.0
@@ -277,12 +276,12 @@ def test_criterion_10_closed_form_maximizer_beats_grid_search():
         )
 
 
-def test_criterion_11_commutator_defect_ratio_decreases():
+def test_criterion_11_commutator_defect_ratio_decreases(commutator_defect):
     """The normalized back-and-forth defect of the two Gaussian-damped rotations
     shrinks with the step, as a vanishing commutator requires."""
     family = make_affine8(20.0)
     x = np.array([1.0, 1.0])
-    ratios = [commutator_order_check(family, 5, 6, x, step) for step in (0.2, 0.1, 0.05)]
+    ratios = [commutator_defect(family, 5, 6, x, step) for step in (0.2, 0.1, 0.05)]
     assert ratios[0] > ratios[1] > ratios[2], (
         f"defect ratios {ratios} do not decrease over steps 0.2, 0.1, 0.05"
     )

@@ -7,6 +7,7 @@ install.
 """
 
 import csv
+import dataclasses
 import importlib
 import json
 import os
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from diffeoflow import ControlGrid, VectorFieldFamily, forward_euler, loss, make_affine8, save_dataset_csv
+from diffeoflow import cli
 from diffeoflow.cli import (
     GRADCHECK_TOLERANCE,
     REFERENCE_RESULTS,
@@ -66,7 +68,7 @@ def test_load_config_round_trip(tmp_path):
     # untouched keys keep their defaults
     assert cfg.tau == 0.5
     assert cfg.dataset_file is None
-    assert cfg.as_dict()["grid_per_axis"] == 3
+    assert dataclasses.asdict(cfg)["grid_per_axis"] == 3
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -296,21 +298,13 @@ class _SkewedJacobians(VectorFieldFamily):
     def jacobians(self, x):
         return self._factor * self._base.jacobians(x)
 
-    def _check_index(self, i):
-        self._base._check_index(i)
 
-    def value(self, i, x):
-        return self._base.value(i, x)
-
-    def jacobian(self, i, x):
-        return self._factor * self._base.jacobian(i, x)
-
-
-def test_gradcheck_flags_corrupted_jacobians(tmp_path):
+def test_gradcheck_flags_corrupted_jacobians(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path, beta=0.1, seed=3))
     clean, _, _ = run_gradcheck(cfg)
     assert clean <= GRADCHECK_TOLERANCE
-    skewed, _, _ = run_gradcheck(cfg, family=_SkewedJacobians(make_affine8(20.0)))
+    monkeypatch.setattr(cli, "family_from_name", lambda name, nu: _SkewedJacobians(make_affine8(nu)))
+    skewed, _, _ = run_gradcheck(cfg)
     assert skewed > 1e-4
 
 
@@ -577,6 +571,28 @@ def test_overflowing_gradient_step_is_a_rejected_row_under_warnings_as_errors(tm
     assert proc.stderr == ""
     header, *rows = read_trace(tmp_path / "run" / "trace.csv")
     assert [(r[0], r[1], r[-1]) for r in rows[1:]] == [(str(i), "inf", "0") for i in (1, 2, 3)]
+
+
+def test_dataset_file_summary_is_strict_json_with_null_bounds(tmp_path):
+    # The builtin target's Jacobian overflows at |z1| > ~26.6; the grid
+    # bounds describe the config's grid, not the file, so none is computed.
+    rows = np.array([[60.0, 0.0, 60.0, 0.0], [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])
+    save_dataset_csv(tmp_path / "far.csv", Dataset(rows[:, :2], rows[:, 2:]))
+    cfg_path = write_config(
+        tmp_path, n_layers=2, max_iter=1, test_count=0, dataset_file=str(tmp_path / "far.csv")
+    )
+    proc = run_warnings_as_errors(tmp_path, "train", "--config", str(cfg_path), "--out", "run")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (tmp_path / "run" / "summary.json").read_text(encoding="utf-8")
+    metrics = json.loads(text, parse_constant=reject)["metrics"]
+    for key in ("lipschitz_target", "w1_bound", "generalization_bound"):
+        assert metrics[key] is None, key
+    assert np.isfinite(metrics["lipschitz_flow"])
 
 
 def test_gradcheck_far_from_the_origin_runs_under_warnings_as_errors(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from diffeoflow import (
-    custom_target,
     identity_target,
     load_dataset_csv,
     make_grid_dataset,
@@ -67,13 +66,6 @@ def test_target_from_name(target):
     assert target_from_name("identity").kind == "identity"
     with pytest.raises(ValueError):
         target_from_name("moebius")
-
-
-def test_custom_target():
-    double = custom_target(lambda x: 2.0 * x, lambda x: np.broadcast_to(2.0 * np.eye(2), x.shape[:-1] + (2, 2)))
-    pts = np.array([[1.0, -2.0]])
-    assert np.array_equal(double(pts), [[2.0, -4.0]])
-    assert np.allclose(double.jacobian(pts)[0], 2.0 * np.eye(2))
 
 
 def test_square_grid_layout():

@@ -20,7 +20,7 @@ def fd_jacobian(family, i, x, eps=1e-6):
     for d in range(family.dim):
         e = np.zeros(family.dim)
         e[d] = eps
-        cols.append((family.value(i, x + e) - family.value(i, x - e)) / (2 * eps))
+        cols.append((family.values(x + e)[i] - family.values(x - e)[i]) / (2 * eps))
     return np.stack(cols, axis=-1)
 
 
@@ -90,7 +90,7 @@ def test_gaussian_width_changes_damping():
     narrow = make_affine8(0.5)
     wide = make_affine8(50.0)
     x = np.array([1.0, 1.0])
-    assert narrow.value(2, x)[0] < wide.value(2, x)[0]
+    assert narrow.values(x)[2, 0] < wide.values(x)[2, 0]
 
 
 def test_batch_shapes_preserved():
@@ -98,16 +98,10 @@ def test_batch_shapes_preserved():
     pts = np.zeros((3, 4, 5, 2))
     assert fam.values(pts).shape == (3, 4, 5, 14, 2)
     assert fam.jacobians(pts).shape == (3, 4, 5, 14, 2, 2)
-    assert fam.value(9, pts).shape == (3, 4, 5, 2)
-    assert fam.jacobian(9, pts).shape == (3, 4, 5, 2, 2)
 
 
-def test_index_and_shape_errors():
+def test_shape_errors():
     fam = make_affine8(20.0)
-    with pytest.raises(IndexError):
-        fam.value(8, np.zeros(2))
-    with pytest.raises(IndexError):
-        fam.jacobian(-1, np.zeros(2))
     with pytest.raises(ValueError):
         fam.values(np.zeros(3))
 
@@ -135,9 +129,9 @@ def test_custom_family_round_trip(rng):
     fam = make_custom([rot], dim=2)
     assert fam.n_fields == 1
     pts = rng.normal(size=(6, 2))
-    assert np.allclose(fam.value(0, pts), np.stack([-pts[:, 1], pts[:, 0]], axis=-1))
+    assert np.allclose(fam.values(pts)[:, 0], np.stack([-pts[:, 1], pts[:, 0]], axis=-1))
     for m in range(6):
-        assert np.allclose(fd_jacobian(fam, 0, pts[m]), fam.jacobian(0, pts[m]), atol=1e-6)
+        assert np.allclose(fd_jacobian(fam, 0, pts[m]), fam.jacobians(pts[m])[0], atol=1e-6)
     with pytest.raises(ValueError):
         make_custom([], dim=2)
     with pytest.raises(ValueError):

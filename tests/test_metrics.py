@@ -1,5 +1,7 @@
 """Lipschitz estimates, Wasserstein grid bound, generalization bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,7 @@ def test_build_metrics_assembly(affine8, target, rng):
         rtol=1e-15,
     )
     assert np.isclose(block.control_norm, np.sqrt(u.l2_norm_sq()), rtol=1e-15)
-    d = block.as_dict()
+    d = dataclasses.asdict(block)
     assert set(d) == {
         "lipschitz_flow",
         "lipschitz_target",
@@ -104,3 +106,6 @@ def test_build_metrics_assembly(affine8, target, rng):
         "w1_bound",
         "generalization_bound",
     }
+    # Without a target (data from a file) the grid-bound fields are None.
+    bare = build_metrics(affine8, u, None, probes, training_error=0.4, n_train=100, side=1.5)
+    assert dataclasses.astuple(bare) == (block.lipschitz_flow, None, block.control_norm, None, None)

@@ -125,11 +125,6 @@ def test_gradient_invariant_under_sample_permutation(affine8, grid25, rng):
     assert np.allclose(g1, g2, rtol=0, atol=1e-12)
 
 
-def test_fd_oracle_rejects_bad_step(affine8, grid25):
-    with pytest.raises(ValueError):
-        fd_gradient_oracle(affine8, ControlGrid.zeros(2, 8), grid25, beta=0.0, step=0.0)
-
-
 def test_dataset_validation():
     good = np.array([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):

@@ -57,7 +57,7 @@ def test_solves_pure_translation_problem(rng):
 
 def test_accepted_costs_are_nonincreasing(affine8, grid25):
     rep = train_gradient_flow(affine8, grid25, 8, TrainConfig(beta=0.01, max_iter=80))
-    acc = rep.accepted_costs
+    acc = [r.cost for r in rep.records if r.accepted]
     assert len(acc) > 10
     assert all(a >= b for a, b in zip(acc, acc[1:]))
 
@@ -85,7 +85,7 @@ def test_rejected_rows_leave_control_unchanged(affine8, grid25):
     assert rejected, "expected rejections with a huge initial step"
     # Costs on rejected rows describe the failed proposal, not the iterate,
     # so they may exceed the running cost; the accepted subsequence may not.
-    acc = rep.accepted_costs
+    acc = [r.cost for r in rep.records if r.accepted]
     assert all(a >= b for a, b in zip(acc, acc[1:]))
 
 

@@ -10,10 +10,10 @@ from diffeoflow import (
     TrainConfig,
     cost,
     forward_euler,
-    maximized_controls,
     train_pmp,
 )
 from diffeoflow.objective import Dataset
+from diffeoflow.train_pmp import _maximized_controls
 
 from test_train_gd import shift_family
 
@@ -63,7 +63,7 @@ def test_heavy_regularization_shrinks_controls(affine8, grid25, rng):
 
 def test_accepted_costs_strictly_decrease(affine8, grid25):
     rep = train_pmp(affine8, grid25, 8, TrainConfig(beta=0.01, max_iter=60))
-    acc = rep.accepted_costs
+    acc = [r.cost for r in rep.records if r.accepted]
     assert len(acc) > 10
     assert all(a > b for a, b in zip(acc, acc[1:]))
     assert rep.final_cost.total < rep.records[0].cost
@@ -73,7 +73,7 @@ def test_rejected_sweep_restores_everything(affine8, grid25):
     cfg = TrainConfig(beta=0.01, max_iter=40, gamma0=50.0)
     rep = train_pmp(affine8, grid25, 6, cfg)
     assert any(not r.accepted for r in rep.records[1:])
-    acc = rep.accepted_costs
+    acc = [r.cost for r in rep.records if r.accepted]
     assert all(a > b for a, b in zip(acc, acc[1:]))
     gammas = [r.gamma for r in rep.records[1:]]
     assert all(a >= b for a, b in zip(gammas, gammas[1:]))
@@ -96,7 +96,7 @@ def test_maximizer_matches_dense_grid_search(rng):
         u_old = rng.normal(scale=1.0, size=n)
         gamma = float(rng.uniform(0.05, 2.0))
         beta = float(rng.uniform(0.0, 1.5))
-        got = maximized_controls(pairing, u_old, gamma, beta)
+        got = _maximized_controls(pairing, u_old, gamma, beta)
         grid = np.arange(-20.0, 20.0, 1e-3)
         for i in range(n):
             phi = (
