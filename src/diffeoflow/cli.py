@@ -9,6 +9,11 @@ Subcommands:
                       differences on a deliberately small instance
     eval              apply a saved control to a dataset and report errors
 
+Exit codes: 0 on success; 1 when a flow overflows (an aborted training run
+first writes its partial trace and control) or gradcheck finds a mismatch;
+2 for a bad config or input file, named by the one ``error:`` line, an
+unusable path, or an allocation that does not fit in memory.
+
 Configuration is a flat JSON object; unknown keys are rejected and every
 validation message names the offending field.  All outputs are plain CSV
 (the table format of ``data.write_table``) and JSON, so reruns with the same
@@ -41,11 +46,16 @@ from .flow import ControlGrid, FlowError, flow_endpoints
 # forward_euler is unused here, but perfbench's tracing self-test expects this module to bind it.
 from .flow import forward_euler  # noqa: F401
 from .metrics import build_metrics
-from .objective import adjoint_gradient, fd_gradient_oracle, loss
+from .objective import Dataset, adjoint_gradient, fd_gradient_oracle, loss
 from .train_gd import TrainAbort, TrainConfig, TrainReport, train_gradient_flow
 from .train_pmp import train_pmp
 
 TRACE_COLUMNS = ("iteration", "cost", "training_error", "testing_error", "gamma", "accepted")
+TABLE_COLUMNS = (
+    "beta", "lipschitz", "training_error", "testing_error",
+    "ref_lipschitz", "ref_training_error", "ref_testing_error", "wall_clock_seconds",
+)
+TABLE_MD_ROW = "| {:g} | {:.4f} | {:.4f} | {:.4f} | {:.2f} | {:.4f} | {:.4f} | {:.1f} |"
 
 # Previously reported results for the six benchmark settings, keyed by
 # table id, then by beta: (lipschitz, training error, testing error).
@@ -166,9 +176,10 @@ class RunConfig(TrainConfig):
 def _check_types(raw: dict) -> None:
     """Reject a JSON value whose type does not match its RunConfig field.
 
-    Integer fields take integers but not booleans; float fields take finite
-    real numbers (an integer included); the rest take strings.  A field
-    annotated ``| None`` also takes null.
+    Integer fields take integers of magnitude below 2**53 (the range JSON
+    tools agree on) but not booleans; float fields take finite real numbers
+    (an integer included); the rest take strings.  A field annotated
+    ``| None`` also takes null.
     """
     for f in dataclasses.fields(RunConfig):
         if f.name not in raw:
@@ -179,7 +190,8 @@ def _check_types(raw: dict) -> None:
             continue
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if kind == "int":
-            ok, want = number and isinstance(value, int), "an integer"
+            ok = number and isinstance(value, int) and abs(value) < 2**53
+            want = "an integer of magnitude below 2**53"
         elif kind == "float":
             # abs(x) <= max is False for NaN, infinities and ints too large for a float.
             ok, want = number and abs(value) <= sys.float_info.max, "a finite number"
@@ -194,7 +206,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # invalid JSON or bytes that are not UTF-8
         raise ConfigError(f"could not parse {path} as JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"config root in {path} must be a JSON object")
@@ -206,16 +218,27 @@ def load_config(path) -> RunConfig:
     return RunConfig(**raw)
 
 
+def _load_dataset(path, dim: int) -> Dataset:
+    data = load_dataset_csv(path)
+    if data.dim != dim:
+        raise ConfigError(f"dataset file {path} has dimension {data.dim}, the family has {dim}")
+    return data
+
+
 def build_problem(cfg: RunConfig) -> tuple:
     """Resolve a config into (family, target, train dataset, test dataset)."""
     family = family_from_name(cfg.family, cfg.nu)
     target = target_from_name(cfg.target)
     if cfg.dataset_file is not None:
-        train = load_dataset_csv(cfg.dataset_file)
+        train = _load_dataset(cfg.dataset_file, family.dim)
     else:
-        train = make_grid_dataset(target, side=cfg.grid_side, per_axis=cfg.grid_per_axis)
+        try:
+            train = make_grid_dataset(target, side=cfg.grid_side, per_axis=cfg.grid_per_axis)
+        except MemoryError as err:
+            msg = f"grid_per_axis: a grid of {cfg.grid_per_axis}**2 points does not fit in memory"
+            raise ConfigError(msg) from err
     if cfg.test_file is not None:
-        test = load_dataset_csv(cfg.test_file)
+        test = _load_dataset(cfg.test_file, family.dim)
     elif cfg.test_count > 0:
         test = make_random_testset(
             target, side=cfg.grid_side, count=cfg.test_count, seed=cfg.test_seed
@@ -263,14 +286,6 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
     return report, summary
 
 
-def write_trace_csv(path, report: TrainReport) -> None:
-    rows = [
-        [r.iteration, r.cost, r.data_term, r.testing_error, r.gamma, r.accepted]
-        for r in report.records
-    ]
-    write_table(path, TRACE_COLUMNS, rows)
-
-
 def save_control_csv(path, u: ControlGrid) -> None:
     write_table(path, [f"u{i + 1}" for i in range(u.n_fields)], u.values)
 
@@ -284,7 +299,9 @@ def load_control_csv(path) -> ControlGrid:
 
 def _write_run(out: Path, report: TrainReport, summary: dict | None) -> None:
     """Write a run's trace.csv and control.csv, and summary.json when there is one."""
-    write_trace_csv(out / "trace.csv", report)
+    trace = [[r.iteration, r.cost, r.data_term, r.testing_error, r.gamma, r.accepted]
+             for r in report.records]
+    write_table(out / "trace.csv", TRACE_COLUMNS, trace)
     save_control_csv(out / "control.csv", report.control)
     if summary is not None:
         # Strict JSON: a NaN or infinity raises here instead of writing a non-standard token.
@@ -292,18 +309,23 @@ def _write_run(out: Path, report: TrainReport, summary: dict | None) -> None:
         (out / "summary.json").write_text(text + "\n", encoding="utf-8")
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
+def _train_into(out: Path, cfg: RunConfig) -> dict:
+    """Train per config into ``out`` and return the summary.
+
+    An aborted run writes its partial trace and control and re-raises TrainAbort.
+    """
     out.mkdir(parents=True, exist_ok=True)
     try:
         report, summary = run_training(cfg)
     except TrainAbort as err:
         _write_run(out, err.report, None)
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        raise
     _write_run(out, report, summary)
-    final = summary["final"]
+    return summary
+
+
+def cmd_train(args) -> int:
+    final = _train_into(Path(args.out), load_config(args.config))["final"]
     test_msg = "n/a" if final["testing_error"] is None else f"{final['testing_error']:.6f}"
     print(
         f"done: cost {final['cost']:.6f}, training error {final['training_error']:.6f}, "
@@ -312,87 +334,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def run_table(
-    table: int, out_dir: Path, max_iter: int = 500, test_seed: int = 0
-) -> list[dict]:
-    """Run the beta sweep of one benchmark table; returns one row dict per beta.
-
-    Each run writes its outputs to ``table<t>_beta<beta>``; an aborted run
-    writes its partial trace and control there and raises TrainAbort.
-    """
-    family_name, n_layers, algorithm = TABLE_SETTINGS[table]
-    rows = []
-    for beta in BETA_SWEEP:
-        cfg = RunConfig(
-            family=family_name,
-            n_layers=n_layers,
-            algorithm=algorithm,
-            beta=beta,
-            max_iter=max_iter,
-            test_seed=test_seed,
-        )
-        sub = out_dir / f"table{table}_beta{beta:g}"
-        sub.mkdir(parents=True, exist_ok=True)
-        try:
-            report, summary = run_training(cfg)
-        except TrainAbort as err:
-            _write_run(sub, err.report, None)
-            raise TrainAbort(f"table {table}, beta {beta:g}: {err}", err.report, err.cause) from err
-        ref = REFERENCE_RESULTS[table][beta]
-        rows.append(
-            {
-                "beta": beta,
-                "lipschitz": summary["metrics"]["lipschitz_flow"],
-                "training_error": summary["final"]["training_error"],
-                "testing_error": summary["final"]["testing_error"],
-                "ref_lipschitz": ref[0],
-                "ref_training_error": ref[1],
-                "ref_testing_error": ref[2],
-                "wall_clock_seconds": summary["wall_clock_seconds"],
-            }
-        )
-        _write_run(sub, report, summary)
-    return rows
-
-
-def _write_table_outputs(table: int, rows: list[dict], out_dir: Path) -> None:
-    columns = [
-        "beta",
-        "lipschitz",
-        "training_error",
-        "testing_error",
-        "ref_lipschitz",
-        "ref_training_error",
-        "ref_testing_error",
-        "wall_clock_seconds",
-    ]
-    write_table(out_dir / f"table{table}.csv", columns, [[row[c] for c in columns] for row in rows])
-    family_name, n_layers, algorithm = TABLE_SETTINGS[table]
-    lines = [
-        f"# Benchmark table {table}: {family_name}, {n_layers} layers, {algorithm}",
-        "",
-        "| beta | Lipschitz | train err | test err | ref Lipschitz | ref train | ref test | seconds |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- |",
-    ]
-    for row in rows:
-        lines.append(
-            "| {beta:g} | {lipschitz:.4f} | {training_error:.4f} | {testing_error:.4f} "
-            "| {ref_lipschitz:.2f} | {ref_training_error:.4f} | {ref_testing_error:.4f} "
-            "| {wall_clock_seconds:.1f} |".format(**row)
-        )
-    (out_dir / f"table{table}.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def cmd_reproduce_tables(args) -> int:
-    out = Path(args.out)  # run_table makes it with its first run directory
-    tables = [args.table] if args.table is not None else sorted(TABLE_SETTINGS)
-    for table in tables:
-        try:
-            rows = run_table(table, out, max_iter=args.max_iter, test_seed=args.test_seed)
-        except TrainAbort as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        _write_table_outputs(table, rows, out)
+    """Run the beta sweep of each table into ``table<t>_beta<beta>``, then its table files."""
+    out = Path(args.out)  # made with the first run directory
+    for table in [args.table] if args.table is not None else sorted(TABLE_SETTINGS):
+        family_name, n_layers, algorithm = TABLE_SETTINGS[table]
+        rows = []
+        for beta in BETA_SWEEP:
+            cfg = RunConfig(family=family_name, n_layers=n_layers, algorithm=algorithm, beta=beta,
+                            max_iter=args.max_iter, test_seed=args.test_seed)
+            try:
+                summary = _train_into(out / f"table{table}_beta{beta:g}", cfg)
+            except TrainAbort as err:
+                print(f"error: table {table}, beta {beta:g}: {err}", file=sys.stderr)
+                return 1
+            final = summary["final"]
+            rows.append((beta, summary["metrics"]["lipschitz_flow"], final["training_error"],
+                         final["testing_error"], *REFERENCE_RESULTS[table][beta],
+                         summary["wall_clock_seconds"]))
+        write_table(out / f"table{table}.csv", TABLE_COLUMNS, rows)
+        lines = [
+            f"# Benchmark table {table}: {family_name}, {n_layers} layers, {algorithm}",
+            "",
+            "| beta | Lipschitz | train err | test err | ref Lipschitz | ref train | ref test | seconds |",
+            "| --- | --- | --- | --- | --- | --- | --- | --- |",
+        ] + [TABLE_MD_ROW.format(*row) for row in rows]
+        (out / f"table{table}.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"table {table} written to {out / f'table{table}.md'}")
     return 0
 
@@ -508,7 +475,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FlowError as err:  # an eval or gradcheck flow overflowed; training raises TrainAbort
+    except MemoryError as err:  # build_problem names grid_per_axis when the grid does not fit
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return 2
+    except (FlowError, TrainAbort) as err:  # a flow overflowed; training wrote its partial outputs
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -176,23 +176,29 @@ def read_table(path, what: str) -> tuple[list[str], np.ndarray]:
 
     Quoted or space-padded numbers, blank lines and a missing final newline
     are accepted.  ``what`` names the kind of file in error messages; an
-    empty file, a header without rows and a malformed row are ValueErrors
-    naming the file.
+    empty file, a header without rows, a malformed row, rows whose width is
+    not the header's, a value that is not finite and bytes that are not
+    UTF-8 are ValueErrors naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError(f"empty {what} file {path}")
-        first = next((line for line in fh if line.strip()), None)
-        if first is None:
-            raise ValueError(f"{what} file {path} has a header but no rows")
-        try:
-            table = np.loadtxt(
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline()
+            first = next((line for line in fh if line.strip()), None)
+            table = None if first is None else np.loadtxt(
                 itertools.chain([first], fh), delimiter=",", ndmin=2, quotechar='"', comments=None
             )
-        except ValueError as err:
-            raise ValueError(f"malformed {what} file {path}: {err}") from err
-    return header.rstrip("\n").split(","), table
+    except ValueError as err:  # UnicodeDecodeError is one
+        raise ValueError(f"malformed {what} file {path}: {err}") from err
+    if not header:
+        raise ValueError(f"empty {what} file {path}")
+    if first is None:
+        raise ValueError(f"{what} file {path} has a header but no rows")
+    names = header.rstrip("\n").split(",")
+    if table.shape[1] != len(names):
+        raise ValueError(f"{what} file {path} has {len(names)} header names, {table.shape[1]} columns")
+    if not np.isfinite(table).all():
+        raise ValueError(f"{what} file {path} holds a value that is not finite")
+    return names, table
 
 
 def _dataset_header(dim: int) -> list[str]:
@@ -212,6 +218,7 @@ def load_dataset_csv(path) -> Dataset:
     dim = len(header) // 2
     if header != _dataset_header(dim):
         raise ValueError(f"unexpected dataset header in {path}: {header}")
-    if arr.shape[1] != 2 * dim:
-        raise ValueError(f"malformed dataset body in {path}")
-    return Dataset(sources=arr[:, :dim], targets=arr[:, dim:])
+    try:
+        return Dataset(sources=arr[:, :dim], targets=arr[:, dim:])
+    except ValueError as err:  # repeated source points
+        raise ValueError(f"dataset file {path}: {err}") from err

@@ -10,7 +10,6 @@ from diffeoflow import (
     make_grid_dataset,
     make_random_testset,
 )
-from diffeoflow.objective import Dataset
 
 
 @pytest.fixture(scope="session")
@@ -84,8 +83,3 @@ def commutator_defect():
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.Philox(1234))
-
-
-def small_dataset(points, target):
-    pts = np.asarray(points, dtype=float)
-    return Dataset(pts, target(pts))

@@ -13,7 +13,6 @@ the recorded tables report 1.18 and 9.37.  Those tests assert the recorded
 intervals anyway and fail with the measured values in the message.
 """
 
-import json
 import time
 from pathlib import Path
 

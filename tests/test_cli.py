@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,7 +33,9 @@ from diffeoflow.cli import (
     run_gradcheck,
     save_control_csv,
 )
-from diffeoflow.objective import Dataset
+from diffeoflow.flow import FlowError
+from diffeoflow.objective import Dataset, ObjectiveValue
+from diffeoflow.train_gd import IterationRecord, TrainAbort, TrainReport
 
 SMALL = {
     "family": "affine8",
@@ -185,6 +188,27 @@ def test_unusable_path_exits_two_with_one_error_line(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def test_grid_out_of_memory_exits_two_naming_grid_per_axis(tmp_path, capsys, monkeypatch):
+    # Stands in for a grid that cannot be allocated; nothing is allocated for real.
+    def out_of_memory(target, side, per_axis):
+        raise MemoryError(f"Unable to allocate the {per_axis}x{per_axis} grid")
+
+    monkeypatch.setattr(cli, "make_grid_dataset", out_of_memory)
+    config = write_config(tmp_path, grid_per_axis=100000)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_per_axis: ") and err.count("\n") == 1, err
+
+
+def test_other_out_of_memory_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate the trajectories")
+
+    monkeypatch.setattr(cli, "train_gradient_flow", out_of_memory)
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate the trajectories\n"
 
 
 def test_main_exits_two_on_bad_input(tmp_path, capsys):
@@ -475,6 +499,33 @@ def test_reproduce_tables_smoke(tmp_path, capsys):
     assert "affine8" in md
     for beta in betas:
         assert (out / f"table1_beta{beta:g}" / "summary.json").exists()
+
+
+def test_reproduce_tables_abort_keeps_finished_runs_and_writes_no_table(tmp_path, capsys, monkeypatch):
+    # Table 1's beta-0.1 run aborts with a one-row partial report; the beta-1
+    # run before it stays complete and the sweep stops before any table file.
+    real_run_training = cli.run_training
+
+    def abort_at_beta_0_1(cfg):
+        if cfg.beta != 0.1:
+            return real_run_training(cfg)
+        row = IterationRecord(0, math.inf, math.inf, math.inf, cfg.gamma0, True)
+        inf_cost = ObjectiveValue(math.inf, math.inf, math.inf)
+        partial = TrainReport([row], ControlGrid.zeros(cfg.n_layers, 8), inf_cost)
+        raise TrainAbort("flow failed at training pass 0: injected", partial, FlowError("injected"))
+
+    monkeypatch.setattr(cli, "run_training", abort_at_beta_0_1)
+    out = tmp_path / "tables"
+    assert main(["reproduce-tables", "--table", "1", "--max-iter", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: table 1, beta 0.1: flow failed at training pass 0: injected"
+    ]
+    assert sorted(p.name for p in (out / "table1_beta1").iterdir()) == [
+        "control.csv", "summary.json", "trace.csv"
+    ]
+    assert sorted(p.name for p in (out / "table1_beta0.1").iterdir()) == ["control.csv", "trace.csv"]
+    assert len(read_trace(out / "table1_beta0.1" / "trace.csv")) == 2  # header and the one row
+    assert not (out / "table1.csv").exists() and not (out / "table1.md").exists()
 
 
 def test_console_script_help():

@@ -1,4 +1,4 @@
-"""Package hygiene: no unused imports in the sources, and a pinned public API."""
+"""Package hygiene: no unused imports in the sources or the tests, and a pinned public API."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ import pytest
 
 import diffeoflow
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diffeoflow"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "diffeoflow"
 
 PUBLIC_API = [
     "ControlGrid",
@@ -93,7 +94,9 @@ def test_unused_import_check_flags_a_leftover():
     assert unused_imports("from .flow import forward_euler  # noqa: F401\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

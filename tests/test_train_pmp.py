@@ -8,7 +8,6 @@ import pytest
 from diffeoflow import (
     ControlGrid,
     TrainConfig,
-    cost,
     forward_euler,
     train_pmp,
 )
