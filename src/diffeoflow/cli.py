@@ -233,29 +233,51 @@ def build_problem(cfg: RunConfig) -> tuple:
         train = _load_dataset(cfg.dataset_file, family.dim)
     else:
         try:
-            train = make_grid_dataset(target, side=cfg.grid_side, per_axis=cfg.grid_per_axis)
+            train = _square_dataset(make_grid_dataset, target, cfg, per_axis=cfg.grid_per_axis)
         except MemoryError as err:
             msg = f"grid_per_axis: a grid of {cfg.grid_per_axis}**2 points does not fit in memory"
             raise ConfigError(msg) from err
     if cfg.test_file is not None:
         test = _load_dataset(cfg.test_file, family.dim)
     elif cfg.test_count > 0:
-        test = make_random_testset(
-            target, side=cfg.grid_side, count=cfg.test_count, seed=cfg.test_seed
-        )
+        try:
+            test = _square_dataset(
+                make_random_testset, target, cfg, count=cfg.test_count, seed=cfg.test_seed
+            )
+        except MemoryError as err:
+            msg = f"test_count: a cloud of {cfg.test_count} points does not fit in memory"
+            raise ConfigError(msg) from err
     else:
         test = None
     return family, target, train, test
 
 
+def _square_dataset(make, target, cfg: RunConfig, **kwargs) -> Dataset:
+    """A cloud on the square of side grid_side; a dataset it cannot make names grid_side.
+
+    The target may overflow on a large square, and points collapse onto each
+    other on a square of subnormal side.
+    """
+    try:
+        return make(target, side=cfg.grid_side, **kwargs)
+    except ValueError as err:
+        raise ConfigError(
+            f"grid_side: no usable dataset of the {cfg.target} target on the square "
+            f"of side {cfg.grid_side:g}: {err}"
+        ) from err
+
+
 def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
     """Train per config and return the report plus the summary document."""
     family, target, train, test = build_problem(cfg)
+    trainer = train_gradient_flow if cfg.algorithm == "gd" else train_pmp
     start = time.perf_counter()
-    if cfg.algorithm == "gd":
-        report = train_gradient_flow(family, train, cfg.n_layers, cfg, test_data=test)
-    else:
-        report = train_pmp(family, train, cfg.n_layers, cfg, test_data=test)
+    try:
+        report = trainer(family, train, cfg.n_layers, cfg, test_data=test)
+    except MemoryError as err:  # the controls and trajectories grow with n_layers
+        raise ConfigError(
+            f"n_layers: {cfg.n_layers} layers of {train.n_samples} points do not fit in memory"
+        ) from err
     elapsed = time.perf_counter() - start
 
     block = build_metrics(
@@ -475,7 +497,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except MemoryError as err:  # build_problem names grid_per_axis when the grid does not fit
+    except MemoryError as err:  # grid_per_axis, test_count and n_layers are named as ConfigErrors
         print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
     except (FlowError, TrainAbort) as err:  # a flow overflowed; training wrote its partial outputs

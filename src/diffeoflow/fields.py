@@ -47,7 +47,10 @@ The ordering is part of the interface: control column i always multiplies
 the field listed at position i.
 
 Points are arrays whose last axis holds the coordinates; any number of
-leading batch axes is allowed and preserved.
+leading batch axes is allowed and preserved.  They may come in any memory
+layout: the flow passes (M, dim) views whose coordinate columns are
+contiguous, and the closed-form contractions return their (M, dim) results
+in the layout of their input.
 """
 
 from __future__ import annotations
@@ -122,12 +125,21 @@ def _axis_sums(axes, terms, weights) -> list:
     """Per axis, the sum of terms[i] * weights[i] over the fields along it.
 
     Each sum starts from 0 and adds its terms in family order, as the dense
-    einsum does, so it is bit-identical to it; a None term is zero.
+    einsum does, so it is bit-identical to it; a None term is zero.  A sum
+    stays a scalar while its terms are; from its first array term on it is
+    one fresh array, and every later term is added into it in place.
     """
     sums = [0.0, 0.0]
     for axis, t, w in zip(axes, terms, weights):
-        if t is not None:
-            sums[axis] = sums[axis] + t * w
+        if t is None:
+            continue
+        term = t * w
+        if isinstance(sums[axis], np.ndarray):
+            sums[axis] += term
+        elif isinstance(term, np.ndarray):
+            sums[axis] = np.add(sums[axis], term, out=term)
+        else:
+            sums[axis] = sums[axis] + term
     return sums
 
 
@@ -195,7 +207,7 @@ class Affine8(VectorFieldFamily):
 
     def displacement(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
         x, x1, x2, g = self._planar(x)
-        out = np.empty(x.shape)
+        out = np.empty_like(x)  # in the layout of x, so each coordinate is written in one pass
         out[..., 0], out[..., 1] = _axis_sums(self.axes, self._coefficients(x1, x2, g), u_row)
         return out
 
@@ -230,7 +242,7 @@ class Affine8(VectorFieldFamily):
         # b = I + h a entry by entry; 0.0 + keeps the signed zeros of eye + h * a.
         b = [[(1.0 if p == q else 0.0) + h * a[p][q] for q in (0, 1)] for p in (0, 1)]
         l0, l1 = lam[:, 0], lam[:, 1]
-        step = np.empty(lam.shape)
+        step = np.empty_like(lam)
         for q in (0, 1):
             step[:, q] = l0 * b[0][q] + l1 * b[1][q]
         # The einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does.
@@ -265,8 +277,9 @@ class Enriched14(Affine8):
 class FieldSpec:
     """One user-supplied field: a value callable and its Jacobian callable.
 
-    Both callables receive points of shape ``(..., dim)`` and must return
-    arrays broadcastable to ``(..., dim)`` and ``(..., dim, dim)``.
+    Both callables receive points of shape ``(..., dim)``, in any memory
+    layout, and must return arrays broadcastable to ``(..., dim)`` and
+    ``(..., dim, dim)``.
     """
 
     value: Callable[[np.ndarray], np.ndarray]

@@ -11,6 +11,13 @@ with piecewise-constant controls on N equal slabs of width h = 1/N:
 This module advances point bundles through that recursion, transports row
 covectors backward through its linearization and accumulates the Jacobian
 of the input-to-output map.
+
+Point bundles keep the (M, dim) and (M, N+1, dim) shapes of their callers,
+but the flow stores them coordinate-major: each coordinate of each node,
+``states[:, k, d]``, is one contiguous row of M values.  Every per-point
+formula of the fields reads and writes such rows, so the elementwise passes
+at large M run over contiguous memory.  Results do not depend on the layout
+a caller passes in; only the speed does.
 """
 
 from __future__ import annotations
@@ -158,11 +165,13 @@ def _as_trajectory(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray
 def _euler(
     family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, keep: int
 ) -> np.ndarray:
-    """Run the Euler recursion, holding node k in slot ``k % keep`` of a (keep, M, dim) buffer.
+    """Run the Euler recursion, holding node k in slot ``k % keep`` of a (keep, dim, M) buffer.
 
-    With ``keep = N+1`` the buffer is the whole layer-major trajectory; with
-    ``keep = 2`` it holds the current node and the previous one only.  Each
-    sample is advanced independently, so results do not depend on batch
+    With ``keep = N+1`` the buffer is the whole coordinate-major trajectory;
+    with ``keep = 2`` it holds the current node and the previous one only.
+    Each slot is handed to the family as its transpose, an (M, dim) view
+    whose coordinate columns are contiguous rows of the buffer.  Each sample
+    is advanced independently, so results do not depend on batch
     composition, nor on ``keep``.
 
     Raises FlowError if any state turns non-finite, naming the first
@@ -172,11 +181,11 @@ def _euler(
     _check_compatible(family, u)
     pts, _ = _as_bundle(sources, family.dim)
     h = u.step
-    nodes = np.empty((keep,) + pts.shape)
-    nodes[0] = pts
+    nodes = np.empty((keep, pts.shape[1], pts.shape[0]))
+    nodes[0] = pts.T
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, u.n_layers + 1):
-            prev, node = nodes[(k - 1) % keep], nodes[k % keep]
+            prev, node = nodes[(k - 1) % keep].T, nodes[k % keep].T
             np.add(prev, h * displacement(family, prev, u.values[k - 1]), out=node)
             _check_finite(node, k, "; the flow overflowed, reduce the step size or the controls")
     return nodes
@@ -190,14 +199,15 @@ def forward_euler(
     Returns the full trajectory bundle of shape (M, N+1, dim); node 0 holds
     the sources and node N the mapped points.
 
-    The bundle is stored layer-major: the result is a transposed view of an
-    (N+1, M, dim) C-order buffer, so each node ``states[:, k]`` is one
-    contiguous (M, dim) block, which is what every layer loop reads.
+    The bundle is stored coordinate-major: the result is a transposed view
+    of an (N+1, dim, M) C-order buffer, so each coordinate row
+    ``states[:, k, d]`` is contiguous and each node ``states[:, k]`` is an
+    (M, dim) Fortran-order block, which is what every layer loop reads.
 
     Raises FlowError if any state turns non-finite, naming the first
     offending sample and the layer where it happened.
     """
-    return _euler(family, u, sources, u.n_layers + 1).transpose(1, 0, 2)
+    return _euler(family, u, sources, u.n_layers + 1).transpose(2, 0, 1)
 
 
 def flow_endpoints(
@@ -205,11 +215,12 @@ def flow_endpoints(
 ) -> np.ndarray:
     """The mapped points, shape (M, dim): node N of ``forward_euler``, bit for bit.
 
-    Holds two nodes at a time instead of the (N+1, M, dim) trajectory, for
-    callers that read the endpoints only.  Raises the same FlowError as
-    ``forward_euler``.
+    Holds two nodes at a time instead of the (N+1, dim, M) trajectory, for
+    callers that read the endpoints only; the result is stored like a node
+    of ``forward_euler``, with contiguous coordinate columns.  Raises the
+    same FlowError as ``forward_euler``.
     """
-    return _euler(family, u, sources, 2)[u.n_layers % 2]
+    return _euler(family, u, sources, 2)[u.n_layers % 2].T
 
 
 def backward_covector(
@@ -230,10 +241,10 @@ def backward_covector(
 
     ``states`` must be the trajectory bundle the controls produced, in any
     memory layout.  Returns covectors of shape (M, N+1, dim), stored
-    layer-major like the output of ``forward_euler`` (a transposed view of an
-    (N+1, M, dim) buffer).  The solve fails with a FlowError naming sample
-    and layer when a layer matrix has condition estimate above
-    ``CONDITION_LIMIT``.
+    layer-major: a transposed view of an (N+1, M, dim) buffer, so each node
+    ``lam[:, k]`` is one C-order (M, dim) block.  The solve fails with a
+    FlowError naming sample and layer when a layer matrix has condition
+    estimate above ``CONDITION_LIMIT``.
     """
     states = _as_trajectory(family, u, states)
     n_pts, n_nodes, dim = states.shape

@@ -25,14 +25,19 @@ from .flow import ControlGrid, _as_trajectory, flow_endpoints, forward_euler
 
 @dataclass(frozen=True)
 class Dataset:
-    """Paired source and target point clouds, one row per sample."""
+    """Paired source and target point clouds, one row per sample.
+
+    Both are stored coordinate-major (Fortran order), like the nodes of the
+    flow's bundles, so that residuals between flowed points and targets run
+    over contiguous coordinate rows.
+    """
 
     sources: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        src = np.asarray(self.sources, dtype=float)
-        tgt = np.asarray(self.targets, dtype=float)
+        src = np.asfortranarray(self.sources, dtype=float)
+        tgt = np.asfortranarray(self.targets, dtype=float)
         if src.ndim != 2 or src.shape[0] < 1:
             raise ValueError(f"sources must be a (M, dim) array, got shape {src.shape}")
         if tgt.shape != src.shape:
@@ -143,11 +148,15 @@ def control_gradient(
         lambda_{k-1}  = lambda_k (Id + h A_k),
 
     which makes h * g[k-1, i] the exact partial derivative of cost.  Only
-    the current node's (M, dim) covector is held; none are stored.
+    the current node's (M, dim) covector is held; none are stored.  It starts
+    in the memory layout of the trajectory's nodes (coordinate-major for a
+    ``forward_euler`` bundle), so each adjoint step reads and writes
+    contiguous coordinate rows; the result does not depend on the layout.
     """
     states = _as_trajectory(family, u, states)
     grad = np.empty(u.values.shape)
-    lam = loss_grad(states[:, -1] - targets) / states.shape[0]
+    lam = np.empty_like(states[:, -1])
+    np.divide(loss_grad(states[:, -1] - targets), states.shape[0], out=lam)
     for k in range(u.n_layers, 0, -1):
         grad[k - 1], lam = family.adjoint_step(states[:, k - 1], u.values[k - 1], lam, u.step)
     return grad + beta * u.values

@@ -71,7 +71,8 @@ def train_pmp(
         if cov_u is not u:
             terminal = -loss_grad(states[:, -1] - targets) / n_pts
             cov_u, cov = u, backward_covector(family, u, states, terminal)
-        # np.copy keeps the layer-major layout (order 'K'); ndarray.copy would not.
+        # np.copy keeps the coordinate-major layout of the trajectory (order 'K');
+        # ndarray.copy would make it sample-major.
         swept = np.copy(states)
         new_controls = u.values.copy()
         with np.errstate(over="ignore", invalid="ignore"):

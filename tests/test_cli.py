@@ -204,11 +204,21 @@ def test_grid_out_of_memory_exits_two_naming_grid_per_axis(tmp_path, capsys, mon
 
 def test_other_out_of_memory_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
-        raise MemoryError("Unable to allocate the trajectories")
+        raise MemoryError("Unable to allocate the probe Jacobians")
 
-    monkeypatch.setattr(cli, "train_gradient_flow", out_of_memory)
+    monkeypatch.setattr(cli, "build_metrics", out_of_memory)
     assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "error: out of memory: Unable to allocate the trajectories\n"
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate the probe Jacobians\n"
+
+
+@pytest.mark.parametrize("field", ["n_layers", "test_count"])
+def test_size_too_large_for_memory_exits_two_naming_it(field, tmp_path, capsys):
+    # 2**52 rows of floats are petabytes, so the allocation fails at once.
+    config = write_config(tmp_path, **{field: 2**52})
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, err
+    assert "does not fit" in err or "do not fit" in err, err
 
 
 def test_main_exits_two_on_bad_input(tmp_path, capsys):
@@ -575,6 +585,21 @@ def test_overflowing_sweep_is_a_rejected_row_under_warnings_as_errors(tmp_path):
     row = dict(zip(header, rows[3]))
     assert (row["iteration"], row["cost"], row["training_error"], row["accepted"]) == ("3", "inf", "inf", "0")
     assert float(dict(zip(header, rows[4]))["gamma"]) == 0.5 * float(row["gamma"])
+
+
+@pytest.mark.parametrize("cloud", ["grid", "test cloud"])
+def test_square_too_large_for_the_target_exits_two_naming_grid_side(cloud, tmp_path):
+    # On a square of side 60 the builtin target overflows; with a dataset
+    # file only the held-out cloud is drawn on that square.
+    extra = {}
+    if cloud == "test cloud":
+        data = Dataset(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 1.0], [1.0, 1.5]]))
+        save_dataset_csv(tmp_path / "data.csv", data)
+        extra["dataset_file"] = str(tmp_path / "data.csv")
+    cfg_path = write_config(tmp_path, grid_side=60.0, **extra)
+    proc = run_warnings_as_errors(tmp_path, "train", "--config", str(cfg_path), "--out", "run")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: grid_side: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_train_has_no_seed_flag(tmp_path):

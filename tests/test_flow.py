@@ -363,15 +363,28 @@ def nodes_are_contiguous(bundle):
     return all(bundle[:, k].flags.c_contiguous for k in range(bundle.shape[1]))
 
 
+def rows_are_contiguous(bundle):
+    """Each coordinate of each node, ``bundle[:, k, d]``, is one contiguous row."""
+    return all(
+        bundle[:, k, d].flags.c_contiguous
+        for k in range(bundle.shape[1])
+        for d in range(bundle.shape[2])
+    )
+
+
 @pytest.mark.parametrize("size", SIZES, ids=lambda s: f"m{s[0]}_n{s[1]}")
 @pytest.mark.parametrize("name", ["affine8", "enriched14"])
 def test_forward_is_layer_major_and_matches_the_sample_major_loop(name, size):
     fam, u, pts, _ = random_problem(name, *size)
     states = forward_euler(fam, u, pts)
     assert states.shape == (size[0], size[1] + 1, 2)
-    assert nodes_are_contiguous(states)
+    assert rows_are_contiguous(states)
     want = sample_major_forward(fam, u, pts)
     assert np.array_equal(states.view(np.int64), want.view(np.int64))
+    ends = flow_endpoints(fam, u, pts)
+    assert ends.shape == (size[0], 2)
+    assert all(ends[:, d].flags.c_contiguous for d in range(2))
+    assert np.array_equal(ends.view(np.int64), want[:, -1].view(np.int64))
 
 
 @pytest.mark.parametrize("size", SIZES, ids=lambda s: f"m{s[0]}_n{s[1]}")

@@ -156,4 +156,4 @@ def test_sweep_proposals_keep_the_layer_major_layout(affine8, grid25, monkeypatc
     for accepted, proposal in seen:
         for bundle in (accepted, proposal):
             assert bundle.shape == (25, 7, 2)
-            assert all(bundle[:, k].flags.c_contiguous for k in range(7))
+            assert all(bundle[:, k, d].flags.c_contiguous for k in range(7) for d in range(2))
