@@ -45,7 +45,7 @@ from .fields import family_from_name
 from .flow import ControlGrid, FlowError, flow_endpoints
 # forward_euler is unused here, but perfbench's tracing self-test expects this module to bind it.
 from .flow import forward_euler  # noqa: F401
-from .metrics import build_metrics
+from .metrics import build_metrics, target_lipschitz_estimate
 from .objective import Dataset, adjoint_gradient, fd_gradient_oracle, loss
 from .train_gd import TrainAbort, TrainConfig, TrainReport, train_gradient_flow
 from .train_pmp import train_pmp
@@ -229,6 +229,8 @@ def build_problem(cfg: RunConfig) -> tuple:
     """Resolve a config into (family, target, train dataset, test dataset)."""
     family = family_from_name(cfg.family, cfg.nu)
     target = target_from_name(cfg.target)
+    if cfg.dataset_file is None or (cfg.test_file is None and cfg.test_count > 0):
+        _check_square(target, cfg)  # a cloud below is drawn on the square
     if cfg.dataset_file is not None:
         train = _load_dataset(cfg.dataset_file, family.dim)
     else:
@@ -250,6 +252,25 @@ def build_problem(cfg: RunConfig) -> tuple:
     else:
         test = None
     return family, target, train, test
+
+
+def _check_square(target, cfg: RunConfig) -> None:
+    """Name grid_side if the target's Jacobian norm overflows on the square of that side.
+
+    The norm enters the summary's bounds.  It is checked at the square's
+    four corners only, where the builtin target's Jacobian norm peaks: |z1|
+    and |z2| are convex in x, and both entries of its deformation grow with
+    them.
+    """
+    half = 0.5 * cfg.grid_side
+    corners = np.array([[-half, -half], [-half, half], [half, -half], [half, half]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        corner_norm = target_lipschitz_estimate(target, corners)
+    if not math.isfinite(corner_norm):
+        raise ConfigError(
+            f"grid_side: the Jacobian of the {cfg.target} target overflows on the square "
+            f"of side {cfg.grid_side:g}"
+        )
 
 
 def _square_dataset(make, target, cfg: RunConfig, **kwargs) -> Dataset:
@@ -284,7 +305,7 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
         family,
         report.control,
         None if cfg.dataset_file is not None else target,  # the bounds describe the grid only
-        probes=train.sources,
+        states=report.states,
         training_error=report.final_cost.data_term,
         n_train=train.n_samples,
         side=cfg.grid_side,
@@ -357,7 +378,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_reproduce_tables(args) -> int:
-    """Run the beta sweep of each table into ``table<t>_beta<beta>``, then its table files."""
+    """Run the beta sweep of each table into ``table<t>_beta<beta>``, then its table files.
+
+    Prints one line per finished run, flushed, so a long sweep shows its progress.
+    """
     out = Path(args.out)  # made with the first run directory
     for table in [args.table] if args.table is not None else sorted(TABLE_SETTINGS):
         family_name, n_layers, algorithm = TABLE_SETTINGS[table]
@@ -370,10 +394,11 @@ def cmd_reproduce_tables(args) -> int:
             except TrainAbort as err:
                 print(f"error: table {table}, beta {beta:g}: {err}", file=sys.stderr)
                 return 1
-            final = summary["final"]
-            rows.append((beta, summary["metrics"]["lipschitz_flow"], final["training_error"],
-                         final["testing_error"], *REFERENCE_RESULTS[table][beta],
-                         summary["wall_clock_seconds"]))
+            final, lipschitz = summary["final"], summary["metrics"]["lipschitz_flow"]
+            rows.append((beta, lipschitz, final["training_error"], final["testing_error"],
+                         *REFERENCE_RESULTS[table][beta], summary["wall_clock_seconds"]))
+            print(f"table {table}, beta {beta:g}: training error {final['training_error']:.4f}, "
+                  f"Lipschitz {lipschitz:.2f}, {summary['wall_clock_seconds']:.1f} s", flush=True)
         write_table(out / f"table{table}.csv", TABLE_COLUMNS, rows)
         lines = [
             f"# Benchmark table {table}: {family_name}, {n_layers} layers, {algorithm}",

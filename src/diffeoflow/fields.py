@@ -2,22 +2,27 @@
 
 A family is an ordered tuple of smooth fields F_1, ..., F_l on R^n.  The
 network layers move points along constant-coefficient combinations of these
-fields, so the flow, the gradients and the metrics use four contractions
+fields, so the flow, the gradients and the metrics use five contractions
 of the fields at a batch of points:
 
     displacement(x, u)  = sum_i u_i F_i(x)           (one layer's step),
     layer_matrix(x, u)  = sum_i u_i DF_i(x)          (its state matrix),
+    layer_factor(x, u, h)                             (the layer's
+                        = I + h layer_matrix(x, u)     Jacobian),
     pairing(x, lam)[i]  = sum_j <lam^j, F_i(x^j)>    (the control gradient),
     adjoint_step(x, u, lam, h)                        (one node of the
                         = (pairing(x, lam),            backward sweep: its
-                           lam (I + h layer_matrix))   gradient row and the
+                           lam layer_factor(x, u, h))  gradient row and the
                                                        stepped covector).
 
 The base class computes them from the stacked ``values`` and ``jacobians``
 of the fields, so a family only has to supply those two.  The built-in
 families compute them in closed form instead, without the mostly-zero
 ``(..., l, n[, n])`` tensors, and add terms in the same order as the dense
-contraction, so both give bit-identical results.
+contraction, so both give bit-identical results.  Within one call each
+per-point quantity (a square, the Gaussian weight, a product of
+coordinates) is computed once, and nothing computed for one call is kept
+for the next.
 
 Two planar built-ins are provided.
 
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -100,6 +106,15 @@ class VectorFieldFamily(ABC):
         """
         return np.einsum("m...n,m...ln->...l", lam, self.values(x))
 
+    def layer_factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
+        """I + h * sum_i u_row[i] * DF_i(x), the Jacobian of one layer: shape ``(..., dim, dim)``.
+
+        Called with -h it gives the backward-Euler factor I - h sum_i u_row[i] DF_i(x)
+        bit for bit: (-h) * a is -(h * a), and y + (-z) is y - z in IEEE
+        arithmetic.
+        """
+        return np.eye(self.dim) + h * self.layer_matrix(x, u_row)
+
     def adjoint_step(
         self, x: np.ndarray, u_row: np.ndarray, lam: np.ndarray, h: float
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,10 +122,9 @@ class VectorFieldFamily(ABC):
 
         ``x`` and ``lam`` have shape ``(M, dim)``.  Returns the pairing row
         ``sum_j <lam^j, F_i(x^j)>`` of shape ``(n_fields,)`` and the covector
-        ``lam (I + h sum_i u_row[i] DF_i(x))`` of shape ``(M, dim)``.
+        ``lam layer_factor(x, u_row, h)`` of shape ``(M, dim)``.
         """
-        eye = np.eye(self.dim)
-        step = np.einsum("mp,mpn->mn", lam, eye + h * self.layer_matrix(x, u_row))
+        step = np.einsum("mp,mpn->mn", lam, self.layer_factor(x, u_row, h))
         return self.pairing(x, lam), step
 
 
@@ -121,26 +135,60 @@ def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
-def _axis_sums(axes, terms, weights) -> list:
+def _axis_sums(axes, terms, weights, out=None) -> list:
     """Per axis, the sum of terms[i] * weights[i] over the fields along it.
 
     Each sum starts from 0 and adds its terms in family order, as the dense
     einsum does, so it is bit-identical to it; a None term is zero.  A sum
     stays a scalar while its terms are; from its first array term on it is
-    one fresh array, and every later term is added into it in place.
+    one array, and every later term is added into it in place.  That array
+    is fresh, or with ``out`` the column ``out[..., axis]``, which then holds
+    the sum in either case.
     """
     sums = [0.0, 0.0]
     for axis, t, w in zip(axes, terms, weights):
         if t is None:
             continue
-        term = t * w
         if isinstance(sums[axis], np.ndarray):
-            sums[axis] += term
-        elif isinstance(term, np.ndarray):
+            sums[axis] += t * w
+        elif isinstance(t, np.ndarray):
+            term = np.multiply(t, w, out=None if out is None else out[..., axis])
             sums[axis] = np.add(sums[axis], term, out=term)
         else:
-            sums[axis] = sums[axis] + term
+            sums[axis] = sums[axis] + t * w
+    if out is not None:
+        for axis, total in enumerate(sums):
+            if not isinstance(total, np.ndarray):
+                out[..., axis] = total
     return sums
+
+
+class _Planar:
+    """The per-point quantities of one call on planar points, each computed once.
+
+    ``x1``, ``x2`` are the coordinates, ``sq1`` and ``sq2`` their squares,
+    ``g`` the Gaussian weight exp(-(sq1 + sq2) / (2 nu)), and ``x1x2`` the
+    mixed monomial, computed on first use.  An instance lives only as long
+    as the call that made it, so no array outlives its call.
+    """
+
+    def __init__(self, x: np.ndarray, nu: float):
+        self.x1, self.x2 = x[..., 0], x[..., 1]
+        with np.errstate(over="ignore"):  # |x|^2 = inf gives g = exp(-inf) = 0, the exact limit
+            self.sq1, self.sq2 = self.x1 * self.x1, self.x2 * self.x2
+            self.g = np.exp(-0.5 * (self.sq1 + self.sq2) / nu)
+
+    @cached_property
+    def x1x2(self) -> np.ndarray:
+        return self.x1 * self.x2
+
+
+def _stacked(entries, shape: tuple) -> np.ndarray:
+    """The 2x2 matrices with entries[p][q] at each point, as a C-order (*shape, 2, 2) array."""
+    out = np.empty(shape + (2, 2))
+    for p in (0, 1):
+        out[..., p, 0], out[..., p, 1] = entries[p]
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,7 +198,7 @@ class Affine8(VectorFieldFamily):
     Each field is a scalar coefficient times one coordinate direction:
     field i is c_i(x) e_{axes[i]}.  ``_coefficients`` and ``_gradients``
     list c_i and grad c_i in family order, and values, Jacobians and the
-    three contractions are all computed from these lists, so a subclass
+    contractions are all computed from these lists, so a subclass
     that appends fields only extends the lists.
     """
 
@@ -160,44 +208,46 @@ class Affine8(VectorFieldFamily):
     n_fields: ClassVar[int] = 8
     axes: ClassVar[tuple[int, ...]] = (0, 1, 0, 1, 0, 0, 1, 1)
 
-    def _coefficients(self, x1, x2, g) -> tuple:
+    def _coefficients(self, pts: _Planar) -> tuple:
         """c_i at the points; 1.0 stands for a constant coefficient."""
-        return (1.0, 1.0, g, g, x1, x2, x1, x2)
+        return (1.0, 1.0, pts.g, pts.g, pts.x1, pts.x2, pts.x1, pts.x2)
 
-    def _gradients(self, x1, x2, g, dg1, dg2) -> tuple:
+    def _gradients(self, pts: _Planar, dg1, dg2) -> tuple:
         """(dc_i/dx1, dc_i/dx2) at the points; None stands for zero."""
         return (
             (None, None), (None, None), (dg1, dg2), (dg1, dg2),
             (1.0, None), (None, 1.0), (1.0, None), (None, 1.0),
         )
 
-    def _planar(self, x: np.ndarray) -> tuple:
+    def _planar(self, x: np.ndarray) -> tuple[np.ndarray, _Planar]:
         x = _as_points(x, 2)
-        x1, x2 = x[..., 0], x[..., 1]
-        with np.errstate(over="ignore"):  # |x|^2 = inf gives g = exp(-inf) = 0, the exact limit
-            g = np.exp(-0.5 * (x1 * x1 + x2 * x2) / self.nu)
-        return x, x1, x2, g
+        return x, _Planar(x, self.nu)
 
-    def _planar_gradients(self, x1, x2, g) -> tuple:
-        dg1 = -g * x1 / self.nu
-        dg2 = -g * x2 / self.nu
-        return self._gradients(x1, x2, g, dg1, dg2)
+    def _planar_gradients(self, pts: _Planar) -> tuple:
+        neg_g = -pts.g  # grad g = -g x / nu
+        return self._gradients(pts, neg_g * pts.x1 / self.nu, neg_g * pts.x2 / self.nu)
 
-    def _layer_entries(self, grads, u_row) -> list:
+    def _layer_entries(self, pts: _Planar, u_row) -> list:
         """Entries a[p][q] of sum_i u_row[i] DF_i, each summed column by column."""
+        grads = self._planar_gradients(pts)
         columns = [_axis_sums(self.axes, [grad[q] for grad in grads], u_row) for q in (0, 1)]
         return [[columns[q][p] for q in (0, 1)] for p in (0, 1)]
 
+    def _factor_entries(self, pts: _Planar, u_row, h: float) -> list:
+        """Entries b[p][q] of I + h sum_i u_row[i] DF_i; 0.0 + keeps the signed zeros of eye + h * a."""
+        a = self._layer_entries(pts, u_row)
+        return [[(1.0 if p == q else 0.0) + h * a[p][q] for q in (0, 1)] for p in (0, 1)]
+
     def values(self, x: np.ndarray) -> np.ndarray:
-        x, x1, x2, g = self._planar(x)
+        x, pts = self._planar(x)
         out = np.zeros(x.shape[:-1] + (self.n_fields, 2))
-        for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(x1, x2, g))):
+        for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(pts))):
             out[..., i, axis] = c
         return out
 
     def jacobians(self, x: np.ndarray) -> np.ndarray:
-        x, x1, x2, g = self._planar(x)
-        grads = self._planar_gradients(x1, x2, g)
+        x, pts = self._planar(x)
+        grads = self._planar_gradients(pts)
         out = np.zeros(x.shape[:-1] + (self.n_fields, 2, 2))
         for i, (axis, grad) in enumerate(zip(self.axes, grads)):
             for j, d in enumerate(grad):
@@ -206,45 +256,45 @@ class Affine8(VectorFieldFamily):
         return out
 
     def displacement(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-        x, x1, x2, g = self._planar(x)
-        out = np.empty_like(x)  # in the layout of x, so each coordinate is written in one pass
-        out[..., 0], out[..., 1] = _axis_sums(self.axes, self._coefficients(x1, x2, g), u_row)
+        x, pts = self._planar(x)
+        out = np.empty_like(x)  # in the layout of x, so each coordinate is summed in one pass
+        _axis_sums(self.axes, self._coefficients(pts), u_row, out=out)
         return out
 
     def layer_matrix(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-        x, x1, x2, g = self._planar(x)
-        a = self._layer_entries(self._planar_gradients(x1, x2, g), u_row)
-        out = np.empty(x.shape + (2,))
-        for p in (0, 1):
-            out[..., p, 0], out[..., p, 1] = a[p]
-        return out
+        x, pts = self._planar(x)
+        return _stacked(self._layer_entries(pts, u_row), x.shape[:-1])
 
-    def _pairing(self, lam, x1, x2, g) -> np.ndarray:
+    def layer_factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
+        # C order, like eye + h * layer_matrix, so that a product of factors stays on one path.
+        x, pts = self._planar(x)
+        return _stacked(self._factor_entries(pts, u_row, h), x.shape[:-1])
+
+    def _pairing(self, lam, pts: _Planar) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         terms = np.empty(lam.shape[:-1] + (self.n_fields,))
-        for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(x1, x2, g))):
+        for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(pts))):
             np.multiply(lam[..., axis], c, out=terms[..., i])
         # This einsum adds the samples in order, starting from +0.0, as the
         # dense einsum does; a 1-D sum per field would add them pairwise.
         return np.einsum("m...i->...i", terms)
 
     def pairing(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        x, x1, x2, g = self._planar(x)
-        return self._pairing(lam, x1, x2, g)
+        x, pts = self._planar(x)
+        return self._pairing(lam, pts)
 
     def adjoint_step(
         self, x: np.ndarray, u_row: np.ndarray, lam: np.ndarray, h: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        x, x1, x2, g = self._planar(x)
+        x, pts = self._planar(x)
         lam = np.asarray(lam, dtype=float)
-        row = self._pairing(lam, x1, x2, g)
-        a = self._layer_entries(self._planar_gradients(x1, x2, g), u_row)
-        # b = I + h a entry by entry; 0.0 + keeps the signed zeros of eye + h * a.
-        b = [[(1.0 if p == q else 0.0) + h * a[p][q] for q in (0, 1)] for p in (0, 1)]
+        row = self._pairing(lam, pts)
+        b = self._factor_entries(pts, u_row, h)
         l0, l1 = lam[:, 0], lam[:, 1]
         step = np.empty_like(lam)
         for q in (0, 1):
-            step[:, q] = l0 * b[0][q] + l1 * b[1][q]
+            column = np.multiply(l0, b[0][q], out=step[:, q])
+            column += l1 * b[1][q]
         # The einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does.
         step += 0.0
         return row, step
@@ -258,19 +308,20 @@ class Enriched14(Affine8):
     n_fields: ClassVar[int] = 14
     axes: ClassVar[tuple[int, ...]] = Affine8.axes + (0, 0, 0, 1, 1, 1)
 
-    def _coefficients(self, x1, x2, g) -> tuple:
-        quads = (x1 * x1 * g, x1 * x2 * g, x2 * x2 * g)
-        return super()._coefficients(x1, x2, g) + quads + quads
+    def _coefficients(self, pts: _Planar) -> tuple:
+        quads = (pts.sq1 * pts.g, pts.x1x2 * pts.g, pts.sq2 * pts.g)
+        return super()._coefficients(pts) + quads + quads
 
-    def _gradients(self, x1, x2, g, dg1, dg2) -> tuple:
+    def _gradients(self, pts: _Planar, dg1, dg2) -> tuple:
         # grad(p * g) = g * grad(p) + p * grad(g), with grad(g) = -g x / nu.
-        p11, p12, p22 = x1 * x1, x1 * x2, x2 * x2
+        x1, x2, g = pts.x1, pts.x2, pts.g
+        p11, p12, p22 = pts.sq1, pts.x1x2, pts.sq2
         quads = (
             (g * (2.0 * x1) + p11 * dg1, p11 * dg2),
             (g * x2 + p12 * dg1, g * x1 + p12 * dg2),
             (p22 * dg1, g * (2.0 * x2) + p22 * dg2),
         )
-        return super()._gradients(x1, x2, g, dg1, dg2) + quads + quads
+        return super()._gradients(pts, dg1, dg2) + quads + quads
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,8 @@ def backward_covector(
 
         lambda_{k-1} = lambda_k (Id - h A_k)^{-1},
 
-    the backward-Euler transport of the continuous covector flow.  (The
+    the backward-Euler transport of the continuous covector flow.  The
+    factor Id - h A_k is the family's ``layer_factor`` with step -h.  (The
     exact transpose of the forward layer, lambda_k (Id + h A_k), is the
     family's ``adjoint_step``.)
 
@@ -253,11 +254,10 @@ def backward_covector(
     if term.shape != (n_pts, dim):
         raise ValueError(f"terminal covectors must have shape ({n_pts}, {dim}), got {term.shape}")
     h = u.step
-    eye = np.eye(dim)
     lam = np.empty((n_nodes, n_pts, dim))
     lam[n_layers] = term
     for k in range(n_layers, 0, -1):
-        b = eye - h * layer_matrix(family, states[:, k - 1], u.values[k - 1])
+        b = family.layer_factor(states[:, k - 1], u.values[k - 1], -h)
         j, worst = _worst_conditioned(b)
         if not np.isfinite(worst) or worst > CONDITION_LIMIT:
             raise FlowError(
@@ -276,16 +276,27 @@ def variational_jacobian(
 ) -> np.ndarray:
     """Jacobian of the input-to-output map at x0.
 
-    Accumulates V <- (Id + h A_k) V along the ``forward_euler`` trajectory
-    started at x0, which is the exact derivative of the discrete flow.
-    Accepts a single point (dim,) or a bundle (M, dim) and returns (dim, dim)
-    or (M, dim, dim); raises the trajectory's FlowError if the flow overflows.
+    Runs ``forward_euler`` from x0 and accumulates the Jacobian along that
+    trajectory as ``jacobian_along`` does, which is the exact derivative of
+    the discrete flow.  Accepts a single point (dim,) or a bundle (M, dim)
+    and returns (dim, dim) or (M, dim, dim); raises the trajectory's
+    FlowError if the flow overflows.
     """
     pts, single = _as_bundle(x0, family.dim)
-    states = forward_euler(family, u, pts)
-    h = u.step
-    eye = np.eye(family.dim)
-    jac = np.broadcast_to(eye, (pts.shape[0], family.dim, family.dim)).copy()
-    for k in range(1, u.n_layers + 1):
-        jac = (eye + h * layer_matrix(family, states[:, k - 1], u.values[k - 1])) @ jac
+    jac = jacobian_along(family, u, forward_euler(family, u, pts))
     return jac[0] if single else jac
+
+
+def jacobian_along(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray) -> np.ndarray:
+    """Jacobian of the input-to-output map at node 0 of a stored trajectory, shape (M, dim, dim).
+
+    ``states`` is the (M, N+1, dim) bundle the controls produced from the
+    points, in any memory layout, such as a trainer's final trajectory.
+    Accumulates V <- (Id + h A_k) V over the layers, with each factor the
+    family's ``layer_factor``; no point is flowed again.
+    """
+    states = _as_trajectory(family, u, states)
+    jac = np.broadcast_to(np.eye(family.dim), (states.shape[0], family.dim, family.dim)).copy()
+    for k in range(1, u.n_layers + 1):
+        jac = family.layer_factor(states[:, k - 1], u.values[k - 1], u.step) @ jac
+    return jac

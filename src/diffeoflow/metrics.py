@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, _spectral_norm_2x2, variational_jacobian
+from .flow import ControlGrid, _spectral_norm_2x2, jacobian_along, variational_jacobian
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def lipschitz_estimate(
     family: VectorFieldFamily, u: ControlGrid, probes: np.ndarray
 ) -> float:
     """Largest Jacobian spectral norm of the trained map over probe points."""
-    jacs = variational_jacobian(family, u, probes)
-    return float(np.max(spectral_norms(jacs)))
+    return float(np.max(spectral_norms(variational_jacobian(family, u, probes))))
 
 
 def target_lipschitz_estimate(target, probes: np.ndarray) -> float:
@@ -95,21 +94,25 @@ def build_metrics(
     family: VectorFieldFamily,
     u: ControlGrid,
     target,
-    probes: np.ndarray,
+    states: np.ndarray,
     training_error: float,
     n_train: int,
     side: float,
 ) -> MetricsBlock:
     """Assemble the full diagnostics block for a finished run.
 
+    ``states`` is the (M, N+1, dim) trajectory of the probe points under
+    ``u``, such as ``TrainReport.states``; its node 0 holds the probes.  The
+    flow's Lipschitz constant is read off it without flowing the probes
+    again, and equals ``lipschitz_estimate`` at the probes bit for bit.
     ``target`` is None when the training data are not the target's grid on
     the square of side ``side``; the target's Lipschitz constant, W1 and the
     bound then describe no data and are None.
     """
-    l_flow = lipschitz_estimate(family, u, probes)
+    l_flow = float(np.max(spectral_norms(jacobian_along(family, u, states))))
     l_target = w1 = bound = None
     if target is not None:
-        l_target = target_lipschitz_estimate(target, probes)
+        l_target = target_lipschitz_estimate(target, states[:, 0])
         w1 = w1_grid_bound(n_train, side)
         bound = generalization_bound(training_error, l_target, l_flow, w1)
     return MetricsBlock(

@@ -87,11 +87,19 @@ class IterationRecord:
 
 @dataclass
 class TrainReport:
-    """Everything a training run produced."""
+    """Everything a training run produced.
+
+    ``states`` is the (M, N+1, dim) trajectory of the training sources under
+    ``control``, the one the trainer accepted last: ``forward_euler``'s
+    bundle for the gradient flow, the sweep's for the maximum principle,
+    bit for bit the same as flowing the sources again.  It is None in the
+    partial report of a run whose initial flow failed.
+    """
 
     records: list[IterationRecord]
     control: ControlGrid
     final_cost: ObjectiveValue
+    states: np.ndarray | None = None
 
 
 class TrainAbort(RuntimeError):
@@ -133,8 +141,8 @@ def _descend(
     inside ``propose``) is a rejected pass with cost +inf.  The test cloud
     is flowed once initially and once per accepted pass; a FlowError there,
     or in the initial flow, aborts training with TrainAbort, whose partial
-    report carries the last accepted control and its cost (+inf when the
-    initial flow failed).
+    report carries the last accepted control, its trajectory and its cost
+    (no trajectory and +inf when the initial flow failed).
     """
     if data.dim != family.dim:
         raise ValueError(f"dataset dimension {data.dim} does not match family dimension {family.dim}")
@@ -151,7 +159,7 @@ def _descend(
 
     records: list[IterationRecord] = []
     gamma = cfg.gamma0
-    current = _OVERFLOWED  # an abort reports the last accepted cost
+    current, states = _OVERFLOWED, None  # an abort reports the last accepted cost
     try:
         states = forward_euler(family, u, data.sources)
         current = cost_of_endpoints(states[:, -1], data.targets, u, cfg.beta)
@@ -174,9 +182,9 @@ def _descend(
             )
             if not accepted:
                 gamma *= cfg.tau
-        return TrainReport(records, u, current)
+        return TrainReport(records, u, current, states)
     except FlowError as err:
-        partial = TrainReport(records, u, current)
+        partial = TrainReport(records, u, current, states)
         raise TrainAbort(
             f"flow failed at training pass {len(records)}: {err}", partial, err
         ) from err

@@ -12,6 +12,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffeoflow import ControlGrid, VectorFieldFamily, forward_euler, loss, make_affine8, save_dataset_csv
+from diffeoflow import (
+    ControlGrid,
+    VectorFieldFamily,
+    forward_euler,
+    lipschitz_estimate,
+    loss,
+    make_affine8,
+    save_dataset_csv,
+)
 from diffeoflow import cli
 from diffeoflow.cli import (
     GRADCHECK_TOLERANCE,
@@ -286,6 +295,39 @@ def test_train_reruns_are_bit_identical(tmp_path):
     assert summaries[0] == summaries[1]
 
 
+@pytest.mark.parametrize("algorithm", ["gd", "pmp"])
+def test_train_flows_the_training_set_once_per_proposal_and_reuses_it_for_lipschitz(
+    algorithm, tmp_path, monkeypatch
+):
+    # The training set is flowed once at the start and, by the gradient flow,
+    # once per proposal; the sweep flows its proposals itself.  The summary's
+    # Lipschitz constant is read off the trainer's last trajectory, with no
+    # further flow, and equals the estimate from flowing the sources anew.
+    real, flowed = forward_euler, []
+
+    def counting(family, u, sources):
+        flowed.append(np.array(sources))
+        return real(family, u, sources)
+
+    package = importlib.import_module("diffeoflow")
+    for name in ("", ".flow", ".objective", ".train_gd", ".train_pmp", ".metrics", ".cli"):
+        module = importlib.import_module(f"diffeoflow{name}")
+        if getattr(module, "forward_euler", None) is real:
+            monkeypatch.setattr(module, "forward_euler", counting)
+    assert package.forward_euler is counting
+    cfg_path = write_config(tmp_path, algorithm=algorithm, max_iter=4)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    passes = len(read_trace(tmp_path / "run" / "trace.csv")) - 2  # the header and row 0
+    assert passes == 4
+    assert len(flowed) == (1 + passes if algorithm == "gd" else 1)
+    family, _, train, _ = cli.build_problem(load_config(cfg_path))
+    assert all(np.array_equal(sources, train.sources) for sources in flowed)
+
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
+    control = load_control_csv(tmp_path / "run" / "control.csv")
+    assert summary["metrics"]["lipschitz_flow"] == lipschitz_estimate(family, control, train.sources)
+
+
 def test_train_abort_leaves_partial_outputs(tmp_path, capsys):
     # |x|^2 overflows at the far test point, so the quadratic fields of
     # enriched14 are inf * 0 there and the initial test-cloud flow fails.
@@ -489,7 +531,11 @@ def test_reproduce_tables_smoke(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert "table 1 written" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "table 1 written" in lines[-1]
+    progress = re.compile(r"table 1, beta (\S+): training error \d+\.\d{4}, Lipschitz \d+\.\d{2}, \d+\.\d s")
+    runs = [progress.fullmatch(line) for line in lines[:-1]]
+    assert all(runs) and [m.group(1) for m in runs] == ["1", "0.1", "0.01", "0.001", "0.0001"], lines
 
     with open(out / "table1.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -587,19 +633,25 @@ def test_overflowing_sweep_is_a_rejected_row_under_warnings_as_errors(tmp_path):
     assert float(dict(zip(header, rows[4]))["gamma"]) == 0.5 * float(row["gamma"])
 
 
-@pytest.mark.parametrize("cloud", ["grid", "test cloud"])
-def test_square_too_large_for_the_target_exits_two_naming_grid_side(cloud, tmp_path):
-    # On a square of side 60 the builtin target overflows; with a dataset
-    # file only the held-out cloud is drawn on that square.
+@pytest.mark.parametrize(
+    "cloud, side",
+    [("grid", 60.0), ("test cloud", 60.0), ("grid", 30.0), ("test cloud", 30.0)],
+    ids=["grid", "test cloud", "grid-jacobian", "test cloud-jacobian"],
+)
+def test_square_too_large_for_the_target_exits_two_naming_grid_side(cloud, side, tmp_path):
+    # On a square of side 60 the builtin target overflows; on one of side 30
+    # its values are finite but its Jacobian overflows at the corners.  With
+    # a dataset file only the held-out cloud is drawn on that square.
     extra = {}
     if cloud == "test cloud":
         data = Dataset(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 1.0], [1.0, 1.5]]))
         save_dataset_csv(tmp_path / "data.csv", data)
         extra["dataset_file"] = str(tmp_path / "data.csv")
-    cfg_path = write_config(tmp_path, grid_side=60.0, **extra)
+    cfg_path = write_config(tmp_path, grid_side=side, **extra)
     proc = run_warnings_as_errors(tmp_path, "train", "--config", str(cfg_path), "--out", "run")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: grid_side: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "run" / "trace.csv").exists()  # rejected before training
 
 
 def test_train_has_no_seed_flag(tmp_path):

@@ -138,13 +138,24 @@ def test_custom_family_round_trip(rng):
         make_custom([rot], dim=0)
 
 
-CONTRACTIONS = ("displacement", "layer_matrix", "pairing")
+CONTRACTIONS = ("displacement", "layer_matrix", "layer_factor", "pairing")
+EINSUMS = ("displacement", "layer_matrix", "pairing")
 
 
 def _contraction_args(fam, name, x, rng):
     if name == "pairing":
         return (x, rng.normal(size=x.shape))
+    if name == "layer_factor":
+        return (x, rng.normal(size=fam.n_fields), 1.0 / 16)
     return (x, rng.normal(size=fam.n_fields))
+
+
+def _dense_contraction(fam, name, *args):
+    """The contraction computed from the dense values and Jacobians of ``fam``."""
+    if name == "layer_factor":
+        x, u_row, h = args
+        return np.eye(fam.dim) + h * VectorFieldFamily.layer_matrix(fam, x, u_row)
+    return getattr(VectorFieldFamily, name)(fam, *args)
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (900, 2), (10_000, 2), (900, 16, 2), (1_000, 33, 2)])
@@ -156,12 +167,40 @@ def test_closed_form_contractions_equal_dense_path_bit_for_bit(name, maker, shap
     x.reshape(-1)[::5] = 0.0  # grid points on the axes
     args = _contraction_args(fam, name, x, rng)
     got = getattr(fam, name)(*args)
-    dense = getattr(VectorFieldFamily, name)(fam, *args)
+    dense = _dense_contraction(fam, name, *args)
     assert got.shape == dense.shape
     assert np.array_equal(got, dense)
 
 
-@pytest.mark.parametrize("name", CONTRACTIONS)
+LAYOUTS = {
+    "c_order": np.ascontiguousarray,
+    "fortran_order": np.asfortranarray,
+    # Every row and every column strided: one plane of an (M, 2, 2) stack.
+    "strided_view": lambda a: np.stack([a, a], axis=-1)[..., 0],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("h", [1.0 / 16, 0.7, -1.0 / 16])
+@pytest.mark.parametrize("maker", [make_affine8, make_enriched14])
+def test_layer_factor_is_the_dense_eye_plus_h_layer_matrix_bit_for_bit(maker, h, layout, rng):
+    fam = maker(20.0)
+    x = rng.normal(scale=1.5, size=(900, 2))
+    x.reshape(-1)[::5] = 0.0  # grid points on the axes
+    x[1::7] *= 1e3  # far away: the Gaussian weight underflows to 0
+    x[3::11] = [1e150, -1e150]
+    x = LAYOUTS[layout](x)
+    for u_row in (rng.normal(size=fam.n_fields), np.where(np.arange(fam.n_fields) % 2, -0.0, 0.0)):
+        got = fam.layer_factor(x, u_row, h)
+        dense = VectorFieldFamily.layer_matrix(fam, x, u_row)
+        want = np.eye(2) + h * dense
+        assert got.shape == (900, 2, 2) and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if h < 0:  # the backward-Euler factor of the covector transport
+            assert np.array_equal(got.view(np.int64), (np.eye(2) - (-h) * dense).view(np.int64))
+
+
+@pytest.mark.parametrize("name", EINSUMS)
 def test_dense_contractions_match_explicit_einsums(name, enriched14, rng):
     x = rng.normal(size=(50, 7, 2))
     args = _contraction_args(enriched14, name, x, rng)
@@ -201,6 +240,8 @@ def test_custom_family_inherits_dense_contractions(name, rng):
         want = np.einsum("mln,l->mn", fam.values(x), args[1])
     elif name == "layer_matrix":
         want = np.einsum("mlpq,l->mpq", fam.jacobians(x), args[1])
+    elif name == "layer_factor":
+        want = np.eye(2) + args[2] * np.einsum("mlpq,l->mpq", fam.jacobians(x), args[1])
     else:
         want = np.einsum("mn,mln->l", args[1], fam.values(x))
     assert np.array_equal(getattr(fam, name)(*args), want)

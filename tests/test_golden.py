@@ -1,0 +1,110 @@
+"""Golden outputs: every config in ``configs/``, capped at five passes, hashes as recorded.
+
+Performance work on this package keeps every IEEE operation and its order,
+so the files a run writes must stay byte-identical.  The benchmark checks
+that on four settings only; this test runs each of the nine configs
+through the ``train`` path with ``max_iter`` capped at 5 (by
+``dataclasses.replace``), which adds enriched14, the pmp trainer on the
+full grid and N = 32.  It compares the SHA-256 of ``trace.csv``,
+``control.csv`` and ``summary.json`` (its wall clock removed) with digests
+recorded before the closed-form kernels shared their monomials, and the
+``gradcheck`` line of ``configs/gradcheck.json`` with its recorded text.
+
+As with ``perfbench/reference.json``, the digests describe one numpy
+build: they were recorded with numpy 2.4.6 and its bundled OpenBLAS on
+x86-64.  The pmp digests depend on LAPACK (the covector transport solves
+2x2 systems with ``np.linalg.solve``), every summary on the batched 2x2
+``matmul`` of the Lipschitz estimate, and all of them on numpy's SIMD
+``exp``.  Another build may change the last bits; re-record the digests
+there from a commit whose outputs are known to be right.
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from diffeoflow import cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+MAX_ITER = 5
+
+GOLDEN = {
+    "affine8_gd_n16_beta1.json": {
+        "trace.csv": "82364b2b7d4b17cb571202dee60570d1857c3151660780e037672e64988e8292",
+        "control.csv": "3da933ceabbf15b5a4cfdf66dc4b93aa2bc0f88e3ef79625aaaa617b6b13006c",
+        "summary.json": "0ca364d6ef3851ecdff40dee6b0006f627232567853ba6c0abe40c45b7a7032f",
+    },
+    "affine8_gd_n16_beta1e-4.json": {
+        "trace.csv": "43913edeb39f22dbd4dee6898e70965df46e0dbdf1531e5d2138aa4164e3e715",
+        "control.csv": "5c81e9278184d2839958f08aa5dbcc20ece8353b12426508cfe0724228bca71d",
+        "summary.json": "5cf1ff1140c0e3e8a69eb46b7725c323ef2ccfe5fb348eea08ba9a672b716a5b",
+    },
+    "affine8_gd_n32_beta1e-4.json": {
+        "trace.csv": "52bda17803c4c2c21451ae1a504400f52f07e1ae04e2228160b28dabd752d311",
+        "control.csv": "379fffdbcf4d0ff1d798fbb07584c040a74a0ccb2d4ddeca8e3208b2ec9813a0",
+        "summary.json": "fdefca5e7cf18a60cfc0d61522ed0862470dd9001187c7fd52791c8959fa39d2",
+    },
+    "affine8_pmp_n16_beta1.json": {
+        "trace.csv": "1ab1e23168e6f4ded7df21c34788a28dc5868a79ea74f1acef7d0829dfb8d0cd",
+        "control.csv": "1719930c7d2e1197916109c1203c482adf795a310d3f3acfddc7bea816705944",
+        "summary.json": "379d3aa8b1f254e12b98b492ee0b28a8d1b699f7f845f552361c2498dacf535b",
+    },
+    "affine8_pmp_n16_beta1e-4.json": {
+        "trace.csv": "29d6e6a320a4da1e61dcc722c467b7b1f1a4b4f6d4297dd6e0d02303bcd0e94b",
+        "control.csv": "e47d8991bece0b2360941716a1c3eec2ce59e6c782ab49abbea39b57be0aab7f",
+        "summary.json": "ad0d8fcde508e0d1cc13c8550c880877a8bdbff584ca31ae61108c11e33f41ca",
+    },
+    "enriched14_gd_n16_beta1e-3.json": {
+        "trace.csv": "5758b1875077b81eabee31c00e177b62644d9fd1681d2cdee673e471f24b13d6",
+        "control.csv": "a7b9111dbacc39dad9e46d9c1cc79117c318f9d212f4e9a900d9aeb48e8823e0",
+        "summary.json": "9528c136af15b012a51b1675b17e4be7e12ffc20162790d8fda75c199b197390",
+    },
+    "gradcheck.json": {
+        "trace.csv": "bc39a916f17eb6623f51b2abd0b3e5b6e6fc09a66148413b7e2104907e4944cf",
+        "control.csv": "844235b045cb12b228031b317014d8b1f673a289cf0cbead0e196683bafc0687",
+        "summary.json": "2c80698609438dca46d9b708c0b1c69cd208e640e7f5e596c003c8d45bbdbef5",
+    },
+    "quick_gd.json": {
+        "trace.csv": "cc02941e896ff2d7be79cb9d3cfda17b8b937d50cc06e53790d1b4bde56bd120",
+        "control.csv": "f9dd2f82a66232867012249842f4defe25bb45e8d2b31982e0bb329964d3e48a",
+        "summary.json": "8693c0c03a88cd3387ea74734a1e2cbad591c70054980a7bff3a4d445cb5d9f6",
+    },
+    "quick_pmp.json": {
+        "trace.csv": "c249612015454962574f10683538b34f4a9c3a94b7f3a915dd15baad0f788dbd",
+        "control.csv": "326cd59aafe184db0b2f7fb9b560f23d0a9c54f1cca2df3ff633029afd641e5d",
+        "summary.json": "79ecf67c7d64d23285e93b3e2d8e89f09aa1d2ab3581ee524de3b59122fdf5fb",
+    },
+}
+GRADCHECK_LINE = "gradcheck OK: max relative error 9.652e-09 (layer 0, field 6, tolerance 1e-05)\n"
+
+
+def run_digests(config: Path, out: Path) -> dict:
+    """Train ``config`` with at most MAX_ITER passes into ``out``; SHA-256 of each output."""
+    cfg = cli.load_config(config)
+    cfg = dataclasses.replace(cfg, max_iter=min(cfg.max_iter, MAX_ITER))
+    summary = cli._train_into(out, cfg)
+    summary.pop("wall_clock_seconds")
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("trace.csv", "control.csv")
+    }
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    digests["summary.json"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_every_config_is_covered():
+    assert sorted(GOLDEN) == sorted(p.name for p in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_config_outputs_are_byte_identical(name, tmp_path):
+    assert run_digests(CONFIGS / name, tmp_path / "run") == GOLDEN[name]
+
+
+def test_gradcheck_line_is_unchanged(capsys):
+    assert cli.main(["gradcheck", "--config", str(CONFIGS / "gradcheck.json")]) == 0
+    assert capsys.readouterr().out == GRADCHECK_LINE
