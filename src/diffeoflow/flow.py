@@ -121,24 +121,28 @@ def _spectral_norm_2x2(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (s1 + s2)
 
 
-def _worst_conditioned(mats: np.ndarray) -> tuple[int, float]:
-    """Index and 2-norm condition number of the worst-conditioned matrix in a batch.
+def _worst_conditioned(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and 2-norm condition number of the worst-conditioned matrix in each batch.
 
-    2x2 batches are screened in closed form, cond = sigma_max^2 / |det|
-    (since sigma_max * sigma_min = |det|), and LAPACK computes the condition
-    number of the single worst matrix only; larger matrices go to LAPACK
-    whole.  A NaN ranks as worst, so it fails the guard.
+    ``mats`` has shape (..., M, d, d): the leading axes index batches of M
+    matrices, and the results have the shape of those axes (scalars for a
+    single batch).  2x2 matrices are screened in closed form, cond =
+    sigma_max^2 / |det| (since sigma_max * sigma_min = |det|), and LAPACK
+    computes the condition numbers of the worst matrices only, in one call;
+    larger matrices go to LAPACK whole.  A NaN ranks as worst, so it fails
+    the guard.
     """
     if mats.shape[-2:] != (2, 2):
         conds = np.linalg.cond(mats)
-        j = int(np.argmax(conds))
-        return j, float(conds[j])
+        j = np.argmax(conds, axis=-1)
+        return j, np.take_along_axis(conds, j[..., None], axis=-1)[..., 0]
     smax = _spectral_norm_2x2(mats)
     det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         screen = smax * smax / np.abs(det)
-    j = int(np.argmax(screen))
-    return j, float(np.linalg.cond(mats[j]))
+    j = np.argmax(screen, axis=-1)
+    worst = np.take_along_axis(mats, j[..., None, None, None], axis=-3)[..., 0, :, :]
+    return j, np.linalg.cond(worst)
 
 
 def _check_finite(states: np.ndarray, layer: int, context: str) -> None:
@@ -243,9 +247,12 @@ def backward_covector(
     ``states`` must be the trajectory bundle the controls produced, in any
     memory layout.  Returns covectors of shape (M, N+1, dim), stored
     layer-major: a transposed view of an (N+1, M, dim) buffer, so each node
-    ``lam[:, k]`` is one C-order (M, dim) block.  The solve fails with a
-    FlowError naming sample and layer when a layer matrix has condition
-    estimate above ``CONDITION_LIMIT``.
+    ``lam[:, k]`` is one C-order (M, dim) block.
+
+    All N factors are built and screened before the first solve.  When
+    some have a condition estimate above ``CONDITION_LIMIT``, the FlowError
+    names the highest such layer, the first the transport would reach, and
+    that layer's worst-conditioned sample.
     """
     states = _as_trajectory(family, u, states)
     n_pts, n_nodes, dim = states.shape
@@ -254,11 +261,17 @@ def backward_covector(
     if term.shape != (n_pts, dim):
         raise ValueError(f"terminal covectors must have shape ({n_pts}, {dim}), got {term.shape}")
     h = u.step
-    lam = np.empty((n_nodes, n_pts, dim))
-    lam[n_layers] = term
+    factors = np.empty((n_layers, n_pts, dim, dim))
+    for k in range(1, n_layers + 1):
+        factors[k - 1] = family.layer_factor(states[:, k - 1], u.values[k - 1], -h)
+    # Every layer is screened before the first solve: 2x2 factors all at once,
+    # larger ones one layer at a time.
+    if dim == 2:
+        samples, conds = _worst_conditioned(factors)
+    else:
+        samples, conds = zip(*map(_worst_conditioned, factors))
     for k in range(n_layers, 0, -1):
-        b = family.layer_factor(states[:, k - 1], u.values[k - 1], -h)
-        j, worst = _worst_conditioned(b)
+        j, worst = int(samples[k - 1]), float(conds[k - 1])
         if not np.isfinite(worst) or worst > CONDITION_LIMIT:
             raise FlowError(
                 f"covector solve ill-conditioned for sample {j} at layer {k} "
@@ -266,8 +279,11 @@ def backward_covector(
                 sample=j,
                 layer=k,
             )
+    lam = np.empty((n_nodes, n_pts, dim))
+    lam[n_layers] = term
+    for k in range(n_layers, 0, -1):
         # Row convention: lambda_{k-1} B = lambda_k, so solve B^T y = lambda_k^T.
-        lam[k - 1] = np.linalg.solve(np.swapaxes(b, -1, -2), lam[k][..., None])[..., 0]
+        lam[k - 1] = np.linalg.solve(np.swapaxes(factors[k - 1], -1, -2), lam[k][..., None])[..., 0]
     return lam.transpose(1, 0, 2)
 
 

@@ -147,9 +147,10 @@ def control_gradient(
         g[k-1, i]     = sum_j <lambda_k^j, F_i(x_{k-1}^j)> + beta * u[k-1, i],
         lambda_{k-1}  = lambda_k (Id + h A_k),
 
-    which makes h * g[k-1, i] the exact partial derivative of cost.  Only
-    the current node's (M, dim) covector is held; none are stored.  It starts
-    in the memory layout of the trajectory's nodes (coordinate-major for a
+    which makes h * g[k-1, i] the exact partial derivative of cost.  The
+    node k = 1 only pairs, since lambda_0 is never read.  Only the current
+    node's (M, dim) covector is held; none are stored.  It starts in the
+    memory layout of the trajectory's nodes (coordinate-major for a
     ``forward_euler`` bundle), so each adjoint step reads and writes
     contiguous coordinate rows; the result does not depend on the layout.
     """
@@ -157,8 +158,9 @@ def control_gradient(
     grad = np.empty(u.values.shape)
     lam = np.empty_like(states[:, -1])
     np.divide(loss_grad(states[:, -1] - targets), states.shape[0], out=lam)
-    for k in range(u.n_layers, 0, -1):
+    for k in range(u.n_layers, 1, -1):
         grad[k - 1], lam = family.adjoint_step(states[:, k - 1], u.values[k - 1], lam, u.step)
+    grad[0] = family.pairing(states[:, 0], lam)
     return grad + beta * u.values
 
 

@@ -18,10 +18,17 @@ the drift of the updated trajectory before the control update uses them.
 The sweep is the ``propose`` step of the loop shared with the gradient-flow
 trainer (``train_gd._descend``): a pass is accepted only if the cost
 strictly decreased, otherwise gamma shrinks by tau, and a rejected row
-reports the testing error of the unchanged control.  The sweep works on a
-copy of the accepted states and reads the cached covectors without
-changing them, so a rejection needs no restore.  The cache holds the
-covectors only; they are recomputed only after an accepted pass.
+reports the testing error of the unchanged control.  The sweep writes a
+new trajectory and reads the accepted one and its cache without changing
+them, so a rejection needs no restore.  The cache holds the covectors and
+the penalty gradients grad a(x_k - y) at every node of the accepted
+trajectory, which the drift correction reads; both are recomputed only
+after an accepted pass.
+
+Each layer moves the points with ``family.displacement``, the closed-form
+sum of the fields.  The dense (M, l, dim) field ``values`` are still
+evaluated once per layer, for the pairing only: perfbench's tracing
+self-test requires a ``fields.values`` span from a pmp run.
 """
 
 from __future__ import annotations
@@ -64,30 +71,34 @@ def train_pmp(
     """
     n_pts = data.n_samples
     targets = data.targets
-    cov_u = cov = None  # the covectors are cached until the control changes
+    # The covectors and the penalty gradients of the accepted trajectory are
+    # cached until the control changes.
+    cov_u = cov = penalty = None
 
     def sweep(u, states, current, gamma):
-        nonlocal cov_u, cov
+        nonlocal cov_u, cov, penalty
         if cov_u is not u:
             terminal = -loss_grad(states[:, -1] - targets) / n_pts
-            cov_u, cov = u, backward_covector(family, u, states, terminal)
-        # np.copy keeps the coordinate-major layout of the trajectory (order 'K');
-        # ndarray.copy would make it sample-major.
-        swept = np.copy(states)
+            transported = backward_covector(family, u, states, terminal)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cov_u, cov, penalty = u, transported, loss_grad(states - targets[:, None])
+        # np.empty_like keeps the coordinate-major layout of the trajectory
+        # (order 'K'); the sweep writes nodes 1..N before it reads them.
+        swept = np.empty_like(states)
+        swept[:, 0] = states[:, 0]
         new_controls = u.values.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, u.n_layers + 1):
                 # The sweep has already moved nodes 1..k-1; shift the covector
                 # by the change this causes in the endpoint penalty gradients.
                 lam = cov[:, k - 1] + (
-                    loss_grad(states[:, k - 1] - targets) - loss_grad(swept[:, k - 1] - targets)
+                    penalty[:, k - 1] - loss_grad(swept[:, k - 1] - targets)
                 ) / n_pts
-                vals = family.values(swept[:, k - 1])  # (M, l, dim), feeds pairing and update
+                vals = family.values(swept[:, k - 1])  # (M, l, dim), for the pairing only
                 pairing = np.einsum("mn,mln->l", lam, vals)
                 new_controls[k - 1] = _maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
-                swept[:, k] = swept[:, k - 1] + u.step * np.einsum(
-                    "mln,l->mn", vals, new_controls[k - 1]
-                )
+                step = family.displacement(swept[:, k - 1], new_controls[k - 1])
+                np.add(swept[:, k - 1], u.step * step, out=swept[:, k])
                 _check_finite(swept[:, k], k, " during a maximization sweep")
         proposal = ControlGrid(new_controls)
         cost_new = cost_of_endpoints(swept[:, -1], targets, proposal, cfg.beta)

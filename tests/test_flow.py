@@ -249,15 +249,26 @@ def test_commutator_defect_vanishes_for_commuting_pair(affine8, commutator_defec
 def test_guard_names_the_one_singular_sample_and_its_layer(affine8):
     # On layer 3 the damped field 2 and the x1-stretch field 4 give
     # Id - h A a (0, 0) entry of 1 - h (u2 dg/dx1 + u4) = 1 - h u4 = 0 exactly
-    # where x1 = 0 (dg/dx1 vanishes there), and about 0.05 elsewhere.
+    # where x1 = 0 (dg/dx1 vanishes there), and about 0.05 elsewhere.  Layer 1
+    # does the same along x2 with fields 3 and 7, singular only at sample 4,
+    # where x2 = 0; it leaves x1 alone, so sample 2 stays on x1 = 0.
     u = np.zeros((4, 8))
     u[2, 2] = 5.0
     u[2, 4] = 4.0
-    pts = np.array([[1.0, 0.5], [-0.8, 0.2], [0.0, 0.7], [0.6, -0.9]])
+    u[0, 3] = 5.0
+    u[0, 7] = 4.0
+    pts = np.array([[1.0, 0.5], [-0.8, 0.2], [0.0, 0.7], [0.6, -0.9], [0.3, 0.0]])
     states = forward_euler(affine8, ControlGrid(u), pts)
+    # The transport reaches layer 3 first, so it is the one reported.
     with pytest.raises(FlowError, match="sample 2 at layer 3") as err:
-        backward_covector(affine8, ControlGrid(u), states, np.ones((4, 2)))
+        backward_covector(affine8, ControlGrid(u), states, np.ones((5, 2)))
     assert (err.value.sample, err.value.layer) == (2, 3)
+    # Layer 1 alone reports its own worst sample.
+    u[2] = 0.0
+    states = forward_euler(affine8, ControlGrid(u), pts)
+    with pytest.raises(FlowError, match="sample 4 at layer 1") as err:
+        backward_covector(affine8, ControlGrid(u), states, np.ones((5, 2)))
+    assert (err.value.sample, err.value.layer) == (4, 1)
 
 
 def test_guard_limit_applies_to_the_lapack_condition_of_the_worst_sample(affine8, rng, monkeypatch):
@@ -310,6 +321,19 @@ def test_three_dimensional_family_goes_through_lapack(monkeypatch):
     lam = backward_covector(fam, ControlGrid(np.array([[0.5]])), states, np.ones((3, 3)))
     assert np.isfinite(lam).all()
     assert shapes[1:] == [(3, 3, 3)]
+
+
+def test_planar_transport_makes_one_lapack_call(affine8, rng, monkeypatch):
+    # The closed-form screen picks the worst sample of every layer, and one
+    # LAPACK call gives the condition numbers of those 16 matrices.
+    u = ControlGrid(rng.normal(scale=0.5, size=(16, 8)))
+    states = forward_euler(affine8, u, rng.uniform(-1.5, 1.5, size=(900, 2)))
+    shapes = []
+    lapack_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m: shapes.append(np.shape(m)) or lapack_cond(m))
+    lam = backward_covector(affine8, u, states, rng.normal(size=(900, 2)))
+    assert np.isfinite(lam).all()
+    assert shapes == [(16, 2, 2)]
 
 
 def sample_major_forward(family, u, pts):

@@ -11,7 +11,9 @@ from diffeoflow import (
     forward_euler,
     train_pmp,
 )
-from diffeoflow.objective import Dataset
+from diffeoflow.flow import _check_finite, backward_covector
+from diffeoflow.objective import Dataset, cost_of_endpoints, loss_grad
+from diffeoflow.train_gd import _descend
 from diffeoflow.train_pmp import _maximized_controls
 
 from test_train_gd import shift_family
@@ -157,3 +159,79 @@ def test_sweep_proposals_keep_the_layer_major_layout(affine8, grid25, monkeypatc
         for bundle in (accepted, proposal):
             assert bundle.shape == (25, 7, 2)
             assert all(bundle[:, k, d].flags.c_contiguous for k in range(7) for d in range(2))
+
+
+def reference_pmp(family, data, n_layers, cfg):
+    """train_pmp with the sweep written out densely: the dense einsum step,
+    the penalty gradient of the accepted node recomputed on every layer, and
+    a full copy of the accepted trajectory."""
+    n_pts, targets = data.n_samples, data.targets
+    cache = {}
+
+    def sweep(u, states, current, gamma):
+        if cache.get("u") is not u:
+            terminal = -loss_grad(states[:, -1] - targets) / n_pts
+            cache.update(u=u, cov=backward_covector(family, u, states, terminal))
+        cov = cache["cov"]
+        swept = np.copy(states)
+        new_controls = u.values.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, u.n_layers + 1):
+                drift = loss_grad(states[:, k - 1] - targets) - loss_grad(swept[:, k - 1] - targets)
+                lam = cov[:, k - 1] + drift / n_pts
+                vals = family.values(swept[:, k - 1])
+                pairing = np.einsum("mn,mln->l", lam, vals)
+                new_controls[k - 1] = _maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
+                step = np.einsum("mln,l->mn", vals, new_controls[k - 1])
+                swept[:, k] = swept[:, k - 1] + u.step * step
+                _check_finite(swept[:, k], k, " during a maximization sweep")
+        proposal = ControlGrid(new_controls)
+        cost_new = cost_of_endpoints(swept[:, -1], targets, proposal, cfg.beta)
+        return proposal, swept, cost_new, current.total > cost_new.total
+
+    return _descend(family, data, n_layers, cfg, None, None, sweep)
+
+
+@pytest.mark.parametrize("kind", ["affine8", "enriched14"])
+@pytest.mark.parametrize("grid", ["grid25", "grid900"])
+@pytest.mark.parametrize("n_layers", [4, 16])
+def test_sweep_is_the_dense_reference_sweep_bit_for_bit(kind, grid, n_layers, request):
+    family, data = request.getfixturevalue(kind), request.getfixturevalue(grid)
+    cfg = TrainConfig(beta=0.01, max_iter=12, gamma0=40.0)
+    rep = train_pmp(family, data, n_layers, cfg)
+    ref = reference_pmp(family, data, n_layers, cfg)
+    rows = [(r.cost, r.data_term, r.gamma, r.accepted) for r in rep.records]
+    assert rows == [(r.cost, r.data_term, r.gamma, r.accepted) for r in ref.records]
+    assert any(r.accepted for r in rep.records[1:]) and not all(r.accepted for r in rep.records)
+    assert np.array_equal(rep.control.values, ref.control.values)
+    assert np.array_equal(rep.states, ref.states)
+    assert rep.final_cost == ref.final_cost
+
+
+def test_penalty_gradients_are_computed_once_per_accepted_control(affine8, grid25, monkeypatch):
+    pmp_module = importlib.import_module("diffeoflow.train_pmp")
+    calls = {"loss_grad": 0, "backward_covector": 0}
+
+    def counted(name):
+        original = getattr(pmp_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pmp_module, name, counted(name))
+    n_layers, passes = 6, 10
+    rep = train_pmp(affine8, grid25, n_layers, TrainConfig(beta=0.01, max_iter=passes, gamma0=40.0))
+    rows = rep.records[1:]
+    assert all(np.isfinite(r.cost) for r in rows)
+    assert any(not r.accepted for r in rows[:-1]) and any(r.accepted for r in rows[:-1])
+    # The cache is filled for the initial control and after every accepted
+    # pass that another pass follows.
+    transports = 1 + sum(r.accepted for r in rows[:-1])
+    assert calls["backward_covector"] == transports
+    # Every pass evaluates the N swept nodes; every fill adds the terminal
+    # covector and one batched call over the accepted trajectory.
+    assert calls["loss_grad"] == passes * n_layers + 2 * transports
