@@ -32,13 +32,11 @@ from .flow import (
     backward_covector,
     flow_endpoints,
     forward_euler,
-    variational_jacobian,
 )
 from .metrics import (
     MetricsBlock,
     build_metrics,
     generalization_bound,
-    lipschitz_estimate,
     spectral_norms,
     target_lipschitz_estimate,
     w1_grid_bound,
@@ -91,7 +89,6 @@ __all__ = [
     "forward_euler",
     "generalization_bound",
     "identity_target",
-    "lipschitz_estimate",
     "load_dataset_csv",
     "loss",
     "loss_grad",
@@ -108,6 +105,5 @@ __all__ = [
     "target_lipschitz_estimate",
     "train_gradient_flow",
     "train_pmp",
-    "variational_jacobian",
     "w1_grid_bound",
 ]

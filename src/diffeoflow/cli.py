@@ -226,13 +226,14 @@ def _load_dataset(path, dim: int) -> Dataset:
 
 
 def build_problem(cfg: RunConfig) -> tuple:
-    """Resolve a config into (family, target, train dataset, test dataset)."""
+    """Resolve a config into (family, target Lipschitz constant or None, train dataset, test dataset)."""
     family = family_from_name(cfg.family, cfg.nu)
     target = target_from_name(cfg.target)
     if cfg.dataset_file is None or (cfg.test_file is None and cfg.test_count > 0):
-        _check_square(target, cfg)  # a cloud below is drawn on the square
+        lipschitz_target = _check_square(target, cfg)  # a cloud below is drawn on the square
     if cfg.dataset_file is not None:
         train = _load_dataset(cfg.dataset_file, family.dim)
+        lipschitz_target = None  # the summary's bounds describe the target's grid only
     else:
         try:
             train = _square_dataset(make_grid_dataset, target, cfg, per_axis=cfg.grid_per_axis)
@@ -251,16 +252,15 @@ def build_problem(cfg: RunConfig) -> tuple:
             raise ConfigError(msg) from err
     else:
         test = None
-    return family, target, train, test
+    return family, lipschitz_target, train, test
 
 
-def _check_square(target, cfg: RunConfig) -> None:
-    """Name grid_side if the target's Jacobian norm overflows on the square of that side.
+def _check_square(target, cfg: RunConfig) -> float:
+    """The target's Lipschitz constant on the square of side grid_side; name grid_side if it overflows.
 
-    The norm enters the summary's bounds.  It is checked at the square's
-    four corners only, where the builtin target's Jacobian norm peaks: |z1|
-    and |z2| are convex in x, and both entries of its deformation grow with
-    them.
+    It is the largest Jacobian norm at the square's four corners, which are
+    grid points and where the builtin target's norm peaks: |z1| and |z2| are
+    convex in x, and both entries of its deformation grow with them.
     """
     half = 0.5 * cfg.grid_side
     corners = np.array([[-half, -half], [-half, half], [half, -half], [half, half]])
@@ -271,6 +271,7 @@ def _check_square(target, cfg: RunConfig) -> None:
             f"grid_side: the Jacobian of the {cfg.target} target overflows on the square "
             f"of side {cfg.grid_side:g}"
         )
+    return corner_norm
 
 
 def _square_dataset(make, target, cfg: RunConfig, **kwargs) -> Dataset:
@@ -290,7 +291,7 @@ def _square_dataset(make, target, cfg: RunConfig, **kwargs) -> Dataset:
 
 def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
     """Train per config and return the report plus the summary document."""
-    family, target, train, test = build_problem(cfg)
+    family, lipschitz_target, train, test = build_problem(cfg)
     trainer = train_gradient_flow if cfg.algorithm == "gd" else train_pmp
     start = time.perf_counter()
     try:
@@ -304,7 +305,7 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
     block = build_metrics(
         family,
         report.control,
-        None if cfg.dataset_file is not None else target,  # the bounds describe the grid only
+        lipschitz_target,
         states=report.states,
         training_error=report.final_cost.data_term,
         n_train=train.n_samples,

@@ -17,12 +17,13 @@ of the fields at a batch of points:
 
 The base class computes them from the stacked ``values`` and ``jacobians``
 of the fields, so a family only has to supply those two.  The built-in
-families compute them in closed form instead, without the mostly-zero
-``(..., l, n[, n])`` tensors, and add terms in the same order as the dense
-contraction, so both give bit-identical results.  Within one call each
-per-point quantity (a square, the Gaussian weight, a product of
-coordinates) is computed once, and nothing computed for one call is kept
-for the next.
+families compute the four that a run calls, all but ``layer_matrix``, in
+closed form instead, without the mostly-zero ``(..., l, n[, n])`` tensors,
+and add terms in the same order as the dense contraction, so both give
+bit-identical results.  Their ``layer_matrix``, ``values`` and ``jacobians``
+are dense.  Within one call each per-point quantity (a square, the Gaussian
+weight, a product of coordinates) is computed once, and nothing computed for
+one call is kept for the next.
 
 Two planar built-ins are provided.
 
@@ -183,14 +184,6 @@ class _Planar:
         return self.x1 * self.x2
 
 
-def _stacked(entries, shape: tuple) -> np.ndarray:
-    """The 2x2 matrices with entries[p][q] at each point, as a C-order (*shape, 2, 2) array."""
-    out = np.empty(shape + (2, 2))
-    for p in (0, 1):
-        out[..., p, 0], out[..., p, 1] = entries[p]
-    return out
-
-
 @dataclass(frozen=True)
 class Affine8(VectorFieldFamily):
     """Constant, Gaussian-damped constant, and linear fields on the plane.
@@ -227,16 +220,12 @@ class Affine8(VectorFieldFamily):
         neg_g = -pts.g  # grad g = -g x / nu
         return self._gradients(pts, neg_g * pts.x1 / self.nu, neg_g * pts.x2 / self.nu)
 
-    def _layer_entries(self, pts: _Planar, u_row) -> list:
-        """Entries a[p][q] of sum_i u_row[i] DF_i, each summed column by column."""
-        grads = self._planar_gradients(pts)
-        columns = [_axis_sums(self.axes, [grad[q] for grad in grads], u_row) for q in (0, 1)]
-        return [[columns[q][p] for q in (0, 1)] for p in (0, 1)]
-
     def _factor_entries(self, pts: _Planar, u_row, h: float) -> list:
         """Entries b[p][q] of I + h sum_i u_row[i] DF_i; 0.0 + keeps the signed zeros of eye + h * a."""
-        a = self._layer_entries(pts, u_row)
-        return [[(1.0 if p == q else 0.0) + h * a[p][q] for q in (0, 1)] for p in (0, 1)]
+        grads = self._planar_gradients(pts)
+        # columns[q][p] is entry a[p][q] of a = sum_i u_row[i] DF_i, summed column by column.
+        columns = [_axis_sums(self.axes, [grad[q] for grad in grads], u_row) for q in (0, 1)]
+        return [[(1.0 if p == q else 0.0) + h * columns[q][p] for q in (0, 1)] for p in (0, 1)]
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x, pts = self._planar(x)
@@ -261,14 +250,13 @@ class Affine8(VectorFieldFamily):
         _axis_sums(self.axes, self._coefficients(pts), u_row, out=out)
         return out
 
-    def layer_matrix(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-        x, pts = self._planar(x)
-        return _stacked(self._layer_entries(pts, u_row), x.shape[:-1])
-
     def layer_factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
         # C order, like eye + h * layer_matrix, so that a product of factors stays on one path.
         x, pts = self._planar(x)
-        return _stacked(self._factor_entries(pts, u_row, h), x.shape[:-1])
+        out = np.empty(x.shape[:-1] + (2, 2))
+        for p, row in enumerate(self._factor_entries(pts, u_row, h)):
+            out[..., p, 0], out[..., p, 1] = row
+        return out
 
     def _pairing(self, lam, pts: _Planar) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)

@@ -121,6 +121,14 @@ def _spectral_norm_2x2(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (s1 + s2)
 
 
+def _cond(mats: np.ndarray) -> np.ndarray:
+    """``np.linalg.cond`` of each matrix, but inf without LAPACK for one with a NaN or inf entry."""
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    conds = np.full(finite.shape, np.inf)
+    conds[finite] = np.linalg.cond(mats[finite])
+    return conds
+
+
 def _worst_conditioned(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index and 2-norm condition number of the worst-conditioned matrix in each batch.
 
@@ -129,11 +137,11 @@ def _worst_conditioned(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     single batch).  2x2 matrices are screened in closed form, cond =
     sigma_max^2 / |det| (since sigma_max * sigma_min = |det|), and LAPACK
     computes the condition numbers of the worst matrices only, in one call;
-    larger matrices go to LAPACK whole.  A NaN ranks as worst, so it fails
-    the guard.
+    larger matrices go to LAPACK whole.  A NaN or inf entry ranks as worst,
+    with condition inf, so it fails the guard.
     """
     if mats.shape[-2:] != (2, 2):
-        conds = np.linalg.cond(mats)
+        conds = _cond(mats)
         j = np.argmax(conds, axis=-1)
         return j, np.take_along_axis(conds, j[..., None], axis=-1)[..., 0]
     smax = _spectral_norm_2x2(mats)
@@ -142,7 +150,7 @@ def _worst_conditioned(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         screen = smax * smax / np.abs(det)
     j = np.argmax(screen, axis=-1)
     worst = np.take_along_axis(mats, j[..., None, None, None], axis=-3)[..., 0, :, :]
-    return j, np.linalg.cond(worst)
+    return j, _cond(worst)
 
 
 def _check_finite(states: np.ndarray, layer: int, context: str) -> None:

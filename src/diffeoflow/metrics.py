@@ -93,7 +93,7 @@ def generalization_bound(
 def build_metrics(
     family: VectorFieldFamily,
     u: ControlGrid,
-    target,
+    lipschitz_target: float | None,
     states: np.ndarray,
     training_error: float,
     n_train: int,
@@ -105,19 +105,18 @@ def build_metrics(
     ``u``, such as ``TrainReport.states``; its node 0 holds the probes.  The
     flow's Lipschitz constant is read off it without flowing the probes
     again, and equals ``lipschitz_estimate`` at the probes bit for bit.
-    ``target`` is None when the training data are not the target's grid on
-    the square of side ``side``; the target's Lipschitz constant, W1 and the
-    bound then describe no data and are None.
+    ``lipschitz_target`` is the target's Lipschitz constant on the square of
+    side ``side``, or None when the training data are not the target's grid
+    on it; W1 and the bound then describe no data and are None too.
     """
     l_flow = float(np.max(spectral_norms(jacobian_along(family, u, states))))
-    l_target = w1 = bound = None
-    if target is not None:
-        l_target = target_lipschitz_estimate(target, states[:, 0])
+    w1 = bound = None
+    if lipschitz_target is not None:
         w1 = w1_grid_bound(n_train, side)
-        bound = generalization_bound(training_error, l_target, l_flow, w1)
+        bound = generalization_bound(training_error, lipschitz_target, l_flow, w1)
     return MetricsBlock(
         lipschitz_flow=l_flow,
-        lipschitz_target=l_target,
+        lipschitz_target=lipschitz_target,
         control_norm=math.sqrt(u.l2_norm_sq()),
         w1_bound=w1,
         generalization_bound=bound,

@@ -22,12 +22,15 @@ import pytest
 
 from diffeoflow import (
     ControlGrid,
+    TargetMap,
     VectorFieldFamily,
+    builtin_target,
     forward_euler,
-    lipschitz_estimate,
     loss,
     make_affine8,
     save_dataset_csv,
+    target_from_name,
+    target_lipschitz_estimate,
 )
 from diffeoflow import cli
 from diffeoflow.cli import (
@@ -43,6 +46,7 @@ from diffeoflow.cli import (
     save_control_csv,
 )
 from diffeoflow.flow import FlowError
+from diffeoflow.metrics import lipschitz_estimate
 from diffeoflow.objective import Dataset, ObjectiveValue
 from diffeoflow.train_gd import IterationRecord, TrainAbort, TrainReport
 
@@ -652,6 +656,38 @@ def test_square_too_large_for_the_target_exits_two_naming_grid_side(cloud, side,
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: grid_side: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert not (tmp_path / "run" / "trace.csv").exists()  # rejected before training
+
+
+@pytest.mark.parametrize("side", [0.3, 1.5, 10.0])
+@pytest.mark.parametrize("per_axis", [2, 5, 30, 100])
+@pytest.mark.parametrize("target", ["builtin", "identity"])
+def test_square_check_gives_the_grid_wide_target_lipschitz(target, per_axis, side, tmp_path):
+    cfg = load_config(write_config(tmp_path, target=target, grid_per_axis=per_axis, grid_side=side))
+    _, lipschitz_target, train, _ = cli.build_problem(cfg)
+    want = target_lipschitz_estimate(target_from_name(target), train.sources)
+    assert np.array_equal(np.float64(lipschitz_target).view(np.int64), np.float64(want).view(np.int64))
+
+
+def test_dataset_file_run_has_no_target_lipschitz_with_the_test_cloud_on_the_square(tmp_path):
+    data = Dataset(np.array([[0.0, 0.0], [0.5, 0.5]]), np.ones((2, 2)))
+    save_dataset_csv(tmp_path / "data.csv", data)
+    cfg = load_config(write_config(tmp_path, dataset_file=str(tmp_path / "data.csv")))
+    _, lipschitz_target, _, test = cli.build_problem(cfg)
+    assert lipschitz_target is None
+    assert test.n_samples == SMALL["test_count"]  # drawn on the square, which was checked
+
+
+def test_train_evaluates_the_target_jacobian_once_at_the_four_corners(tmp_path, monkeypatch):
+    shapes = []
+    jacobian = TargetMap.jacobian
+    monkeypatch.setattr(TargetMap, "jacobian", lambda t, x: shapes.append(np.shape(x)) or jacobian(t, x))
+    cfg_path = write_config(tmp_path, grid_per_axis=30)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    assert shapes == [(4, 2)]
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
+    _, _, train, _ = cli.build_problem(load_config(cfg_path))
+    want = target_lipschitz_estimate(builtin_target(), train.sources)
+    assert summary["metrics"]["lipschitz_target"] == want
 
 
 def test_train_has_no_seed_flag(tmp_path):

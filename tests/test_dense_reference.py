@@ -1,6 +1,6 @@
 """End-to-end reference runs: both trainers against the dense contractions.
 
-The built-in families compute the five contractions the flow and the
+The built-in families compute the four contractions the flow and the
 gradients use in closed form, and the flow stores its bundles in its own
 memory layout.  Neither may change a number: a short run of each trainer
 must give byte-identical trace rows and controls when the family uses the
@@ -31,7 +31,7 @@ def dense(base):
         (base,),
         {
             name: getattr(VectorFieldFamily, name)
-            for name in ("displacement", "layer_matrix", "layer_factor", "pairing", "adjoint_step")
+            for name in ("displacement", "layer_factor", "pairing", "adjoint_step")
         },
     )
 

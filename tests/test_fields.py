@@ -11,6 +11,7 @@ from diffeoflow import (
     make_custom,
     make_enriched14,
 )
+from diffeoflow.fields import Affine8, Enriched14
 
 
 def fd_jacobian(family, i, x, eps=1e-6):
@@ -139,6 +140,8 @@ def test_custom_family_round_trip(rng):
 
 
 CONTRACTIONS = ("displacement", "layer_matrix", "layer_factor", "pairing")
+# The built-ins compute these in closed form; their layer_matrix is the dense one.
+CLOSED_FORMS = ("displacement", "layer_factor", "pairing")
 EINSUMS = ("displacement", "layer_matrix", "pairing")
 
 
@@ -160,7 +163,7 @@ def _dense_contraction(fam, name, *args):
 
 @pytest.mark.parametrize("shape", [(1, 2), (900, 2), (10_000, 2), (900, 16, 2), (1_000, 33, 2)])
 @pytest.mark.parametrize("maker", [make_affine8, make_enriched14])
-@pytest.mark.parametrize("name", CONTRACTIONS)
+@pytest.mark.parametrize("name", CLOSED_FORMS)
 def test_closed_form_contractions_equal_dense_path_bit_for_bit(name, maker, shape, rng):
     fam = maker(20.0)
     x = rng.normal(scale=1.5, size=shape)
@@ -170,6 +173,12 @@ def test_closed_form_contractions_equal_dense_path_bit_for_bit(name, maker, shap
     dense = _dense_contraction(fam, name, *args)
     assert got.shape == dense.shape
     assert np.array_equal(got, dense)
+
+
+@pytest.mark.parametrize("cls", [Affine8, Enriched14])
+def test_builtins_inherit_the_dense_layer_matrix(cls):
+    assert "layer_matrix" not in vars(cls)
+    assert cls.layer_matrix is VectorFieldFamily.layer_matrix
 
 
 LAYOUTS = {

@@ -13,10 +13,9 @@ from diffeoflow import (
     make_affine8,
     make_custom,
     make_enriched14,
-    variational_jacobian,
 )
 from diffeoflow import flow
-from diffeoflow.flow import _spectral_norm_2x2, _worst_conditioned, layer_matrix
+from diffeoflow.flow import _spectral_norm_2x2, _worst_conditioned, layer_matrix, variational_jacobian
 from diffeoflow.objective import control_gradient
 
 
@@ -194,6 +193,36 @@ def test_singular_implicit_transport_raises(affine8):
     states = forward_euler(affine8, ControlGrid(u), np.array([[1.0, 0.0]]))
     with pytest.raises(FlowError):
         backward_covector(affine8, ControlGrid(u), states, np.array([[1.0, 1.0]]))
+
+
+def nan_jacobian_family(dim):
+    """One field, the constant e_1, whose Jacobian reads NaN where x1 = 0: the flow stays finite."""
+
+    def value(x):
+        out = np.zeros_like(x)
+        out[..., 0] = 1.0
+        return out
+
+    def jacobian(x):
+        return np.einsum("...,pq->...pq", np.where(x[..., 0] == 0.0, np.nan, 0.0), np.eye(dim))
+
+    return make_custom([FieldSpec(value=value, jacobian=jacobian)], dim=dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nan_factor_fails_the_guard_naming_its_sample_and_layer(dim, monkeypatch):
+    # LAPACK cannot decompose a NaN factor, so it must not see it: the 2x2
+    # screen and the per-layer dim-3 path both rank it worst with condition inf.
+    fam = nan_jacobian_family(dim)
+    u = ControlGrid(np.ones((1, 1)))
+    states = forward_euler(fam, u, np.array([[1.0] * dim, [0.0] + [1.0] * (dim - 1)]))
+    shapes = []
+    lapack_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m: shapes.append(np.shape(m)) or lapack_cond(m))
+    with pytest.raises(FlowError, match="sample 1 at layer 1 .condition estimate inf") as err:
+        backward_covector(fam, u, states, np.ones((2, dim)))
+    assert (err.value.sample, err.value.layer) == (1, 1)
+    assert shapes == ([(0, 2, 2)] if dim == 2 else [(1, 3, 3)])  # the finite factors only
 
 
 def test_variational_jacobian_closed_form(affine8, rng):

@@ -36,7 +36,6 @@ PUBLIC_API = [
     "forward_euler",
     "generalization_bound",
     "identity_target",
-    "lipschitz_estimate",
     "load_dataset_csv",
     "loss",
     "loss_grad",
@@ -53,7 +52,6 @@ PUBLIC_API = [
     "target_lipschitz_estimate",
     "train_gradient_flow",
     "train_pmp",
-    "variational_jacobian",
     "w1_grid_bound",
 ]
 

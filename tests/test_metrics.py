@@ -10,12 +10,12 @@ from diffeoflow import (
     build_metrics,
     forward_euler,
     generalization_bound,
-    lipschitz_estimate,
     spectral_norms,
     square_grid,
     target_lipschitz_estimate,
     w1_grid_bound,
 )
+from diffeoflow.metrics import lipschitz_estimate
 
 
 def test_spectral_norm_closed_form_matches_svd(rng):
@@ -89,9 +89,10 @@ def test_build_metrics_assembly(affine8, target, rng):
     u = ControlGrid(rng.normal(scale=0.3, size=(8, 8)))
     probes = square_grid(1.5, 10)
     states = forward_euler(affine8, u, probes)
-    block = build_metrics(affine8, u, target, states, training_error=0.4, n_train=100, side=1.5)
+    l_target = target_lipschitz_estimate(target, probes)
+    block = build_metrics(affine8, u, l_target, states, training_error=0.4, n_train=100, side=1.5)
     assert block.lipschitz_flow == lipschitz_estimate(affine8, u, probes)
-    assert block.lipschitz_target == target_lipschitz_estimate(target, probes)
+    assert block.lipschitz_target == l_target
     assert np.isclose(block.w1_bound, w1_grid_bound(100, 1.5), rtol=1e-15)
     assert np.isclose(
         block.generalization_bound,
@@ -107,6 +108,6 @@ def test_build_metrics_assembly(affine8, target, rng):
         "w1_bound",
         "generalization_bound",
     }
-    # Without a target (data from a file) the grid-bound fields are None.
+    # Without a target constant (data from a file) the grid-bound fields are None.
     bare = build_metrics(affine8, u, None, states, training_error=0.4, n_train=100, side=1.5)
     assert dataclasses.astuple(bare) == (block.lipschitz_flow, None, block.control_norm, None, None)

@@ -16,6 +16,7 @@ from diffeoflow.objective import Dataset, cost_of_endpoints, loss_grad
 from diffeoflow.train_gd import _descend
 from diffeoflow.train_pmp import _maximized_controls
 
+from test_flow import nan_jacobian_family
 from test_train_gd import shift_family
 
 
@@ -116,6 +117,18 @@ def test_overflowing_sweep_is_a_rejected_pass(affine8, grid25):
     assert all(r.cost == np.inf and r.data_term == np.inf and not r.accepted for r in rows)
     assert [r.gamma for r in rows] == [1e160 * 0.5**k for k in range(5)]
     assert np.array_equal(rep.control.values, np.zeros((4, 8)))
+
+
+def test_nan_layer_factor_is_a_rejected_pass():
+    # The flow is finite, but the implicit factor at the source with x1 = 0
+    # is NaN, so the covector guard rejects every sweep.
+    fam = nan_jacobian_family(2)
+    data = Dataset(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[2.0, 1.0], [1.0, 1.5]]))
+    rep = train_pmp(fam, data, 1, TrainConfig(beta=1e-3, max_iter=3))
+    rows = rep.records[1:]
+    assert np.isfinite(rep.records[0].cost)
+    assert all(r.cost == np.inf and not r.accepted for r in rows) and len(rows) == 3
+    assert np.array_equal(rep.control.values, np.zeros((1, 1)))
 
 
 def test_argument_validation(affine8, grid25):
