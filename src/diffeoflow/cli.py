@@ -118,10 +118,6 @@ TABLE_SETTINGS: dict[int, tuple[str, int, str]] = {
 BETA_SWEEP = (1e0, 1e-1, 1e-2, 1e-3, 1e-4)
 
 
-class ConfigError(ValueError):
-    """A run configuration failed validation."""
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig(TrainConfig):
     """Flat run configuration; every field has a JSON key of the same name.
@@ -129,7 +125,7 @@ class RunConfig(TrainConfig):
     The trainer fields (beta, max_iter, gamma0, tau, c) are TrainConfig's,
     with beta defaulting to 1e-3; the rest describe the problem.  seed only
     picks the random control of gradcheck's instance, and test_seed the
-    held-out cloud.  Each invalid value raises a ConfigError naming the field.
+    held-out cloud.  Each invalid value raises a ValueError naming the field.
     """
 
     beta: float = 1e-3
@@ -147,30 +143,27 @@ class RunConfig(TrainConfig):
     test_file: str | None = None
 
     def __post_init__(self) -> None:
-        try:
-            super().__post_init__()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        super().__post_init__()
         if self.family not in ("affine8", "enriched14"):
-            raise ConfigError(f"family: expected 'affine8' or 'enriched14', got {self.family!r}")
+            raise ValueError(f"family: expected 'affine8' or 'enriched14', got {self.family!r}")
         if self.nu <= 0.0:
-            raise ConfigError(f"nu: must be positive, got {self.nu}")
+            raise ValueError(f"nu: must be positive, got {self.nu}")
         if self.n_layers < 1:
-            raise ConfigError(f"n_layers: must be a positive integer, got {self.n_layers}")
+            raise ValueError(f"n_layers: must be a positive integer, got {self.n_layers}")
         if self.algorithm not in ("gd", "pmp"):
-            raise ConfigError(f"algorithm: expected 'gd' or 'pmp', got {self.algorithm!r}")
+            raise ValueError(f"algorithm: expected 'gd' or 'pmp', got {self.algorithm!r}")
         if self.seed < 0:
-            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
+            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
         if self.target not in ("builtin", "identity"):
-            raise ConfigError(f"target: expected 'builtin' or 'identity', got {self.target!r}")
+            raise ValueError(f"target: expected 'builtin' or 'identity', got {self.target!r}")
         if self.grid_side <= 0.0:
-            raise ConfigError(f"grid_side: must be positive, got {self.grid_side}")
+            raise ValueError(f"grid_side: must be positive, got {self.grid_side}")
         if self.grid_per_axis < 2:
-            raise ConfigError(f"grid_per_axis: must be at least 2, got {self.grid_per_axis}")
+            raise ValueError(f"grid_per_axis: must be at least 2, got {self.grid_per_axis}")
         if self.test_count < 0:
-            raise ConfigError(f"test_count: must be nonnegative, got {self.test_count}")
+            raise ValueError(f"test_count: must be nonnegative, got {self.test_count}")
         if self.test_seed < 0:
-            raise ConfigError(f"test_seed: must be nonnegative, got {self.test_seed}")
+            raise ValueError(f"test_seed: must be nonnegative, got {self.test_seed}")
 
 
 def _check_types(raw: dict) -> None:
@@ -199,7 +192,7 @@ def _check_types(raw: dict) -> None:
             ok, want = isinstance(value, str), "a string"
         if not ok:
             or_null = " or null" if optional else ""
-            raise ConfigError(f"{f.name}: must be {want}{or_null}, got {json.dumps(value)}")
+            raise ValueError(f"{f.name}: must be {want}{or_null}, got {json.dumps(value)}")
 
 
 def load_config(path) -> RunConfig:
@@ -207,13 +200,13 @@ def load_config(path) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except ValueError as err:  # invalid JSON or bytes that are not UTF-8
-        raise ConfigError(f"could not parse {path} as JSON: {err}") from err
+        raise ValueError(f"could not parse {path} as JSON: {err}") from err
     if not isinstance(raw, dict):
-        raise ConfigError(f"config root in {path} must be a JSON object")
+        raise ValueError(f"config root in {path} must be a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     _check_types(raw)
     return RunConfig(**raw)
 
@@ -221,7 +214,7 @@ def load_config(path) -> RunConfig:
 def _load_dataset(path, dim: int) -> Dataset:
     data = load_dataset_csv(path)
     if data.dim != dim:
-        raise ConfigError(f"dataset file {path} has dimension {data.dim}, the family has {dim}")
+        raise ValueError(f"dataset file {path} has dimension {data.dim}, the family has {dim}")
     return data
 
 
@@ -239,7 +232,7 @@ def build_problem(cfg: RunConfig) -> tuple:
             train = _square_dataset(make_grid_dataset, target, cfg, per_axis=cfg.grid_per_axis)
         except MemoryError as err:
             msg = f"grid_per_axis: a grid of {cfg.grid_per_axis}**2 points does not fit in memory"
-            raise ConfigError(msg) from err
+            raise ValueError(msg) from err
     if cfg.test_file is not None:
         test = _load_dataset(cfg.test_file, family.dim)
     elif cfg.test_count > 0:
@@ -249,7 +242,7 @@ def build_problem(cfg: RunConfig) -> tuple:
             )
         except MemoryError as err:
             msg = f"test_count: a cloud of {cfg.test_count} points does not fit in memory"
-            raise ConfigError(msg) from err
+            raise ValueError(msg) from err
     else:
         test = None
     return family, lipschitz_target, train, test
@@ -267,7 +260,7 @@ def _check_square(target, cfg: RunConfig) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         corner_norm = target_lipschitz_estimate(target, corners)
     if not math.isfinite(corner_norm):
-        raise ConfigError(
+        raise ValueError(
             f"grid_side: the Jacobian of the {cfg.target} target overflows on the square "
             f"of side {cfg.grid_side:g}"
         )
@@ -277,13 +270,13 @@ def _check_square(target, cfg: RunConfig) -> float:
 def _square_dataset(make, target, cfg: RunConfig, **kwargs) -> Dataset:
     """A cloud on the square of side grid_side; a dataset it cannot make names grid_side.
 
-    The target may overflow on a large square, and points collapse onto each
-    other on a square of subnormal side.
+    ``_check_square`` has already named a square on which the target overflows;
+    what is left is points that collapse onto each other on a subnormal side.
     """
     try:
         return make(target, side=cfg.grid_side, **kwargs)
     except ValueError as err:
-        raise ConfigError(
+        raise ValueError(
             f"grid_side: no usable dataset of the {cfg.target} target on the square "
             f"of side {cfg.grid_side:g}: {err}"
         ) from err
@@ -297,7 +290,7 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
     try:
         report = trainer(family, train, cfg.n_layers, cfg, test_data=test)
     except MemoryError as err:  # the controls and trajectories grow with n_layers
-        raise ConfigError(
+        raise ValueError(
             f"n_layers: {cfg.n_layers} layers of {train.n_samples} points do not fit in memory"
         ) from err
     elapsed = time.perf_counter() - start
@@ -422,13 +415,13 @@ def run_gradcheck(cfg: RunConfig) -> tuple[float, int, int]:
     Returns (max relative error, worst layer, worst field).
     """
     if cfg.n_layers > GRADCHECK_MAX_LAYERS:
-        raise ConfigError(
+        raise ValueError(
             f"n_layers: gradcheck instances are capped at {GRADCHECK_MAX_LAYERS} layers, "
             f"got {cfg.n_layers}"
         )
     family, _, train, _ = build_problem(dataclasses.replace(cfg, test_count=0, test_file=None))
     if train.n_samples > GRADCHECK_MAX_SAMPLES:
-        raise ConfigError(
+        raise ValueError(
             f"dataset: gradcheck instances are capped at {GRADCHECK_MAX_SAMPLES} samples, "
             f"got {train.n_samples}; lower grid_per_axis or point dataset_file at a smaller file"
         )
@@ -520,10 +513,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as err:  # ConfigError is a ValueError
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except MemoryError as err:  # grid_per_axis, test_count and n_layers are named as ConfigErrors
+    except MemoryError as err:  # grid_per_axis, test_count and n_layers are named as ValueErrors
         print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
     except (FlowError, TrainAbort) as err:  # a flow overflowed; training wrote its partial outputs

@@ -22,8 +22,8 @@ closed form instead, without the mostly-zero ``(..., l, n[, n])`` tensors,
 and add terms in the same order as the dense contraction, so both give
 bit-identical results.  Their ``layer_matrix``, ``values`` and ``jacobians``
 are dense.  Within one call each per-point quantity (a square, the Gaussian
-weight, a product of coordinates) is computed once, and nothing computed for
-one call is kept for the next.
+weight and its gradient, a product of coordinates) is computed once, and
+nothing computed for one call is kept for the next.
 
 Two planar built-ins are provided.
 
@@ -167,14 +167,16 @@ def _axis_sums(axes, terms, weights, out=None) -> list:
 class _Planar:
     """The per-point quantities of one call on planar points, each computed once.
 
-    ``x1``, ``x2`` are the coordinates, ``sq1`` and ``sq2`` their squares,
-    ``g`` the Gaussian weight exp(-(sq1 + sq2) / (2 nu)), and ``x1x2`` the
-    mixed monomial, computed on first use.  An instance lives only as long
-    as the call that made it, so no array outlives its call.
+    ``x`` holds the points, checked by ``_as_points``; ``x1``, ``x2`` are
+    their coordinates, ``sq1`` and ``sq2`` the squares and ``g`` the Gaussian
+    weight exp(-(sq1 + sq2) / (2 nu)).  The mixed monomial ``x1x2`` and the
+    gradient ``dg`` = -g x / nu are computed on first use.  An instance lives
+    only as long as the call that made it, so no array outlives its call.
     """
 
     def __init__(self, x: np.ndarray, nu: float):
-        self.x1, self.x2 = x[..., 0], x[..., 1]
+        self.x, self.nu = _as_points(x, 2), nu
+        self.x1, self.x2 = self.x[..., 0], self.x[..., 1]
         with np.errstate(over="ignore"):  # |x|^2 = inf gives g = exp(-inf) = 0, the exact limit
             self.sq1, self.sq2 = self.x1 * self.x1, self.x2 * self.x2
             self.g = np.exp(-0.5 * (self.sq1 + self.sq2) / nu)
@@ -182,6 +184,11 @@ class _Planar:
     @cached_property
     def x1x2(self) -> np.ndarray:
         return self.x1 * self.x2
+
+    @cached_property
+    def dg(self) -> tuple[np.ndarray, np.ndarray]:
+        neg_g = -self.g
+        return neg_g * self.x1 / self.nu, neg_g * self.x2 / self.nu
 
 
 @dataclass(frozen=True)
@@ -205,55 +212,46 @@ class Affine8(VectorFieldFamily):
         """c_i at the points; 1.0 stands for a constant coefficient."""
         return (1.0, 1.0, pts.g, pts.g, pts.x1, pts.x2, pts.x1, pts.x2)
 
-    def _gradients(self, pts: _Planar, dg1, dg2) -> tuple:
+    def _gradients(self, pts: _Planar) -> tuple:
         """(dc_i/dx1, dc_i/dx2) at the points; None stands for zero."""
         return (
-            (None, None), (None, None), (dg1, dg2), (dg1, dg2),
+            (None, None), (None, None), pts.dg, pts.dg,
             (1.0, None), (None, 1.0), (1.0, None), (None, 1.0),
         )
 
-    def _planar(self, x: np.ndarray) -> tuple[np.ndarray, _Planar]:
-        x = _as_points(x, 2)
-        return x, _Planar(x, self.nu)
-
-    def _planar_gradients(self, pts: _Planar) -> tuple:
-        neg_g = -pts.g  # grad g = -g x / nu
-        return self._gradients(pts, neg_g * pts.x1 / self.nu, neg_g * pts.x2 / self.nu)
-
     def _factor_entries(self, pts: _Planar, u_row, h: float) -> list:
         """Entries b[p][q] of I + h sum_i u_row[i] DF_i; 0.0 + keeps the signed zeros of eye + h * a."""
-        grads = self._planar_gradients(pts)
+        grads = self._gradients(pts)
         # columns[q][p] is entry a[p][q] of a = sum_i u_row[i] DF_i, summed column by column.
         columns = [_axis_sums(self.axes, [grad[q] for grad in grads], u_row) for q in (0, 1)]
         return [[(1.0 if p == q else 0.0) + h * columns[q][p] for q in (0, 1)] for p in (0, 1)]
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        x, pts = self._planar(x)
-        out = np.zeros(x.shape[:-1] + (self.n_fields, 2))
+        pts = _Planar(x, self.nu)
+        out = np.zeros(pts.x.shape[:-1] + (self.n_fields, 2))
         for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(pts))):
             out[..., i, axis] = c
         return out
 
     def jacobians(self, x: np.ndarray) -> np.ndarray:
-        x, pts = self._planar(x)
-        grads = self._planar_gradients(pts)
-        out = np.zeros(x.shape[:-1] + (self.n_fields, 2, 2))
-        for i, (axis, grad) in enumerate(zip(self.axes, grads)):
+        pts = _Planar(x, self.nu)
+        out = np.zeros(pts.x.shape[:-1] + (self.n_fields, 2, 2))
+        for i, (axis, grad) in enumerate(zip(self.axes, self._gradients(pts))):
             for j, d in enumerate(grad):
                 if d is not None:
                     out[..., i, axis, j] = d
         return out
 
     def displacement(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-        x, pts = self._planar(x)
-        out = np.empty_like(x)  # in the layout of x, so each coordinate is summed in one pass
+        pts = _Planar(x, self.nu)
+        out = np.empty_like(pts.x)  # in the layout of x, so each coordinate is summed in one pass
         _axis_sums(self.axes, self._coefficients(pts), u_row, out=out)
         return out
 
     def layer_factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
         # C order, like eye + h * layer_matrix, so that a product of factors stays on one path.
-        x, pts = self._planar(x)
-        out = np.empty(x.shape[:-1] + (2, 2))
+        pts = _Planar(x, self.nu)
+        out = np.empty(pts.x.shape[:-1] + (2, 2))
         for p, row in enumerate(self._factor_entries(pts, u_row, h)):
             out[..., p, 0], out[..., p, 1] = row
         return out
@@ -268,13 +266,12 @@ class Affine8(VectorFieldFamily):
         return np.einsum("m...i->...i", terms)
 
     def pairing(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        x, pts = self._planar(x)
-        return self._pairing(lam, pts)
+        return self._pairing(lam, _Planar(x, self.nu))
 
     def adjoint_step(
         self, x: np.ndarray, u_row: np.ndarray, lam: np.ndarray, h: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        x, pts = self._planar(x)
+        pts = _Planar(x, self.nu)
         lam = np.asarray(lam, dtype=float)
         row = self._pairing(lam, pts)
         b = self._factor_entries(pts, u_row, h)
@@ -300,16 +297,16 @@ class Enriched14(Affine8):
         quads = (pts.sq1 * pts.g, pts.x1x2 * pts.g, pts.sq2 * pts.g)
         return super()._coefficients(pts) + quads + quads
 
-    def _gradients(self, pts: _Planar, dg1, dg2) -> tuple:
+    def _gradients(self, pts: _Planar) -> tuple:
         # grad(p * g) = g * grad(p) + p * grad(g), with grad(g) = -g x / nu.
-        x1, x2, g = pts.x1, pts.x2, pts.g
+        x1, x2, g, (dg1, dg2) = pts.x1, pts.x2, pts.g, pts.dg
         p11, p12, p22 = pts.sq1, pts.x1x2, pts.sq2
         quads = (
             (g * (2.0 * x1) + p11 * dg1, p11 * dg2),
             (g * x2 + p12 * dg1, g * x1 + p12 * dg2),
             (p22 * dg1, g * (2.0 * x2) + p22 * dg2),
         )
-        return super()._gradients(pts, dg1, dg2) + quads + quads
+        return super()._gradients(pts) + quads + quads
 
 
 @dataclass(frozen=True)

@@ -136,9 +136,9 @@ def _worst_conditioned(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrices, and the results have the shape of those axes (scalars for a
     single batch).  2x2 matrices are screened in closed form, cond =
     sigma_max^2 / |det| (since sigma_max * sigma_min = |det|), and LAPACK
-    computes the condition numbers of the worst matrices only, in one call;
-    larger matrices go to LAPACK whole.  A NaN or inf entry ranks as worst,
-    with condition inf, so it fails the guard.
+    computes the condition numbers of the worst matrices only; larger ones
+    go to LAPACK whole.  Either way one LAPACK call covers every batch.  A
+    NaN or inf entry ranks as worst, with condition inf, so it fails the guard.
     """
     if mats.shape[-2:] != (2, 2):
         conds = _cond(mats)
@@ -257,10 +257,11 @@ def backward_covector(
     layer-major: a transposed view of an (N+1, M, dim) buffer, so each node
     ``lam[:, k]`` is one C-order (M, dim) block.
 
-    All N factors are built and screened before the first solve.  When
-    some have a condition estimate above ``CONDITION_LIMIT``, the FlowError
-    names the highest such layer, the first the transport would reach, and
-    that layer's worst-conditioned sample.
+    All N factors are built, then screened by one ``_worst_conditioned``
+    call in any dimension, before the first solve.  When some have a
+    condition estimate above ``CONDITION_LIMIT``, the FlowError names the
+    highest such layer, the first the transport would reach, and that
+    layer's worst-conditioned sample.
     """
     states = _as_trajectory(family, u, states)
     n_pts, n_nodes, dim = states.shape
@@ -272,12 +273,7 @@ def backward_covector(
     factors = np.empty((n_layers, n_pts, dim, dim))
     for k in range(1, n_layers + 1):
         factors[k - 1] = family.layer_factor(states[:, k - 1], u.values[k - 1], -h)
-    # Every layer is screened before the first solve: 2x2 factors all at once,
-    # larger ones one layer at a time.
-    if dim == 2:
-        samples, conds = _worst_conditioned(factors)
-    else:
-        samples, conds = zip(*map(_worst_conditioned, factors))
+    samples, conds = _worst_conditioned(factors)
     for k in range(n_layers, 0, -1):
         j, worst = int(samples[k - 1]), float(conds[k - 1])
         if not np.isfinite(worst) or worst > CONDITION_LIMIT:

@@ -26,9 +26,9 @@ trajectory, which the drift correction reads; both are recomputed only
 after an accepted pass.
 
 Each layer moves the points with ``family.displacement``, the closed-form
-sum of the fields.  The dense (M, l, dim) field ``values`` are still
-evaluated once per layer, for the pairing only: perfbench's tracing
-self-test requires a ``fields.values`` span from a pmp run.
+sum of the fields, and pairs with ``VectorFieldFamily.pairing``, the dense
+einsum over the (M, l, dim) field ``values``, not the built-ins' closed form:
+perfbench's tracing self-test requires a ``fields.values`` span from a pmp run.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def train_pmp(
                 lam = cov[:, k - 1] + (
                     penalty[:, k - 1] - loss_grad(swept[:, k - 1] - targets)
                 ) / n_pts
-                vals = family.values(swept[:, k - 1])  # (M, l, dim), for the pairing only
-                pairing = np.einsum("mn,mln->l", lam, vals)
+                # Not family.pairing: a built-in's closed form would drop the fields.values span.
+                pairing = VectorFieldFamily.pairing(family, swept[:, k - 1], lam)
                 new_controls[k - 1] = _maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
                 step = family.displacement(swept[:, k - 1], new_controls[k - 1])
                 np.add(swept[:, k - 1], u.step * step, out=swept[:, k])

@@ -38,7 +38,6 @@ from diffeoflow.cli import (
     REFERENCE_RESULTS,
     TRACE_COLUMNS,
     RunConfig,
-    ConfigError,
     load_config,
     load_control_csv,
     main,
@@ -89,7 +88,7 @@ def test_load_config_round_trip(tmp_path):
 
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, learning_rate=0.1)
-    with pytest.raises(ConfigError, match="learning_rate"):
+    with pytest.raises(ValueError, match="learning_rate"):
         load_config(path)
 
 
@@ -111,7 +110,8 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 )
 def test_load_config_validation(tmp_path, overrides):
     path = write_config(tmp_path, **overrides)
-    with pytest.raises(ConfigError):
+    (field,) = overrides
+    with pytest.raises(ValueError, match=f"^{field}: "):
         load_config(path)
 
 
@@ -390,10 +390,10 @@ def test_gradcheck_flags_corrupted_jacobians(tmp_path, monkeypatch):
 
 def test_gradcheck_rejects_oversized_instances(tmp_path):
     big_layers = load_config(write_config(tmp_path, name="l.json", n_layers=9))
-    with pytest.raises(ConfigError, match="layers"):
+    with pytest.raises(ValueError, match="layers"):
         run_gradcheck(big_layers)
     big_grid = load_config(write_config(tmp_path, name="g.json", grid_per_axis=4))
-    with pytest.raises(ConfigError, match="samples"):
+    with pytest.raises(ValueError, match="samples"):
         run_gradcheck(big_grid)
 
 
@@ -643,9 +643,10 @@ def test_overflowing_sweep_is_a_rejected_row_under_warnings_as_errors(tmp_path):
     ids=["grid", "test cloud", "grid-jacobian", "test cloud-jacobian"],
 )
 def test_square_too_large_for_the_target_exits_two_naming_grid_side(cloud, side, tmp_path):
-    # On a square of side 60 the builtin target overflows; on one of side 30
-    # its values are finite but its Jacobian overflows at the corners.  With
-    # a dataset file only the held-out cloud is drawn on that square.
+    # On a square of side 60 the builtin target overflows, on one of side 30
+    # only its Jacobian does; either way the check of the Jacobian at the
+    # corners names grid_side before any point is drawn.  With a dataset
+    # file only the held-out cloud is drawn on that square.
     extra = {}
     if cloud == "test cloud":
         data = Dataset(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 1.0], [1.0, 1.5]]))
@@ -656,6 +657,25 @@ def test_square_too_large_for_the_target_exits_two_naming_grid_side(cloud, side,
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: grid_side: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert not (tmp_path / "run" / "trace.csv").exists()  # rejected before training
+
+
+@pytest.mark.parametrize("cloud", ["grid", "test cloud"])
+def test_collapsing_square_exits_two_naming_grid_side(cloud, tmp_path):
+    # A square of side 1e-322 holds about 21 distinct values per axis, so the
+    # 30**2 grid points collide, and so do two of the 5 points that test_seed
+    # 129 draws for the held-out cloud of a dataset file run.
+    extra = {}
+    if cloud == "test cloud":
+        data = Dataset(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 1.0], [1.0, 1.5]]))
+        save_dataset_csv(tmp_path / "data.csv", data)
+        extra = {"dataset_file": str(tmp_path / "data.csv"), "test_seed": 129}
+    cfg_path = write_config(tmp_path, grid_side=1e-322, grid_per_axis=30, **extra)
+    proc = run_warnings_as_errors(tmp_path, "train", "--config", str(cfg_path), "--out", "run")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: grid_side: no usable dataset of the builtin target "), proc.stderr
+    assert proc.stderr.endswith(": source points must be pairwise distinct\n"), proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "run" / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("side", [0.3, 1.5, 10.0])

@@ -352,6 +352,41 @@ def test_three_dimensional_family_goes_through_lapack(monkeypatch):
     assert shapes[1:] == [(3, 3, 3)]
 
 
+def test_three_dimensional_guard_screens_every_layer_in_one_lapack_call(monkeypatch):
+    # F_a = (x1^2 / 2, 0, 0) and F_b = (0, x2^2 / 2, 0) have DF_a = diag(x1, 0, 0)
+    # and DF_b = diag(0, x2, 0).  With h u = 1, layer 3 (on F_a) has a singular
+    # factor exactly where x1 = 1, at sample 2, and layer 1 (on F_b) where
+    # x2 = 1, at sample 4; layer 1 leaves x1 alone.
+    half_squares = [
+        FieldSpec(
+            value=lambda x, a=a: np.einsum("...,p->...p", 0.5 * x[..., a] ** 2, np.eye(3)[a]),
+            jacobian=lambda x, a=a: np.einsum("...,pq->...pq", x[..., a], np.diag(np.eye(3)[a])),
+        )
+        for a in (0, 1)
+    ]
+    fam = make_custom(half_squares, dim=3)
+    u = np.zeros((4, 2))
+    u[2, 0] = 4.0
+    u[0, 1] = 4.0
+    pts = np.array(
+        [[0.2, 0.5, 0.0], [-0.8, 0.2, 1.0], [1.0, 0.7, 0.0], [0.6, -0.9, 2.0], [0.3, 1.0, -1.0]]
+    )
+    shapes = []
+    lapack_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m: shapes.append(np.shape(m)) or lapack_cond(m))
+    states = forward_euler(fam, ControlGrid(u), pts)
+    with pytest.raises(FlowError, match="sample 2 at layer 3") as err:
+        backward_covector(fam, ControlGrid(u), states, np.ones((5, 3)))
+    assert (err.value.sample, err.value.layer) == (2, 3)
+    assert shapes == [(20, 3, 3)]  # all 4 layers of 5 samples at once
+    # Layer 1 alone reports its own worst sample.
+    u[2] = 0.0
+    states = forward_euler(fam, ControlGrid(u), pts)
+    with pytest.raises(FlowError, match="sample 4 at layer 1") as err:
+        backward_covector(fam, ControlGrid(u), states, np.ones((5, 3)))
+    assert (err.value.sample, err.value.layer) == (4, 1)
+
+
 def test_planar_transport_makes_one_lapack_call(affine8, rng, monkeypatch):
     # The closed-form screen picks the worst sample of every layer, and one
     # LAPACK call gives the condition numbers of those 16 matrices.

@@ -1,6 +1,7 @@
 """Package hygiene: no unused imports in the sources or the tests, and a pinned public API."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import diffeoflow
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "diffeoflow"
+README = TESTS.parent / "README.md"
 
 PUBLIC_API = [
     "ControlGrid",
@@ -102,3 +104,5 @@ def test_every_module_level_import_is_used(path):
 def test_public_api_is_pinned():
     assert diffeoflow.__all__ == PUBLIC_API
     assert [name for name in PUBLIC_API if not hasattr(diffeoflow, name)] == []
+    stated = re.findall(r"public surface is the (\d+) names", README.read_text(encoding="utf-8"))
+    assert stated == [str(len(PUBLIC_API))]
