@@ -153,6 +153,57 @@ def _worst_conditioned(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return j, _cond(worst)
 
 
+def _solve_backward(factors: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+    """The covectors with lambda_{k-1} B_k = lambda_k, k = N..1, in an (N+1, dim, M) buffer.
+
+    ``factors`` (N, M, dim, dim) holds the finite, nonsingular B_k, ``terminal``
+    (M, dim) lambda_N.  Each node is ``np.linalg.solve(B_k^T, lambda_k)`` bit for
+    bit: non-2x2 factors go to it, 2x2 ones replay LAPACK's dgesv on A = B^T.  As
+    dgetf2, one pass factors all layers: rows swap only where |a10| > |a00|
+    (idamax takes the first maximum), l = a10 * (1/a00), u11 = a11 - l a01 unfused.
+    As dgetrs, each layer substitutes x1 = fma(-l, c0, c1) / u11, x0 = fma(-a01,
+    x1, c0) / a00 for the swapped right-hand side c, the fma being a stacked
+    matmul of (1, -l) with (c1, c0).  LAPACK takes the rows this misses: a pivot
+    below the smallest normal (dgetf2 divides by it) and a -0.0 right-hand side
+    (the matmul's sum starts at +0.0).  NaNs from infinite ones may differ in sign.
+    """
+    n_layers, n_pts, dim = factors.shape[:3]
+    lam = np.empty((n_layers + 1, dim, n_pts))
+    lam[n_layers] = terminal.T
+
+    def lapack(k: int, rows) -> None:
+        # Row convention: lambda_{k-1} B = lambda_k, so solve B^T y = lambda_k^T.
+        b = np.swapaxes(factors[k - 1, rows], -1, -2)
+        lam[k - 1][:, rows] = np.linalg.solve(b, lam[k][:, rows].T[..., None])[..., 0].T
+
+    if dim != 2:
+        for k in range(n_layers, 0, -1):
+            lapack(k, slice(None))
+        return lam
+    a00, a10, a01, a11 = (factors[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    swap = np.abs(a10) > np.abs(a00)
+    p00 = np.where(swap, a10, a00)
+    tiny_pivot = np.abs(p00) < np.finfo(float).tiny
+    # The rows (1, -l) and (1, -a01) of the fused multiply-adds, (N, M, 1, 2) each.
+    lower, upper = np.ones((2, n_layers, n_pts, 1, 2))
+    column = np.empty((n_pts, 2, 1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.multiply(np.where(swap, a00, a10), -1.0 / p00, out=lower[..., 0, 1])
+        np.negative(np.where(swap, a11, a01), out=upper[..., 0, 1])
+        u11 = np.where(swap, a01, a11) - lower[..., 0, 1] * upper[..., 0, 1]
+        for k in range(n_layers, 0, -1):
+            s, rhs, x = swap[k - 1], lam[k], lam[k - 1]
+            # The column (c1, c0) of the swapped right-hand side, then (c0, x1).
+            column[:, 0, 0], column[:, 1, 0] = np.where(s, rhs[0], rhs[1]), np.where(s, rhs[1], rhs[0])
+            np.divide((lower[k - 1] @ column)[:, 0, 0], u11[k - 1], out=x[1])
+            column[:, 0, 0], column[:, 1, 0] = column[:, 1, 0], x[1]
+            np.divide((upper[k - 1] @ column)[:, 0, 0], p00[k - 1], out=x[0])
+            missed = tiny_pivot[k - 1] | (np.signbit(rhs) & (rhs == 0)).any(axis=0)
+            if missed.any():
+                lapack(k, missed)
+    return lam
+
+
 def _check_finite(states: np.ndarray, layer: int, context: str) -> None:
     """Raise FlowError naming the first sample whose (M, dim) state at ``layer`` is not finite."""
     if not np.isfinite(states).all():
@@ -254,17 +305,18 @@ def backward_covector(
 
     ``states`` must be the trajectory bundle the controls produced, in any
     memory layout.  Returns covectors of shape (M, N+1, dim), stored
-    layer-major: a transposed view of an (N+1, M, dim) buffer, so each node
-    ``lam[:, k]`` is one C-order (M, dim) block.
+    coordinate-major like ``forward_euler``'s trajectory: a transposed view
+    of an (N+1, dim, M) buffer, so each row ``lam[:, k, d]`` is contiguous.
 
     All N factors are built, then screened by one ``_worst_conditioned``
     call in any dimension, before the first solve.  When some have a
     condition estimate above ``CONDITION_LIMIT``, the FlowError names the
     highest such layer, the first the transport would reach, and that
-    layer's worst-conditioned sample.
+    layer's worst-conditioned sample.  The solves are ``np.linalg.solve``'s
+    bit for bit, and planar ones make no LAPACK call (``_solve_backward``).
     """
     states = _as_trajectory(family, u, states)
-    n_pts, n_nodes, dim = states.shape
+    n_pts, _, dim = states.shape
     n_layers = u.n_layers
     term = np.asarray(terminal, dtype=float)
     if term.shape != (n_pts, dim):
@@ -283,12 +335,7 @@ def backward_covector(
                 sample=j,
                 layer=k,
             )
-    lam = np.empty((n_nodes, n_pts, dim))
-    lam[n_layers] = term
-    for k in range(n_layers, 0, -1):
-        # Row convention: lambda_{k-1} B = lambda_k, so solve B^T y = lambda_k^T.
-        lam[k - 1] = np.linalg.solve(np.swapaxes(factors[k - 1], -1, -2), lam[k][..., None])[..., 0]
-    return lam.transpose(1, 0, 2)
+    return _solve_backward(factors, term).transpose(2, 0, 1)
 
 
 def variational_jacobian(

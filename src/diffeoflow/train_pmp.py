@@ -20,10 +20,10 @@ trainer (``train_gd._descend``): a pass is accepted only if the cost
 strictly decreased, otherwise gamma shrinks by tau, and a rejected row
 reports the testing error of the unchanged control.  The sweep writes a
 new trajectory and reads the accepted one and its cache without changing
-them, so a rejection needs no restore.  The cache holds the covectors and
-the penalty gradients grad a(x_k - y) at every node of the accepted
-trajectory, which the drift correction reads; both are recomputed only
-after an accepted pass.
+them, so a rejection needs no restore.  The cache holds the covectors (or
+the FlowError of a transport that fails the guard) and the penalty
+gradients grad a(x_k - y) at every node of the accepted trajectory, which
+the drift correction reads; both are recomputed only after an accepted pass.
 
 Each layer moves the points with ``family.displacement``, the closed-form
 sum of the fields, and pairs with ``VectorFieldFamily.pairing``, the dense
@@ -37,7 +37,7 @@ import numpy as np
 
 from .fields import VectorFieldFamily
 # forward_euler is unused here, but perfbench's tracing self-test expects this module to bind it.
-from .flow import ControlGrid, _check_finite, backward_covector, forward_euler  # noqa: F401
+from .flow import ControlGrid, FlowError, _check_finite, backward_covector, forward_euler  # noqa: F401
 from .objective import Dataset, cost_of_endpoints, loss_grad
 from .train_gd import TrainConfig, TrainReport, _descend
 
@@ -70,18 +70,23 @@ def train_pmp(
     accepted flag.
     """
     n_pts = data.n_samples
-    targets = data.targets
-    # The covectors and the penalty gradients of the accepted trajectory are
-    # cached until the control changes.
+    # Coordinate-major like the trajectories and covectors, so each layer's arithmetic is too.
+    targets = np.asfortranarray(data.targets)
+    # Cached until the control changes: the covectors (or the transport's FlowError) and penalties.
     cov_u = cov = penalty = None
 
     def sweep(u, states, current, gamma):
         nonlocal cov_u, cov, penalty
         if cov_u is not u:
             terminal = -loss_grad(states[:, -1] - targets) / n_pts
-            transported = backward_covector(family, u, states, terminal)
+            try:
+                cov = backward_covector(family, u, states, terminal)
+            except FlowError as err:
+                cov = err
             with np.errstate(over="ignore", invalid="ignore"):
-                cov_u, cov, penalty = u, transported, loss_grad(states - targets[:, None])
+                cov_u, penalty = u, loss_grad(states - targets[:, None])
+        if isinstance(cov, FlowError):
+            raise cov.with_traceback(None)
         # np.empty_like keeps the coordinate-major layout of the trajectory
         # (order 'K'); the sweep writes nodes 1..N before it reads them.
         swept = np.empty_like(states)

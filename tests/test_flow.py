@@ -15,7 +15,13 @@ from diffeoflow import (
     make_enriched14,
 )
 from diffeoflow import flow
-from diffeoflow.flow import _spectral_norm_2x2, _worst_conditioned, layer_matrix, variational_jacobian
+from diffeoflow.flow import (
+    _solve_backward,
+    _spectral_norm_2x2,
+    _worst_conditioned,
+    layer_matrix,
+    variational_jacobian,
+)
 from diffeoflow.objective import control_gradient
 
 
@@ -389,15 +395,120 @@ def test_three_dimensional_guard_screens_every_layer_in_one_lapack_call(monkeypa
 
 def test_planar_transport_makes_one_lapack_call(affine8, rng, monkeypatch):
     # The closed-form screen picks the worst sample of every layer, and one
-    # LAPACK call gives the condition numbers of those 16 matrices.
+    # LAPACK call gives the condition numbers of those 16 matrices.  The
+    # solves replay dgesv without LAPACK; a 3-D family still solves each
+    # layer with np.linalg.solve.
     u = ControlGrid(rng.normal(scale=0.5, size=(16, 8)))
     states = forward_euler(affine8, u, rng.uniform(-1.5, 1.5, size=(900, 2)))
-    shapes = []
-    lapack_cond = np.linalg.cond
+    shapes, solves = [], []
+    lapack_cond, lapack_solve = np.linalg.cond, np.linalg.solve
     monkeypatch.setattr(np.linalg, "cond", lambda m: shapes.append(np.shape(m)) or lapack_cond(m))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(np.shape(a)) or lapack_solve(a, b))
     lam = backward_covector(affine8, u, states, rng.normal(size=(900, 2)))
     assert np.isfinite(lam).all()
     assert shapes == [(16, 2, 2)]
+    assert solves == []
+    linear = FieldSpec(
+        value=lambda x: 0.5 * x,
+        jacobian=lambda x: np.broadcast_to(0.5 * np.eye(3), x.shape + (3,)).copy(),
+    )
+    fam = make_custom([linear], dim=3)
+    u = ControlGrid(rng.normal(size=(4, 1)))
+    states = forward_euler(fam, u, rng.normal(size=(50, 3)))
+    lam = backward_covector(fam, u, states, rng.normal(size=(50, 3)))
+    assert np.isfinite(lam).all()
+    assert solves == [(50, 3, 3)] * 4
+
+
+def lapack_transport(factors, terminal):
+    """The transport the 2x2 replica replaces: one np.linalg.solve per layer, shape (N+1, M, dim)."""
+    lam = np.empty((factors.shape[0] + 1,) + terminal.shape)
+    lam[-1] = terminal
+    for k in range(factors.shape[0], 0, -1):
+        lam[k - 1] = np.linalg.solve(np.swapaxes(factors[k - 1], -1, -2), lam[k][..., None])[..., 0]
+    return lam
+
+
+def replica_transport(factors, terminal):
+    """``_solve_backward`` in the (N+1, M, dim) shape of ``lapack_transport``."""
+    return _solve_backward(factors, terminal).transpose(0, 2, 1)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_planar_solve_is_lapacks_bit_for_bit(rng):
+    n = 40_000
+    # Factors near the identity, factors with independently scaled entries,
+    # and exact pivot ties |a10| = |a00| (a10 = B[0, 1], a00 = B[0, 0]).
+    near = np.eye(2) + 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1)) * rng.normal(size=(n, 2, 2))
+    spread = rng.choice([-1.0, 1.0], size=(n, 2, 2)) * 10.0 ** rng.uniform(-3, 3, size=(n, 2, 2))
+    ties = spread.copy()
+    ties[:, 0, 1] = rng.choice([-1.0, 1.0], size=n) * ties[:, 0, 0]
+    factors = np.concatenate([near, spread, ties])
+    rhs = rng.normal(size=(3 * n, 2)) * 10.0 ** rng.uniform(-8, 8, size=(3 * n, 2))
+    rhs[::7] *= 1e-310  # subnormal
+    rhs[rng.random(rhs.shape) < 0.05] = 0.0
+    rhs[rng.random(rhs.shape) < 0.05] = -0.0
+    keep = np.linalg.cond(factors) <= flow.CONDITION_LIMIT  # what the guard lets through
+    factors, rhs = factors[keep][None], rhs[keep]
+    assert factors.shape[1] >= 100_000
+    swapped = np.abs(factors[0, :, 0, 1]) > np.abs(factors[0, :, 0, 0])
+    assert 10_000 < swapped.sum() < factors.shape[1] - 10_000
+    assert_same_bits(replica_transport(factors, rhs), lapack_transport(factors, rhs))
+
+
+@pytest.mark.parametrize("n_pts, n_layers", [(1, 3), (900, 16), (5000, 4)])
+def test_planar_transport_is_lapacks_bit_for_bit_over_layers(n_pts, n_layers, rng):
+    factors = np.eye(2) + 0.2 * rng.normal(size=(n_layers, n_pts, 2, 2))
+    terminal = rng.normal(size=(n_pts, 2))
+    assert_same_bits(replica_transport(factors, terminal), lapack_transport(factors, terminal))
+
+
+def test_stacked_matmul_rounds_like_one_fused_multiply_add(rng):
+    # _solve_backward replays dgetrs's fma(-l, c0, c1) as the stacked matmul
+    # of the rows (1, -l) with the columns (c1, c0); check that against the
+    # exactly rounded value, for contiguous and strided operands.
+    from fractions import Fraction
+
+    n = 3000
+    l = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+    c0 = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    c1 = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    c1[::2] = l[::2] * c0[::2] * (1.0 + rng.normal(scale=1e-10, size=n // 2))  # cancellation
+    want = np.array([float(Fraction(b) - Fraction(a) * Fraction(c)) for a, b, c in zip(l, c1, c0)])
+    assert (c1 - l * c0 != want).sum() > 100  # unfused arithmetic would fail this test
+    rows = np.stack([np.ones(n), -l], axis=-1)[:, None, :]
+    strided_rows = np.repeat(rows, 2, axis=-1)[..., ::2]
+    cols = np.stack([c1, c0], axis=-1)[..., None]
+    strided_cols = np.stack([c1, c0])[:, :, None].transpose(1, 0, 2)
+    for lo, hi in [(0, 1), (1, 3), (3, 67), (67, 967), (967, n)]:
+        for r, c in [(rows, cols), (strided_rows, strided_cols)]:
+            assert_same_bits((r[lo:hi] @ c[lo:hi])[:, 0, 0], want[lo:hi])
+
+
+def test_subnormal_pivots_get_lapacks_answer_through_the_fallback(rng, monkeypatch):
+    factors = np.eye(2) + 0.3 * rng.normal(size=(2, 40, 2, 2))
+    factors[1, :5] *= 1e-310  # every entry subnormal on five samples of layer 2
+    terminal = rng.normal(size=(40, 2))
+    terminal[:5] *= 1e-310  # so that their covectors stay finite
+    want = lapack_transport(factors, terminal)
+    solves = []
+    lapack_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(np.shape(a)) or lapack_solve(a, b))
+    assert_same_bits(replica_transport(factors, terminal), want)
+    assert solves == [(5, 2, 2)]
+
+
+def test_negative_zero_covectors_keep_lapacks_signs():
+    # Identity factors, as under a zero control, and -0.0 entries, as for a
+    # point that sits on its target.
+    factors = np.broadcast_to(np.eye(2), (3, 6, 2, 2)).copy()
+    factors[1, :, 1, 0] = 0.5
+    terminal = np.array([[-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0], [0.0, -0.0], [0.5, 0.25], [0.0, 0.0]])
+    assert_same_bits(replica_transport(factors, terminal), lapack_transport(factors, terminal))
 
 
 def sample_major_forward(family, u, pts):
@@ -447,10 +558,6 @@ def random_problem(name, n_pts, n_layers, seed=7):
     return fam, u, rng.uniform(-1.0, 1.0, size=(n_pts, 2)), rng
 
 
-def nodes_are_contiguous(bundle):
-    return all(bundle[:, k].flags.c_contiguous for k in range(bundle.shape[1]))
-
-
 def rows_are_contiguous(bundle):
     """Each coordinate of each node, ``bundle[:, k, d]``, is one contiguous row."""
     return all(
@@ -485,7 +592,7 @@ def test_transport_and_gradients_do_not_depend_on_the_trajectory_layout(name, si
     terminal = rng.normal(size=pts.shape)
     lam = backward_covector(fam, u, states, terminal)
     lam_dense = backward_covector(fam, u, dense, terminal)
-    assert nodes_are_contiguous(lam) and nodes_are_contiguous(lam_dense)
+    assert rows_are_contiguous(lam) and rows_are_contiguous(lam_dense)
     assert np.array_equal(lam.view(np.int64), lam_dense.view(np.int64))
     targets = pts + 0.5
     grad = control_gradient(fam, u, states, targets, 1e-3)

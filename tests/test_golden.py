@@ -10,13 +10,19 @@ full grid and N = 32.  It compares the SHA-256 of ``trace.csv``,
 recorded before the closed-form kernels shared their monomials, and the
 ``gradcheck`` line of ``configs/gradcheck.json`` with its recorded text.
 
+One longer run guards the pmp trainer's covector transport: the full-grid
+``affine8_pmp_n16_beta1e-4.json`` capped at 100 passes, all accepted, so
+100 transports, with digests recorded before the planar transport stopped
+calling LAPACK.
+
 As with ``perfbench/reference.json``, the digests describe one numpy
 build: they were recorded with numpy 2.4.6 and its bundled OpenBLAS on
-x86-64.  The pmp digests depend on LAPACK (the covector transport solves
-2x2 systems with ``np.linalg.solve``), every summary on the batched 2x2
-``matmul`` of the Lipschitz estimate, and all of them on numpy's SIMD
-``exp``.  Another build may change the last bits; re-record the digests
-there from a commit whose outputs are known to be right.
+x86-64.  The pmp digests depend on LAPACK's ``dgesv`` rounding, which the
+planar covector transport reproduces through ``matmul``'s fused
+multiply-add, every summary on the batched 2x2 ``matmul`` of the Lipschitz
+estimate, and all of them on numpy's SIMD ``exp``.  Another build may
+change the last bits; re-record the digests there from a commit whose
+outputs are known to be right.
 """
 
 import dataclasses
@@ -78,13 +84,20 @@ GOLDEN = {
         "summary.json": "79ecf67c7d64d23285e93b3e2d8e89f09aa1d2ab3581ee524de3b59122fdf5fb",
     },
 }
+LONG_PMP = "affine8_pmp_n16_beta1e-4.json"
+LONG_PMP_PASSES = 100
+LONG_PMP_GOLDEN = {
+    "trace.csv": "605ffc66fa60e9af95b879e53ba9aef9ba10045dd789d03b8fbff0a97693bb90",
+    "control.csv": "622c31d2d0a6c69cbe010437ca4c0ae06b8a934f6948819fae230fbc082e0388",
+    "summary.json": "895e54cd189aa269ae56ebd411699c157e81f5492a0f9b632058018e776b9a2e",
+}
 GRADCHECK_LINE = "gradcheck OK: max relative error 9.652e-09 (layer 0, field 6, tolerance 1e-05)\n"
 
 
-def run_digests(config: Path, out: Path) -> dict:
-    """Train ``config`` with at most MAX_ITER passes into ``out``; SHA-256 of each output."""
+def run_digests(config: Path, out: Path, max_iter: int = MAX_ITER) -> dict:
+    """Train ``config`` with at most ``max_iter`` passes into ``out``; SHA-256 of each output."""
     cfg = cli.load_config(config)
-    cfg = dataclasses.replace(cfg, max_iter=min(cfg.max_iter, MAX_ITER))
+    cfg = dataclasses.replace(cfg, max_iter=min(cfg.max_iter, max_iter))
     summary = cli._train_into(out, cfg)
     summary.pop("wall_clock_seconds")
     digests = {
@@ -103,6 +116,10 @@ def test_every_config_is_covered():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_config_outputs_are_byte_identical(name, tmp_path):
     assert run_digests(CONFIGS / name, tmp_path / "run") == GOLDEN[name]
+
+
+def test_long_pmp_run_is_byte_identical(tmp_path):
+    assert run_digests(CONFIGS / LONG_PMP, tmp_path / "run", LONG_PMP_PASSES) == LONG_PMP_GOLDEN
 
 
 def test_gradcheck_line_is_unchanged(capsys):

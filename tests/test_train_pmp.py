@@ -8,6 +8,7 @@ import pytest
 from diffeoflow import (
     ControlGrid,
     TrainConfig,
+    VectorFieldFamily,
     forward_euler,
     train_pmp,
 )
@@ -119,16 +120,23 @@ def test_overflowing_sweep_is_a_rejected_pass(affine8, grid25):
     assert np.array_equal(rep.control.values, np.zeros((4, 8)))
 
 
-def test_nan_layer_factor_is_a_rejected_pass():
+def test_nan_layer_factor_is_a_rejected_pass(monkeypatch):
     # The flow is finite, but the implicit factor at the source with x1 = 0
-    # is NaN, so the covector guard rejects every sweep.
+    # is NaN, so the covector guard rejects every sweep.  The guard reads
+    # only the accepted control and trajectory, so its FlowError is cached:
+    # later passes re-raise it without another transport.
+    pmp_module = importlib.import_module("diffeoflow.train_pmp")
+    transport = pmp_module.backward_covector
+    calls = []
+    monkeypatch.setattr(pmp_module, "backward_covector", lambda *a: calls.append(1) or transport(*a))
     fam = nan_jacobian_family(2)
     data = Dataset(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[2.0, 1.0], [1.0, 1.5]]))
-    rep = train_pmp(fam, data, 1, TrainConfig(beta=1e-3, max_iter=3))
+    rep = train_pmp(fam, data, 1, TrainConfig(beta=1e-3, gamma0=2.0, max_iter=3))
     rows = rep.records[1:]
     assert np.isfinite(rep.records[0].cost)
-    assert all(r.cost == np.inf and not r.accepted for r in rows) and len(rows) == 3
+    assert [(r.cost, r.accepted, r.gamma) for r in rows] == [(np.inf, False, 2.0 * 0.5**k) for k in range(3)]
     assert np.array_equal(rep.control.values, np.zeros((1, 1)))
+    assert len(calls) == 1
 
 
 def test_argument_validation(affine8, grid25):
@@ -172,6 +180,18 @@ def test_sweep_proposals_keep_the_layer_major_layout(affine8, grid25, monkeypatc
         for bundle in (accepted, proposal):
             assert bundle.shape == (25, 7, 2)
             assert all(bundle[:, k, d].flags.c_contiguous for k in range(7) for d in range(2))
+
+
+def test_sweep_covectors_are_coordinate_major(affine8, grid25, monkeypatch):
+    # The cached covectors, the penalty gradients and the targets share the
+    # trajectory's layout, so the covector paired at each node has contiguous
+    # coordinate columns.
+    pairing = VectorFieldFamily.pairing
+    seen = []
+    monkeypatch.setattr(VectorFieldFamily, "pairing", lambda f, x, lam: seen.append(lam) or pairing(f, x, lam))
+    train_pmp(affine8, grid25, 6, TrainConfig(beta=0.01, max_iter=3))
+    assert len(seen) == 3 * 6
+    assert all(lam[:, d].flags.c_contiguous for lam in seen for d in range(2))
 
 
 def reference_pmp(family, data, n_layers, cfg):
