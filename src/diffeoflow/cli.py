@@ -228,21 +228,15 @@ def build_problem(cfg: RunConfig) -> tuple:
         train = _load_dataset(cfg.dataset_file, family.dim)
         lipschitz_target = None  # the summary's bounds describe the target's grid only
     else:
-        try:
-            train = _square_dataset(make_grid_dataset, target, cfg, per_axis=cfg.grid_per_axis)
-        except MemoryError as err:
-            msg = f"grid_per_axis: a grid of {cfg.grid_per_axis}**2 points does not fit in memory"
-            raise ValueError(msg) from err
+        oom = f"grid_per_axis: a grid of {cfg.grid_per_axis}**2 points does not fit in memory"
+        train = _square_dataset(make_grid_dataset, target, cfg, oom, per_axis=cfg.grid_per_axis)
     if cfg.test_file is not None:
         test = _load_dataset(cfg.test_file, family.dim)
     elif cfg.test_count > 0:
-        try:
-            test = _square_dataset(
-                make_random_testset, target, cfg, count=cfg.test_count, seed=cfg.test_seed
-            )
-        except MemoryError as err:
-            msg = f"test_count: a cloud of {cfg.test_count} points does not fit in memory"
-            raise ValueError(msg) from err
+        oom = f"test_count: a cloud of {cfg.test_count} points does not fit in memory"
+        test = _square_dataset(
+            make_random_testset, target, cfg, oom, count=cfg.test_count, seed=cfg.test_seed
+        )
     else:
         test = None
     return family, lipschitz_target, train, test
@@ -267,14 +261,17 @@ def _check_square(target, cfg: RunConfig) -> float:
     return corner_norm
 
 
-def _square_dataset(make, target, cfg: RunConfig, **kwargs) -> Dataset:
-    """A cloud on the square of side grid_side; a dataset it cannot make names grid_side.
+def _square_dataset(make, target, cfg: RunConfig, oom: str, **kwargs) -> Dataset:
+    """A cloud on the square of side grid_side; one it cannot make raises a ValueError.
 
-    ``_check_square`` has already named a square on which the target overflows;
-    what is left is points that collapse onto each other on a subnormal side.
+    One too large for memory raises ``oom``.  Otherwise ``_check_square`` has
+    already named a square on which the target overflows; what is left is
+    points that collapse onto each other on a subnormal side, named by grid_side.
     """
     try:
         return make(target, side=cfg.grid_side, **kwargs)
+    except MemoryError as err:
+        raise ValueError(oom) from err
     except ValueError as err:
         raise ValueError(
             f"grid_side: no usable dataset of the {cfg.target} target on the square "

@@ -143,8 +143,8 @@ def _axis_sums(axes, terms, weights, out=None) -> list:
     einsum does, so it is bit-identical to it; a None term is zero.  A sum
     stays a scalar while its terms are; from its first array term on it is
     one array, and every later term is added into it in place.  That array
-    is fresh, or with ``out`` the column ``out[..., axis]``, which then holds
-    the sum in either case.
+    is fresh, or with ``out`` the column ``out[..., axis]``, so a caller that
+    passes ``out`` must give every axis an array term.
     """
     sums = [0.0, 0.0]
     for axis, t, w in zip(axes, terms, weights):
@@ -157,10 +157,6 @@ def _axis_sums(axes, terms, weights, out=None) -> list:
             sums[axis] = np.add(sums[axis], term, out=term)
         else:
             sums[axis] = sums[axis] + t * w
-    if out is not None:
-        for axis, total in enumerate(sums):
-            if not isinstance(total, np.ndarray):
-                out[..., axis] = total
     return sums
 
 

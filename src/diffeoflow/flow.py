@@ -226,16 +226,19 @@ def _as_trajectory(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray
 
 
 def _euler(
-    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, keep: int
+    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, keep: int, row=None
 ) -> np.ndarray:
     """Run the Euler recursion, holding node k in slot ``k % keep`` of a (keep, dim, M) buffer.
 
     With ``keep = N+1`` the buffer is the whole coordinate-major trajectory;
     with ``keep = 2`` it holds the current node and the previous one only.
     Each slot is handed to the family as its transpose, an (M, dim) view
-    whose coordinate columns are contiguous rows of the buffer.  Each sample
-    is advanced independently, so results do not depend on batch
-    composition, nor on ``keep``.
+    whose coordinate columns are contiguous rows of the buffer.
+
+    ``row(k, x)`` returns the control row of layer k from node x_{k-1}, such
+    an (M, dim) view; it defaults to ``u.values[k-1]``.  With the default
+    each sample is advanced independently, so results do not depend on batch
+    composition; with any rule they do not depend on ``keep``.
 
     Raises FlowError if any state turns non-finite, naming the first
     offending sample and the layer where it happened; overflow inside the
@@ -246,10 +249,11 @@ def _euler(
     h = u.step
     nodes = np.empty((keep, pts.shape[1], pts.shape[0]))
     nodes[0] = pts.T
+    row = row or (lambda k, x: u.values[k - 1])
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, u.n_layers + 1):
             prev, node = nodes[(k - 1) % keep].T, nodes[k % keep].T
-            np.add(prev, h * displacement(family, prev, u.values[k - 1]), out=node)
+            np.add(prev, h * displacement(family, prev, row(k, prev)), out=node)
             _check_finite(node, k, "; the flow overflowed, reduce the step size or the controls")
     return nodes
 

@@ -25,10 +25,11 @@ the FlowError of a transport that fails the guard) and the penalty
 gradients grad a(x_k - y) at every node of the accepted trajectory, which
 the drift correction reads; both are recomputed only after an accepted pass.
 
-Each layer moves the points with ``family.displacement``, the closed-form
-sum of the fields, and pairs with ``VectorFieldFamily.pairing``, the dense
-einsum over the (M, l, dim) field ``values``, not the built-ins' closed form:
-perfbench's tracing self-test requires a ``fields.values`` span from a pmp run.
+The sweep is ``flow._euler``, the Euler recursion of every other flow, with
+the maximizer as its row rule: at each node it reached, the sweep pairs with
+``VectorFieldFamily.pairing``, the dense einsum over the (M, l, dim) field
+``values``, not the built-ins' closed form, because perfbench's tracing
+self-test requires a ``fields.values`` span from a pmp run.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .fields import VectorFieldFamily
 # forward_euler is unused here, but perfbench's tracing self-test expects this module to bind it.
-from .flow import ControlGrid, FlowError, _check_finite, backward_covector, forward_euler  # noqa: F401
+from .flow import ControlGrid, FlowError, _euler, backward_covector, forward_euler  # noqa: F401
 from .objective import Dataset, cost_of_endpoints, loss_grad
 from .train_gd import TrainConfig, TrainReport, _descend
 
@@ -69,42 +70,34 @@ def train_pmp(
     initial state, then one row per pass with its proposal cost and
     accepted flag.
     """
-    n_pts = data.n_samples
-    # Coordinate-major like the trajectories and covectors, so each layer's arithmetic is too.
-    targets = np.asfortranarray(data.targets)
-    # Cached until the control changes: the covectors (or the transport's FlowError) and penalties.
+    n_pts, targets = data.n_samples, data.targets
+    # Cached until the control changes: the penalties and the covectors (or the transport's FlowError).
     cov_u = cov = penalty = None
 
     def sweep(u, states, current, gamma):
         nonlocal cov_u, cov, penalty
         if cov_u is not u:
-            terminal = -loss_grad(states[:, -1] - targets) / n_pts
+            with np.errstate(over="ignore", invalid="ignore"):
+                penalty = loss_grad(states - targets[:, None])
             try:
-                cov = backward_covector(family, u, states, terminal)
+                cov = backward_covector(family, u, states, -penalty[:, -1] / n_pts)
             except FlowError as err:
                 cov = err
-            with np.errstate(over="ignore", invalid="ignore"):
-                cov_u, penalty = u, loss_grad(states - targets[:, None])
+            cov_u = u
         if isinstance(cov, FlowError):
             raise cov.with_traceback(None)
-        # np.empty_like keeps the coordinate-major layout of the trajectory
-        # (order 'K'); the sweep writes nodes 1..N before it reads them.
-        swept = np.empty_like(states)
-        swept[:, 0] = states[:, 0]
         new_controls = u.values.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, u.n_layers + 1):
-                # The sweep has already moved nodes 1..k-1; shift the covector
-                # by the change this causes in the endpoint penalty gradients.
-                lam = cov[:, k - 1] + (
-                    penalty[:, k - 1] - loss_grad(swept[:, k - 1] - targets)
-                ) / n_pts
-                # Not family.pairing: a built-in's closed form would drop the fields.values span.
-                pairing = VectorFieldFamily.pairing(family, swept[:, k - 1], lam)
-                new_controls[k - 1] = _maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
-                step = family.displacement(swept[:, k - 1], new_controls[k - 1])
-                np.add(swept[:, k - 1], u.step * step, out=swept[:, k])
-                _check_finite(swept[:, k], k, " during a maximization sweep")
+
+        def maximize(k, x):
+            # The sweep has already moved nodes 1..k-1; shift the covector
+            # by the change this causes in the endpoint penalty gradients.
+            lam = cov[:, k - 1] + (penalty[:, k - 1] - loss_grad(x - targets)) / n_pts
+            # Not family.pairing: a built-in's closed form would drop the fields.values span.
+            pairing = VectorFieldFamily.pairing(family, x, lam)
+            new_controls[k - 1] = _maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
+            return new_controls[k - 1]
+
+        swept = _euler(family, u, states[:, 0], u.n_layers + 1, maximize).transpose(2, 0, 1)
         proposal = ControlGrid(new_controls)
         cost_new = cost_of_endpoints(swept[:, -1], targets, proposal, cfg.beta)
         return proposal, swept, cost_new, current.total > cost_new.total

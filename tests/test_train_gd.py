@@ -11,7 +11,9 @@ from diffeoflow import (
     TrainAbort,
     TrainConfig,
     cost,
+    forward_euler,
     make_custom,
+    make_grid_dataset,
     train_gradient_flow,
     train_pmp,
 )
@@ -123,6 +125,21 @@ def test_final_cost_is_the_cost_of_the_final_control_exactly(trainer, gamma0, ki
     rep = trainer(family, grid25, 6, TrainConfig(beta=0.01, max_iter=30, gamma0=gamma0))
     assert any(r.accepted for r in rep.records[1:])
     assert rep.final_cost == cost(family, rep.control, grid25, 0.01)
+
+
+@pytest.mark.parametrize("kind", ["affine8", "enriched14"])
+@pytest.mark.parametrize(
+    "trainer, gamma0", [(train_gradient_flow, 100.0), (train_pmp, 40.0)], ids=["gd", "pmp"]
+)
+def test_final_states_are_the_forward_flow_of_the_final_control(trainer, gamma0, kind, target, request):
+    family = request.getfixturevalue(kind)
+    data = make_grid_dataset(target, side=1.5, per_axis=6)
+    rep = trainer(family, data, 5, TrainConfig(beta=0.01, max_iter=8, gamma0=gamma0))
+    # The states must be those of the last accepted control, not of the rejected last proposal.
+    rows = rep.records[1:]
+    assert any(r.accepted for r in rows) and not rows[-1].accepted
+    flowed = forward_euler(family, rep.control, data.sources)
+    assert np.array_equal(rep.states.view(np.int64), flowed.view(np.int64))
 
 
 def test_custom_init_control_is_used(affine8, grid25, rng):

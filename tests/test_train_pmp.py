@@ -265,6 +265,6 @@ def test_penalty_gradients_are_computed_once_per_accepted_control(affine8, grid2
     # pass that another pass follows.
     transports = 1 + sum(r.accepted for r in rows[:-1])
     assert calls["backward_covector"] == transports
-    # Every pass evaluates the N swept nodes; every fill adds the terminal
-    # covector and one batched call over the accepted trajectory.
-    assert calls["loss_grad"] == passes * n_layers + 2 * transports
+    # Every pass evaluates the N swept nodes; every fill adds one batched call
+    # over the accepted trajectory, whose last node gives the terminal covector.
+    assert calls["loss_grad"] == passes * n_layers + 1 * transports
