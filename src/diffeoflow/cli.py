@@ -334,8 +334,8 @@ def load_control_csv(path) -> ControlGrid:
 def _write_run(out: Path, report: TrainReport, summary: dict | None) -> None:
     """Write a run's trace.csv and control.csv, and summary.json when there is one."""
     trace = [[r.iteration, r.cost, r.data_term, r.testing_error, r.gamma, r.accepted]
-             for r in report.records]
-    write_table(out / "trace.csv", TRACE_COLUMNS, trace)
+             for r in report.records]  # none when the initial flow failed
+    write_table(out / "trace.csv", TRACE_COLUMNS, np.reshape(trace, (-1, len(TRACE_COLUMNS))))
     save_control_csv(out / "control.csv", report.control)
     if summary is not None:
         # Strict JSON: a NaN or infinity raises here instead of writing a non-standard token.
@@ -469,7 +469,9 @@ def cmd_eval(args) -> int:
     )
     table = np.column_stack([data.sources, endpoints, data.targets, point_loss])
     write_table(out / "eval.csv", header, table)
-    print(f"mean error {np.mean(point_loss):.6f} over {data.n_samples} samples")
+    with np.errstate(over="ignore"):
+        mean = np.mean(point_loss)
+    print(f"mean error {mean:.6f} over {data.n_samples} samples")
     return 0
 
 

@@ -159,13 +159,10 @@ def write_table(path, header, table) -> None:
     """Write a header line and one row per record of a 2-D float table.
 
     The bytes are those of ``np.savetxt`` with ``fmt="%.17g"``, a comma
-    delimiter and CRLF line ends (a 1-D table is one column), but each block
-    of ``_ROWS_PER_BLOCK`` rows is formatted by a single ``%`` instead of one
-    per row.
+    delimiter and CRLF line ends, but each block of ``_ROWS_PER_BLOCK`` rows
+    is formatted by a single ``%`` instead of one per row.
     """
     table = np.asarray(table)
-    if table.ndim == 1:
-        table = table[:, None]
     row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")

@@ -75,26 +75,23 @@ class ControlGrid:
         return 1.0 / self.values.shape[0]
 
     def l2_norm_sq(self) -> float:
-        """Squared L2 norm of the control, ``step * sum(values**2)``."""
-        return float(self.step * np.sum(self.values * self.values))
+        """Squared L2 norm of the control, ``step * sum(values**2)``; inf if that overflows."""
+        with np.errstate(over="ignore"):
+            return float(self.step * np.sum(self.values * self.values))
 
 
-def _check_compatible(family: VectorFieldFamily, u: ControlGrid) -> None:
+def _as_bundle(family: VectorFieldFamily, u: ControlGrid, points: np.ndarray, *nodes: int) -> np.ndarray:
+    """Check ``u`` against ``family``; return ``points`` as an (M, *nodes, dim) float array."""
     if u.n_fields != family.n_fields:
         raise ValueError(
             f"control has {u.n_fields} field columns but family {family.kind!r} "
             f"has {family.n_fields} fields"
         )
-
-
-def _as_bundle(points: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    """Coerce to an (M, dim) bundle; report whether the input was a single point."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ValueError(f"points must have shape (M, {dim}) or ({dim},), got {np.shape(points)}")
-    return pts, single
+    if pts.shape[1:] != (*nodes, family.dim):
+        want = ", ".join(["M", *map(str, (*nodes, family.dim))])
+        raise ValueError(f"points have shape {pts.shape}, expected ({want})")
+    return pts
 
 
 def displacement(family: VectorFieldFamily, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
@@ -121,36 +118,38 @@ def _spectral_norm_2x2(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (s1 + s2)
 
 
-def _cond(mats: np.ndarray) -> np.ndarray:
-    """``np.linalg.cond`` of each matrix, but inf without LAPACK for one with a NaN or inf entry."""
+def _screen(factors: np.ndarray) -> None:
+    """Raise FlowError if a layer of ``factors`` (N, M, d, d) has a condition above ``CONDITION_LIMIT``.
+
+    2x2 factors are screened in closed form, cond = sigma_max^2 / |det|
+    (since sigma_max * sigma_min = |det|), which picks each layer's worst
+    sample; one LAPACK call then gives the condition numbers of those N
+    matrices.  Larger factors go to that one call whole.  A NaN or inf entry
+    has condition inf without LAPACK, so it fails.  The error names the
+    highest failing layer, the first the transport would reach, and that
+    layer's worst sample.
+    """
+    mats = factors
+    if factors.shape[-2:] == (2, 2):
+        smax = _spectral_norm_2x2(factors)
+        det = factors[..., 0, 0] * factors[..., 1, 1] - factors[..., 0, 1] * factors[..., 1, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            samples = np.argmax(smax * smax / np.abs(det), axis=1)
+        mats = factors[np.arange(len(factors)), samples]
     finite = np.isfinite(mats).all(axis=(-2, -1))
     conds = np.full(finite.shape, np.inf)
     conds[finite] = np.linalg.cond(mats[finite])
-    return conds
-
-
-def _worst_conditioned(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and 2-norm condition number of the worst-conditioned matrix in each batch.
-
-    ``mats`` has shape (..., M, d, d): the leading axes index batches of M
-    matrices, and the results have the shape of those axes (scalars for a
-    single batch).  2x2 matrices are screened in closed form, cond =
-    sigma_max^2 / |det| (since sigma_max * sigma_min = |det|), and LAPACK
-    computes the condition numbers of the worst matrices only; larger ones
-    go to LAPACK whole.  Either way one LAPACK call covers every batch.  A
-    NaN or inf entry ranks as worst, with condition inf, so it fails the guard.
-    """
-    if mats.shape[-2:] != (2, 2):
-        conds = _cond(mats)
-        j = np.argmax(conds, axis=-1)
-        return j, np.take_along_axis(conds, j[..., None], axis=-1)[..., 0]
-    smax = _spectral_norm_2x2(mats)
-    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        screen = smax * smax / np.abs(det)
-    j = np.argmax(screen, axis=-1)
-    worst = np.take_along_axis(mats, j[..., None, None, None], axis=-3)[..., 0, :, :]
-    return j, _cond(worst)
+    if conds.ndim == 2:  # one per factor: keep each layer's worst
+        samples = np.argmax(conds, axis=1)
+        conds = conds[np.arange(len(conds)), samples]
+    failing = np.flatnonzero(~np.isfinite(conds) | (conds > CONDITION_LIMIT))
+    if failing.size:
+        k = int(failing[-1])
+        j, worst = int(samples[k]), float(conds[k])
+        raise FlowError(
+            f"covector solve ill-conditioned for sample {j} at layer {k + 1} "
+            f"(condition estimate {worst:.3e} exceeds {CONDITION_LIMIT:.1e})", sample=j, layer=k + 1
+        )
 
 
 def _solve_backward(factors: np.ndarray, terminal: np.ndarray) -> np.ndarray:
@@ -204,25 +203,14 @@ def _solve_backward(factors: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _check_finite(states: np.ndarray, layer: int, context: str) -> None:
+def _check_finite(states: np.ndarray, layer: int) -> None:
     """Raise FlowError naming the first sample whose (M, dim) state at ``layer`` is not finite."""
     if not np.isfinite(states).all():
         j = int(np.argmin(np.isfinite(states).all(axis=1)))
         raise FlowError(
-            f"non-finite state for sample {j} at layer {layer}{context}", sample=j, layer=layer
+            f"non-finite state for sample {j} at layer {layer}; the flow overflowed, "
+            "reduce the step size or the controls", sample=j, layer=layer
         )
-
-
-def _as_trajectory(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray) -> np.ndarray:
-    """Check that ``states`` is an (M, N+1, dim) bundle for the controls ``u``."""
-    _check_compatible(family, u)
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 3 or states.shape[1:] != (u.n_layers + 1, family.dim):
-        raise ValueError(
-            f"trajectory bundle shape {states.shape} does not match "
-            f"{u.n_layers} layers in dimension {family.dim}"
-        )
-    return states
 
 
 def _euler(
@@ -244,8 +232,7 @@ def _euler(
     offending sample and the layer where it happened; overflow inside the
     fields is left to that check rather than reported as a numpy warning.
     """
-    _check_compatible(family, u)
-    pts, _ = _as_bundle(sources, family.dim)
+    pts = _as_bundle(family, u, sources)
     h = u.step
     nodes = np.empty((keep, pts.shape[1], pts.shape[0]))
     nodes[0] = pts.T
@@ -254,7 +241,7 @@ def _euler(
         for k in range(1, u.n_layers + 1):
             prev, node = nodes[(k - 1) % keep].T, nodes[k % keep].T
             np.add(prev, h * displacement(family, prev, row(k, prev)), out=node)
-            _check_finite(node, k, "; the flow overflowed, reduce the step size or the controls")
+            _check_finite(node, k)
     return nodes
 
 
@@ -312,14 +299,14 @@ def backward_covector(
     coordinate-major like ``forward_euler``'s trajectory: a transposed view
     of an (N+1, dim, M) buffer, so each row ``lam[:, k, d]`` is contiguous.
 
-    All N factors are built, then screened by one ``_worst_conditioned``
-    call in any dimension, before the first solve.  When some have a
-    condition estimate above ``CONDITION_LIMIT``, the FlowError names the
-    highest such layer, the first the transport would reach, and that
-    layer's worst-conditioned sample.  The solves are ``np.linalg.solve``'s
-    bit for bit, and planar ones make no LAPACK call (``_solve_backward``).
+    All N factors are built, then screened by one ``_screen`` call, before
+    the first solve.  When some have a condition estimate above
+    ``CONDITION_LIMIT``, the FlowError names the highest such layer, the
+    first the transport would reach, and that layer's worst-conditioned
+    sample.  The solves are ``np.linalg.solve``'s bit for bit, and planar
+    ones make no LAPACK call (``_solve_backward``).
     """
-    states = _as_trajectory(family, u, states)
+    states = _as_bundle(family, u, states, u.n_layers + 1)
     n_pts, _, dim = states.shape
     n_layers = u.n_layers
     term = np.asarray(terminal, dtype=float)
@@ -329,16 +316,7 @@ def backward_covector(
     factors = np.empty((n_layers, n_pts, dim, dim))
     for k in range(1, n_layers + 1):
         factors[k - 1] = family.layer_factor(states[:, k - 1], u.values[k - 1], -h)
-    samples, conds = _worst_conditioned(factors)
-    for k in range(n_layers, 0, -1):
-        j, worst = int(samples[k - 1]), float(conds[k - 1])
-        if not np.isfinite(worst) or worst > CONDITION_LIMIT:
-            raise FlowError(
-                f"covector solve ill-conditioned for sample {j} at layer {k} "
-                f"(condition estimate {worst:.3e} exceeds {CONDITION_LIMIT:.1e})",
-                sample=j,
-                layer=k,
-            )
+    _screen(factors)
     return _solve_backward(factors, term).transpose(2, 0, 1)
 
 
@@ -349,13 +327,10 @@ def variational_jacobian(
 
     Runs ``forward_euler`` from x0 and accumulates the Jacobian along that
     trajectory as ``jacobian_along`` does, which is the exact derivative of
-    the discrete flow.  Accepts a single point (dim,) or a bundle (M, dim)
-    and returns (dim, dim) or (M, dim, dim); raises the trajectory's
-    FlowError if the flow overflows.
+    the discrete flow.  Takes an (M, dim) bundle and returns (M, dim, dim);
+    raises the trajectory's FlowError if the flow overflows.
     """
-    pts, single = _as_bundle(x0, family.dim)
-    jac = jacobian_along(family, u, forward_euler(family, u, pts))
-    return jac[0] if single else jac
+    return jacobian_along(family, u, forward_euler(family, u, x0))
 
 
 def jacobian_along(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray) -> np.ndarray:
@@ -366,7 +341,7 @@ def jacobian_along(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray
     Accumulates V <- (Id + h A_k) V over the layers, with each factor the
     family's ``layer_factor``; no point is flowed again.
     """
-    states = _as_trajectory(family, u, states)
+    states = _as_bundle(family, u, states, u.n_layers + 1)
     jac = np.broadcast_to(np.eye(family.dim), (states.shape[0], family.dim, family.dim)).copy()
     for k in range(1, u.n_layers + 1):
         jac = family.layer_factor(states[:, k - 1], u.values[k - 1], u.step) @ jac

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, _as_trajectory, flow_endpoints, forward_euler
+from .flow import ControlGrid, _as_bundle, flow_endpoints, forward_euler
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,9 @@ def loss_grad(z: np.ndarray) -> np.ndarray:
 
 
 def mean_loss(endpoints: np.ndarray, targets: np.ndarray) -> float:
-    """Average penalty between mapped points and their targets."""
-    return float(np.mean(loss(endpoints - targets)))
+    """Average penalty between mapped points and their targets; inf if the sum overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.mean(loss(endpoints - targets)))
 
 
 def cost_of_endpoints(
@@ -154,7 +155,7 @@ def control_gradient(
     ``forward_euler`` bundle), so each adjoint step reads and writes
     contiguous coordinate rows; the result does not depend on the layout.
     """
-    states = _as_trajectory(family, u, states)
+    states = _as_bundle(family, u, states, u.n_layers + 1)
     grad = np.empty(u.values.shape)
     lam = np.empty_like(states[:, -1])
     np.divide(loss_grad(states[:, -1] - targets), states.shape[0], out=lam)

@@ -138,11 +138,12 @@ def _descend(
     ``propose(u, states, current, gamma)`` gets the accepted control, its
     trajectories and cost, and returns ``(proposal, states_new, cost_new,
     accepted)``.  A proposal whose control or flow overflows (a FlowError
-    inside ``propose``) is a rejected pass with cost +inf.  The test cloud
-    is flowed once initially and once per accepted pass; a FlowError there,
-    or in the initial flow, aborts training with TrainAbort, whose partial
-    report carries the last accepted control, its trajectory and its cost
-    (no trajectory and +inf when the initial flow failed).
+    inside ``propose``), or whose cost does, is a rejected pass with cost
+    +inf.  The test cloud is flowed once initially and once per accepted
+    pass; a FlowError there, or in the initial flow, aborts training with
+    TrainAbort, whose partial report carries the last accepted control, its
+    trajectory and its cost (no trajectory and +inf when the initial flow
+    failed).
     """
     if data.dim != family.dim:
         raise ValueError(f"dataset dimension {data.dim} does not match family dimension {family.dim}")
@@ -171,6 +172,8 @@ def _descend(
             try:
                 proposal, states_new, cost_new, accepted = propose(u, states, current, gamma)
             except FlowError:
+                cost_new = _OVERFLOWED
+            if not math.isfinite(cost_new.total):
                 cost_new, accepted = _OVERFLOWED, False
             if accepted:
                 testing_error = _testing_error(family, proposal, test_data)
@@ -216,7 +219,8 @@ def train_gradient_flow(
         proposal = ControlGrid(values)
         states_new = forward_euler(family, proposal, data.sources)
         cost_new = cost_of_endpoints(states_new[:, -1], data.targets, proposal, cfg.beta)
-        decrease = cfg.c * gamma * proposal.step * float(np.sum(grad * grad))
+        with np.errstate(over="ignore"):
+            decrease = cfg.c * gamma * proposal.step * float(np.sum(grad * grad))
         return proposal, states_new, cost_new, current.total >= cost_new.total + decrease
 
     return _descend(family, data, n_layers, cfg, init, test_data, armijo_step)

@@ -1,5 +1,7 @@
 """Flow map, covector transport, variational Jacobian, commutator probe."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from diffeoflow import (
 )
 from diffeoflow import flow
 from diffeoflow.flow import (
+    _screen,
     _solve_backward,
     _spectral_norm_2x2,
-    _worst_conditioned,
+    jacobian_along,
     layer_matrix,
     variational_jacobian,
 )
@@ -98,7 +101,7 @@ def test_explicit_covector_dual_to_variational_jacobian(affine8, rng):
     lam0 = explicit_covector_at_source(affine8, u, states, term)
     v0 = rng.normal(size=(5, 2))
     for m in range(5):
-        v_end = variational_jacobian(affine8, u, x0[m]) @ v0[m]
+        v_end = variational_jacobian(affine8, u, x0[m : m + 1])[0] @ v0[m]
         assert abs(term[m] @ v_end - lam0[m] @ v0[m]) <= 1e-10
 
 
@@ -191,6 +194,24 @@ def test_every_flow_raises_the_trajectory_flow_error(affine8, n_layers):
     assert errors[0][1:] == (1, 2)
 
 
+def test_flows_take_bundles_shaped_for_the_controls(affine8):
+    u = ControlGrid.zeros(3, 8)
+    with pytest.raises(ValueError, match=re.escape("points have shape (2,), expected (M, 2)")):
+        forward_euler(affine8, u, np.zeros(2))
+    with pytest.raises(ValueError, match="control has 7 field columns"):  # checked first
+        forward_euler(affine8, ControlGrid.zeros(3, 7), np.zeros(2))
+    states = forward_euler(affine8, u, np.zeros((5, 2)))
+    on_trajectories = [
+        jacobian_along,
+        lambda fam, u, s: backward_covector(fam, u, s, np.ones((5, 2))),
+        lambda fam, u, s: control_gradient(fam, u, s, np.ones((5, 2)), 0.0),
+    ]
+    for fn in on_trajectories:
+        with pytest.raises(ValueError, match=re.escape("points have shape (5, 3, 2), expected (M, 4, 2)")):
+            fn(affine8, u, states[:, 1:])
+    assert forward_euler(affine8, u, np.zeros((0, 2))).shape == (0, 4, 2)
+
+
 def test_singular_implicit_transport_raises(affine8):
     # With h = 1 and unit control on the x1-stretching field, the implicit
     # factor Id - h A has a zero row and cannot be inverted.
@@ -233,7 +254,7 @@ def test_nan_factor_fails_the_guard_naming_its_sample_and_layer(dim, monkeypatch
 
 def test_variational_jacobian_closed_form(affine8, rng):
     assert np.allclose(
-        variational_jacobian(affine8, ControlGrid.zeros(6, 8), np.array([0.3, 0.5])),
+        variational_jacobian(affine8, ControlGrid.zeros(6, 8), np.array([[0.3, 0.5]]))[0],
         np.eye(2),
         atol=1e-15,
     )
@@ -241,13 +262,13 @@ def test_variational_jacobian_closed_form(affine8, rng):
     grid = linear_grid(n, 0.4, -0.9, 0.2, 0.1)
     step_mat = np.eye(2) + (1.0 / n) * np.array([[0.4, -0.9], [0.2, 0.1]])
     want = np.linalg.matrix_power(step_mat, n)
-    got = variational_jacobian(affine8, grid, np.array([1.3, -0.2]))
+    got = variational_jacobian(affine8, grid, np.array([[1.3, -0.2]]))[0]
     assert np.allclose(got, want, rtol=1e-12)
 
     # Nonlinear case against central differences of the endpoint map.
     u = ControlGrid(rng.normal(scale=0.4, size=(12, 8)))
     x = np.array([0.7, -0.4])
-    got = variational_jacobian(affine8, u, x)
+    got = variational_jacobian(affine8, u, x[None])[0]
     eps = 1e-6
     for d in range(2):
         e = np.zeros(2)
@@ -323,13 +344,16 @@ def test_guard_limit_applies_to_the_lapack_condition_of_the_worst_sample(affine8
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_closed_form_screen_picks_the_lapack_argmax(seed):
+def test_closed_form_screen_picks_the_lapack_argmax(seed, monkeypatch):
     rng = np.random.Generator(np.random.Philox(seed))
     mats = np.eye(2) + 0.3 * rng.normal(size=(10_000, 2, 2))
     conds = np.linalg.cond(mats)
-    j, worst = _worst_conditioned(mats)
-    assert j == int(np.argmax(conds))
-    assert worst == conds[j]
+    j = int(np.argmax(conds))
+    monkeypatch.setattr(flow, "CONDITION_LIMIT", 0.0)
+    want = re.escape(f"sample {j} at layer 1 (condition estimate {conds[j]:.3e} ")
+    with pytest.raises(FlowError, match=want) as err:
+        _screen(mats[None])
+    assert (err.value.sample, err.value.layer) == (j, 1)
     smax = _spectral_norm_2x2(mats)
     screen = smax * smax / np.abs(np.linalg.det(mats))
     assert np.allclose(screen, conds, rtol=1e-10)

@@ -1,4 +1,4 @@
-"""Package hygiene: no unused imports in the sources or the tests, and a pinned public API."""
+"""Package hygiene: no unused imports or test-only helpers, and a pinned public API."""
 
 import ast
 import re
@@ -99,6 +99,33 @@ def test_unused_import_check_flags_a_leftover():
 )
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unnamed_private_functions(sources: list[str]) -> list[str]:
+    """Module-level functions with a leading underscore that no source names.
+
+    A name counts when some source reads it, as a name or an attribute,
+    anywhere but in the function's own ``def`` line.
+    """
+    trees = [ast.parse(source) for source in sources]
+    named = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    named |= {n.attr for t in trees for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+    return [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and node.name not in named
+    ]
+
+
+def test_private_function_check_flags_a_test_only_helper():
+    sources = ["def _used():\n    pass\n\n\ndef _orphan():\n    pass\n", "from .a import _used\n_used()\n"]
+    assert unnamed_private_functions(sources) == ["_orphan"]
+
+
+def test_every_private_function_is_named_in_the_package():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert unnamed_private_functions(sources) == []
 
 
 def test_public_api_is_pinned():

@@ -217,7 +217,7 @@ def reference_pmp(family, data, n_layers, cfg):
                 new_controls[k - 1] = _maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
                 step = np.einsum("mln,l->mn", vals, new_controls[k - 1])
                 swept[:, k] = swept[:, k - 1] + u.step * step
-                _check_finite(swept[:, k], k, " during a maximization sweep")
+                _check_finite(swept[:, k], k)
         proposal = ControlGrid(new_controls)
         cost_new = cost_of_endpoints(swept[:, -1], targets, proposal, cfg.beta)
         return proposal, swept, cost_new, current.total > cost_new.total
