@@ -38,6 +38,7 @@ from .data import (
     make_grid_dataset,
     make_random_testset,
     read_table,
+    square_grid,
     target_from_name,
     write_table,
 )
@@ -245,14 +246,13 @@ def build_problem(cfg: RunConfig) -> tuple:
 def _check_square(target, cfg: RunConfig) -> float:
     """The target's Lipschitz constant on the square of side grid_side; name grid_side if it overflows.
 
-    It is the largest Jacobian norm at the square's four corners, which are
-    grid points and where the builtin target's norm peaks: |z1| and |z2| are
-    convex in x, and both entries of its deformation grow with them.
+    It is the largest Jacobian norm at the square's four corners (the 2x2
+    grid), which are points of every grid and where the builtin target's
+    norm peaks: |z1| and |z2| are convex in x, and both entries of its
+    deformation grow with them.
     """
-    half = 0.5 * cfg.grid_side
-    corners = np.array([[-half, -half], [-half, half], [half, -half], [half, half]])
     with np.errstate(over="ignore", invalid="ignore"):
-        corner_norm = target_lipschitz_estimate(target, corners)
+        corner_norm = target_lipschitz_estimate(target, square_grid(cfg.grid_side, 2))
     if not math.isfinite(corner_norm):
         raise ValueError(
             f"grid_side: the Jacobian of the {cfg.target} target overflows on the square "
@@ -298,7 +298,6 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
         lipschitz_target,
         states=report.states,
         training_error=report.final_cost.data_term,
-        n_train=train.n_samples,
         side=cfg.grid_side,
     )
     final_test = report.records[-1].testing_error
@@ -332,15 +331,35 @@ def load_control_csv(path) -> ControlGrid:
 
 
 def _write_run(out: Path, report: TrainReport, summary: dict | None) -> None:
-    """Write a run's trace.csv and control.csv, and summary.json when there is one."""
-    trace = [[r.iteration, r.cost, r.data_term, r.testing_error, r.gamma, r.accepted]
-             for r in report.records]  # none when the initial flow failed
+    """Write a run's trace.csv and control.csv, and summary.json when there is one.
+
+    summary.json is strict JSON, which has no token for an overflowed value:
+    each non-finite float is written as null, and the dotted keys of those
+    values are listed under ``non_finite`` when there are any.
+    """
+    trace = [dataclasses.astuple(r) for r in report.records]  # none when the initial flow failed
     write_table(out / "trace.csv", TRACE_COLUMNS, np.reshape(trace, (-1, len(TRACE_COLUMNS))))
     save_control_csv(out / "control.csv", report.control)
     if summary is not None:
-        # Strict JSON: a NaN or infinity raises here instead of writing a non-standard token.
-        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        non_finite: list[str] = []
+        doc = _nulled(summary, "", non_finite)
+        if non_finite:
+            doc["non_finite"] = non_finite
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
         (out / "summary.json").write_text(text + "\n", encoding="utf-8")
+
+
+def _nulled(doc: dict, prefix: str, non_finite: list[str]) -> dict:
+    """A copy of ``doc`` with each non-finite float as None, its dotted key appended to ``non_finite``."""
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            value = _nulled(value, f"{prefix}{key}.", non_finite)
+        elif isinstance(value, float) and not math.isfinite(value):
+            value = None
+            non_finite.append(prefix + key)
+        out[key] = value
+    return out
 
 
 def _train_into(out: Path, cfg: RunConfig) -> dict:
@@ -518,7 +537,7 @@ def main(argv=None) -> int:
     except MemoryError as err:  # grid_per_axis, test_count and n_layers are named as ValueErrors
         print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
-    except (FlowError, TrainAbort) as err:  # a flow overflowed; training wrote its partial outputs
+    except FlowError as err:  # a flow overflowed; training wrote its partial outputs
         print(f"error: {err}", file=sys.stderr)
         return 1
 

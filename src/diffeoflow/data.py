@@ -60,26 +60,20 @@ class TargetMap:
         return self.jacobian_fn(np.asarray(x, dtype=float))
 
 
-def identity_target(dim: int = 2) -> TargetMap:
-    eye = np.eye(dim)
-
+def identity_target() -> TargetMap:
     def value(x: np.ndarray) -> np.ndarray:
         return x.copy()
 
     def jac(x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
+        return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
 
-    return TargetMap(kind="identity", dim=dim, value_fn=value, jacobian_fn=jac)
-
-
-def _rotation_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+    return TargetMap(kind="identity", dim=2, value_fn=value, jacobian_fn=jac)
 
 
 def builtin_target() -> TargetMap:
     """The benchmark planar diffeomorphism: rotate, translate, deform."""
-    rot = _rotation_matrix(ROTATION_ANGLE)
+    c, s = math.cos(ROTATION_ANGLE), math.sin(ROTATION_ANGLE)
+    rot = np.array([[c, -s], [s, c]])
     shift = np.array(TRANSLATION)
     offset = np.array([-4.0, -4.5])
 
@@ -213,8 +207,6 @@ def save_dataset_csv(path, data: Dataset) -> None:
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset written by save_dataset_csv."""
     header, arr = read_table(path, "dataset")
-    if len(header) % 2 != 0 or len(header) < 2:
-        raise ValueError(f"malformed dataset header in {path}: {header}")
     dim = len(header) // 2
     if header != _dataset_header(dim):
         raise ValueError(f"unexpected dataset header in {path}: {header}")

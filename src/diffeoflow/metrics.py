@@ -10,9 +10,16 @@ upper bound for the expected error on unseen points:
     test_error <= train_error + (L_target + L_flow) * W1,
 
 since the pointwise penalty is 1-Lipschitz.  For a uniform m x m grid of
-M = m^2 points on a square of side length ``side``, W1 is at most
-sqrt(2) * side / (2 sqrt(M)): each point of the square lies within half a
-cell diagonal of a grid point.
+M = m^2 points on a square of side length s, endpoints included, send the
+uniform measure to the grid by the quantile coupling of each axis: the
+slab of width s/m at quantile i goes to grid line i.  Its mean squared
+distance is E|x - p|^2 = (s/m)^2 m / (3 (m - 1)), so for m >= 3
+
+    W1 <= (s/m) sqrt(m / (3 (m - 1))) <= sqrt(2) s / (2m).
+
+For m = 2 the grid is the four corners, each the nearest grid point to a
+quadrant of mass 1/4, and W1 is exactly the mean distance to the nearest
+corner, (s/6) (sqrt(2) + asinh(1)).
 """
 
 from __future__ import annotations
@@ -69,11 +76,17 @@ def target_lipschitz_estimate(target, probes: np.ndarray) -> float:
 
 def w1_grid_bound(n_samples: int, side: float) -> float:
     """Upper bound on W1 between the uniform measure on the square and
-    the empirical measure of a uniform sqrt(n_samples)^2 grid on it."""
+    the empirical measure of a uniform sqrt(n_samples)^2 grid on it.
+
+    sqrt(2) side / (2 sqrt(n_samples)) from the module's quantile coupling;
+    the exact W1 of the four corners, the 2x2 grid, for n_samples = 4.
+    """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if side <= 0.0:
         raise ValueError(f"side must be positive, got {side}")
+    if n_samples == 4:
+        return side / 6.0 * (math.sqrt(2.0) + math.asinh(1.0))
     return math.sqrt(2.0) * side / (2.0 * math.sqrt(n_samples))
 
 
@@ -96,7 +109,6 @@ def build_metrics(
     lipschitz_target: float | None,
     states: np.ndarray,
     training_error: float,
-    n_train: int,
     side: float,
 ) -> MetricsBlock:
     """Assemble the full diagnostics block for a finished run.
@@ -107,12 +119,13 @@ def build_metrics(
     again, and equals ``lipschitz_estimate`` at the probes bit for bit.
     ``lipschitz_target`` is the target's Lipschitz constant on the square of
     side ``side``, or None when the training data are not the target's grid
-    on it; W1 and the bound then describe no data and are None too.
+    on it; W1 and the bound then describe no data and are None too.  Otherwise
+    the probes are that grid, and W1 is ``w1_grid_bound`` of their number.
     """
     l_flow = float(np.max(spectral_norms(jacobian_along(family, u, states))))
     w1 = bound = None
     if lipschitz_target is not None:
-        w1 = w1_grid_bound(n_train, side)
+        w1 = w1_grid_bound(states.shape[0], side)
         bound = generalization_bound(training_error, lipschitz_target, l_flow, w1)
     return MetricsBlock(
         lipschitz_flow=l_flow,

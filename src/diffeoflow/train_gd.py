@@ -74,7 +74,7 @@ class IterationRecord:
     cost and data_term describe the proposal evaluated in that pass (for
     row 0, the initial control); both are +inf when its flow overflowed.
     testing_error is NaN when no test set was supplied.  gamma is the step
-    size the proposal used.
+    size the proposal used.  The fields, in order, are the trace's columns.
     """
 
     iteration: int
@@ -102,13 +102,12 @@ class TrainReport:
     states: np.ndarray | None = None
 
 
-class TrainAbort(RuntimeError):
-    """Flow failure mid-training; carries the report for the completed part."""
+class TrainAbort(FlowError):
+    """The FlowError ``err`` mid-training, at its sample and layer, with the report of the completed part."""
 
-    def __init__(self, message: str, report: TrainReport, cause: FlowError):
-        super().__init__(message)
+    def __init__(self, message: str, report: TrainReport, err: FlowError):
+        super().__init__(message, err.sample, err.layer)
         self.report = report
-        self.cause = cause
 
 
 # The cost recorded for a proposal whose control or flow overflowed, and the
@@ -145,8 +144,6 @@ def _descend(
     trajectory and its cost (no trajectory and +inf when the initial flow
     failed).
     """
-    if data.dim != family.dim:
-        raise ValueError(f"dataset dimension {data.dim} does not match family dimension {family.dim}")
     if n_layers < 1:
         raise ValueError(f"n_layers must be positive, got {n_layers}")
     if init is None:
@@ -219,8 +216,12 @@ def train_gradient_flow(
         proposal = ControlGrid(values)
         states_new = forward_euler(family, proposal, data.sources)
         cost_new = cost_of_endpoints(states_new[:, -1], data.targets, proposal, cfg.beta)
+        scale = cfg.c * gamma * proposal.step
         with np.errstate(over="ignore"):
-            decrease = cfg.c * gamma * proposal.step * float(np.sum(grad * grad))
+            decrease = scale * float(np.sum(grad * grad))
+        if not math.isfinite(decrease):  # |g|^2 overflowed: form m^2 |g/m|^2 with m = max|g| instead
+            m = float(np.max(np.abs(grad)))
+            decrease = scale * m * float(np.sum((grad / m) ** 2)) * m
         return proposal, states_new, cost_new, current.total >= cost_new.total + decrease
 
     return _descend(family, data, n_layers, cfg, init, test_data, armijo_step)

@@ -259,8 +259,8 @@ N_EXTREME = 40
 def extreme_rows(rng):
     """Two to four dataset rows x1,x2,y1,y2 of magnitude 1e-300 to 1e307 and random sign.
 
-    Four rows keep the initial mean loss below the largest float: a summary
-    with an infinite cost cannot be written (see the xfail case below).
+    Four rows keep the initial mean loss below the largest float; the fixed
+    cases below whose mean loss overflows pin what the summary holds then.
     """
     shape = (int(rng.integers(2, 5)), 4)
     signs = np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
@@ -268,7 +268,11 @@ def extreme_rows(rng):
 
 
 def draw_extreme(rng):
-    """One case: (command, config, dataset rows or None for the target grid, control values)."""
+    """One case: (command, config, dataset rows by config key, control values).
+
+    The rows go to ``dataset_file`` or, when there are none, the run trains
+    on the target's grid.
+    """
     doc = {key: pick(rng, values) for key, values in EXTREME.items()}
     doc.update(
         family=pick(rng, ["affine8", "enriched14"]),
@@ -278,45 +282,56 @@ def draw_extreme(rng):
         max_iter=int(rng.integers(1, 5)),
         test_count=0,
     )
-    rows = extreme_rows(rng) if rng.uniform() < 0.5 else None
+    files = {"dataset_file": extreme_rows(rng)} if rng.uniform() < 0.5 else {}
     n_fields = 8 if doc["family"] == "affine8" else 14
     control = pick(rng, [0.0, 1e-3, 1.0, 1e200]) * rng.normal(size=(doc["n_layers"], n_fields))
-    return pick(rng, ["train", "eval"]), doc, rows, control
+    return pick(rng, ["train", "eval"]), doc, files, control
 
 
 ONE_LAYER = {"family": "affine8", "algorithm": "gd", "n_layers": 1, "beta": 0.0, "test_count": 0}
 ZERO_CONTROL = np.zeros((1, 8))
 HUGE_LOSSES = [[0.0, 0.0, 1.5e308, 0.0], [1.0, 1.0, -1.5e308, 0.0]]  # their sum overflows
+# The Armijo margin c * gamma * h * |grad|^2 overflows in |grad|^2 alone.
+ARMIJO_MARGIN = ("train", {**ONE_LAYER, "gamma0": 1e-300, "max_iter": 3},
+                 {"dataset_file": [[1e200, 2e200, 3e200, 1e200], [-2e200, 1e200, -1e200, 5e199],
+                                   [5e199, -3e200, 1e200, -2e200]]}, ZERO_CONTROL)
+# The initial mean loss overflows on the training set, or on the test set.
+INFINITE_COSTS = {
+    "train-infinite-initial-cost": (
+        ("train", {**ONE_LAYER, "max_iter": 2}, {"dataset_file": HUGE_LOSSES}, ZERO_CONTROL),
+        ["final.cost", "final.training_error"],
+    ),
+    "train-infinite-testing-error": (
+        ("train", {**ONE_LAYER, "max_iter": 2, "grid_per_axis": 3}, {"test_file": HUGE_LOSSES},
+         ZERO_CONTROL),
+        ["final.testing_error"],
+    ),
+}
 _extreme_stream = np.random.Generator(np.random.Philox(20212))
 EXTREME_CASES = [
     # The regularizer 0.5 * beta * |u|^2 of every proposal overflows.
     pytest.param(("train", {**ONE_LAYER, "algorithm": "pmp", "gamma0": 1e200, "nu": 1e-310,
                             "grid_side": 1e-300, "grid_per_axis": 3, "max_iter": 4},
-                  None, ZERO_CONTROL), id="pmp-regularizer"),
-    # The Armijo margin c * gamma * h * |grad|^2 overflows.
-    pytest.param(("train", {**ONE_LAYER, "gamma0": 1e-300, "max_iter": 3},
-                  [[1e200, 2e200, 3e200, 1e200], [-2e200, 1e200, -1e200, 5e199],
-                   [5e199, -3e200, 1e200, -2e200]], ZERO_CONTROL), id="gd-armijo-margin"),
+                  {}, ZERO_CONTROL), id="pmp-regularizer"),
+    pytest.param(ARMIJO_MARGIN, id="gd-armijo-margin"),
     # A step of 1e308 moves every point about 1e308 along x1: each loss is finite, their sum is not.
     pytest.param(("train", {**ONE_LAYER, "gamma0": 1e308, "max_iter": 2},
-                  [[0.0, 0.0, 1.0, 0.0], [0.0, 0.5, 1.0, 0.5], [0.5, 0.0, 1.5, 0.0]], ZERO_CONTROL),
-                 id="gd-mean-loss"),
-    pytest.param(("eval", ONE_LAYER, HUGE_LOSSES, ZERO_CONTROL), id="eval-mean-loss"),
-    pytest.param(("train", {**ONE_LAYER, "max_iter": 2}, HUGE_LOSSES, ZERO_CONTROL),
-                 id="train-infinite-initial-cost",
-                 marks=pytest.mark.xfail(strict=True, reason="summary.json cannot hold the infinite cost")),
+                  {"dataset_file": [[0.0, 0.0, 1.0, 0.0], [0.0, 0.5, 1.0, 0.5], [0.5, 0.0, 1.5, 0.0]]},
+                  ZERO_CONTROL), id="gd-mean-loss"),
+    pytest.param(("eval", ONE_LAYER, {"dataset_file": HUGE_LOSSES}, ZERO_CONTROL), id="eval-mean-loss"),
+    *(pytest.param(case, id=name) for name, (case, _) in INFINITE_COSTS.items()),
     *(pytest.param(draw_extreme(_extreme_stream), id=f"draw{i}") for i in range(N_EXTREME)),
 ]
 
 
-@pytest.mark.parametrize("case", EXTREME_CASES)
-def test_extreme_valid_input_exits_zero_or_one_without_warnings(case, tmp_path, capsys):
-    command, doc, rows, control = case
+def run_extreme(case, tmp_path):
+    """Run one case under warnings-as-errors; return its exit code and output directory."""
+    command, doc, files, control = case
     doc = dict(doc)
-    if rows is not None:
+    for key, rows in files.items():
         rows = np.array(rows)
-        save_dataset_csv(tmp_path / "data.csv", Dataset(rows[:, :2], rows[:, 2:]))
-        doc["dataset_file"] = str(tmp_path / "data.csv")
+        save_dataset_csv(tmp_path / f"{key}.csv", Dataset(rows[:, :2], rows[:, 2:]))
+        doc[key] = str(tmp_path / f"{key}.csv")
     config, out, control_path = tmp_path / "run.json", tmp_path / "out", tmp_path / "control.csv"
     config.write_text(json.dumps(doc), encoding="utf-8")
     save_control_csv(control_path, ControlGrid(control))
@@ -325,7 +340,13 @@ def test_extreme_valid_input_exits_zero_or_one_without_warnings(case, tmp_path, 
         argv += ["--control", str(control_path)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(argv)
+        return main(argv), out
+
+
+@pytest.mark.parametrize("case", EXTREME_CASES)
+def test_extreme_valid_input_exits_zero_or_one_without_warnings(case, tmp_path, capsys):
+    command = case[0]
+    code, out = run_extreme(case, tmp_path)
     err = capsys.readouterr().err
     assert code in (0, 1), err
     if code == 1:
@@ -335,3 +356,29 @@ def test_extreme_valid_input_exits_zero_or_one_without_warnings(case, tmp_path, 
     if command == "train":  # an overflowing cost reads +inf, never nan
         lines = (out / "trace.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert not any(np.isnan(float(cell)) for line in lines for cell in line.split(",")[1:3])
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_COSTS))
+def test_overflowed_summary_values_are_null_and_listed(name, tmp_path, capsys):
+    case, keys = INFINITE_COSTS[name]
+    code, out = run_extreme(case, tmp_path)
+    assert code == 0
+    # The printed line keeps the overflowed value; summary.json is strict JSON.
+    done = capsys.readouterr().out
+    assert done.startswith("done: ") and " inf" in done, done
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"), parse_constant=reject)
+    assert summary["non_finite"] == keys
+    for key in keys:
+        section, field = key.split(".")
+        assert summary[section][field] is None, key
+
+
+def test_armijo_margin_past_the_largest_float_accepts_a_pass(tmp_path):
+    code, out = run_extreme(ARMIJO_MARGIN, tmp_path)
+    assert code == 0
+    rows = (out / "trace.csv").read_text(encoding="utf-8").splitlines()[2:]
+    assert any(row.split(",")[-1] == "1" for row in rows), rows

@@ -128,6 +128,50 @@ def test_every_private_function_is_named_in_the_package():
     assert unnamed_private_functions(sources) == []
 
 
+def unused_public_functions(modules: dict[str, str]) -> list[str]:
+    """Public module-level functions, as ``module.name``, that nothing in the package uses.
+
+    ``modules`` maps each module's name to its source.  A function counts as
+    used when another module imports it (``__init__`` imports every name of
+    ``__all__``) or its own module reads its name.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    unused = []
+    for name, tree in trees.items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {
+            alias.name
+            for other, t in trees.items() if other != name
+            for n in ast.walk(t) if isinstance(n, ast.ImportFrom) and n.module == name
+            for alias in n.names
+        }
+        unused += [
+            f"{name}.{node.name}"
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in used
+        ]
+    return unused
+
+
+def test_public_function_check_flags_a_pin_only_function():
+    modules = {
+        "a": "def read():\n    pass\n\n\ndef imported():\n    pass\n\n\ndef orphan():\n    pass\n\n\nread()\n",
+        "b": "from .a import imported\n",
+    }
+    assert unused_public_functions(modules) == ["a.orphan"]
+
+
+# Public functions that only BENCHMARK.json's declared spans use
+# (flow.layer_matrix.*, metrics.lipschitz_estimate.s); they go when the
+# benchmark stops declaring those spans.
+KEPT_FOR_BENCHMARK_SPANS = ["flow.layer_matrix", "metrics.lipschitz_estimate"]
+
+
+def test_every_public_function_is_used_in_the_package():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_public_functions(modules) == KEPT_FOR_BENCHMARK_SPANS
+
+
 def test_public_api_is_pinned():
     assert diffeoflow.__all__ == PUBLIC_API
     assert [name for name in PUBLIC_API if not hasattr(diffeoflow, name)] == []

@@ -72,11 +72,25 @@ def test_target_lipschitz_against_independent_jacobian(target):
 
 def test_w1_bound_frozen_values():
     assert np.isclose(w1_grid_bound(900, 1.5), 0.035355339059327376, rtol=1e-14)
-    assert np.isclose(w1_grid_bound(4, 3.0), 1.0606601717798212, rtol=1e-14)
+    assert np.isclose(w1_grid_bound(4, 3.0), 1.147793574696319, rtol=1e-14)
     with pytest.raises(ValueError):
         w1_grid_bound(0, 1.5)
     with pytest.raises(ValueError):
         w1_grid_bound(900, 0.0)
+
+
+def test_w1_bound_of_the_four_corners_is_their_exact_transport_cost():
+    # Each corner is the nearest grid point to a quadrant of mass 1/4, so the
+    # optimal plan sends every point to its nearest corner: W1 is the mean
+    # distance to the nearest corner, here by a 400^2 midpoint rule.
+    side, n = 3.0, 400
+    axis = (np.arange(n) + 0.5) / n * side - side / 2
+    points = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 1, 2)
+    corners = square_grid(side, 2)
+    nearest = np.min(np.linalg.norm(points - corners, axis=-1), axis=1)
+    assert np.isclose(w1_grid_bound(4, side), np.mean(nearest), rtol=1e-5)
+    # The former half-cell-diagonal value sqrt(2) side / 4 is below it, so no bound.
+    assert w1_grid_bound(4, side) > np.sqrt(2.0) * side / 4.0
 
 
 def test_generalization_bound_arithmetic():
@@ -90,7 +104,7 @@ def test_build_metrics_assembly(affine8, target, rng):
     probes = square_grid(1.5, 10)
     states = forward_euler(affine8, u, probes)
     l_target = target_lipschitz_estimate(target, probes)
-    block = build_metrics(affine8, u, l_target, states, training_error=0.4, n_train=100, side=1.5)
+    block = build_metrics(affine8, u, l_target, states, training_error=0.4, side=1.5)
     assert block.lipschitz_flow == lipschitz_estimate(affine8, u, probes)
     assert block.lipschitz_target == l_target
     assert np.isclose(block.w1_bound, w1_grid_bound(100, 1.5), rtol=1e-15)
@@ -109,5 +123,5 @@ def test_build_metrics_assembly(affine8, target, rng):
         "generalization_bound",
     }
     # Without a target constant (data from a file) the grid-bound fields are None.
-    bare = build_metrics(affine8, u, None, states, training_error=0.4, n_train=100, side=1.5)
+    bare = build_metrics(affine8, u, None, states, training_error=0.4, side=1.5)
     assert dataclasses.astuple(bare) == (block.lipschitz_flow, None, block.control_norm, None, None)

@@ -176,7 +176,7 @@ def test_test_cloud_overflow_aborts_with_the_partial_report(trainer, rng):
     with pytest.raises(TrainAbort, match="training pass 1") as err:
         trainer(dilation_family(), Dataset(src, 2.0 * src), 4, TrainConfig(beta=0.0, max_iter=5),
                 test_data=Dataset(far, far))
-    assert (err.value.cause.sample, err.value.cause.layer) == (0, 1)
+    assert (err.value.sample, err.value.layer) == (0, 1)
     # The partial report ends at the last recorded control, the initial one.
     assert [r.iteration for r in err.value.report.records] == [0]
     assert np.array_equal(err.value.report.control.values, np.zeros((4, 1)))
