@@ -214,7 +214,7 @@ def _check_finite(states: np.ndarray, layer: int) -> None:
 
 
 def _euler(
-    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, keep: int, row=None
+    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, keep: int, row=None, *, checked=None
 ) -> np.ndarray:
     """Run the Euler recursion, holding node k in slot ``k % keep`` of a (keep, dim, M) buffer.
 
@@ -228,9 +228,9 @@ def _euler(
     each sample is advanced independently, so results do not depend on batch
     composition; with any rule they do not depend on ``keep``.
 
-    Raises FlowError if any state turns non-finite, naming the first
-    offending sample and the layer where it happened; overflow inside the
-    fields is left to that check rather than reported as a numpy warning.
+    Raises FlowError if a state of the first ``checked`` samples (all by
+    default) turns non-finite, naming the first such sample and its layer;
+    overflow inside the fields is left to that check, not a numpy warning.
     """
     pts = _as_bundle(family, u, sources)
     h = u.step
@@ -241,12 +241,12 @@ def _euler(
         for k in range(1, u.n_layers + 1):
             prev, node = nodes[(k - 1) % keep].T, nodes[k % keep].T
             np.add(prev, h * displacement(family, prev, row(k, prev)), out=node)
-            _check_finite(node, k)
+            _check_finite(node[:checked], k)
     return nodes
 
 
 def forward_euler(
-    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray
+    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, *, checked: int | None = None
 ) -> np.ndarray:
     """Push a bundle of points through all layers, keeping every node.
 
@@ -259,9 +259,10 @@ def forward_euler(
     (M, dim) Fortran-order block, which is what every layer loop reads.
 
     Raises FlowError if any state turns non-finite, naming the first
-    offending sample and the layer where it happened.
+    offending sample and the layer where it happened.  With ``checked = n``
+    only the first n samples are checked, and the caller checks the rest.
     """
-    return _euler(family, u, sources, u.n_layers + 1).transpose(2, 0, 1)
+    return _euler(family, u, sources, u.n_layers + 1, checked=checked).transpose(2, 0, 1)
 
 
 def flow_endpoints(

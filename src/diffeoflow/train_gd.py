@@ -5,7 +5,8 @@ step; the loop accepts the proposal or shrinks gamma by tau (never growing
 it back).  Every pass counts toward max_iter and produces one trace record,
 so backtracking is visible; a rejected row reports the testing error of the
 unchanged control, and a proposal whose control or flow overflows is a
-rejected row with cost +inf.
+rejected row with cost +inf.  The held-out sources ride below the training
+sources in every flow, so no pass flows the held-out cloud on its own.
 
 The gradient-flow step proposes u_new = u - gamma * g, where g is the
 objective gradient in slab-average coordinates, and accepts it only under
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, FlowError, flow_endpoints, forward_euler
+from .flow import ControlGrid, FlowError, _check_finite, forward_euler
 from .objective import (
     Dataset,
     ObjectiveValue,
@@ -90,10 +91,9 @@ class TrainReport:
     """Everything a training run produced.
 
     ``states`` is the (M, N+1, dim) trajectory of the training sources under
-    ``control``, the one the trainer accepted last: ``forward_euler``'s
-    bundle for the gradient flow, the sweep's for the maximum principle,
-    bit for bit the same as flowing the sources again.  It is None in the
-    partial report of a run whose initial flow failed.
+    ``control``, the one the trainer accepted last: the training rows of its
+    bundle, bit for bit the same as flowing the training sources alone.  It
+    is None in the partial report of a run whose initial flow failed.
     """
 
     records: list[IterationRecord]
@@ -115,12 +115,19 @@ class TrainAbort(FlowError):
 _OVERFLOWED = ObjectiveValue(math.inf, math.inf, math.inf)
 
 
-def _testing_error(
-    family: VectorFieldFamily, u: ControlGrid, test_data: Dataset | None
-) -> float:
+def _testing_error(held: np.ndarray, test_data: Dataset | None) -> float:
+    """The mean loss at node N of an accepted bundle's held-out rows ``held``.
+
+    A non-finite coordinate stays so (inf or NaN plus anything is not finite),
+    so node N shows an overflow; the first non-finite node names it as the
+    flow of the held-out cloud alone would.
+    """
     if test_data is None:
         return float("nan")
-    return mean_loss(flow_endpoints(family, u, test_data.sources), test_data.targets)
+    if not np.isfinite(held[:, -1]).all():
+        for k in range(1, held.shape[1]):
+            _check_finite(held[:, k], k)
+    return mean_loss(held[:, -1], test_data.targets)
 
 
 def _descend(
@@ -136,13 +143,15 @@ def _descend(
 
     ``propose(u, states, current, gamma)`` gets the accepted control, its
     trajectories and cost, and returns ``(proposal, states_new, cost_new,
-    accepted)``.  A proposal whose control or flow overflows (a FlowError
-    inside ``propose``), or whose cost does, is a rejected pass with cost
-    +inf.  The test cloud is flowed once initially and once per accepted
-    pass; a FlowError there, or in the initial flow, aborts training with
-    TrainAbort, whose partial report carries the last accepted control, its
-    trajectory and its cost (no trajectory and +inf when the initial flow
-    failed).
+    accepted)``.  Trajectories bundle the training sources, then the held-out
+    ones: ``propose`` flows ``states[:, 0]`` and checks and reads only the
+    first ``data.n_samples`` rows.  A proposal whose control or training
+    rows overflow (a FlowError inside ``propose``), or whose cost does, is a
+    rejected pass with cost +inf.  The held-out rows are read initially and
+    once per accepted pass; a non-finite one there, or a FlowError in the
+    initial flow, aborts training with TrainAbort, whose partial report
+    carries the last accepted control, its training rows and its cost (no
+    trajectory and +inf when the initial flow failed).
     """
     if n_layers < 1:
         raise ValueError(f"n_layers must be positive, got {n_layers}")
@@ -154,27 +163,32 @@ def _descend(
         )
     else:
         u = ControlGrid(init.values.copy())
+    if test_data is not None and test_data.dim != data.dim:
+        raise ValueError(f"test_data has shape {test_data.sources.shape}, data {data.sources.shape}")
+    sources = data.sources if test_data is None else np.concatenate([data.sources, test_data.sources])
+    n_train = data.n_samples
 
     records: list[IterationRecord] = []
     gamma = cfg.gamma0
-    current, states = _OVERFLOWED, None  # an abort reports the last accepted cost
+    current, bundle = _OVERFLOWED, None  # an abort reports the last accepted cost
     try:
-        states = forward_euler(family, u, data.sources)
-        current = cost_of_endpoints(states[:, -1], data.targets, u, cfg.beta)
-        testing_error = _testing_error(family, u, test_data)
+        bundle = forward_euler(family, u, sources, checked=n_train)
+        current = cost_of_endpoints(bundle[:n_train, -1], data.targets, u, cfg.beta)
+        testing_error = _testing_error(bundle[n_train:], test_data)
         records.append(
             IterationRecord(0, current.total, current.data_term, testing_error, gamma, True)
         )
         for it in range(1, cfg.max_iter + 1):
             try:
-                proposal, states_new, cost_new, accepted = propose(u, states, current, gamma)
+                proposal, bundle_new, cost_new, accepted = propose(u, bundle, current, gamma)
             except FlowError:
                 cost_new = _OVERFLOWED
             if not math.isfinite(cost_new.total):
                 cost_new, accepted = _OVERFLOWED, False
             if accepted:
-                testing_error = _testing_error(family, proposal, test_data)
-                u, states, current = proposal, states_new, cost_new
+                testing_error = _testing_error(bundle_new[n_train:], test_data)
+                u, bundle, current = proposal, bundle_new, cost_new
+            bundle_new = None  # a rejected trajectory must not outlive its pass
             records.append(
                 IterationRecord(
                     it, cost_new.total, cost_new.data_term, testing_error, gamma, accepted
@@ -182,9 +196,9 @@ def _descend(
             )
             if not accepted:
                 gamma *= cfg.tau
-        return TrainReport(records, u, current, states)
+        return TrainReport(records, u, current, bundle[:n_train])
     except FlowError as err:
-        partial = TrainReport(records, u, current, states)
+        partial = TrainReport(records, u, current, None if bundle is None else bundle[:n_train])
         raise TrainAbort(
             f"flow failed at training pass {len(records)}: {err}", partial, err
         ) from err
@@ -203,19 +217,20 @@ def train_gradient_flow(
     Returns a TrainReport whose records include the initial state (iteration
     0) and one row per pass.
     """
+    n_train = data.n_samples
     grad_u = grad = None  # the gradient is cached until the control changes
 
     def armijo_step(u, states, current, gamma):
         nonlocal grad_u, grad
         if grad_u is not u:
-            grad_u, grad = u, control_gradient(family, u, states, data.targets, cfg.beta)
+            grad_u, grad = u, control_gradient(family, u, states[:n_train], data.targets, cfg.beta)
         with np.errstate(over="ignore"):
             values = u.values - gamma * grad
         if not np.isfinite(values).all():
             raise FlowError(f"the proposed control overflowed at step size {gamma:g}")
         proposal = ControlGrid(values)
-        states_new = forward_euler(family, proposal, data.sources)
-        cost_new = cost_of_endpoints(states_new[:, -1], data.targets, proposal, cfg.beta)
+        states_new = forward_euler(family, proposal, states[:, 0], checked=n_train)
+        cost_new = cost_of_endpoints(states_new[:n_train, -1], data.targets, proposal, cfg.beta)
         scale = cfg.c * gamma * proposal.step
         with np.errstate(over="ignore"):
             decrease = scale * float(np.sum(grad * grad))

@@ -20,10 +20,12 @@ trainer (``train_gd._descend``): a pass is accepted only if the cost
 strictly decreased, otherwise gamma shrinks by tau, and a rejected row
 reports the testing error of the unchanged control.  The sweep writes a
 new trajectory and reads the accepted one and its cache without changing
-them, so a rejection needs no restore.  The cache holds the covectors (or
-the FlowError of a transport that fails the guard) and the penalty
-gradients grad a(x_k - y) at every node of the accepted trajectory, which
-the drift correction reads; both are recomputed only after an accepted pass.
+them, so a rejection needs no restore.  The held-out rows ride in both
+below the training rows and move under the new controls; only the
+training rows pair.  The cache holds the covectors (or the FlowError of a
+transport that fails the guard) and the penalty gradients grad a(x_k - y)
+at every training node of the accepted trajectory, which the drift
+correction reads; both are recomputed only after an accepted pass.
 
 The sweep is ``flow._euler``, the Euler recursion of every other flow, with
 the maximizer as its row rule: at each node it reached, the sweep pairs with
@@ -78,9 +80,9 @@ def train_pmp(
         nonlocal cov_u, cov, penalty
         if cov_u is not u:
             with np.errstate(over="ignore", invalid="ignore"):
-                penalty = loss_grad(states - targets[:, None])
+                penalty = loss_grad(states[:n_pts] - targets[:, None])
             try:
-                cov = backward_covector(family, u, states, -penalty[:, -1] / n_pts)
+                cov = backward_covector(family, u, states[:n_pts], -penalty[:, -1] / n_pts)
             except FlowError as err:
                 cov = err
             cov_u = u
@@ -91,15 +93,16 @@ def train_pmp(
         def maximize(k, x):
             # The sweep has already moved nodes 1..k-1; shift the covector
             # by the change this causes in the endpoint penalty gradients.
+            x = x[:n_pts]
             lam = cov[:, k - 1] + (penalty[:, k - 1] - loss_grad(x - targets)) / n_pts
             # Not family.pairing: a built-in's closed form would drop the fields.values span.
             pairing = VectorFieldFamily.pairing(family, x, lam)
             new_controls[k - 1] = _maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
             return new_controls[k - 1]
 
-        swept = _euler(family, u, states[:, 0], u.n_layers + 1, maximize).transpose(2, 0, 1)
+        swept = _euler(family, u, states[:, 0], u.n_layers + 1, maximize, checked=n_pts).transpose(2, 0, 1)
         proposal = ControlGrid(new_controls)
-        cost_new = cost_of_endpoints(swept[:, -1], targets, proposal, cfg.beta)
+        cost_new = cost_of_endpoints(swept[:n_pts, -1], targets, proposal, cfg.beta)
         return proposal, swept, cost_new, current.total > cost_new.total
 
     return _descend(family, data, n_layers, cfg, init, test_data, sweep)

@@ -303,15 +303,16 @@ def test_train_reruns_are_bit_identical(tmp_path):
 def test_train_flows_the_training_set_once_per_proposal_and_reuses_it_for_lipschitz(
     algorithm, tmp_path, monkeypatch
 ):
-    # The training set is flowed once at the start and, by the gradient flow,
-    # once per proposal; the sweep flows its proposals itself.  The summary's
-    # Lipschitz constant is read off the trainer's last trajectory, with no
-    # further flow, and equals the estimate from flowing the sources anew.
+    # The training set, with the held-out cloud below it, is flowed once at
+    # the start and, by the gradient flow, once per proposal; the sweep flows
+    # its proposals itself.  The summary's Lipschitz constant is read off the
+    # trainer's last trajectory, with no further flow, and equals the
+    # estimate from flowing the training sources anew.
     real, flowed = forward_euler, []
 
-    def counting(family, u, sources):
+    def counting(family, u, sources, **kwargs):
         flowed.append(np.array(sources))
-        return real(family, u, sources)
+        return real(family, u, sources, **kwargs)
 
     package = importlib.import_module("diffeoflow")
     for name in ("", ".flow", ".objective", ".train_gd", ".train_pmp", ".metrics", ".cli"):
@@ -324,8 +325,9 @@ def test_train_flows_the_training_set_once_per_proposal_and_reuses_it_for_lipsch
     passes = len(read_trace(tmp_path / "run" / "trace.csv")) - 2  # the header and row 0
     assert passes == 4
     assert len(flowed) == (1 + passes if algorithm == "gd" else 1)
-    family, _, train, _ = cli.build_problem(load_config(cfg_path))
-    assert all(np.array_equal(sources, train.sources) for sources in flowed)
+    family, _, train, test = cli.build_problem(load_config(cfg_path))
+    stacked = np.concatenate([train.sources, test.sources])
+    assert all(np.array_equal(sources, stacked) for sources in flowed)
 
     summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
     control = load_control_csv(tmp_path / "run" / "control.csv")

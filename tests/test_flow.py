@@ -194,6 +194,24 @@ def test_every_flow_raises_the_trajectory_flow_error(affine8, n_layers):
     assert errors[0][1:] == (1, 2)
 
 
+def test_checked_rows_are_the_only_ones_the_flow_checks(affine8):
+    # x1 doubles on each of 4 layers, and its displacement 4 x1 overflows
+    # first at layer 1 from 1e308 and at layer 2 from 3e307; (1, 1) stays finite.
+    u = linear_grid(4, 4.0, 0.0, 0.0, 0.0)
+    pts = np.array([[1.0, 1.0], [1e308, 0.0], [3e307, 1.0]])
+    states = forward_euler(affine8, u, pts, checked=1)
+    assert np.isfinite(states[0]).all()
+    assert not np.isfinite(states[1, 1:, 0]).any() and not np.isfinite(states[2, 2:, 0]).any()
+    assert np.array_equal(states[:1], forward_euler(affine8, u, pts[:1]))
+    for checked in (2, 3, None):
+        with pytest.raises(FlowError) as err:
+            forward_euler(affine8, u, pts, checked=checked)
+        assert (err.value.sample, err.value.layer) == (1, 1)
+    with pytest.raises(FlowError) as err:
+        forward_euler(affine8, u, pts[[0, 2, 1]], checked=2)
+    assert (err.value.sample, err.value.layer) == (1, 2)
+
+
 def test_flows_take_bundles_shaped_for_the_controls(affine8):
     u = ControlGrid.zeros(3, 8)
     with pytest.raises(ValueError, match=re.escape("points have shape (2,), expected (M, 2)")):

@@ -1,4 +1,8 @@
-"""Backtracking gradient-descent trainer behavior."""
+"""Backtracking gradient-descent trainer behavior, and the loop both trainers share."""
+
+import importlib
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -8,16 +12,21 @@ import diffeoflow.train_gd as train_gd_module
 from diffeoflow import (
     ControlGrid,
     FieldSpec,
+    FlowError,
     TrainAbort,
     TrainConfig,
     cost,
+    flow_endpoints,
     forward_euler,
     make_custom,
     make_grid_dataset,
     train_gradient_flow,
     train_pmp,
 )
-from diffeoflow.objective import Dataset
+from diffeoflow.objective import Dataset, control_gradient, cost_of_endpoints, mean_loss
+
+# The package's ``train_pmp`` attribute is the trainer, so fetch the module by name.
+train_pmp_module = importlib.import_module("diffeoflow.train_pmp")
 
 
 def shift_family():
@@ -91,29 +100,83 @@ def test_rejected_rows_leave_control_unchanged(affine8, grid25):
     assert all(a >= b for a, b in zip(acc, acc[1:]))
 
 
+def spy_on_proposals(monkeypatch, on_call, before=lambda call: None):
+    """Make both trainers' shared loop call ``before(args)`` and ``on_call(args, out)`` around each ``propose``.
+
+    ``args`` is ``(u, states, current, gamma)`` and ``out`` what ``propose``
+    returned, or None when it raised a FlowError.
+    """
+    real = train_gd_module._descend
+
+    def spying(*args):
+        *rest, propose = args
+
+        def recorded(*call):
+            before(call)
+            try:
+                out = propose(*call)
+            except FlowError:
+                on_call(call, None)
+                raise
+            on_call(call, out)
+            return out
+
+        return real(*rest, recorded)
+
+    for module in (train_gd_module, train_pmp_module):
+        monkeypatch.setattr(module, "_descend", spying)
+
+
 @pytest.mark.parametrize(
     "trainer, gamma0", [(train_gradient_flow, 1e4), (train_pmp, 50.0)], ids=["gd", "pmp"]
 )
 def test_shared_loop_flows_test_cloud_only_for_accepted_controls(
     trainer, gamma0, affine8, grid25, testset300, monkeypatch
 ):
-    flowed = []
-    real = train_gd_module.flow_endpoints
-
-    def counting(family, u, sources):
-        if sources is testset300.sources:
-            flowed.append(u)
-        return real(family, u, sources)
-
-    monkeypatch.setattr(train_gd_module, "flow_endpoints", counting)
+    # The held-out rows ride in every proposal's bundle, but only an accepted
+    # proposal's are read: its testing error is that of flowing the test
+    # cloud alone under its control, bit for bit, and a rejected row repeats
+    # the error of the unchanged control.
+    proposals = []
+    spy_on_proposals(monkeypatch, lambda call, out: proposals.append(None if out is None else out[0]))
     cfg = TrainConfig(beta=0.01, max_iter=30, gamma0=gamma0)
     rep = trainer(affine8, grid25, 6, cfg, test_data=testset300)
     rows = rep.records[1:]
     assert any(r.accepted for r in rows) and any(not r.accepted for r in rows)
-    assert len(flowed) == 1 + sum(r.accepted for r in rows)
-    for prev, row in zip(rep.records, rows):
-        if not row.accepted:
-            assert row.testing_error == prev.testing_error
+    assert len(proposals) == len(rows)
+
+    def alone(u):
+        return mean_loss(flow_endpoints(affine8, u, testset300.sources), testset300.targets)
+
+    expected = alone(ControlGrid.zeros(6, 8))
+    assert rep.records[0].testing_error == expected
+    for row, proposal in zip(rows, proposals):
+        if row.accepted:
+            expected = alone(proposal)
+        assert row.testing_error == expected
+
+
+@pytest.mark.parametrize(
+    "trainer, gamma0", [(train_gradient_flow, 1e4), (train_pmp, 50.0)], ids=["gd", "pmp"]
+)
+def test_rejected_trajectory_is_freed_before_the_next_proposal(
+    trainer, gamma0, affine8, grid25, testset300, monkeypatch
+):
+    # A rejected proposal's bundle must not stay alive while the next one is
+    # built, or three (N+1)-node trajectories are held at the peak.
+    rejected = []
+
+    def on_call(call, out):
+        if out is not None and not out[3]:
+            rejected.append(weakref.ref(out[1].base))
+
+    def before(call):
+        assert all(ref() is None for ref in rejected)
+
+    spy_on_proposals(monkeypatch, on_call, before)
+    rep = trainer(affine8, grid25, 6, TrainConfig(beta=0.01, max_iter=30, gamma0=gamma0),
+                  test_data=testset300)
+    assert rejected and any(r.accepted for r in rep.records[1:])
 
 
 @pytest.mark.parametrize("kind", ["affine8", "enriched14"])
@@ -205,6 +268,128 @@ def test_abort_reports_the_last_accepted_cost_without_flowing_again(trainer, rng
     assert report.final_cost.total == report.records[-1].cost
     assert report.final_cost.data_term == report.records[-1].data_term
     assert flowed == []
+
+
+@pytest.mark.parametrize("start", ["initial flow", "accepted pass"])
+def test_held_out_overflow_names_its_own_sample_and_first_layer(start, rng):
+    # With the control 1 on every layer of the dilation field, each layer
+    # scales the plane by 1.25: sample 1 (1.2e308) first overflows at layer
+    # 2, sample 2 (1e308) only at layer 3, and sample 0 never.
+    family, dilating = dilation_family(), ControlGrid(np.ones((4, 1)))
+    src = rng.uniform(-1, 1, size=(12, 2))
+    held = np.array([[0.5, 0.5], [1.2e308, 0.0], [1e308, 0.0]])
+    data, test = Dataset(src, 2.0 * src), Dataset(held, held)
+    cfg = TrainConfig(beta=0.0, max_iter=3)
+    if start == "initial flow":
+        with pytest.raises(TrainAbort, match="training pass 0: non-finite state for sample 1 at layer 2") as err:
+            train_gradient_flow(family, data, 4, cfg, init=dilating, test_data=test)
+        assert err.value.report.records == [] and np.isfinite(err.value.report.final_cost.total)
+    else:
+        def propose(u, states, current, gamma):
+            states_new = forward_euler(family, dilating, states[:, 0], checked=12)
+            return dilating, states_new, cost_of_endpoints(states_new[:12, -1], data.targets, dilating, 0.0), True
+
+        with pytest.raises(TrainAbort, match="training pass 1: non-finite state for sample 1 at layer 2") as err:
+            train_gd_module._descend(family, data, 4, cfg, None, test, propose)
+        report = err.value.report
+        assert [r.iteration for r in report.records] == [0]
+        assert np.array_equal(report.control.values, np.zeros((4, 1)))
+        assert np.array_equal(report.states, forward_euler(family, report.control, src))
+    assert (err.value.sample, err.value.layer) == (1, 2)
+    assert err.value.report.states.shape == (12, 5, 2)
+
+
+@pytest.mark.parametrize("trainer", [train_gradient_flow, train_pmp])
+def test_held_out_overflow_under_a_rejected_proposal_does_not_abort(trainer, rng, monkeypatch):
+    # At gamma0 8 the first gd proposal dilates the plane about 21-fold and
+    # the third pmp proposal about 15-fold; both are rejected, and the
+    # accepted ones stay below 3.  So the far held-out point overflows only
+    # in rejected bundles.
+    src = rng.uniform(-1, 1, size=(12, 2))
+    far = np.array([[0.5, 0.5], [1.5e307, 0.0]])
+    outcomes = []
+    spy_on_proposals(
+        monkeypatch,
+        lambda call, out: out is None or outcomes.append((bool(out[3]), bool(np.isfinite(out[1][12:]).all()))),
+    )
+    rep = trainer(dilation_family(), Dataset(src, 2.0 * src), 4, TrainConfig(beta=0.0, max_iter=6, gamma0=8.0),
+                  test_data=Dataset(far, far))
+    assert (False, False) in outcomes and (True, True) in outcomes
+    assert all(held_finite for accepted, held_finite in outcomes if accepted)
+    assert len(rep.records) == 7 and np.isfinite([r.testing_error for r in rep.records]).all()
+
+
+@pytest.mark.parametrize("trainer", [train_gradient_flow, train_pmp])
+def test_held_out_set_of_another_dimension_is_refused_before_any_flow(trainer, affine8, grid25, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("flowed before checking the held-out dimension")
+
+    monkeypatch.setattr(train_gd_module, "forward_euler", unreachable)
+    cube = Dataset(np.eye(3), np.eye(3))
+    expected = "test_data has shape (3, 3), data (25, 2)"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        trainer(affine8, grid25, 4, TrainConfig(beta=0.1, max_iter=2), test_data=cube)
+
+
+def spin3d_family():
+    """Three fields on R^3: a rotation about the third axis, a constant shift and a bend."""
+    def rot_jacobian(x):
+        return np.broadcast_to(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), x.shape + (3,)).copy()
+
+    def bend_jacobian(x):
+        jac = np.zeros(x.shape + (3,))
+        jac[..., 0, 2], jac[..., 1, 0] = np.cos(x[..., 2]), 2.0 * x[..., 0]
+        return jac
+
+    return make_custom(
+        [
+            FieldSpec(value=lambda x: np.stack([-x[..., 1], x[..., 0], 0.0 * x[..., 2]], axis=-1),
+                      jacobian=rot_jacobian),
+            FieldSpec(value=np.ones_like, jacobian=lambda x: np.zeros(x.shape + (3,))),
+            FieldSpec(value=lambda x: np.stack([np.sin(x[..., 2]), x[..., 0] ** 2, 0.0 * x[..., 0]], axis=-1),
+                      jacobian=bend_jacobian),
+        ],
+        dim=3,
+    )
+
+
+@pytest.mark.parametrize("kind", ["affine8", "enriched14", "spin3d"])
+def test_stacked_flow_is_the_separate_flows_bit_for_bit(kind, request):
+    family = spin3d_family() if kind == "spin3d" else request.getfixturevalue(kind)
+    rng = np.random.Generator(np.random.Philox(22))
+    train, test = (
+        Dataset(rng.uniform(-1.5, 1.5, size=(m, family.dim)), rng.uniform(-1.5, 1.5, size=(m, family.dim)))
+        for m in (900, 300)
+    )
+    u = ControlGrid(rng.normal(scale=0.5, size=(16, family.n_fields)))
+    n = train.n_samples
+    stacked = forward_euler(family, u, np.concatenate([train.sources, test.sources]), checked=n)
+    alone = forward_euler(family, u, train.sources)
+    assert np.array_equal(stacked[:n].view(np.int64), alone.view(np.int64))
+    assert cost_of_endpoints(stacked[:n, -1], train.targets, u, 0.01) == cost_of_endpoints(
+        alone[:, -1], train.targets, u, 0.01
+    )
+    grads = [control_gradient(family, u, states, train.targets, 0.01) for states in (stacked[:n], alone)]
+    assert np.array_equal(grads[0].view(np.int64), grads[1].view(np.int64))
+    assert mean_loss(stacked[n:, -1], test.targets) == mean_loss(
+        flow_endpoints(family, u, test.sources), test.targets
+    )
+
+
+@pytest.mark.parametrize("kind", ["affine8", "enriched14"])
+@pytest.mark.parametrize(
+    "trainer, gamma0", [(train_gradient_flow, 1e4), (train_pmp, 50.0)], ids=["gd", "pmp"]
+)
+def test_held_out_cloud_leaves_the_training_bit_for_bit(trainer, gamma0, kind, grid25, testset300, request):
+    family = request.getfixturevalue(kind)
+    cfg = TrainConfig(beta=0.01, max_iter=30, gamma0=gamma0)
+    with_test = trainer(family, grid25, 6, cfg, test_data=testset300)
+    alone = trainer(family, grid25, 6, cfg)
+    strip = [(r.cost, r.data_term, r.gamma, r.accepted) for r in with_test.records]
+    assert strip == [(r.cost, r.data_term, r.gamma, r.accepted) for r in alone.records]
+    assert np.array_equal(with_test.control.values, alone.control.values)
+    assert np.array_equal(with_test.states.view(np.int64), alone.states.view(np.int64))
+    assert with_test.final_cost == alone.final_cost
 
 
 @pytest.mark.parametrize("trainer", [train_gradient_flow, train_pmp])
