@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, FlowError, _check_finite, forward_euler
+from .flow import ControlGrid, FlowError, _as_bundle, _check_finite, forward_euler
 from .objective import (
     Dataset,
     ObjectiveValue,
@@ -163,6 +163,7 @@ def _descend(
         )
     else:
         u = ControlGrid(init.values.copy())
+    _as_bundle(family, u, data.sources)  # names the training set's shape, not the stacked one
     if test_data is not None and test_data.dim != data.dim:
         raise ValueError(f"test_data has shape {test_data.sources.shape}, data {data.sources.shape}")
     sources = data.sources if test_data is None else np.concatenate([data.sources, test_data.sources])

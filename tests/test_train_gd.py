@@ -414,6 +414,9 @@ def test_argument_validation(affine8, grid25, rng):
     one_d = Dataset(np.array([[0.0], [1.0]]), np.array([[0.5], [1.5]]))
     with pytest.raises(ValueError):
         train_gradient_flow(affine8, one_d, 4, TrainConfig(beta=0.1))
+    # The training set's own shape is named, not that of the stacked bundle.
+    with pytest.raises(ValueError, match=re.escape("points have shape (2, 1), expected (M, 2)")):
+        train_gradient_flow(affine8, one_d, 4, TrainConfig(beta=0.1), test_data=one_d)
 
 
 @pytest.mark.parametrize(
