@@ -36,8 +36,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, quick: bo
         argv.append("--quick")
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{checkout}: perfbench/run.py printed nothing: {proc.stderr.strip()}")
+    if not lines or not lines[-1].startswith("{"):
+        raise RuntimeError(f"{checkout}: perfbench/run.py printed no result: {proc.stderr.strip()}")
     return json.loads(lines[-1])
 
 
