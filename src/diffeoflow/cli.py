@@ -147,8 +147,8 @@ class RunConfig(TrainConfig):
         super().__post_init__()
         if self.family not in ("affine8", "enriched14"):
             raise ValueError(f"family: expected 'affine8' or 'enriched14', got {self.family!r}")
-        if self.nu <= 0.0:
-            raise ValueError(f"nu: must be positive, got {self.nu}")
+        if self.nu <= 0.0 or not math.isfinite(self.nu):
+            raise ValueError(f"nu: must be positive and finite, got {self.nu}")
         if self.n_layers < 1:
             raise ValueError(f"n_layers: must be a positive integer, got {self.n_layers}")
         if self.algorithm not in ("gd", "pmp"):
@@ -157,8 +157,8 @@ class RunConfig(TrainConfig):
             raise ValueError(f"seed: must be nonnegative, got {self.seed}")
         if self.target not in ("builtin", "identity"):
             raise ValueError(f"target: expected 'builtin' or 'identity', got {self.target!r}")
-        if self.grid_side <= 0.0:
-            raise ValueError(f"grid_side: must be positive, got {self.grid_side}")
+        if self.grid_side <= 0.0 or not math.isfinite(self.grid_side):
+            raise ValueError(f"grid_side: must be positive and finite, got {self.grid_side}")
         if self.grid_per_axis < 2:
             raise ValueError(f"grid_per_axis: must be at least 2, got {self.grid_per_axis}")
         if self.test_count < 0:

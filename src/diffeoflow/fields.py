@@ -18,12 +18,14 @@ of the fields at a batch of points:
 The base class computes them from the stacked ``values`` and ``jacobians``
 of the fields, so a family only has to supply those two.  The built-in
 families compute the four that a run calls, all but ``layer_matrix``, in
-closed form instead, without the mostly-zero ``(..., l, n[, n])`` tensors,
-and add terms in the same order as the dense contraction, so both give
-bit-identical results.  Their ``layer_matrix``, ``values`` and ``jacobians``
-are dense.  Within one call each per-point quantity (a square, the Gaussian
-weight and its gradient, a product of coordinates) is computed once, and
-nothing computed for one call is kept for the next.
+closed form instead, without the mostly-zero ``(..., l, n[, n])`` tensors:
+each field is a coefficient K_j(x) times one axis, for one list K that both
+axes share, and each closed form is written once over K and its gradients.
+It assembles each sum in place, adding terms in the dense contraction's
+order, so both give the same bits; only a sum's leading ``0.0 +`` may move,
+to its end or into a scalar term, since adding +0.0 only turns -0.0 into
++0.0.  Their ``layer_matrix``, ``values`` and ``jacobians`` are dense.
+Nothing computed for one call is kept for the next.
 
 Two planar built-ins are provided.
 
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -136,127 +137,129 @@ def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
-def _axis_sums(axes, terms, weights, out=None) -> list:
-    """Per axis, the sum of terms[i] * weights[i] over the fields along it.
-
-    Each sum starts from 0 and adds its terms in family order, as the dense
-    einsum does, so it is bit-identical to it; a None term is zero.  A sum
-    stays a scalar while its terms are; from its first array term on it is
-    one array, and every later term is added into it in place.  That array
-    is fresh, or with ``out`` the column ``out[..., axis]``, so a caller that
-    passes ``out`` must give every axis an array term.
-    """
-    sums = [0.0, 0.0]
-    for axis, t, w in zip(axes, terms, weights):
-        if t is None:
-            continue
-        if isinstance(sums[axis], np.ndarray):
-            sums[axis] += t * w
-        elif isinstance(t, np.ndarray):
-            term = np.multiply(t, w, out=None if out is None else out[..., axis])
-            sums[axis] = np.add(sums[axis], term, out=term)
-        else:
-            sums[axis] = sums[axis] + t * w
-    return sums
-
-
 class _Planar:
     """The per-point quantities of one call on planar points, each computed once.
 
     ``x`` holds the points, checked by ``_as_points``; ``x1``, ``x2`` are
-    their coordinates, ``sq1`` and ``sq2`` the squares and ``g`` the Gaussian
-    weight exp(-(sq1 + sq2) / (2 nu)).  The mixed monomial ``x1x2`` and the
-    gradient ``dg`` = -g x / nu are computed on first use.  An instance lives
-    only as long as the call that made it, so no array outlives its call.
+    their coordinates, ``q1`` and ``q2`` the squares and ``g`` the Gaussian
+    weight exp(-(q1 + q2) / (2 nu)).  An instance lives only as long as the
+    call that made it, so no array outlives its call.
     """
 
+    __slots__ = ("x", "x1", "x2", "q1", "q2", "g")
+
     def __init__(self, x: np.ndarray, nu: float):
-        self.x, self.nu = _as_points(x, 2), nu
-        self.x1, self.x2 = self.x[..., 0], self.x[..., 1]
+        self.x = x = _as_points(x, 2)
+        self.x1, self.x2 = x1, x2 = x[..., 0], x[..., 1]
         with np.errstate(over="ignore"):  # |x|^2 = inf gives g = exp(-inf) = 0, the exact limit
-            self.sq1, self.sq2 = self.x1 * self.x1, self.x2 * self.x2
-            self.g = np.exp(-0.5 * (self.sq1 + self.sq2) / nu)
+            self.q1, self.q2 = x1 * x1, x2 * x2
+            g = self.q1 + self.q2
+            g *= -0.5
+            g /= nu
+        self.g = np.exp(g)
 
-    @cached_property
-    def x1x2(self) -> np.ndarray:
-        return self.x1 * self.x2
-
-    @cached_property
-    def dg(self) -> tuple[np.ndarray, np.ndarray]:
-        neg_g = -self.g
-        return neg_g * self.x1 / self.nu, neg_g * self.x2 / self.nu
+    def gradient(self, nu: float) -> tuple:
+        """The gradient -g x / nu of g, as (g x) / (-nu): IEEE rounding is symmetric in sign."""
+        dg1, dg2 = self.g * self.x1, self.g * self.x2
+        dg1 /= -nu
+        dg2 /= -nu
+        return dg1, dg2
 
 
 @dataclass(frozen=True)
 class Affine8(VectorFieldFamily):
     """Constant, Gaussian-damped constant, and linear fields on the plane.
 
-    Each field is a scalar coefficient times one coordinate direction:
-    field i is c_i(x) e_{axes[i]}.  ``_coefficients`` and ``_gradients``
-    list c_i and grad c_i in family order, and values, Jacobians and the
-    contractions are all computed from these lists, so a subclass
-    that appends fields only extends the lists.
+    Field ``columns[a][j]`` is K_j(x) e_a, for one coefficient list K that
+    both axes share in the same order: K = (1, g, x1, x2).  A subclass that
+    appends fields appends to K, to its gradients and to both axes' columns.
+    Each contraction adds its terms in the order of K, into arrays it
+    allocates once per call.
     """
 
     nu: float = DEFAULT_GAUSSIAN_WIDTH
     kind: ClassVar[str] = "affine8"
     dim: ClassVar[int] = 2
     n_fields: ClassVar[int] = 8
-    axes: ClassVar[tuple[int, ...]] = (0, 1, 0, 1, 0, 0, 1, 1)
+    columns: ClassVar[tuple[tuple[int, ...], ...]] = ((0, 2, 4, 5), (1, 3, 6, 7))
 
     def _coefficients(self, pts: _Planar) -> tuple:
-        """c_i at the points; 1.0 stands for a constant coefficient."""
-        return (1.0, 1.0, pts.g, pts.g, pts.x1, pts.x2, pts.x1, pts.x2)
+        """K at the points, 1.0 for the constant coefficient."""
+        return (1.0, pts.g, pts.x1, pts.x2)
 
     def _gradients(self, pts: _Planar) -> tuple:
-        """(dc_i/dx1, dc_i/dx2) at the points; None stands for zero."""
-        return (
-            (None, None), (None, None), pts.dg, pts.dg,
-            (1.0, None), (None, 1.0), (1.0, None), (None, 1.0),
-        )
+        """(dK_j/dx1, dK_j/dx2) at the points, in the order of K."""
+        return ((0.0, 0.0), pts.gradient(self.nu), (1.0, 0.0), (0.0, 1.0))
 
-    def _factor_entries(self, pts: _Planar, u_row, h: float) -> list:
-        """Entries b[p][q] of I + h sum_i u_row[i] DF_i; 0.0 + keeps the signed zeros of eye + h * a."""
+    def _factor_entries(self, pts: _Planar, u_row: np.ndarray, h: float) -> list:
+        """Entries b00, b01, b10, b11 of I + h sum_i u_row[i] DF_i, each a fresh array.
+
+        Entry a[p][q] of a = sum_i u_row[i] DF_i sums dK_j/dx_q u_row[columns[p][j]]
+        over the K_j whose derivative is not zero, in the order of K: g, then
+        x_q (derivative 1, so its term is a scalar, into which the sum's
+        leading 0.0 moves), then the appended coefficients.
+        """
+        u = np.asarray(u_row, dtype=float).tolist()
         grads = self._gradients(pts)
-        # columns[q][p] is entry a[p][q] of a = sum_i u_row[i] DF_i, summed column by column.
-        columns = [_axis_sums(self.axes, [grad[q] for grad in grads], u_row) for q in (0, 1)]
-        return [[(1.0 if p == q else 0.0) + h * columns[q][p] for q in (0, 1)] for p in (0, 1)]
+        tmp = np.empty_like(pts.g)
+        entries = []
+        for p, cols in enumerate(self.columns):
+            for q in (0, 1):
+                b = grads[1][q] * u[cols[1]]
+                b += 0.0 + u[cols[2 + q]]
+                for grad, i in zip(grads[4:], cols[4:]):
+                    b += np.multiply(grad[q], u[i], out=tmp)
+                b *= h
+                b += 1.0 if p == q else 0.0
+                entries.append(b)
+        return entries
 
     def values(self, x: np.ndarray) -> np.ndarray:
         pts = _Planar(x, self.nu)
         out = np.zeros(pts.x.shape[:-1] + (self.n_fields, 2))
-        for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(pts))):
-            out[..., i, axis] = c
+        coefficients = self._coefficients(pts)
+        for a, cols in enumerate(self.columns):
+            for i, c in zip(cols, coefficients):
+                out[..., i, a] = c
         return out
 
     def jacobians(self, x: np.ndarray) -> np.ndarray:
         pts = _Planar(x, self.nu)
         out = np.zeros(pts.x.shape[:-1] + (self.n_fields, 2, 2))
-        for i, (axis, grad) in enumerate(zip(self.axes, self._gradients(pts))):
-            for j, d in enumerate(grad):
-                if d is not None:
-                    out[..., i, axis, j] = d
+        grads = self._gradients(pts)
+        for a, cols in enumerate(self.columns):
+            for i, grad in zip(cols, grads):
+                out[..., i, a, 0], out[..., i, a, 1] = grad
         return out
 
     def displacement(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
         pts = _Planar(x, self.nu)
+        u = np.asarray(u_row, dtype=float).tolist()
+        coefficients = self._coefficients(pts)
         out = np.empty_like(pts.x)  # in the layout of x, so each coordinate is summed in one pass
-        _axis_sums(self.axes, self._coefficients(pts), u_row, out=out)
+        tmp = np.empty_like(pts.g)
+        for a, cols in enumerate(self.columns):
+            col = np.multiply(pts.g, u[cols[1]], out=out[..., a])
+            col += 0.0 + u[cols[0]]  # the sum's leading 0.0, moved into its constant term
+            for c, i in zip(coefficients[2:], cols[2:]):
+                col += np.multiply(c, u[i], out=tmp)
         return out
 
     def layer_factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
         # C order, like eye + h * layer_matrix, so that a product of factors stays on one path.
         pts = _Planar(x, self.nu)
         out = np.empty(pts.x.shape[:-1] + (2, 2))
-        for p, row in enumerate(self._factor_entries(pts, u_row, h)):
-            out[..., p, 0], out[..., p, 1] = row
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = self._factor_entries(pts, u_row, h)
         return out
 
     def _pairing(self, lam, pts: _Planar) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         terms = np.empty(lam.shape[:-1] + (self.n_fields,))
-        for i, (axis, c) in enumerate(zip(self.axes, self._coefficients(pts))):
-            np.multiply(lam[..., axis], c, out=terms[..., i])
+        coefficients = self._coefficients(pts)
+        for a, cols in enumerate(self.columns):
+            lam_a = lam[..., a]
+            for i, c in zip(cols, coefficients):
+                np.multiply(lam_a, c, out=terms[..., i])
         # This einsum adds the samples in order, starting from +0.0, as the
         # dense einsum does; a 1-D sum per field would add them pairwise.
         return np.einsum("m...i->...i", terms)
@@ -274,8 +277,9 @@ class Affine8(VectorFieldFamily):
         l0, l1 = lam[:, 0], lam[:, 1]
         step = np.empty_like(lam)
         for q in (0, 1):
-            column = np.multiply(l0, b[0][q], out=step[:, q])
-            column += l1 * b[1][q]
+            b[q] *= l0
+            b[2 + q] *= l1
+            np.add(b[q], b[2 + q], out=step[:, q])
         # The einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does.
         step += 0.0
         return row, step
@@ -283,26 +287,26 @@ class Affine8(VectorFieldFamily):
 
 @dataclass(frozen=True)
 class Enriched14(Affine8):
-    """Affine8 plus the six Gaussian-damped quadratic fields."""
+    """Affine8 plus the six Gaussian-damped quadratic fields: K gains x1^2 g, x1 x2 g and x2^2 g."""
 
     kind: ClassVar[str] = "enriched14"
     n_fields: ClassVar[int] = 14
-    axes: ClassVar[tuple[int, ...]] = Affine8.axes + (0, 0, 0, 1, 1, 1)
+    columns: ClassVar[tuple[tuple[int, ...], ...]] = ((0, 2, 4, 5, 8, 9, 10), (1, 3, 6, 7, 11, 12, 13))
 
     def _coefficients(self, pts: _Planar) -> tuple:
-        quads = (pts.sq1 * pts.g, pts.x1x2 * pts.g, pts.sq2 * pts.g)
-        return super()._coefficients(pts) + quads + quads
+        g = pts.g
+        return super()._coefficients(pts) + (pts.q1 * g, pts.x1 * pts.x2 * g, pts.q2 * g)
 
     def _gradients(self, pts: _Planar) -> tuple:
         # grad(p * g) = g * grad(p) + p * grad(g), with grad(g) = -g x / nu.
-        x1, x2, g, (dg1, dg2) = pts.x1, pts.x2, pts.g, pts.dg
-        p11, p12, p22 = pts.sq1, pts.x1x2, pts.sq2
-        quads = (
+        grads = super()._gradients(pts)
+        x1, x2, g, p11, p22, (dg1, dg2) = pts.x1, pts.x2, pts.g, pts.q1, pts.q2, grads[1]
+        p12 = x1 * x2
+        return grads + (
             (g * (2.0 * x1) + p11 * dg1, p11 * dg2),
             (g * x2 + p12 * dg1, g * x1 + p12 * dg2),
             (p22 * dg1, g * (2.0 * x2) + p22 * dg2),
         )
-        return super()._gradients(pts) + quads + quads
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,20 @@ def _check_finite(states: np.ndarray, layer: int) -> None:
         )
 
 
+def _check_nodes(states: np.ndarray) -> None:
+    """Raise the FlowError of the first non-finite node of an (M, N+1, dim) trajectory, if any.
+
+    Only node N is tested first: x_k = x_{k-1} + h F(x_{k-1}) keeps a
+    non-finite coordinate non-finite (inf or NaN plus anything is not
+    finite), so node N shows any overflow.  Only then are the nodes searched,
+    so the error names the sample and layer that a check after every layer
+    would.
+    """
+    if not np.isfinite(states[:, -1]).all():
+        for k in range(1, states.shape[1]):
+            _check_finite(states[:, k], k)
+
+
 def _euler(
     family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, keep: int, row=None, *, checked=None
 ) -> np.ndarray:
@@ -231,6 +245,9 @@ def _euler(
     Raises FlowError if a state of the first ``checked`` samples (all by
     default) turns non-finite, naming the first such sample and its layer;
     overflow inside the fields is left to that check, not a numpy warning.
+    The flow checks node N once (``_check_nodes``); a row rule may see the
+    non-finite rows of a flow that then fails.  With ``keep = 2`` a failing
+    flow is run again keeping every node, to find the layer.
     """
     pts = _as_bundle(family, u, sources)
     h = u.step
@@ -241,7 +258,10 @@ def _euler(
         for k in range(1, u.n_layers + 1):
             prev, node = nodes[(k - 1) % keep].T, nodes[k % keep].T
             np.add(prev, h * displacement(family, prev, row(k, prev)), out=node)
-            _check_finite(node[:checked], k)
+    if keep > u.n_layers:
+        _check_nodes(nodes.transpose(2, 0, 1)[:checked])
+    elif not np.isfinite(node[:checked]).all():  # flow again, keeping every node, to raise naming the layer
+        _euler(family, u, sources, u.n_layers + 1, row, checked=checked)
     return nodes
 
 
@@ -261,6 +281,7 @@ def forward_euler(
     Raises FlowError if any state turns non-finite, naming the first
     offending sample and the layer where it happened.  With ``checked = n``
     only the first n samples are checked, and the caller checks the rest.
+    The check tests node N once and searches the nodes only if that fails.
     """
     return _euler(family, u, sources, u.n_layers + 1, checked=checked).transpose(2, 0, 1)
 
@@ -273,7 +294,8 @@ def flow_endpoints(
     Holds two nodes at a time instead of the (N+1, dim, M) trajectory, for
     callers that read the endpoints only; the result is stored like a node
     of ``forward_euler``, with contiguous coordinate columns.  Raises the
-    same FlowError as ``forward_euler``.
+    same FlowError as ``forward_euler``: a flow whose node N is not finite
+    is run again with every node kept, to find the layer.
     """
     return _euler(family, u, sources, 2)[u.n_layers % 2].T
 

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, FlowError, _as_bundle, _check_finite, forward_euler
+from .flow import ControlGrid, FlowError, _as_bundle, _check_nodes, forward_euler
 from .objective import (
     Dataset,
     ObjectiveValue,
@@ -118,15 +118,12 @@ _OVERFLOWED = ObjectiveValue(math.inf, math.inf, math.inf)
 def _testing_error(held: np.ndarray, test_data: Dataset | None) -> float:
     """The mean loss at node N of an accepted bundle's held-out rows ``held``.
 
-    A non-finite coordinate stays so (inf or NaN plus anything is not finite),
-    so node N shows an overflow; the first non-finite node names it as the
-    flow of the held-out cloud alone would.
+    An overflow there raises the FlowError that the flow of the held-out
+    cloud alone would (``_check_nodes``).
     """
     if test_data is None:
         return float("nan")
-    if not np.isfinite(held[:, -1]).all():
-        for k in range(1, held.shape[1]):
-            _check_finite(held[:, k], k)
+    _check_nodes(held)
     return mean_loss(held[:, -1], test_data.targets)
 
 

@@ -823,5 +823,12 @@ def test_run_config_defaults_are_valid():
     RunConfig()
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["nu", "grid_side"])
+def test_run_config_rejects_non_finite_widths_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name}: must be positive and finite"):
+        RunConfig(**{name: value})
+
+
 if __name__ == "__main__":
     sys.exit(pytest.main([__file__, "-v"]))

@@ -212,6 +212,27 @@ def test_checked_rows_are_the_only_ones_the_flow_checks(affine8):
     assert (err.value.sample, err.value.layer) == (1, 2)
 
 
+def test_flows_name_the_overflowing_layer_though_the_row_turns_nan_after_it(affine8):
+    # The flow checks node N only.  Sample 1 doubles x1 on layers 1 and 2,
+    # reaching inf at layer 2; layer 3 subtracts it from itself, so it is NaN
+    # from then on.  The error still names layer 2; (1, 1) and (2, 0.5) stay finite.
+    u = linear_grid(4, 0.0, 0.0, 0.0, 0.0)
+    u.values[:, 4] = [4.0, 4.0, -4.0, 0.0]
+    pts = np.array([[1.0, 1.0], [3e307, 0.0], [2.0, 0.5]])
+    states = forward_euler(affine8, u, pts, checked=1)
+    assert np.isfinite(states[1, 1, 0]) and states[1, 2, 0] == np.inf and np.isnan(states[1, 3:, 0]).all()
+    assert np.isfinite(states[[0, 2]]).all()
+    flows = {
+        "forward_euler": lambda: forward_euler(affine8, u, pts),
+        "forward_euler checked": lambda: forward_euler(affine8, u, pts, checked=2),
+        "flow_endpoints": lambda: flow_endpoints(affine8, u, pts),
+    }
+    for name, run in flows.items():
+        with pytest.raises(FlowError, match="^non-finite state for sample 1 at layer 2; ") as err:
+            run()
+        assert (err.value.sample, err.value.layer) == (1, 2), name
+
+
 def test_flows_take_bundles_shaped_for_the_controls(affine8):
     u = ControlGrid.zeros(3, 8)
     with pytest.raises(ValueError, match=re.escape("points have shape (2,), expected (M, 2)")):

@@ -10,10 +10,14 @@ full grid and N = 32.  It compares the SHA-256 of ``trace.csv``,
 recorded before the closed-form kernels shared their monomials, and the
 ``gradcheck`` line of ``configs/gradcheck.json`` with its recorded text.
 
-One longer run guards the pmp trainer's covector transport: the full-grid
-``affine8_pmp_n16_beta1e-4.json`` capped at 100 passes, all accepted, so
-100 transports, with digests recorded before the planar transport stopped
-calling LAPACK.
+Three longer runs, each capped at 100 passes, guard the layer loops that
+five passes barely reach.  The full-grid ``affine8_pmp_n16_beta1e-4.json``
+accepts all 100, so 100 covector transports; its digests were recorded
+before the planar transport stopped calling LAPACK.  The gd configs
+``affine8_gd_n16_beta1e-4.json`` (the benchmark's gd setting) and
+``enriched14_gd_n16_beta1e-3.json`` run many gradients through both
+families' closed-form adjoint steps; their digests were recorded before the
+closed forms were rewritten over one shared coefficient list.
 
 As with ``perfbench/reference.json``, the digests describe one numpy
 build: they were recorded with numpy 2.4.6 and its bundled OpenBLAS on
@@ -84,12 +88,23 @@ GOLDEN = {
         "summary.json": "79ecf67c7d64d23285e93b3e2d8e89f09aa1d2ab3581ee524de3b59122fdf5fb",
     },
 }
-LONG_PMP = "affine8_pmp_n16_beta1e-4.json"
-LONG_PMP_PASSES = 100
-LONG_PMP_GOLDEN = {
-    "trace.csv": "605ffc66fa60e9af95b879e53ba9aef9ba10045dd789d03b8fbff0a97693bb90",
-    "control.csv": "622c31d2d0a6c69cbe010437ca4c0ae06b8a934f6948819fae230fbc082e0388",
-    "summary.json": "895e54cd189aa269ae56ebd411699c157e81f5492a0f9b632058018e776b9a2e",
+LONG_PASSES = 100
+LONG_GOLDEN = {
+    "affine8_pmp_n16_beta1e-4.json": {
+        "trace.csv": "605ffc66fa60e9af95b879e53ba9aef9ba10045dd789d03b8fbff0a97693bb90",
+        "control.csv": "622c31d2d0a6c69cbe010437ca4c0ae06b8a934f6948819fae230fbc082e0388",
+        "summary.json": "895e54cd189aa269ae56ebd411699c157e81f5492a0f9b632058018e776b9a2e",
+    },
+    "affine8_gd_n16_beta1e-4.json": {
+        "trace.csv": "67ff3f08f308e1c68ea4e951834fd441a01c031a80f16bac031fca67f1695bb6",
+        "control.csv": "f73e2c7399ef6ea9d318ae15080524dc7e1b4ee8049dba5073183384e1f2886a",
+        "summary.json": "bd6343539ea0454cf120e2e908b9c6fb952f59741b2cd5cd529ebc730e013799",
+    },
+    "enriched14_gd_n16_beta1e-3.json": {
+        "trace.csv": "d5fb823491f413c04559b0f5e4c08976be7f1bc2f2c24d21c31da55d98e5a1a7",
+        "control.csv": "5bea2b775cfa3080e2d2d4f030d363f99323e1bdaf4aaa030abbd36915b66d74",
+        "summary.json": "a8fdc154662fe5f67f4ce51fba5c7f332fca53c290b5e72ce2f4bcf782e56232",
+    },
 }
 GRADCHECK_LINE = "gradcheck OK: max relative error 9.652e-09 (layer 0, field 6, tolerance 1e-05)\n"
 
@@ -118,8 +133,9 @@ def test_config_outputs_are_byte_identical(name, tmp_path):
     assert run_digests(CONFIGS / name, tmp_path / "run") == GOLDEN[name]
 
 
-def test_long_pmp_run_is_byte_identical(tmp_path):
-    assert run_digests(CONFIGS / LONG_PMP, tmp_path / "run", LONG_PMP_PASSES) == LONG_PMP_GOLDEN
+@pytest.mark.parametrize("name", sorted(LONG_GOLDEN))
+def test_long_run_is_byte_identical(name, tmp_path):
+    assert run_digests(CONFIGS / name, tmp_path / "run", LONG_PASSES) == LONG_GOLDEN[name]
 
 
 def test_gradcheck_line_is_unchanged(capsys):

@@ -120,6 +120,19 @@ def test_overflowing_sweep_is_a_rejected_pass(affine8, grid25):
     assert np.array_equal(rep.control.values, np.zeros((4, 8)))
 
 
+def test_sweep_whose_training_row_overflows_is_a_rejected_pass(affine8, grid25):
+    # The far source pairs to a huge x1-stretching control, so it overflows
+    # at layer 1; the later layers pair and move its non-finite row, and the
+    # check at node N rejects the sweep.
+    src = np.vstack([grid25.sources, [[1e300, 0.0]]])
+    data = Dataset(src, src + 0.1)
+    rep = train_pmp(affine8, data, 4, TrainConfig(beta=0.0, max_iter=3))
+    rows = rep.records[1:]
+    assert all(r.cost == np.inf and r.data_term == np.inf and not r.accepted for r in rows)
+    assert [r.gamma for r in rows] == [1.0, 0.5, 0.25]
+    assert np.array_equal(rep.control.values, np.zeros((4, 8)))
+
+
 def test_nan_layer_factor_is_a_rejected_pass(monkeypatch):
     # The flow is finite, but the implicit factor at the source with x1 = 0
     # is NaN, so the covector guard rejects every sweep.  The guard reads
