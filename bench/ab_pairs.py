@@ -10,7 +10,16 @@ that runs first alternates from pair to pair, so a drift in the machine's
 speed falls on both sides alike.  Each end-to-end metric is then printed
 with each side's median and quartiles, the change of the medians, and the
 number of pairs in which the change was better, by the direction that
-BENCHMARK.json declares.
+BENCHMARK.json declares.  A ``# verdict`` line under the table judges each
+metric against its bound in BENCHMARK.json:
+
+- gain shown: the change is better in at least nine tenths of the pairs and
+  its median is better by more than the parent's interquartile range;
+- regression: the change's median is worse than the parent's by more than
+  the bound;
+- unresolved: the parent's interquartile range is wider than the bound,
+  unless every run of the change is better than every run of the parent;
+- no regression: otherwise.
 
 Uses the standard library only.  Exits 1 if a run fails or reports
 incorrect outputs, 2 on bad arguments.
@@ -49,16 +58,48 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(results: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
-    """One line per metric: each side's median [Q1, Q3], the change in %, and the change's wins."""
+def count_wins(pairs: list[tuple[float, float]], better: str | None) -> int:
+    """Pairs (parent, change) in which the change is better; ties count for neither."""
+    sign = -1.0 if better == "lower" else 1.0
+    return sum(sign * (b - a) > 0.0 for a, b in pairs)
+
+
+def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
+    """Judge the (parent, change) value pairs of one metric; ``bound`` is relative."""
+    sign = -1.0 if better == "lower" else 1.0
+    q1, base, q3 = quartiles([a for a, _ in pairs])
+    gap = sign * (quartiles([b for _, b in pairs])[1] - base) + 0.0  # no -0 in the detail
+    wins = count_wins(pairs, better)
+    apart = min(sign * b for _, b in pairs) > max(sign * a for a, _ in pairs)
+    detail = f"{wins}/{len(pairs)} wins, median gap {gap:+.6g}, parent IQR {q3 - q1:.6g}"
+    if wins >= 0.9 * len(pairs) and gap > q3 - q1:
+        return f"gain shown ({detail})"
+    detail += f", bound {bound:g}"
+    if -gap > bound * abs(base):
+        return f"regression ({detail})"
+    if q3 - q1 > bound * abs(base) and not apart:
+        return f"unresolved ({detail})"
+    return f"no regression ({detail})"
+
+
+def summarize(results: dict[str, list[dict]], declared: dict[str, dict]) -> list[str]:
+    """One line per metric: each side's median [Q1, Q3], the change in %, and the change's wins.
+
+    A ``# verdict`` line follows the table for each metric BENCHMARK.json declares.
+    """
     lines = [f"{'metric':<26} {'unit':<7} {'parent median [Q1, Q3]':<38} "
              f"{'change median [Q1, Q3]':<38} {'change':>8}  wins"]
+    verdicts = []
     for name, spec in results["parent"][0]["metrics"].items():
         pairs = [
             (a["metrics"][name]["value"], b["metrics"][name]["value"])
             for a, b in zip(results["parent"], results["change"])
         ]
         pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
+        if name in declared:
+            verdicts.append(f"# verdict {name}: " + (
+                verdict(pairs, declared[name]["better"], declared[name]["bound"])
+                if pairs else "unresolved (no values)"))
         if not pairs:
             lines.append(f"{name:<26} {spec['unit']:<7} no values")
             continue
@@ -66,11 +107,10 @@ def summarize(results: dict[str, list[dict]], better: dict[str, str]) -> list[st
         cells = [f"{q2:.6g} [{q1:.6g}, {q3:.6g}]" for q1, q2, q3 in stats]
         base, new = stats[0][1], stats[1][1]
         delta = f"{100.0 * (new - base) / base:+.1f}%" if base else "n/a"
-        sign = -1.0 if better.get(name) == "lower" else 1.0
-        wins = sum(sign * (b - a) > 0.0 for a, b in pairs)
+        wins = count_wins(pairs, declared.get(name, {}).get("better"))
         lines.append(f"{name:<26} {spec['unit']:<7} {cells[0]:<38} {cells[1]:<38} {delta:>8}  "
                      f"{wins}/{len(pairs)}")
-    return lines
+    return lines + verdicts
 
 
 def main(argv=None) -> int:
@@ -90,7 +130,7 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.seed_base < 0:
         parser.error("--pairs must be positive and --seed-base nonnegative")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    declared = {m["name"]: m for m in spec["end_to_end"]}
 
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     ok = True
@@ -108,7 +148,7 @@ def main(argv=None) -> int:
                   f"failed {result['failed']}/{result['attempted']}", flush=True)
             ok = ok and result["correct"] and not result["failed"]
     print(f"# {args.workload}, {args.pairs} pairs, --seconds {args.seconds:g}, seeds {args.seed_base}+")
-    for line in summarize(results, better):
+    for line in summarize(results, declared):
         print(line)
     return 0 if ok else 1
 

@@ -21,8 +21,10 @@ evaluations, benchmark tables) is one table format, kept here in
 ``write_table``/``read_table``: a header line of comma-separated column
 names, then one comma-separated row per record, every value written as
 ``%.17g`` (so reading it back reproduces the float bit for bit) and every
-line ended by CRLF.  Dataset files carry one sample per row with header
-``x1,...,xn,y1,...,yn``.
+line ended by CRLF.  The writer computes those correctly rounded digits
+exactly and in bulk, block by block, and leaves only zeros, subnormals, inf,
+nan and magnitudes outside [1e-4, 1e16) to Python's ``%``.  Dataset files
+carry one sample per row with header ``x1,...,xn,y1,...,yn``.
 """
 
 from __future__ import annotations
@@ -149,20 +151,116 @@ def make_random_testset(
 _ROWS_PER_BLOCK = 4096
 
 
+# _DECADES[j + 4] is the double 1e{j}, j = -4..16.  Each is the least double
+# not below 10**j (1e-1 to 1e-4 round up), so a double x has floor(log10 x) = j
+# exactly when _DECADES[j + 4] <= x < _DECADES[j + 5].  ``%.17g`` writes every
+# x with 1e-4 <= |x| < 1e16 in fixed notation; these are the values
+# _format_rows computes in bulk.
+_DECADES = np.array([float(f"1e{j}") for j in range(-4, 17)])
+_POW5 = np.array([5 ** k for k in range(21)], dtype=np.uint64)
+# The four ASCII digits of 0..9999 as one 32-bit word each, and the number of
+# those digits up to the last nonzero one.
+_QUAD_DIGITS = np.stack(np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_QUADS = (ord("0") + _QUAD_DIGITS).view(np.uint32).ravel()
+_QUAD_LEN = (np.arange(1, 5, dtype=np.uint8) * (_QUAD_DIGITS != 0)).max(axis=-1).ravel()
+# A value's text is picked out of a 44-byte row by the mask _KEEP[X, last,
+# negative, ends_row], where X is its decade and d_last its last nonzero digit.
+# Its row holds, from the quads of "000" d0 ... d16 written twice:
+#   bytes  0-19   '0' '-' '0' d0 ... d15 '.'   (X <= 15: d16 is never an integer digit)
+#   bytes 20-39   '0' '0' '0' d0 ... d16
+#   bytes 40-43   ',' CR LF NUL
+# and the text is, in order: '-' (byte 1) when negative; the integer part
+# d0 ... dX (bytes 3 to 3 + X), or the '0' of byte 2 when X < 0; '.' (byte 19)
+# when a fraction digit is left; the fraction, bytes 24 + X to 23 + last, which
+# begins with -X - 1 of the zeros in bytes 20-22 when X < 0; then ',' (byte 40),
+# or CRLF (bytes 41-42) after the last value of a table row.
+_ROW_BYTES = 44
+_SEPARATORS = np.frombuffer(b",\r\n\0", dtype=np.uint32)[0]
+_X, _LAST, _NEG, _END, _B = np.ogrid[-4:16, 0:17, 0:2, 0:2, 0:_ROW_BYTES]
+_KEEP = (
+    ((_B == 1) & (_NEG == 1)) | ((_B == 2) & (_X < 0)) | ((3 <= _B) & (_B <= 3 + _X))
+    | ((_B == 19) & (_LAST > _X)) | ((24 + _X <= _B) & (_B <= 23 + _LAST))
+    | np.where(_END == 1, (_B == 41) | (_B == 42), _B == 40)
+).reshape(-1, _ROW_BYTES)
+del _X, _LAST, _NEG, _END, _B
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The table rows of a 2-D float block: ``%.17g`` values, commas and CRLFs.
+
+    Every value x with 1e-4 <= |x| < 1e16 and X = floor(log10 |x|) gets its 17
+    significant digits D = round-half-even(|x| * 10**(16 - X)) exactly: the
+    product of its 53-bit mantissa and 5**(16 - X) is held in two 64-bit words
+    and shifted right, ties broken on the dropped bits.  D never rounds up to
+    10**17 there: no double of that range lies within half a unit of the 17th
+    digit below a power of ten.  Every other value (zeros, subnormals, small
+    or huge magnitudes, inf, nan) is formatted by ``%`` one at a time.
+    """
+    u64 = np.uint64
+    values = block.ravel()
+    n = values.size
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    x = np.searchsorted(_DECADES, a, side="right") - 5
+    bits = a.view(u64)
+    b = (bits >> u64(52)).astype(np.intp)
+    k = 16 - x
+    # |x| * 10**k = (8 * mantissa) * 5**k / 2**s with 1 <= s <= 49; the product,
+    # below 2**103, is held in the words (hi, lo).
+    mant = ((bits & u64(2 ** 52 - 1)) | u64(2 ** 52)) << u64(3)
+    pow5 = _POW5[k]
+    m_lo, m_hi = mant & u64(0xFFFFFFFF), mant >> u64(32)
+    p_lo, p_hi = pow5 & u64(0xFFFFFFFF), pow5 >> u64(32)
+    low = m_lo * p_lo
+    mid = m_hi * p_lo + m_lo * p_hi
+    lo = low + (mid << u64(32))
+    hi = m_hi * p_hi + (mid >> u64(32)) + (lo < low)
+    s = (1078 - b - k).astype(u64)
+    d = (hi << (u64(64) - s)) | (lo >> s)
+    dropped = lo & ((u64(1) << s) - u64(1))
+    d += dropped + (d & u64(1)) > (u64(1) << (s - u64(1)))  # half to even
+    # D as the quads "000" d0, d1-d4, ..., d13-d16, and the index of its last
+    # nonzero digit (d0 is not zero).
+    quads = np.empty((n, 5), dtype=u64)
+    for j in range(4, 0, -1):
+        q = d // u64(10 ** 4)
+        quads[:, j] = d - q * u64(10 ** 4)
+        d = q
+    quads[:, 0] = d
+    last = np.zeros(n, dtype=np.intp)
+    for j in range(1, 5):
+        quad = quads[:, j]
+        last = np.where(quad != 0, 4 * (j - 1) + _QUAD_LEN[quad], last)
+    words = np.empty((n, _ROW_BYTES // 4), dtype=np.uint32)
+    words[:, 0:5] = words[:, 5:10] = _QUADS.take(quads)
+    words[:, 10] = _SEPARATORS
+    chars = words.view(np.uint8)
+    chars[:, 1] = ord("-")
+    chars[:, 19] = ord(".")
+    end = np.zeros(block.shape, dtype=np.intp)
+    end[:, -1:] = 1
+    keep = _KEEP.take((((x + 4) * 17 + last) * 2 + (values < 0)) * 2 + end.ravel(), axis=0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # at most 24 bytes each, as in -2.2250738585072014e-308
+        texts = [b"%.17g" % v for v in values[slow].tolist()]
+        words[slow, 0:6] = np.array(texts, dtype="S24").view(np.uint32).reshape(-1, 6)
+        keep[slow, :40] = np.arange(40) < np.array([len(t) for t in texts])[:, None]
+    return chars[keep].tobytes()
+
+
 def write_table(path, header, table) -> None:
     """Write a header line and one row per record of a 2-D float table.
 
     The bytes are those of ``np.savetxt`` with ``fmt="%.17g"``, a comma
-    delimiter and CRLF line ends, but each block of ``_ROWS_PER_BLOCK`` rows
-    is formatted by a single ``%`` instead of one per row.
+    delimiter and CRLF line ends; each block of ``_ROWS_PER_BLOCK`` rows is
+    formatted in bulk by ``_format_rows``.
     """
-    table = np.asarray(table)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
+    table = np.asarray(table, dtype=float)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("utf-8"))
         for start in range(0, table.shape[0], _ROWS_PER_BLOCK):
-            block = table[start:start + _ROWS_PER_BLOCK]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(table[start:start + _ROWS_PER_BLOCK]))
 
 
 def read_table(path, what: str) -> tuple[list[str], np.ndarray]:

@@ -1,11 +1,22 @@
 """Smoke test of the alternating-pairs benchmark script."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+VERDICTS = ("gain shown", "no regression", "regression", "unresolved")
+
+
+def load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "bench" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_one_quick_a_a_pair_reports_every_metric_with_quartiles_and_wins():
@@ -26,6 +37,36 @@ def test_one_quick_a_a_pair_reports_every_metric_with_quartiles_and_wins():
         row = rows[m["name"]]
         assert row[1] == m["unit"] and row[-1] in ("0/1", "1/1")
         assert row[2] == row[3][1:-1] == row[4][:-1]  # one value is its own median and quartiles
+    verdicts = dict(line[len("# verdict "):].split(": ", 1) for line in lines
+                    if line.startswith("# verdict "))
+    assert set(verdicts) == {m["name"] for m in declared}
+    assert all(v.startswith(VERDICTS) for v in verdicts.values())
+
+
+PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+
+
+@pytest.mark.parametrize("change, better, want", [
+    ([0.7 + 0.001 * i for i in range(10)], "lower", "gain shown"),
+    ([1.3 + 0.001 * i for i in range(10)], "higher", "gain shown"),
+    ([0.7] * 8 + [1.5] * 2, "lower", "no regression"),  # 8/10 wins are too few
+    (PARENT[1:] + PARENT[:1], "lower", "no regression"),
+    ([1.3] * 10, "lower", "regression"),
+    ([0.7] * 10, "higher", "regression"),
+])
+def test_verdict_applies_each_rule(change, better, want):
+    got = load_ab_pairs().verdict(list(zip(PARENT, change)), better, 0.25)
+    assert got.split(" (")[0] == want
+
+
+def test_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    ab_pairs = load_ab_pairs()
+    parent = [0.6, 1.0, 1.4, 0.6, 1.0, 1.4, 0.6, 1.0, 1.4, 1.0]
+    assert ab_pairs.verdict(list(zip(parent, parent[::-1])), "lower", 0.25).startswith("unresolved")
+    # unless every run of the change is better than every run of the parent; a
+    # median gap (0.55) inside the parent's IQR (0.6) still shows no gain
+    faster = [0.5 - 0.01 * i for i in range(10)]
+    assert ab_pairs.verdict(list(zip(parent, faster)), "lower", 0.25).startswith("no regression")
 
 
 def test_bad_checkout_is_refused():

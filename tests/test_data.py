@@ -125,6 +125,12 @@ def savetxt_bytes(path, header, table):
     return path.read_bytes()
 
 
+def assert_writes_as_savetxt(tmp_path, table):
+    header = [f"c{i}" for i in range(table.shape[1])]
+    write_table(tmp_path / "t.csv", header, table)
+    assert (tmp_path / "t.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", header, table)
+
+
 @pytest.mark.parametrize("n_cols", [1, 3])
 def test_write_table_matches_savetxt_across_blocks(tmp_path, rng, n_cols):
     n_rows = 2 * _ROWS_PER_BLOCK + 17
@@ -133,12 +139,77 @@ def test_write_table_matches_savetxt_across_blocks(tmp_path, rng, n_cols):
     picks = rng.integers(0, n_rows, size=(40, n_cols))
     for col in range(n_cols):
         table[picks[:, col], col] = rng.choice(specials, size=40)
-    header = [f"c{i}" for i in range(n_cols)]
-    write_table(tmp_path / "t.csv", header, table)
-    want = savetxt_bytes(tmp_path / "ref.csv", header, table)
-    assert (tmp_path / "t.csv").read_bytes() == want
-    write_table(tmp_path / "col.csv", ["c0"], table[:, :1])
-    assert (tmp_path / "col.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", ["c0"], table[:, :1])
+    assert_writes_as_savetxt(tmp_path, table)
+    assert_writes_as_savetxt(tmp_path, table[:, :1])
+
+
+def test_write_table_matches_savetxt_on_every_decade_with_both_signs(tmp_path):
+    rng = np.random.default_rng(24)
+    exponents = np.arange(-330, 308)[:, None] + rng.uniform(size=(638, 24))
+    magnitudes = 10.0 ** exponents  # zeros and subnormals below 1e-308
+    signs = np.where(rng.uniform(size=magnitudes.shape) < 0.5, -1.0, 1.0)
+    assert_writes_as_savetxt(tmp_path, (signs * magnitudes).reshape(-1, 6))
+
+
+def test_write_table_matches_savetxt_next_to_decades_and_half_decades(tmp_path):
+    """Three neighbours on each side of 10**k and 0.5 * 10**k, k = -6..18.
+
+    These hold the edges of the range formatted in bulk (1e-4 and 1e16) and,
+    on either side of each power of ten, the values whose decade or last
+    digit is easiest to get wrong.
+    """
+    values = []
+    for base in [10.0 ** k for k in range(-6, 19)] + [0.5 * 10.0 ** k for k in range(-6, 19)]:
+        below = above = base
+        values.append(base)
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [below, above]
+    values = np.array(values)
+    assert_writes_as_savetxt(tmp_path, np.concatenate([values, -values]).reshape(-1, 7))
+
+
+def test_write_table_breaks_ties_in_the_18th_digit_to_even(tmp_path, rng):
+    integers = rng.integers(10 ** 15, 2 * 10 ** 15, size=(500, 1)).astype(float)
+    ties = integers + np.array([0.25, 0.75, -0.25, -0.75])  # |x| * 10 ends in .5
+    assert_writes_as_savetxt(tmp_path, np.vstack([ties, -ties]))
+
+
+@pytest.mark.parametrize("value, text", [
+    (1234567890123456.25, b"1234567890123456.2"),  # a tie, kept at the even digit
+    (1234567890123456.75, b"1234567890123456.8"),  # a tie, rounded up to the even digit
+    (0.00010000000000000002, b"0.00010000000000000002"),
+    (9999999999999998.0, b"9999999999999998"),
+    (0.5, b"0.5"),
+    (1e-14, b"1e-14"),  # below 10**-14, its 17 digits carry into the next decade
+    (9.9999999999999995e-05, b"9.9999999999999991e-05"),  # the double below 1e-4
+    (99999999999999999.0, b"1e+17"),  # the literal is 1e17
+    (0.0, b"0"),
+    (5e-324, b"4.9406564584124654e-324"),
+    (2.2250738585072009e-308, b"2.2250738585072009e-308"),
+    (float("inf"), b"inf"),
+])
+def test_write_table_writes_each_value_as_percent_17g(tmp_path, value, text):
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b"], [[value, -value]])
+    assert path.read_bytes() == b"a,b\r\n" + text + b",-" + text + b"\r\n"
+
+
+def test_write_table_writes_zero_row_one_row_and_trace_shaped_tables(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b"], np.empty((0, 2)))
+    assert path.read_bytes() == b"a,b\r\n"
+    write_table(path, ["a", "b", "c"], np.reshape([], (-1, 3)))
+    assert path.read_bytes() == b"a,b,c\r\n"
+    write_table(path, ["a", "b", "c"], [[0.5, -3.0, 1e-5]])
+    assert path.read_bytes() == b"a,b,c\r\n0.5,-3,1.0000000000000001e-05\r\n"
+    columns = ["iteration", "cost", "training_error", "testing_error", "gamma", "accepted"]
+    records = [(0, 1.25, 0.1, float("nan"), 1.0, True),
+               (1, float("inf"), 0.2, 0.30000000000000004, 0.5, False),
+               (12, 0.0030517578125, 7e-05, 1e-300, 2.0 ** -20, True)]
+    write_table(path, columns, np.reshape(records, (-1, len(columns))))
+    rows = [",".join(["%.17g"] * len(columns)) % record for record in records]
+    assert path.read_bytes() == "\r\n".join([",".join(columns), *rows, ""]).encode()
 
 
 def test_read_table_round_trip_is_bit_exact(tmp_path, rng):
