@@ -23,8 +23,10 @@ names, then one comma-separated row per record, every value written as
 ``%.17g`` (so reading it back reproduces the float bit for bit) and every
 line ended by CRLF.  The writer computes those correctly rounded digits
 exactly and in bulk, block by block, and leaves only zeros, subnormals, inf,
-nan and magnitudes outside [1e-4, 1e16) to Python's ``%``.  Dataset files
-carry one sample per row with header ``x1,...,xn,y1,...,yn``.
+nan and magnitudes outside [1e-4, 1e16) to Python's ``%``; a value's decade
+is the table ``_EXPONENT_DECADES`` at its binary exponent, raised by one
+where it reaches the next power of ten.  Dataset files carry one sample per
+row with header ``x1,...,xn,y1,...,yn``.
 """
 
 from __future__ import annotations
@@ -157,6 +159,10 @@ _ROWS_PER_BLOCK = 4096
 # x with 1e-4 <= |x| < 1e16 in fixed notation; these are the values
 # _format_rows computes in bulk.
 _DECADES = np.array([float(f"1e{j}") for j in range(-4, 17)])
+# _EXPONENT_DECADES[e] = floor((e - 1023) * log10(2)): a double of biased exponent
+# e lies in decade _EXPONENT_DECADES[e] or the next, which _DECADES tells apart.
+# No product here is within 1e-4 of an integer, so the float floor is exact.
+_EXPONENT_DECADES = np.floor((np.arange(2048) - 1023) * math.log10(2)).astype(np.intp)
 _POW5 = np.array([5 ** k for k in range(21)], dtype=np.uint64)
 # The four ASCII digits of 0..9999 as one 32-bit word each, and the number of
 # those digits up to the last nonzero one.
@@ -202,9 +208,10 @@ def _format_rows(block: np.ndarray) -> bytes:
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1e16)
     a[~fast] = 1.0
-    x = np.searchsorted(_DECADES, a, side="right") - 5
     bits = a.view(u64)
     b = (bits >> u64(52)).astype(np.intp)
+    x = _EXPONENT_DECADES[b]
+    x += a >= _DECADES[x + 5]
     k = 16 - x
     # |x| * 10**k = (8 * mantissa) * 5**k / 2**s with 1 <= s <= 49; the product,
     # below 2**103, is held in the words (hi, lo).

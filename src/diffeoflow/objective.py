@@ -29,7 +29,9 @@ class Dataset:
 
     Both are stored coordinate-major (Fortran order), like the nodes of the
     flow's bundles, so that residuals between flowed points and targets run
-    over contiguous coordinate rows.
+    over contiguous coordinate rows.  Sources must be pairwise distinct, -0.0
+    equal to 0.0: one sort of planar rows as complex keys x1 + i x2 (numpy
+    orders them by x1, then x2), else an ``np.lexsort``, puts equal rows together.
     """
 
     sources: np.ndarray
@@ -44,7 +46,10 @@ class Dataset:
             raise ValueError(f"targets shape {tgt.shape} does not match sources shape {src.shape}")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ValueError("dataset points must all be finite")
-        rows = src[np.lexsort(src.T)]  # lexicographic order puts equal rows side by side
+        if src.shape[1] == 2:
+            rows = np.sort(np.ascontiguousarray(src).view(complex), axis=0)
+        else:
+            rows = src[np.lexsort(src.T)]
         if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ValueError("source points must be pairwise distinct")
         object.__setattr__(self, "sources", src)

@@ -12,7 +12,7 @@ from diffeoflow import (
     square_grid,
     target_from_name,
 )
-from diffeoflow.data import _ROWS_PER_BLOCK, read_table, write_table
+from diffeoflow.data import _EXPONENT_DECADES, _ROWS_PER_BLOCK, read_table, write_table
 from diffeoflow.objective import Dataset
 
 
@@ -167,6 +167,29 @@ def test_write_table_matches_savetxt_next_to_decades_and_half_decades(tmp_path):
             values += [below, above]
     values = np.array(values)
     assert_writes_as_savetxt(tmp_path, np.concatenate([values, -values]).reshape(-1, 7))
+
+
+def test_exponent_decades_are_the_decades_of_powers_of_two():
+    # floor(log10 2**k) is one less than the digit count of 2**k for k >= 0;
+    # for k < 0, 2**-k is no power of ten, so it is minus that count.
+    exact = [len(str(2 ** k)) - 1 if k >= 0 else -len(str(2 ** -k)) for k in range(-1023, 1025)]
+    assert _EXPONENT_DECADES.tolist() == exact
+
+
+def test_write_table_finds_every_decade_of_the_bulk_range(tmp_path):
+    """10**j, its two neighbours and the largest double below 10**(j+1), j = -4..15,
+    and 10**5 random bit patterns in [1e-4, 1e16), each with both signs."""
+    edges = []
+    for j in range(-4, 16):
+        power = float(f"1e{j}")
+        edges += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf),
+                  np.nextafter(float(f"1e{j + 1}"), 0.0)]
+    low, high = np.array([1e-4, 1e16]).view(np.uint64)
+    patterns = np.random.default_rng(25).integers(low, high, size=10 ** 5, dtype=np.uint64)
+    values = np.concatenate([edges, patterns.view(float)])
+    values = np.concatenate([values, -values])[:, None]
+    write_table(tmp_path / "t.csv", ["a"], values)
+    assert (tmp_path / "t.csv").read_bytes() == b"a\r\n" + b"".join(b"%.17g\r\n" % v for v in values[:, 0].tolist())
 
 
 def test_write_table_breaks_ties_in_the_18th_digit_to_even(tmp_path, rng):

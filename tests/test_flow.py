@@ -233,6 +233,97 @@ def test_flows_name_the_overflowing_layer_though_the_row_turns_nan_after_it(affi
         assert (err.value.sample, err.value.layer) == (1, 2), name
 
 
+def wavy_planar_family():
+    """A custom planar family, flowed through the dense einsum of ``values``."""
+    return make_custom([
+        FieldSpec(value=lambda x: np.stack([np.sin(x[..., 1]), x[..., 0] * x[..., 1]], axis=-1),
+                  jacobian=lambda x: np.zeros(x.shape + (2,))),
+        FieldSpec(value=lambda x: np.stack([np.exp(-x[..., 0] ** 2), np.cos(x[..., 0])], axis=-1),
+                  jacobian=lambda x: np.zeros(x.shape + (2,))),
+    ], dim=2)
+
+
+def counted_displacements(monkeypatch):
+    """Record the number of rows of each ``flow.displacement`` call."""
+    rows = []
+    plain = flow.displacement
+    monkeypatch.setattr(flow, "displacement", lambda fam, x, u_row: rows.append(len(x)) or plain(fam, x, u_row))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["affine8", "enriched14", "custom"])
+def test_row_blocks_change_no_bit(kind, request, rng, monkeypatch):
+    family = wavy_planar_family() if kind == "custom" else request.getfixturevalue(kind)
+    u = ControlGrid(rng.normal(scale=2.0, size=(5, family.n_fields)))
+    pts = rng.uniform(-1.5, 1.5, size=(25, 2))
+    pts[:6] *= 1e-300  # underflowing products and signed zeros in the fields
+    pts[3] = [-0.0, 0.0]
+    whole = forward_euler(family, u, pts), flow_endpoints(family, u, pts)
+    rows = counted_displacements(monkeypatch)
+    monkeypatch.setattr(flow, "_BLOCK_ROWS", 7)  # three full blocks and a ragged tail of 4
+    blocked = forward_euler(family, u, pts), flow_endpoints(family, u, pts)
+    assert rows == 2 * (5 * [7] + 5 * [7] + 5 * [7] + 5 * [4])
+    for one, many in zip(whole, blocked):
+        assert one.strides == many.strides
+        assert one.tobytes() == many.tobytes()
+
+
+def overflowing(n_pts, **layers):
+    """Points (1, 1) except x1 = 1e308 at the samples to overflow at layer 1, 3e307 at layer 2.
+
+    Under ``linear_grid(4, 4.0, 0, 0, 0)`` x1 doubles on each layer, and its
+    displacement 4 x1 overflows at layer 1 from 1e308 and at layer 2 from 3e307.
+    """
+    pts = np.ones((n_pts, 2))
+    pts[layers.get("at_1", []), 0] = 1e308
+    pts[layers.get("at_2", []), 0] = 3e307
+    return pts
+
+
+def test_an_overflow_in_an_early_block_fails_the_flow(affine8, monkeypatch):
+    u = linear_grid(4, 4.0, 0.0, 0.0, 0.0)
+    monkeypatch.setattr(flow, "_BLOCK_ROWS", 7)
+    pts = overflowing(25, at_1=[3])  # the first block only; the last block stays finite
+    for run in (flow_endpoints, forward_euler):
+        with pytest.raises(FlowError, match="^non-finite state for sample 3 at layer 1; ") as err:
+            run(affine8, u, pts)
+        assert (err.value.sample, err.value.layer) == (3, 1)
+
+
+def test_overflows_in_two_blocks_name_the_earliest_layer_as_one_block_does(affine8, monkeypatch):
+    u = linear_grid(4, 4.0, 0.0, 0.0, 0.0)
+    pts = overflowing(25, at_2=[2], at_1=[20, 9])  # blocks 0, 2 and 1 of 7 rows
+    flows = {
+        "forward_euler": lambda: forward_euler(affine8, u, pts),
+        "flow_endpoints": lambda: flow_endpoints(affine8, u, pts),
+    }
+    errors = {}
+    for block_rows in (flow._BLOCK_ROWS, 7):
+        monkeypatch.setattr(flow, "_BLOCK_ROWS", block_rows)
+        for name, run in flows.items():
+            with pytest.raises(FlowError) as err:
+                run()
+            errors[name, block_rows] = (str(err.value), err.value.sample, err.value.layer)
+    assert len(set(errors.values())) == 1
+    assert errors["flow_endpoints", 7][1:] == (9, 1)
+
+
+def test_checked_rows_end_inside_a_later_block(affine8, monkeypatch):
+    # checked = 10 ends inside the second block of 7 rows: sample 12 overflows
+    # first, at layer 1, but it is not checked; sample 8 overflows at layer 2.
+    u = linear_grid(4, 4.0, 0.0, 0.0, 0.0)
+    monkeypatch.setattr(flow, "_BLOCK_ROWS", 7)
+    states = forward_euler(affine8, u, overflowing(25, at_1=[12]), checked=10)
+    assert not np.isfinite(states[12, 1:, 0]).any() and np.isfinite(np.delete(states, 12, axis=0)).all()
+    nodes = flow._euler(affine8, u, overflowing(25, at_1=[12]), 2, checked=10)
+    assert np.array_equal(nodes[0].T, states[:, -1], equal_nan=True)
+    pts = overflowing(25, at_1=[12], at_2=[8])
+    for keep in (2, u.n_layers + 1):
+        with pytest.raises(FlowError, match="^non-finite state for sample 8 at layer 2; ") as err:
+            flow._euler(affine8, u, pts, keep, checked=10)
+        assert (err.value.sample, err.value.layer) == (8, 2)
+
+
 def test_flows_take_bundles_shaped_for_the_controls(affine8):
     u = ControlGrid.zeros(3, 8)
     with pytest.raises(ValueError, match=re.escape("points have shape (2,), expected (M, 2)")):

@@ -161,6 +161,31 @@ def test_dataset_treats_signed_zeros_as_equal():
     Dataset(np.array([[0.0, 1.0], [-0.0, 0.0]]), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dataset_reports_exactly_the_repeated_rows(dim, rng):
+    # Small integers collide often; rows sharing a first coordinate are not repeats.
+    distinct = "^source points must be pairwise distinct$"
+    for _ in range(20):
+        src = rng.integers(-3, 4, size=(8, dim)).astype(float)
+        src[rng.uniform(size=src.shape) < 0.2] *= -1.0  # signed zeros
+        if len({tuple(r) for r in (src + 0.0).tolist()}) < len(src):
+            with pytest.raises(ValueError, match=distinct):
+                Dataset(src, src)
+        else:
+            Dataset(src, src)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dataset_keeps_rows_that_share_only_a_first_coordinate(dim):
+    src = np.zeros((6, dim))
+    src[:, 1:] = np.arange(6.0)[::-1, None]
+    Dataset(src, src)
+    twin = src[4].copy()
+    twin[0] = -0.0
+    with pytest.raises(ValueError, match="^source points must be pairwise distinct$"):
+        Dataset(np.vstack([src, twin]), np.zeros((7, dim)))
+
+
 def test_endpoint_states_feed_cost(affine8, grid25):
     u = ControlGrid(np.full((5, 8), 0.1))
     states = forward_euler(affine8, u, grid25.sources)

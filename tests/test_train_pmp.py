@@ -195,6 +195,23 @@ def test_sweep_proposals_keep_the_layer_major_layout(affine8, grid25, monkeypatc
             assert all(bundle[:, k, d].flags.c_contiguous for k in range(7) for d in range(2))
 
 
+def test_the_sweep_rule_reads_every_row_in_one_block(affine8, grid25, monkeypatch):
+    # Row blocks apply to the per-sample default rule only: the maximizer
+    # pairs over all training rows, with the held-out rows below them.
+    pmp_module = importlib.import_module("diffeoflow.train_pmp")
+    flow_module = importlib.import_module("diffeoflow.flow")
+    monkeypatch.setattr(flow_module, "_BLOCK_ROWS", 7)
+    seen = []
+
+    def recording_euler(family, u, sources, keep, row, **kwargs):
+        return flow_module._euler(family, u, sources, keep, lambda k, x: seen.append(len(x)) or row(k, x), **kwargs)
+
+    monkeypatch.setattr(pmp_module, "_euler", recording_euler)
+    held = Dataset(np.linspace(-0.6, 0.6, 8)[:, None] * [[1.0, 0.5]], np.zeros((8, 2)))
+    train_pmp(affine8, grid25, 4, TrainConfig(beta=0.01, max_iter=2), test_data=held)
+    assert seen == 2 * 4 * [25 + 8]
+
+
 def test_sweep_covectors_are_coordinate_major(affine8, grid25, monkeypatch):
     # The cached covectors, the penalty gradients and the targets share the
     # trajectory's layout, so the covector paired at each node has contiguous
