@@ -25,7 +25,11 @@ It assembles each sum in place, adding terms in the dense contraction's
 order, so both give the same bits; only a sum's leading ``0.0 +`` may move,
 to its end or into a scalar term, since adding +0.0 only turns -0.0 into
 +0.0.  Their ``layer_matrix``, ``values`` and ``jacobians`` are dense.
-Nothing computed for one call is kept for the next.
+
+A family also runs the flow's two layer loops, ``_flow_block`` (forward) and ``_adjoint_sweep``
+(backward), with the contractions above per layer in the base class.  The built-ins run each
+loop in one workspace of arrays, made when it starts, refilled at every node and dropped at its
+end; a per-layer contraction runs the same kernels on a workspace of one node.
 
 Two planar built-ins are provided.
 
@@ -70,14 +74,16 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 DEFAULT_GAUSSIAN_WIDTH = 20.0
+_EYE = np.eye(2)
 
 
 class VectorFieldFamily(ABC):
     """Ordered family of smooth fields on R^n.
 
     Evaluation is pure: instances hold no mutable state and may be shared
-    freely across threads.  Subclasses supply ``values`` and ``jacobians``;
-    the contractions default to dense einsums over them.
+    freely across threads, since each loop and call makes its own arrays.
+    Subclasses supply ``values`` and ``jacobians``; the contractions and
+    the two layer loops default to dense einsums over them.
     """
 
     kind: str
@@ -129,6 +135,21 @@ class VectorFieldFamily(ABC):
         step = np.einsum("mp,mpn->mn", lam, self.layer_factor(x, u_row, h))
         return self.pairing(x, lam), step
 
+    def _flow_block(self, nodes: list, values: np.ndarray, h: float, row=None) -> None:
+        """x_k = x_{k-1} + h displacement(x_{k-1}, row(k, x_{k-1}) or values[k-1]) into ``nodes[k % len(nodes)]``."""
+        keep = len(nodes)
+        for k in range(1, len(values) + 1):
+            prev = nodes[(k - 1) % keep]
+            np.add(prev, h * self.displacement(prev, row(k, prev) if row else values[k - 1]), out=nodes[k % keep])
+
+    def _adjoint_sweep(self, states: np.ndarray, values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
+        """The pairing rows (N, l) of the sweep back over ``states`` from covector ``lam``, which it may overwrite."""
+        grad = np.empty(values.shape)
+        for k in range(len(values), 1, -1):
+            grad[k - 1], lam = self.adjoint_step(states[:, k - 1], values[k - 1], lam, h)
+        grad[0] = self.pairing(states[:, 0], lam)
+        return grad
+
 
 def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -138,32 +159,33 @@ def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 class _Planar:
-    """The per-point quantities of one call on planar points, each computed once.
+    """The workspace of one loop, or one per-layer call, over planar points of one shape.
 
-    ``x`` holds the points, checked by ``_as_points``; ``x1``, ``x2`` are
-    their coordinates, ``q1`` and ``q2`` the squares and ``g`` the Gaussian
-    weight exp(-(q1 + q2) / (2 nu)).  An instance lives only as long as the
-    call that made it, so no array outlives its call.
+    ``load(x)`` refills it from a node x: ``x1``, ``x2`` view its coordinates, ``q1``, ``q2``
+    hold their squares, ``g`` = exp(-(q1 + q2) / (2 nu)) (|x|^2 = inf gives g = 0, the exact
+    limit; overflow is left to the caller's ``np.errstate``).  Other arrays come on first use.
     """
 
-    __slots__ = ("x", "x1", "x2", "q1", "q2", "g")
+    def __init__(self, shape: tuple, nu: float):
+        self.shape, self.nu = shape, nu
+        self.q1, self.q2, self.g = np.empty(shape), np.empty(shape), np.empty(shape)
 
-    def __init__(self, x: np.ndarray, nu: float):
-        self.x = x = _as_points(x, 2)
-        self.x1, self.x2 = x1, x2 = x[..., 0], x[..., 1]
-        with np.errstate(over="ignore"):  # |x|^2 = inf gives g = exp(-inf) = 0, the exact limit
-            self.q1, self.q2 = x1 * x1, x2 * x2
-            g = self.q1 + self.q2
-            g *= -0.5
-            g /= nu
-        self.g = np.exp(g)
+    def __getattr__(self, name: str) -> np.ndarray:  # ws.name is array(name)
+        return self.array(name)
 
-    def gradient(self, nu: float) -> tuple:
-        """The gradient -g x / nu of g, as (g x) / (-nu): IEEE rounding is symmetric in sign."""
-        dg1, dg2 = self.g * self.x1, self.g * self.x2
-        dg1 /= -nu
-        dg2 /= -nu
-        return dg1, dg2
+    def array(self, name: str, *lead: int) -> np.ndarray:
+        if name not in self.__dict__:  # a scratch array of shape lead + the points' shape
+            self.__dict__[name] = np.empty(lead + self.shape)
+        return self.__dict__[name]
+
+    def load(self, x: np.ndarray) -> None:
+        self.x, self.x1, self.x2 = x, x[..., 0], x[..., 1]
+        np.multiply(self.x1, self.x1, out=self.q1)
+        np.multiply(self.x2, self.x2, out=self.q2)
+        g = np.add(self.q1, self.q2, out=self.g)
+        g *= -0.5
+        g /= self.nu
+        np.exp(g, out=g)
 
 
 @dataclass(frozen=True)
@@ -173,8 +195,8 @@ class Affine8(VectorFieldFamily):
     Field ``columns[a][j]`` is K_j(x) e_a, for one coefficient list K that
     both axes share in the same order: K = (1, g, x1, x2).  A subclass that
     appends fields appends to K, to its gradients and to both axes' columns.
-    Each contraction adds its terms in the order of K, into arrays it
-    allocates once per call.
+    Each closed form is one kernel that adds its terms in the order of K
+    into the arrays of a loaded ``_Planar`` workspace.
     """
 
     nu: float = DEFAULT_GAUSSIAN_WIDTH
@@ -183,106 +205,136 @@ class Affine8(VectorFieldFamily):
     n_fields: ClassVar[int] = 8
     columns: ClassVar[tuple[tuple[int, ...], ...]] = ((0, 2, 4, 5), (1, 3, 6, 7))
 
-    def _coefficients(self, pts: _Planar) -> tuple:
-        """K at the points, 1.0 for the constant coefficient."""
-        return (1.0, pts.g, pts.x1, pts.x2)
+    def _node(self, x: np.ndarray) -> _Planar:
+        """A workspace loaded with the points ``x`` alone."""
+        x = _as_points(x, 2)
+        ws = _Planar(x.shape[:-1], self.nu)
+        with np.errstate(over="ignore"):
+            ws.load(x)
+        return ws
 
-    def _gradients(self, pts: _Planar) -> tuple:
-        """(dK_j/dx1, dK_j/dx2) at the points, in the order of K."""
-        return ((0.0, 0.0), pts.gradient(self.nu), (1.0, 0.0), (0.0, 1.0))
+    def _coefficients(self, ws: _Planar) -> tuple:
+        """K at the loaded node, 1.0 for the constant coefficient."""
+        return (1.0, ws.g, ws.x1, ws.x2)
 
-    def _factor_entries(self, pts: _Planar, u_row: np.ndarray, h: float) -> list:
-        """Entries b00, b01, b10, b11 of I + h sum_i u_row[i] DF_i, each a fresh array.
+    def _gradients(self, ws: _Planar) -> tuple:
+        """grad K_j at the loaded node, in the order of K, each indexed by q; dg/dx_q = -g x_q / nu as (g x_q) / (-nu)."""
+        dg = ws.array("dg", 2)
+        np.multiply(ws.g, ws.x1, out=dg[0, ...])
+        np.multiply(ws.g, ws.x2, out=dg[1, ...])
+        dg /= -self.nu
+        return ((0.0, 0.0), dg, (1.0, 0.0), (0.0, 1.0))
 
-        Entry a[p][q] of a = sum_i u_row[i] DF_i sums dK_j/dx_q u_row[columns[p][j]]
+    def _factor_entries(self, ws: _Planar, u: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
+        """Entries b[p, q] of I + h sum_i u[i] DF_i at the loaded node, into ``b`` (2, 2, ...).
+
+        Entry a[p][q] of a = sum_i u[i] DF_i sums dK_j/dx_q u[columns[p][j]]
         over the K_j whose derivative is not zero, in the order of K: g, then
         x_q (derivative 1, so its term is a scalar, into which the sum's
-        leading 0.0 moves), then the appended coefficients.
+        leading 0.0 moves), then the appended coefficients; all four at once.
         """
-        u = np.asarray(u_row, dtype=float).tolist()
-        grads = self._gradients(pts)
-        tmp = np.empty_like(pts.g)
-        entries = []
-        for p, cols in enumerate(self.columns):
-            for q in (0, 1):
-                b = grads[1][q] * u[cols[1]]
-                b += 0.0 + u[cols[2 + q]]
-                for grad, i in zip(grads[4:], cols[4:]):
-                    b += np.multiply(grad[q], u[i], out=tmp)
-                b *= h
-                b += 1.0 if p == q else 0.0
-                entries.append(b)
-        return entries
+        grads, cols, lead = self._gradients(ws), np.array(self.columns), (1,) * len(ws.shape)
+        np.multiply(grads[1], u[cols[:, 1]].reshape((2, 1) + lead), out=b)
+        b += (0.0 + u[cols[:, 2:4]]).reshape((2, 2) + lead)
+        for j in range(4, len(grads)):
+            for p in (0, 1):
+                np.add(b[p], np.multiply(grads[j], u[cols[p, j]], out=grads[1]), out=b[p])  # dg is read by now
+        b *= h
+        b += _EYE.reshape((2, 2) + lead)
+        return b
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        pts = _Planar(x, self.nu)
-        out = np.zeros(pts.x.shape[:-1] + (self.n_fields, 2))
-        coefficients = self._coefficients(pts)
+    def _displacement(self, ws: _Planar, u: list, out: np.ndarray) -> np.ndarray:
+        """sum_i u[i] F_i at the loaded node, into ``out`` (..., 2)."""
+        coefficients = self._coefficients(ws)
         for a, cols in enumerate(self.columns):
-            for i, c in zip(cols, coefficients):
-                out[..., i, a] = c
+            col = np.multiply(ws.g, u[cols[1]], out=out[..., a])
+            col += 0.0 + u[cols[0]]  # the sum's leading 0.0, moved into its constant term
+            for c, i in zip(coefficients[2:], cols[2:]):
+                col += np.multiply(c, u[i], out=ws.tmp)
         return out
 
-    def jacobians(self, x: np.ndarray) -> np.ndarray:
-        pts = _Planar(x, self.nu)
-        out = np.zeros(pts.x.shape[:-1] + (self.n_fields, 2, 2))
-        grads = self._gradients(pts)
+    def _pairing(self, ws: _Planar, lam: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """sum_j <lam^j, F_i(x^j)> at the loaded node, through ``ks``, a C-order (..., len(K)) array of ones.
+
+        Field columns[a][j] pairs to sum_m lam[m, a] K_j[m], its samples added in order from +0.0
+        as the dense einsum does, since they are the outer axis of ``ks`` (not the contiguous one).
+        """
+        for j, c in enumerate(self._coefficients(ws)[1:], 1):
+            ks[..., j] = c
+        sums = np.einsum("m...a,m...j->...aj", lam, ks)
+        row = np.empty(sums.shape[:-2] + (self.n_fields,))
+        row[..., self.columns[0] + self.columns[1]] = sums.reshape(row.shape)
+        return row
+
+    def _step(self, ws: _Planar, u: np.ndarray, lam: np.ndarray, h: float, out: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """lam (I + h sum_i u[i] DF_i) at the loaded node, into ``out``, through the entries ``b``."""
+        b = self._factor_entries(ws, u, h, b)
+        np.multiply(b[0], lam[:, 0], out=b[0])
+        np.multiply(b[1], lam[:, 1], out=b[1])
+        np.add(b[0], b[1], out=out.T)
+        # The einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does.
+        out += 0.0
+        return out
+
+    def _flow_block(self, nodes: list, values: np.ndarray, h: float, row=None) -> None:
+        ws, step, rows = _Planar(nodes[0].shape[:-1], self.nu), np.empty_like(nodes[0]), values.tolist()
+        for k in range(1, len(rows) + 1):
+            prev = nodes[(k - 1) % len(nodes)]
+            ws.load(prev)
+            self._displacement(ws, np.asarray(row(k, prev), dtype=float).tolist() if row else rows[k - 1], step)
+            step *= h  # h * displacement, as the per-layer loop forms it
+            np.add(prev, step, out=nodes[k % len(nodes)])
+
+    def _adjoint_sweep(self, states: np.ndarray, values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
+        ws, grad = _Planar(lam.shape[:-1], self.nu), np.empty(values.shape)
+        ks, b, spare = np.ones(ws.shape + (len(self.columns[0]),)), np.empty((2, 2) + ws.shape), np.empty_like(lam)
+        with np.errstate(over="ignore"):
+            for k in range(len(values), 0, -1):
+                ws.load(states[:, k - 1])
+                grad[k - 1] = self._pairing(ws, lam, ks)
+                if k > 1:
+                    lam, spare = self._step(ws, values[k - 1], lam, h, spare, b), lam
+        return grad
+
+    def _dense(self, out: np.ndarray, parts: tuple) -> np.ndarray:
+        """Write part j of K, or of its gradient, into ``out[..., columns[a][j], a]``."""
         for a, cols in enumerate(self.columns):
-            for i, grad in zip(cols, grads):
-                out[..., i, a, 0], out[..., i, a, 1] = grad
+            for i, part in zip(cols, parts):
+                out[..., i, a] = part
+        return out
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        ws = self._node(x)
+        return self._dense(np.zeros(ws.shape + (self.n_fields, 2)), self._coefficients(ws))
+
+    def jacobians(self, x: np.ndarray) -> np.ndarray:
+        ws = self._node(x)
+        out, grads = np.zeros(ws.shape + (self.n_fields, 2, 2)), self._gradients(ws)
+        for q in (0, 1):
+            self._dense(out[..., q], [part[q] for part in grads])
         return out
 
     def displacement(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-        pts = _Planar(x, self.nu)
-        u = np.asarray(u_row, dtype=float).tolist()
-        coefficients = self._coefficients(pts)
-        out = np.empty_like(pts.x)  # in the layout of x, so each coordinate is summed in one pass
-        tmp = np.empty_like(pts.g)
-        for a, cols in enumerate(self.columns):
-            col = np.multiply(pts.g, u[cols[1]], out=out[..., a])
-            col += 0.0 + u[cols[0]]  # the sum's leading 0.0, moved into its constant term
-            for c, i in zip(coefficients[2:], cols[2:]):
-                col += np.multiply(c, u[i], out=tmp)
-        return out
+        ws = self._node(x)  # out in the layout of x, so each coordinate is summed in one pass
+        return self._displacement(ws, np.asarray(u_row, dtype=float).tolist(), np.empty_like(ws.x))
 
     def layer_factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
-        # C order, like eye + h * layer_matrix, so that a product of factors stays on one path.
-        pts = _Planar(x, self.nu)
-        out = np.empty(pts.x.shape[:-1] + (2, 2))
-        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = self._factor_entries(pts, u_row, h)
+        ws = self._node(x)
+        b = self._factor_entries(ws, np.asarray(u_row, dtype=float), h, np.empty((2, 2) + ws.shape))
+        out = np.empty(ws.shape + (2, 2))  # C order like eye + h * layer_matrix: products of factors stay on one path
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = b.reshape((4,) + ws.shape)
         return out
 
-    def _pairing(self, lam, pts: _Planar) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        terms = np.empty(lam.shape[:-1] + (self.n_fields,))
-        coefficients = self._coefficients(pts)
-        for a, cols in enumerate(self.columns):
-            lam_a = lam[..., a]
-            for i, c in zip(cols, coefficients):
-                np.multiply(lam_a, c, out=terms[..., i])
-        # This einsum adds the samples in order, starting from +0.0, as the
-        # dense einsum does; a 1-D sum per field would add them pairwise.
-        return np.einsum("m...i->...i", terms)
-
     def pairing(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self._pairing(lam, _Planar(x, self.nu))
+        ws = self._node(x)
+        return self._pairing(ws, np.asarray(lam, dtype=float), np.ones(ws.shape + (len(self.columns[0]),)))
 
     def adjoint_step(
         self, x: np.ndarray, u_row: np.ndarray, lam: np.ndarray, h: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        pts = _Planar(x, self.nu)
-        lam = np.asarray(lam, dtype=float)
-        row = self._pairing(lam, pts)
-        b = self._factor_entries(pts, u_row, h)
-        l0, l1 = lam[:, 0], lam[:, 1]
-        step = np.empty_like(lam)
-        for q in (0, 1):
-            b[q] *= l0
-            b[2 + q] *= l1
-            np.add(b[q], b[2 + q], out=step[:, q])
-        # The einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does.
-        step += 0.0
-        return row, step
+        row, lam = self.pairing(x, lam), np.asarray(lam, dtype=float)  # its workspace is freed before the step's
+        ws, u = self._node(x), np.asarray(u_row, dtype=float)
+        return row, self._step(ws, u, lam, h, np.empty_like(lam), np.empty((2, 2) + ws.shape))
 
 
 @dataclass(frozen=True)
@@ -293,20 +345,25 @@ class Enriched14(Affine8):
     n_fields: ClassVar[int] = 14
     columns: ClassVar[tuple[tuple[int, ...], ...]] = ((0, 2, 4, 5, 8, 9, 10), (1, 3, 6, 7, 11, 12, 13))
 
-    def _coefficients(self, pts: _Planar) -> tuple:
-        g = pts.g
-        return super()._coefficients(pts) + (pts.q1 * g, pts.x1 * pts.x2 * g, pts.q2 * g)
+    def _coefficients(self, ws: _Planar) -> tuple:
+        g = ws.g
+        p12g = np.multiply(ws.x1, ws.x2, out=ws.p12g)
+        p12g *= g
+        return super()._coefficients(ws) + (np.multiply(ws.q1, g, out=ws.p11g), p12g, np.multiply(ws.q2, g, out=ws.p22g))
 
-    def _gradients(self, pts: _Planar) -> tuple:
-        # grad(p * g) = g * grad(p) + p * grad(g), with grad(g) = -g x / nu.
-        grads = super()._gradients(pts)
-        x1, x2, g, p11, p22, (dg1, dg2) = pts.x1, pts.x2, pts.g, pts.q1, pts.q2, grads[1]
-        p12 = x1 * x2
-        return grads + (
-            (g * (2.0 * x1) + p11 * dg1, p11 * dg2),
-            (g * x2 + p12 * dg1, g * x1 + p12 * dg2),
-            (p22 * dg1, g * (2.0 * x2) + p22 * dg2),
-        )
+    def _gradients(self, ws: _Planar) -> tuple:
+        # d(p g) = g dp + p dg for p = x1^2, x1 x2, x2^2, formed as p dg + g dp (addition commutes):
+        # dp/dx is (2 x1, 0), (x2, x1) and (0, 2 x2).
+        grads, g = super()._gradients(ws), ws.g
+        p12 = np.multiply(ws.x1, ws.x2, out=ws.p12)
+        quad = [np.multiply(p, grads[1], out=ws.array(name, 2)) for p, name in zip((ws.q1, p12, ws.q2), ("d11", "d12", "d22"))]
+        for d, x in ((quad[0][0, ...], ws.x1), (quad[2][1, ...], ws.x2)):
+            square = np.multiply(x, 2.0, out=ws.tmp)
+            square *= g
+            d += square
+        for d, x in ((quad[1][0, ...], ws.x2), (quad[1][1, ...], ws.x1)):
+            d += np.multiply(g, x, out=ws.tmp)
+        return grads + tuple(quad)
 
 
 @dataclass(frozen=True)

@@ -243,11 +243,16 @@ def wavy_planar_family():
     ], dim=2)
 
 
-def counted_displacements(monkeypatch):
-    """Record the number of rows of each ``flow.displacement`` call."""
+def counted_blocks(family, monkeypatch):
+    """Record the number of rows of each row block that the flow hands to ``family``."""
     rows = []
-    plain = flow.displacement
-    monkeypatch.setattr(flow, "displacement", lambda fam, x, u_row: rows.append(len(x)) or plain(fam, x, u_row))
+    plain = type(family)._flow_block
+
+    def counted(fam, nodes, *args):
+        rows.append(len(nodes[0]))
+        return plain(fam, nodes, *args)
+
+    monkeypatch.setattr(type(family), "_flow_block", counted)
     return rows
 
 
@@ -259,10 +264,10 @@ def test_row_blocks_change_no_bit(kind, request, rng, monkeypatch):
     pts[:6] *= 1e-300  # underflowing products and signed zeros in the fields
     pts[3] = [-0.0, 0.0]
     whole = forward_euler(family, u, pts), flow_endpoints(family, u, pts)
-    rows = counted_displacements(monkeypatch)
+    rows = counted_blocks(family, monkeypatch)
     monkeypatch.setattr(flow, "_BLOCK_ROWS", 7)  # three full blocks and a ragged tail of 4
     blocked = forward_euler(family, u, pts), flow_endpoints(family, u, pts)
-    assert rows == 2 * (5 * [7] + 5 * [7] + 5 * [7] + 5 * [4])
+    assert rows == 2 * [7, 7, 7, 4]  # one call per block, through all five layers
     for one, many in zip(whole, blocked):
         assert one.strides == many.strides
         assert one.tobytes() == many.tobytes()

@@ -27,11 +27,22 @@ multiply-add, every summary on the batched 2x2 ``matmul`` of the Lipschitz
 estimate, and all of them on numpy's SIMD ``exp``.  Another build may
 change the last bits; re-record the digests there from a commit whose
 outputs are known to be right.
+
+Those digests hold for numpy's AVX-512 ``exp``, which is not correctly
+rounded; CPUs without AVX-512 run the libm kernel.  The short runs, and
+an enriched14 pmp run, are therefore also checked in a child process whose
+``NPY_DISABLE_CPU_FEATURES`` turns the AVX-512 kernels off, against a
+second set of digests recorded that way with the same numpy build before
+the built-in families gained their per-sweep workspace.  The variable acts
+on that child only.
 """
 
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,10 +120,80 @@ LONG_GOLDEN = {
 GRADCHECK_LINE = "gradcheck OK: max relative error 9.652e-09 (layer 0, field 6, tolerance 1e-05)\n"
 
 
-def run_digests(config: Path, out: Path, max_iter: int = MAX_ITER) -> dict:
-    """Train ``config`` with at most ``max_iter`` passes into ``out``; SHA-256 of each output."""
+LIBM_FEATURES_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+LIBM_RUNS = {name: (name, {}) for name in GOLDEN} | {
+    "quick_pmp.json, enriched14": ("quick_pmp.json", {"family": "enriched14"}),
+}
+LIBM_GOLDEN = {
+    "affine8_gd_n16_beta1.json": {
+        "trace.csv": "82364b2b7d4b17cb571202dee60570d1857c3151660780e037672e64988e8292",
+        "control.csv": "1ec52781dff7a9fd9a970666fe25a603e0be1e2e1f958df356eb00ce26d88ddd",
+        "summary.json": "0ca364d6ef3851ecdff40dee6b0006f627232567853ba6c0abe40c45b7a7032f",
+    },
+    "affine8_gd_n16_beta1e-4.json": {
+        "trace.csv": "b11e44988614bc2662c2ad291652f742c47b46db966e0d704355f7da3230618a",
+        "control.csv": "ed83d2774731942473452412eefb9e70b08fd3ff02fe8a8817ed5670b754eb21",
+        "summary.json": "7163d71f286fabc9ca4c49d3bdc9c5b28d8d1da15dbc690c97a6b6e0ebf61bdb",
+    },
+    "affine8_gd_n32_beta1e-4.json": {
+        "trace.csv": "9df26f25af3523a2de5e38979cb3c88fa94153e1f37f61542b22fd4095533ae0",
+        "control.csv": "d86bb6bbf314a293474ecb4b5d1bd55b98fbada2e6d6722292b167a37457f014",
+        "summary.json": "fdefca5e7cf18a60cfc0d61522ed0862470dd9001187c7fd52791c8959fa39d2",
+    },
+    "affine8_pmp_n16_beta1.json": {
+        "trace.csv": "2e58b561bba56d1c5b12b5933ce84b4d45af5699469a8d20c7b118eb31990116",
+        "control.csv": "ef446ac29a78ee488863e486a0b976ef2c6fbcb3bcb6aa92d97cc46a1b419408",
+        "summary.json": "4fd18a0fbfb4bad552f21c262674616252d891b26210677396539d2fc82eeccb",
+    },
+    "affine8_pmp_n16_beta1e-4.json": {
+        "trace.csv": "2b4c9e37001cc08a309653fa5f11ecdb777e3ca889a22f297f013680ec6c67da",
+        "control.csv": "9241879ed8710cb7bf7ff77a82f8c7e68a6117eed0e3c2196a12d5e024fd0b3f",
+        "summary.json": "72856ef70a4b88e942c1036d46a46d2f8363a612d9f8a9066b78704f7ddbe400",
+    },
+    "enriched14_gd_n16_beta1e-3.json": {
+        "trace.csv": "5d4c6a16668067ee89953a5708000f28a08c394bdecc59509e58a8521bb5b0bc",
+        "control.csv": "13c54fe3d1e018d58204a924cea6ce380b83d9beb3971541ce46522781df15d3",
+        "summary.json": "580947e5027730cd743bfb99c6e7663382c23767b010cc3c689ef3b86074a6bd",
+    },
+    "gradcheck.json": {
+        "trace.csv": "bc39a916f17eb6623f51b2abd0b3e5b6e6fc09a66148413b7e2104907e4944cf",
+        "control.csv": "f3fb5fce525b0ce9d8720fb1efdeaf66ab09baf3395ad38b8949eb7a8e04f87a",
+        "summary.json": "2c80698609438dca46d9b708c0b1c69cd208e640e7f5e596c003c8d45bbdbef5",
+    },
+    "quick_gd.json": {
+        "trace.csv": "daab436a8af08078a61c700beac267f11af049af2158930c1e4ba707a6707aea",
+        "control.csv": "6dcf8f57d7b386f26f4cfbe705c190fb758e27cb900da818cf162856842cb3e3",
+        "summary.json": "e56dde7a8e2588cac66e64201e3855e4e524478a5731d1dcbcf2041c7f52c3b8",
+    },
+    "quick_pmp.json": {
+        "trace.csv": "65c7e12ef44aee19b925c5fbf91cc8b6f575cb985310d611d4c49ea26b2b391e",
+        "control.csv": "0593fa2f7edacd50bac30e375690dab9adf3a4559056f1d9fc9a0fd985072fdf",
+        "summary.json": "a0646e58b27e02235bf06a9eb046ddcd9ea1d1ce1e1236bf7855f6dedf742541",
+    },
+    "quick_pmp.json, enriched14": {
+        "trace.csv": "c0315c8a29bd5c1d68f783fcb2a8850988c1799520d84ea3f6d41de5d969a62c",
+        "control.csv": "bbf2fe2adfbb67276d0b063afa3b21a6d3d35a1773c7c875fb7f3fdc382e97fe",
+        "summary.json": "a68570c7fc7e96fcbc1530018cecbb938dac57df8416f9ffc9d9c6bec8127114",
+    },
+}
+LIBM_CHILD = """
+import json, math, sys, tempfile
+from pathlib import Path
+import numpy as np
+from test_golden import CONFIGS, LIBM_RUNS, run_digests
+x = np.linspace(-0.2, 0.0, 4001)
+digests = {"libm exp": bool((np.exp(x) == [math.exp(v) for v in x]).all())}
+with tempfile.TemporaryDirectory() as tmp:
+    for label, (name, changes) in LIBM_RUNS.items():
+        digests[label] = run_digests(CONFIGS / name, Path(tmp) / str(len(digests)), **changes)
+print(json.dumps(digests))
+"""
+
+
+def run_digests(config: Path, out: Path, max_iter: int = MAX_ITER, **changes) -> dict:
+    """Train ``config`` with at most ``max_iter`` passes, and ``changes``, into ``out``; SHA-256 of each output."""
     cfg = cli.load_config(config)
-    cfg = dataclasses.replace(cfg, max_iter=min(cfg.max_iter, max_iter))
+    cfg = dataclasses.replace(cfg, max_iter=min(cfg.max_iter, max_iter), **changes)
     summary = cli._train_into(out, cfg)
     summary.pop("wall_clock_seconds")
     digests = {
@@ -141,3 +222,13 @@ def test_long_run_is_byte_identical(name, tmp_path):
 def test_gradcheck_line_is_unchanged(capsys):
     assert cli.main(["gradcheck", "--config", str(CONFIGS / "gradcheck.json")]) == 0
     assert capsys.readouterr().out == GRADCHECK_LINE
+
+
+def test_short_runs_are_byte_identical_under_libm_exp():
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=LIBM_FEATURES_OFF, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", LIBM_CHILD], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"libm exp": True, **LIBM_GOLDEN}
