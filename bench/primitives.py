@@ -1,13 +1,13 @@
 """Median per-call time of the hot primitives, at the sizes of ROADMAP aim 1.
 
     python3 bench/primitives.py                      # affine8, M in {900, 10^4, 10^5} x N in {16, 32, 128}
-    python3 bench/primitives.py --family enriched14 --repeats 3
+    python3 bench/primitives.py --family enriched14
     python3 bench/primitives.py --quick              # tiny sizes, for a smoke run
 
 Times the package of the checkout this script lives in.  At each size
 (M points, N layers) the inputs are seeded: M random sources on the
 side-1.5 square, their targets under the builtin map, and an (N, l)
-control of scale 0.5.  Each primitive runs once untimed, then ``--repeats``
+control of scale 0.5.  Each primitive runs once untimed, then ``REPEATS``
 times; a row gives the median in ms and the same per point and layer in ns:
 
 - ``forward_euler`` and ``flow_endpoints`` of the sources;
@@ -51,6 +51,7 @@ POINTS = (900, 10_000, 100_000)
 LAYERS = (16, 32, 128)
 QUICK = ((30,), (4,))
 PMP_MAX_POINT_LAYERS = 4_000_000
+REPEATS = 5
 PRIMITIVES = ("forward_euler", "flow_endpoints", "control_gradient", "pmp_pass", "build_metrics")
 
 
@@ -87,13 +88,10 @@ def median_seconds(call, repeats: int) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench/primitives.py", description=__doc__.split("\n\n")[0])
     parser.add_argument("--family", default="affine8", choices=("affine8", "enriched14"))
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per primitive and size")
     parser.add_argument("--quick", action="store_true", help="tiny sizes and one call, for a smoke run")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be positive")
     points, layers = QUICK if args.quick else (POINTS, LAYERS)
-    repeats = 1 if args.quick else args.repeats
+    repeats = 1 if args.quick else REPEATS
     family = family_from_name(args.family)
     print(f"# {args.family}, median of {repeats} calls, numpy {np.__version__}")
     print(f"{'primitive':<18} {'M':>7} {'N':>4} {'median_ms':>11} {'ns_per_point_layer':>19}")

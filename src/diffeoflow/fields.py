@@ -26,10 +26,10 @@ order, so both give the same bits; only a sum's leading ``0.0 +`` may move,
 to its end or into a scalar term, since adding +0.0 only turns -0.0 into
 +0.0.  Their ``layer_matrix``, ``values`` and ``jacobians`` are dense.
 
-A family also runs the flow's two layer loops, ``_flow_block`` (forward) and ``_adjoint_sweep``
-(backward), with the contractions above per layer in the base class.  The built-ins run each
-loop in one workspace of arrays, made when it starts, refilled at every node and dropped at its
-end; a per-layer contraction runs the same kernels on a workspace of one node.
+The flow's two layer loops take their per-layer steps from ``_sweep``: one
+contraction call each in the base class, in the built-ins one workspace of
+arrays made when the sweep starts, refilled at every node and dropped at its
+end.  A per-layer contraction runs the same kernels on a workspace of one node.
 
 Two planar built-ins are provided.
 
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -81,9 +82,9 @@ class VectorFieldFamily(ABC):
     """Ordered family of smooth fields on R^n.
 
     Evaluation is pure: instances hold no mutable state and may be shared
-    freely across threads, since each loop and call makes its own arrays.
+    freely across threads, since each sweep and call makes its own arrays.
     Subclasses supply ``values`` and ``jacobians``; the contractions and
-    the two layer loops default to dense einsums over them.
+    the per-layer steps of a sweep default to dense einsums over them.
     """
 
     kind: str
@@ -135,20 +136,11 @@ class VectorFieldFamily(ABC):
         step = np.einsum("mp,mpn->mn", lam, self.layer_factor(x, u_row, h))
         return self.pairing(x, lam), step
 
-    def _flow_block(self, nodes: list, values: np.ndarray, h: float, row=None) -> None:
-        """x_k = x_{k-1} + h displacement(x_{k-1}, row(k, x_{k-1}) or values[k-1]) into ``nodes[k % len(nodes)]``."""
-        keep = len(nodes)
-        for k in range(1, len(values) + 1):
-            prev = nodes[(k - 1) % keep]
-            np.add(prev, h * self.displacement(prev, row(k, prev) if row else values[k - 1]), out=nodes[k % keep])
-
-    def _adjoint_sweep(self, states: np.ndarray, values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
-        """The pairing rows (N, l) of the sweep back over ``states`` from covector ``lam``, which it may overwrite."""
-        grad = np.empty(values.shape)
-        for k in range(len(values), 1, -1):
-            grad[k - 1], lam = self.adjoint_step(states[:, k - 1], values[k - 1], lam, h)
-        grad[0] = self.pairing(states[:, 0], lam)
-        return grad
+    def _sweep(self, shape: tuple) -> SimpleNamespace:
+        """The steps of a layer loop over nodes of leading shape ``shape``, each one contraction call: ``pair``,
+        ``pair_and_step`` and ``displace(x, u_row, out)``, which returns ``displacement`` in ``out`` or fresh."""
+        steps = {"pair": self.pairing, "pair_and_step": self.adjoint_step}
+        return SimpleNamespace(displace=lambda x, u_row, out: self.displacement(x, u_row), **steps)
 
 
 def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
@@ -159,26 +151,26 @@ def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 class _Planar:
-    """The workspace of one loop, or one per-layer call, over planar points of one shape.
+    """The steps of one layer loop, or one per-layer call, of a planar built-in: a workspace over nodes of one shape.
 
-    ``load(x)`` refills it from a node x: ``x1``, ``x2`` view its coordinates, ``q1``, ``q2``
-    hold their squares, ``g`` = exp(-(q1 + q2) / (2 nu)) (|x|^2 = inf gives g = 0, the exact
-    limit; overflow is left to the caller's ``np.errstate``).  Other arrays come on first use.
+    Each step loads its node x (coordinates ``x1``, ``x2``, squares ``q1``, ``q2``, g = exp(-(q1 + q2) / (2 nu)), 0 at
+    |x|^2 = inf under the caller's ``np.errstate``) and runs the family's kernels on it in scratch arrays made on
+    first use; the covector ``lam`` that a step is given becomes the buffer of the next step's.
     """
 
-    def __init__(self, shape: tuple, nu: float):
-        self.shape, self.nu = shape, nu
+    def __init__(self, family: "Affine8", shape: tuple):
+        self.family, self.shape, self.nu, self.lead = family, shape, family.nu, (1,) * len(shape)
         self.q1, self.q2, self.g = np.empty(shape), np.empty(shape), np.empty(shape)
-
-    def __getattr__(self, name: str) -> np.ndarray:  # ws.name is array(name)
-        return self.array(name)
+        self.eye, self.ks, self.spare, self.arrays = _EYE.reshape((2, 2) + self.lead), None, None, {}
 
     def array(self, name: str, *lead: int) -> np.ndarray:
-        if name not in self.__dict__:  # a scratch array of shape lead + the points' shape
-            self.__dict__[name] = np.empty(lead + self.shape)
-        return self.__dict__[name]
+        """The scratch array ``name`` of shape ``lead`` + the nodes' shape."""
+        key = (name, *lead)
+        if key not in self.arrays:
+            self.arrays[key] = np.empty(lead + self.shape)
+        return self.arrays[key]
 
-    def load(self, x: np.ndarray) -> None:
+    def load(self, x: np.ndarray) -> "_Planar":
         self.x, self.x1, self.x2 = x, x[..., 0], x[..., 1]
         np.multiply(self.x1, self.x1, out=self.q1)
         np.multiply(self.x2, self.x2, out=self.q2)
@@ -186,6 +178,18 @@ class _Planar:
         g *= -0.5
         g /= self.nu
         np.exp(g, out=g)
+        return self
+
+    def displace(self, x: np.ndarray, u_row, out: np.ndarray) -> np.ndarray:
+        return self.family._displacement(self.load(x), u_row, out)
+
+    def pair(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return self.family._pairing(self.load(x), lam)
+
+    def pair_and_step(self, x: np.ndarray, u_row, lam: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        row, out = self.pair(x, lam), np.empty_like(lam) if self.spare is None else self.spare
+        self.spare = lam
+        return row, self.family._step(self, u_row, lam, h, out)
 
 
 @dataclass(frozen=True)
@@ -204,14 +208,16 @@ class Affine8(VectorFieldFamily):
     dim: ClassVar[int] = 2
     n_fields: ClassVar[int] = 8
     columns: ClassVar[tuple[tuple[int, ...], ...]] = ((0, 2, 4, 5), (1, 3, 6, 7))
+    _gx: ClassVar[np.ndarray] = np.array(columns)[:, 1:4]  # the columns of g, x1 and x2 per axis, kept by subclasses
+
+    def _sweep(self, shape: tuple) -> _Planar:
+        return _Planar(self, shape)
 
     def _node(self, x: np.ndarray) -> _Planar:
         """A workspace loaded with the points ``x`` alone."""
         x = _as_points(x, 2)
-        ws = _Planar(x.shape[:-1], self.nu)
         with np.errstate(over="ignore"):
-            ws.load(x)
-        return ws
+            return _Planar(self, x.shape[:-1]).load(x)
 
     def _coefficients(self, ws: _Planar) -> tuple:
         """K at the loaded node, 1.0 for the constant coefficient."""
@@ -225,76 +231,57 @@ class Affine8(VectorFieldFamily):
         dg /= -self.nu
         return ((0.0, 0.0), dg, (1.0, 0.0), (0.0, 1.0))
 
-    def _factor_entries(self, ws: _Planar, u: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
-        """Entries b[p, q] of I + h sum_i u[i] DF_i at the loaded node, into ``b`` (2, 2, ...).
+    def _factor_entries(self, ws: _Planar, u: np.ndarray, h: float) -> np.ndarray:
+        """Entries b[p, q] of I + h sum_i u[i] DF_i at the loaded node, a (2, 2, ...) array of ``ws``.
 
         Entry a[p][q] of a = sum_i u[i] DF_i sums dK_j/dx_q u[columns[p][j]]
         over the K_j whose derivative is not zero, in the order of K: g, then
         x_q (derivative 1, so its term is a scalar, into which the sum's
         leading 0.0 moves), then the appended coefficients; all four at once.
         """
-        grads, cols, lead = self._gradients(ws), np.array(self.columns), (1,) * len(ws.shape)
-        np.multiply(grads[1], u[cols[:, 1]].reshape((2, 1) + lead), out=b)
-        b += (0.0 + u[cols[:, 2:4]]).reshape((2, 2) + lead)
+        grads, b, gx = self._gradients(ws), ws.array("b", 2, 2), u[self._gx].reshape((2, 3) + ws.lead)
+        np.multiply(grads[1], gx[:, :1], out=b)
+        b += 0.0 + gx[:, 1:]
         for j in range(4, len(grads)):
-            for p in (0, 1):
-                np.add(b[p], np.multiply(grads[j], u[cols[p, j]], out=grads[1]), out=b[p])  # dg is read by now
+            for p, cols in enumerate(self.columns):
+                np.add(b[p], np.multiply(grads[j], u[cols[j]], out=grads[1]), out=b[p])  # dg is read by now
         b *= h
-        b += _EYE.reshape((2, 2) + lead)
+        b += ws.eye
         return b
 
-    def _displacement(self, ws: _Planar, u: list, out: np.ndarray) -> np.ndarray:
+    def _displacement(self, ws: _Planar, u, out: np.ndarray) -> np.ndarray:
         """sum_i u[i] F_i at the loaded node, into ``out`` (..., 2)."""
-        coefficients = self._coefficients(ws)
+        coefficients, tmp = self._coefficients(ws), ws.array("tmp")
         for a, cols in enumerate(self.columns):
             col = np.multiply(ws.g, u[cols[1]], out=out[..., a])
             col += 0.0 + u[cols[0]]  # the sum's leading 0.0, moved into its constant term
             for c, i in zip(coefficients[2:], cols[2:]):
-                col += np.multiply(c, u[i], out=ws.tmp)
+                col += np.multiply(c, u[i], out=tmp)
         return out
 
-    def _pairing(self, ws: _Planar, lam: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """sum_j <lam^j, F_i(x^j)> at the loaded node, through ``ks``, a C-order (..., len(K)) array of ones.
+    def _pairing(self, ws: _Planar, lam: np.ndarray) -> np.ndarray:
+        """sum_j <lam^j, F_i(x^j)> at the loaded node, through ``ws.ks``, a C-order (..., len(K)) array.
 
         Field columns[a][j] pairs to sum_m lam[m, a] K_j[m], its samples added in order from +0.0
         as the dense einsum does, since they are the outer axis of ``ks`` (not the contiguous one).
         """
+        if ws.ks is None:  # its column 0, of the constant coefficient, stays 1.0
+            ws.ks = np.ones(ws.shape + (len(self.columns[0]),))
         for j, c in enumerate(self._coefficients(ws)[1:], 1):
-            ks[..., j] = c
-        sums = np.einsum("m...a,m...j->...aj", lam, ks)
+            ws.ks[..., j] = c
+        sums = np.einsum("m...a,m...j->...aj", lam, ws.ks)
         row = np.empty(sums.shape[:-2] + (self.n_fields,))
         row[..., self.columns[0] + self.columns[1]] = sums.reshape(row.shape)
         return row
 
-    def _step(self, ws: _Planar, u: np.ndarray, lam: np.ndarray, h: float, out: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """lam (I + h sum_i u[i] DF_i) at the loaded node, into ``out``, through the entries ``b``."""
-        b = self._factor_entries(ws, u, h, b)
+    def _step(self, ws: _Planar, u: np.ndarray, lam: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+        """lam (I + h sum_i u[i] DF_i) at the loaded node, into ``out``."""
+        b = self._factor_entries(ws, u, h)
         np.multiply(b[0], lam[:, 0], out=b[0])
         np.multiply(b[1], lam[:, 1], out=b[1])
         np.add(b[0], b[1], out=out.T)
-        # The einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does.
-        out += 0.0
+        out += 0.0  # the einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does
         return out
-
-    def _flow_block(self, nodes: list, values: np.ndarray, h: float, row=None) -> None:
-        ws, step, rows = _Planar(nodes[0].shape[:-1], self.nu), np.empty_like(nodes[0]), values.tolist()
-        for k in range(1, len(rows) + 1):
-            prev = nodes[(k - 1) % len(nodes)]
-            ws.load(prev)
-            self._displacement(ws, np.asarray(row(k, prev), dtype=float).tolist() if row else rows[k - 1], step)
-            step *= h  # h * displacement, as the per-layer loop forms it
-            np.add(prev, step, out=nodes[k % len(nodes)])
-
-    def _adjoint_sweep(self, states: np.ndarray, values: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
-        ws, grad = _Planar(lam.shape[:-1], self.nu), np.empty(values.shape)
-        ks, b, spare = np.ones(ws.shape + (len(self.columns[0]),)), np.empty((2, 2) + ws.shape), np.empty_like(lam)
-        with np.errstate(over="ignore"):
-            for k in range(len(values), 0, -1):
-                ws.load(states[:, k - 1])
-                grad[k - 1] = self._pairing(ws, lam, ks)
-                if k > 1:
-                    lam, spare = self._step(ws, values[k - 1], lam, h, spare, b), lam
-        return grad
 
     def _dense(self, out: np.ndarray, parts: tuple) -> np.ndarray:
         """Write part j of K, or of its gradient, into ``out[..., columns[a][j], a]``."""
@@ -320,21 +307,21 @@ class Affine8(VectorFieldFamily):
 
     def layer_factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
         ws = self._node(x)
-        b = self._factor_entries(ws, np.asarray(u_row, dtype=float), h, np.empty((2, 2) + ws.shape))
+        b = self._factor_entries(ws, np.asarray(u_row, dtype=float), h)
         out = np.empty(ws.shape + (2, 2))  # C order like eye + h * layer_matrix: products of factors stay on one path
         out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = b.reshape((4,) + ws.shape)
         return out
 
     def pairing(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        ws = self._node(x)
-        return self._pairing(ws, np.asarray(lam, dtype=float), np.ones(ws.shape + (len(self.columns[0]),)))
+        return self._pairing(self._node(x), np.asarray(lam, dtype=float))
 
     def adjoint_step(
         self, x: np.ndarray, u_row: np.ndarray, lam: np.ndarray, h: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        row, lam = self.pairing(x, lam), np.asarray(lam, dtype=float)  # its workspace is freed before the step's
-        ws, u = self._node(x), np.asarray(u_row, dtype=float)
-        return row, self._step(ws, u, lam, h, np.empty_like(lam), np.empty((2, 2) + ws.shape))
+        ws, lam = self._node(x), np.asarray(lam, dtype=float)
+        row = self._pairing(ws, lam)
+        ws.ks, ws.arrays = None, {}  # the step reads none of the pairing's arrays: free them before it makes its own
+        return row, self._step(ws, np.asarray(u_row, dtype=float), lam, h, np.empty_like(lam))
 
 
 @dataclass(frozen=True)
@@ -346,23 +333,23 @@ class Enriched14(Affine8):
     columns: ClassVar[tuple[tuple[int, ...], ...]] = ((0, 2, 4, 5, 8, 9, 10), (1, 3, 6, 7, 11, 12, 13))
 
     def _coefficients(self, ws: _Planar) -> tuple:
-        g = ws.g
-        p12g = np.multiply(ws.x1, ws.x2, out=ws.p12g)
+        g, p12g = ws.g, np.multiply(ws.x1, ws.x2, out=ws.array("p12g"))
         p12g *= g
-        return super()._coefficients(ws) + (np.multiply(ws.q1, g, out=ws.p11g), p12g, np.multiply(ws.q2, g, out=ws.p22g))
+        p11g, p22g = np.multiply(ws.q1, g, out=ws.array("p11g")), np.multiply(ws.q2, g, out=ws.array("p22g"))
+        return super()._coefficients(ws) + (p11g, p12g, p22g)
 
     def _gradients(self, ws: _Planar) -> tuple:
         # d(p g) = g dp + p dg for p = x1^2, x1 x2, x2^2, formed as p dg + g dp (addition commutes):
         # dp/dx is (2 x1, 0), (x2, x1) and (0, 2 x2).
         grads, g = super()._gradients(ws), ws.g
-        p12 = np.multiply(ws.x1, ws.x2, out=ws.p12)
+        p12, tmp = np.multiply(ws.x1, ws.x2, out=ws.array("p12")), ws.array("tmp")
         quad = [np.multiply(p, grads[1], out=ws.array(name, 2)) for p, name in zip((ws.q1, p12, ws.q2), ("d11", "d12", "d22"))]
         for d, x in ((quad[0][0, ...], ws.x1), (quad[2][1, ...], ws.x2)):
-            square = np.multiply(x, 2.0, out=ws.tmp)
+            square = np.multiply(x, 2.0, out=tmp)
             square *= g
             d += square
         for d, x in ((quad[1][0, ...], ws.x2), (quad[1][1, ...], ws.x1)):
-            d += np.multiply(g, x, out=ws.tmp)
+            d += np.multiply(g, x, out=tmp)
         return grads + tuple(quad)
 
 

@@ -244,10 +244,10 @@ def _euler(
     composition; with any rule they do not depend on ``keep``.
 
     The default rule runs in row blocks of at most ``_BLOCK_ROWS`` points,
-    each through all N layers in one ``family._flow_block`` call before the
-    next, so a layer's temporaries stay in cache; every sample follows its
-    own elementwise arithmetic, so no bit depends on the blocking.  A row
-    rule reads all samples: one block.
+    each through all N layers before the next, in one ``family._sweep``, so
+    a layer's temporaries stay in cache; every sample follows its own
+    elementwise arithmetic, so no bit depends on the blocking.  A row rule
+    reads all samples: one block.
 
     Raises FlowError if a state of the first ``checked`` samples (all by
     default) turns non-finite, naming the first such sample and its layer;
@@ -261,9 +261,16 @@ def _euler(
     nodes = np.empty((keep, pts.shape[1], pts.shape[0]))
     nodes[0] = pts.T
     size = n_rows if row else _BLOCK_ROWS
+    rows = u.values.tolist()
+    rule = row or (lambda k, x: rows[k - 1])
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_rows, size):
-            family._flow_block([slot[:, start:start + size].T for slot in nodes], u.values, h, row)
+            slots = [slot[:, start:start + size].T for slot in nodes]
+            sweep, step = family._sweep(slots[0].shape[:-1]), np.empty_like(slots[0])
+            for k in range(1, u.n_layers + 1):
+                prev = slots[(k - 1) % keep]
+                np.multiply(sweep.displace(prev, rule(k, prev), step), h, out=step)
+                np.add(prev, step, out=slots[k % keep])
     if keep > u.n_layers:
         _check_nodes(nodes.transpose(2, 0, 1)[:checked])
     elif not np.isfinite(nodes[u.n_layers % keep, :, :checked]).all():  # flow again, to name the layer

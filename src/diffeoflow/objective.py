@@ -145,10 +145,10 @@ def control_gradient(
 ) -> np.ndarray:
     """Gradient array (N, l) in slab-average coordinates, from a stored trajectory.
 
-    Backpropagates through the discrete layers in one sweep, k = N..1, the
-    family's ``_adjoint_sweep``: at each node it pairs the covector with the
-    fields at the node where the control acts (``adjoint_step``, one node's
-    work) and steps it back with the explicit factor (Id + h A_k),
+    Backpropagates through the discrete layers in one sweep, k = N..1, on
+    one ``family._sweep``: at each node it pairs the covector with the
+    fields at the node where the control acts and steps it back with the
+    explicit factor (Id + h A_k), as ``family.adjoint_step`` does,
 
         g[k-1, i]     = sum_j <lambda_k^j, F_i(x_{k-1}^j)> + beta * u[k-1, i],
         lambda_{k-1}  = lambda_k (Id + h A_k),
@@ -163,7 +163,12 @@ def control_gradient(
     states = _as_bundle(family, u, states, u.n_layers + 1)
     lam = np.empty_like(states[:, -1])
     np.divide(loss_grad(states[:, -1] - targets), states.shape[0], out=lam)
-    return family._adjoint_sweep(states, u.values, lam, u.step) + beta * u.values
+    grad, sweep = np.empty(u.values.shape), family._sweep(lam.shape[:-1])
+    with np.errstate(over="ignore"):  # |x|^2 = inf gives the Gaussian weight its limit 0
+        for k in range(u.n_layers, 1, -1):
+            grad[k - 1], lam = sweep.pair_and_step(states[:, k - 1], u.values[k - 1], lam, u.step)
+        grad[0] = sweep.pair(states[:, 0], lam)
+    return grad + beta * u.values
 
 
 def adjoint_gradient(

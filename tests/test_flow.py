@@ -244,15 +244,10 @@ def wavy_planar_family():
 
 
 def counted_blocks(family, monkeypatch):
-    """Record the number of rows of each row block that the flow hands to ``family``."""
+    """Record the number of rows of each row block, one ``family._sweep`` each."""
     rows = []
-    plain = type(family)._flow_block
-
-    def counted(fam, nodes, *args):
-        rows.append(len(nodes[0]))
-        return plain(fam, nodes, *args)
-
-    monkeypatch.setattr(type(family), "_flow_block", counted)
+    plain = type(family)._sweep
+    monkeypatch.setattr(type(family), "_sweep", lambda fam, shape: rows.append(shape[0]) or plain(fam, shape))
     return rows
 
 

@@ -21,10 +21,3 @@ def test_quick_run_times_every_primitive_once():
     assert [row[0] for row in rows] == PRIMITIVES
     assert all(row[1:3] == ["30", "4"] and float(row[3]) > 0.0 and float(row[4]) > 0.0 for row in rows)
 
-
-def test_bad_repeats_are_refused():
-    proc = subprocess.run(
-        [sys.executable, "bench/primitives.py", "--repeats", "0"],
-        cwd=ROOT, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 2 and "--repeats" in proc.stderr

@@ -1,9 +1,8 @@
 """The built-ins' workspace sweeps against their per-layer contractions, bit for bit.
 
-``flow._euler`` hands each row block to ``family._flow_block`` and
-``control_gradient`` hands the whole trajectory to ``family._adjoint_sweep``;
-the built-ins run each sweep on one workspace that every node is loaded
-into.  The references are plain loops of the public one-node calls:
+``flow._euler`` runs each row block, and ``control_gradient`` the whole
+trajectory, on the steps of one ``family._sweep``; the built-ins' sweep is
+one workspace that every node is loaded into.  The references are plain loops of the public one-node calls:
 x_k = x_{k-1} + h displacement(x_{k-1}, row) forward, and backward one
 ``adjoint_step`` per node, then ``pairing`` at node 0.  M = 16385 is one
 full row block of 16384 points and a ragged one of a single point.
