@@ -1,17 +1,20 @@
 """Alternating A/B pairs of the benchmark, for a before/after performance claim.
 
     python3 bench/ab_pairs.py PARENT CHANGE --workload gd_affine8_m900_n16 --pairs 10 --seconds 5
+    python3 bench/ab_pairs.py PARENT CHANGE --pairs 10
     python3 bench/ab_pairs.py . . --workload gd_affine8_m900_n16 --pairs 1 --seconds 0 --quick
 
 PARENT and CHANGE are two checkouts of the repository (the same one twice
-gives an A/A control).  Pair i runs ``perfbench/run.py --workload W --seed
-SEED_BASE+i`` once in each checkout, one process after the other; the side
-that runs first alternates from pair to pair, so a drift in the machine's
-speed falls on both sides alike.  Each end-to-end metric is then printed
-with each side's median and quartiles, the change of the medians, and the
-number of pairs in which the change was better, by the direction that
-BENCHMARK.json declares.  A ``# verdict`` line under the table judges each
-metric against its bound in BENCHMARK.json:
+gives an A/A control).  ``--workload`` may be given more than once; without
+it, every workload of the change's BENCHMARK.json is measured, one after the
+other.  For each workload W, pair i runs ``perfbench/run.py --workload W
+--seed SEED_BASE+i`` once in each checkout, one process after the other; the
+side that runs first alternates from pair to pair, so a drift in the
+machine's speed falls on both sides alike.  Each end-to-end metric of W is
+then printed with each side's median and quartiles, the change of the
+medians, and the number of pairs in which the change was better, by the
+direction that BENCHMARK.json declares.  A ``# verdict`` line under each
+workload's table judges each metric against its bound in BENCHMARK.json:
 
 - gain shown: the change is better in at least nine tenths of the pairs and
   its median is better by more than the parent's interquartile range;
@@ -113,11 +116,31 @@ def summarize(results: dict[str, list[dict]], declared: dict[str, dict]) -> list
     return lines + verdicts
 
 
+def measure_pairs(checkouts: dict[str, Path], workload: str, args) -> tuple[dict[str, list[dict]], bool]:
+    """The alternating pairs of one workload: each side's results, and whether every run was correct.
+
+    Raises RuntimeError if a run prints no result.
+    """
+    results: dict[str, list[dict]] = {side: [] for side in SIDES}
+    ok = True
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            result = run_once(checkouts[side], workload, seed, args.seconds, args.quick)
+            results[side].append(result)
+            run_s = result["metrics"].get("run_s", {}).get("value")
+            print(f"# pair {i + 1} seed {seed} {side}: run_s {run_s} correct {result['correct']} "
+                  f"failed {result['failed']}/{result['attempted']}", flush=True)
+            ok = ok and result["correct"] and not result["failed"]
+    return results, ok
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench/ab_pairs.py", description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout measured as the baseline")
     parser.add_argument("change", type=Path, help="checkout measured as the change")
-    parser.add_argument("--workload", required=True, help="a workload named in BENCHMARK.json")
+    parser.add_argument("--workload", action="append",
+                        help="a workload named in BENCHMARK.json; repeatable; default: all of them")
     parser.add_argument("--pairs", type=int, default=10, help="number of alternating pairs")
     parser.add_argument("--seconds", type=float, default=5.0, help="time budget of each run")
     parser.add_argument("--seed-base", type=int, default=41, help="pair i runs seed SEED_BASE+i")
@@ -131,25 +154,22 @@ def main(argv=None) -> int:
         parser.error("--pairs must be positive and --seed-base nonnegative")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {m["name"]: m for m in spec["end_to_end"]}
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workload or []) - set(known))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)} (BENCHMARK.json has {', '.join(known)})")
 
-    results: dict[str, list[dict]] = {side: [] for side in SIDES}
     ok = True
-    for i in range(args.pairs):
-        seed = args.seed_base + i
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            try:
-                result = run_once(checkouts[side], args.workload, seed, args.seconds, args.quick)
-            except RuntimeError as err:
-                print(f"error: {err}", file=sys.stderr)
-                return 1
-            results[side].append(result)
-            run_s = result["metrics"].get("run_s", {}).get("value")
-            print(f"# pair {i + 1} seed {seed} {side}: run_s {run_s} correct {result['correct']} "
-                  f"failed {result['failed']}/{result['attempted']}", flush=True)
-            ok = ok and result["correct"] and not result["failed"]
-    print(f"# {args.workload}, {args.pairs} pairs, --seconds {args.seconds:g}, seeds {args.seed_base}+")
-    for line in summarize(results, declared):
-        print(line)
+    for workload in args.workload or known:
+        try:
+            results, correct = measure_pairs(checkouts, workload, args)
+        except RuntimeError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        ok = ok and correct
+        print(f"# {workload}, {args.pairs} pairs, --seconds {args.seconds:g}, seeds {args.seed_base}+")
+        for line in summarize(results, declared):
+            print(line)
     return 0 if ok else 1
 
 

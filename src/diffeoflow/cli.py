@@ -212,13 +212,6 @@ def load_config(path) -> RunConfig:
     return RunConfig(**raw)
 
 
-def _load_dataset(path, dim: int) -> Dataset:
-    data = load_dataset_csv(path)
-    if data.dim != dim:
-        raise ValueError(f"dataset file {path} has dimension {data.dim}, the family has {dim}")
-    return data
-
-
 def build_problem(cfg: RunConfig) -> tuple:
     """Resolve a config into (family, target Lipschitz constant or None, train dataset, test dataset)."""
     family = family_from_name(cfg.family, cfg.nu)
@@ -226,13 +219,13 @@ def build_problem(cfg: RunConfig) -> tuple:
     if cfg.dataset_file is None or (cfg.test_file is None and cfg.test_count > 0):
         lipschitz_target = _check_square(target, cfg)  # a cloud below is drawn on the square
     if cfg.dataset_file is not None:
-        train = _load_dataset(cfg.dataset_file, family.dim)
+        train = load_dataset_csv(cfg.dataset_file)
         lipschitz_target = None  # the summary's bounds describe the target's grid only
     else:
         oom = f"grid_per_axis: a grid of {cfg.grid_per_axis}**2 points does not fit in memory"
         train = _square_dataset(make_grid_dataset, target, cfg, oom, per_axis=cfg.grid_per_axis)
     if cfg.test_file is not None:
-        test = _load_dataset(cfg.test_file, family.dim)
+        test = load_dataset_csv(cfg.test_file)
     elif cfg.test_count > 0:
         oom = f"test_count: a cloud of {cfg.test_count} points does not fit in memory"
         test = _square_dataset(

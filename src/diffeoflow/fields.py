@@ -1,6 +1,6 @@
 """Controlled vector-field families: values, Jacobians and their contractions.
 
-A family is an ordered tuple of smooth fields F_1, ..., F_l on R^n.  The
+A family is an ordered tuple of smooth fields F_1, ..., F_l on the plane.  The
 network layers move points along constant-coefficient combinations of these
 fields, so the flow, the gradients and the metrics use five contractions
 of the fields at a batch of points:
@@ -79,7 +79,7 @@ _EYE = np.eye(2)
 
 
 class VectorFieldFamily(ABC):
-    """Ordered family of smooth fields on R^n.
+    """Ordered family of smooth fields on the plane R^2.
 
     Evaluation is pure: instances hold no mutable state and may be shared
     freely across threads, since each sweep and call makes its own arrays.
@@ -88,7 +88,7 @@ class VectorFieldFamily(ABC):
     """
 
     kind: str
-    dim: int
+    dim: ClassVar[int] = 2  # every family is planar
     n_fields: int
 
     @abstractmethod
@@ -122,7 +122,7 @@ class VectorFieldFamily(ABC):
         bit for bit: (-h) * a is -(h * a), and y + (-z) is y - z in IEEE
         arithmetic.
         """
-        return np.eye(self.dim) + h * self.layer_matrix(x, u_row)
+        return _EYE + h * self.layer_matrix(x, u_row)
 
     def adjoint_step(
         self, x: np.ndarray, u_row: np.ndarray, lam: np.ndarray, h: float
@@ -143,10 +143,10 @@ class VectorFieldFamily(ABC):
         return SimpleNamespace(displace=lambda x, u_row, out: self.displacement(x, u_row), **steps)
 
 
-def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
+def _as_points(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (dim,):
-        raise ValueError(f"points must have {dim} coordinates on the last axis, got shape {x.shape}")
+    if x.shape[-1:] != (2,):
+        raise ValueError(f"points must have 2 coordinates on the last axis, got shape {x.shape}")
     return x
 
 
@@ -205,7 +205,6 @@ class Affine8(VectorFieldFamily):
 
     nu: float = DEFAULT_GAUSSIAN_WIDTH
     kind: ClassVar[str] = "affine8"
-    dim: ClassVar[int] = 2
     n_fields: ClassVar[int] = 8
     columns: ClassVar[tuple[tuple[int, ...], ...]] = ((0, 2, 4, 5), (1, 3, 6, 7))
     _gx: ClassVar[np.ndarray] = np.array(columns)[:, 1:4]  # the columns of g, x1 and x2 per axis, kept by subclasses
@@ -215,7 +214,7 @@ class Affine8(VectorFieldFamily):
 
     def _node(self, x: np.ndarray) -> _Planar:
         """A workspace loaded with the points ``x`` alone."""
-        x = _as_points(x, 2)
+        x = _as_points(x)
         with np.errstate(over="ignore"):
             return _Planar(self, x.shape[:-1]).load(x)
 
@@ -355,11 +354,11 @@ class Enriched14(Affine8):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """One user-supplied field: a value callable and its Jacobian callable.
+    """One user-supplied planar field: a value callable and its Jacobian callable.
 
-    Both callables receive points of shape ``(..., dim)``, in any memory
-    layout, and must return arrays broadcastable to ``(..., dim)`` and
-    ``(..., dim, dim)``.
+    Both callables receive points of shape ``(..., 2)``, in any memory
+    layout, and must return arrays broadcastable to ``(..., 2)`` and
+    ``(..., 2, 2)``.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -368,10 +367,9 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class CustomFamily(VectorFieldFamily):
-    """Family assembled from user-supplied field callables."""
+    """Family assembled from user-supplied planar field callables."""
 
     fields: tuple[FieldSpec, ...]
-    dim: int
     kind: ClassVar[str] = "custom"
 
     @property
@@ -379,15 +377,15 @@ class CustomFamily(VectorFieldFamily):
         return len(self.fields)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        out = np.empty(x.shape[:-1] + (len(self.fields), self.dim))
+        x = _as_points(x)
+        out = np.empty(x.shape[:-1] + (len(self.fields), 2))
         for i, f in enumerate(self.fields):
             out[..., i, :] = f.value(x)
         return out
 
     def jacobians(self, x: np.ndarray) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        out = np.empty(x.shape[:-1] + (len(self.fields), self.dim, self.dim))
+        x = _as_points(x)
+        out = np.empty(x.shape[:-1] + (len(self.fields), 2, 2))
         for i, f in enumerate(self.fields):
             out[..., i, :, :] = f.jacobian(x)
         return out
@@ -410,12 +408,11 @@ def make_enriched14(nu: float = DEFAULT_GAUSSIAN_WIDTH) -> Enriched14:
     return Enriched14(nu=_check_width(nu))
 
 
-def make_custom(fields: Sequence[FieldSpec], dim: int) -> CustomFamily:
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+def make_custom(fields: Sequence[FieldSpec]) -> CustomFamily:
+    """Family of user-supplied planar fields, in the order given."""
     if len(fields) == 0:
         raise ValueError("a family needs at least one field")
-    return CustomFamily(fields=tuple(fields), dim=int(dim))
+    return CustomFamily(fields=tuple(fields))
 
 
 def family_from_name(name: str, nu: float = DEFAULT_GAUSSIAN_WIDTH) -> VectorFieldFamily:

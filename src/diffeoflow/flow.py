@@ -120,29 +120,23 @@ def _spectral_norm_2x2(mats: np.ndarray) -> np.ndarray:
 
 
 def _screen(factors: np.ndarray) -> None:
-    """Raise FlowError if a layer of ``factors`` (N, M, d, d) has a condition above ``CONDITION_LIMIT``.
+    """Raise FlowError if a layer of ``factors`` (N, M, 2, 2) has a condition above ``CONDITION_LIMIT``.
 
-    2x2 factors are screened in closed form, cond = sigma_max^2 / |det|
+    The factors are screened in closed form, cond = sigma_max^2 / |det|
     (since sigma_max * sigma_min = |det|), which picks each layer's worst
     sample; one LAPACK call then gives the condition numbers of those N
-    matrices.  Larger factors go to that one call whole.  A NaN or inf entry
-    has condition inf without LAPACK, so it fails.  The error names the
-    highest failing layer, the first the transport would reach, and that
-    layer's worst sample.
+    matrices.  A NaN or inf entry has condition inf without LAPACK, so it
+    fails.  The error names the highest failing layer, the first the
+    transport would reach, and that layer's worst sample.
     """
-    mats = factors
-    if factors.shape[-2:] == (2, 2):
-        smax = _spectral_norm_2x2(factors)
-        det = factors[..., 0, 0] * factors[..., 1, 1] - factors[..., 0, 1] * factors[..., 1, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            samples = np.argmax(smax * smax / np.abs(det), axis=1)
-        mats = factors[np.arange(len(factors)), samples]
+    smax = _spectral_norm_2x2(factors)
+    det = factors[..., 0, 0] * factors[..., 1, 1] - factors[..., 0, 1] * factors[..., 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        samples = np.argmax(smax * smax / np.abs(det), axis=1)
+    mats = factors[np.arange(len(factors)), samples]
     finite = np.isfinite(mats).all(axis=(-2, -1))
     conds = np.full(finite.shape, np.inf)
     conds[finite] = np.linalg.cond(mats[finite])
-    if conds.ndim == 2:  # one per factor: keep each layer's worst
-        samples = np.argmax(conds, axis=1)
-        conds = conds[np.arange(len(conds)), samples]
     failing = np.flatnonzero(~np.isfinite(conds) | (conds > CONDITION_LIMIT))
     if failing.size:
         k = int(failing[-1])
@@ -154,21 +148,21 @@ def _screen(factors: np.ndarray) -> None:
 
 
 def _solve_backward(factors: np.ndarray, terminal: np.ndarray) -> np.ndarray:
-    """The covectors with lambda_{k-1} B_k = lambda_k, k = N..1, in an (N+1, dim, M) buffer.
+    """The covectors with lambda_{k-1} B_k = lambda_k, k = N..1, in an (N+1, 2, M) buffer.
 
-    ``factors`` (N, M, dim, dim) holds the finite, nonsingular B_k, ``terminal``
-    (M, dim) lambda_N.  Each node is ``np.linalg.solve(B_k^T, lambda_k)`` bit for
-    bit: non-2x2 factors go to it, 2x2 ones replay LAPACK's dgesv on A = B^T.  As
-    dgetf2, one pass factors all layers: rows swap only where |a10| > |a00|
-    (idamax takes the first maximum), l = a10 * (1/a00), u11 = a11 - l a01 unfused.
-    As dgetrs, each layer substitutes x1 = fma(-l, c0, c1) / u11, x0 = fma(-a01,
-    x1, c0) / a00 for the swapped right-hand side c, the fma being a stacked
-    matmul of (1, -l) with (c1, c0).  LAPACK takes the rows this misses: a pivot
-    below the smallest normal (dgetf2 divides by it) and a -0.0 right-hand side
-    (the matmul's sum starts at +0.0).  NaNs from infinite ones may differ in sign.
+    ``factors`` (N, M, 2, 2) holds the finite, nonsingular B_k, ``terminal``
+    (M, 2) lambda_N.  Each node is ``np.linalg.solve(B_k^T, lambda_k)`` bit for
+    bit: it replays LAPACK's dgesv on A = B^T.  As dgetf2, one pass factors all
+    layers: rows swap only where |a10| > |a00| (idamax takes the first
+    maximum), l = a10 * (1/a00), u11 = a11 - l a01 unfused.  As dgetrs, each
+    layer substitutes x1 = fma(-l, c0, c1) / u11, x0 = fma(-a01, x1, c0) / a00
+    for the swapped right-hand side c, the fma being a stacked matmul of
+    (1, -l) with (c1, c0).  LAPACK takes the rows this misses: a pivot below
+    the smallest normal (dgetf2 divides by it) and a -0.0 right-hand side (the
+    matmul's sum starts at +0.0).  NaNs from infinite ones may differ in sign.
     """
-    n_layers, n_pts, dim = factors.shape[:3]
-    lam = np.empty((n_layers + 1, dim, n_pts))
+    n_layers, n_pts = factors.shape[:2]
+    lam = np.empty((n_layers + 1, 2, n_pts))
     lam[n_layers] = terminal.T
 
     def lapack(k: int, rows) -> None:
@@ -176,10 +170,6 @@ def _solve_backward(factors: np.ndarray, terminal: np.ndarray) -> np.ndarray:
         b = np.swapaxes(factors[k - 1, rows], -1, -2)
         lam[k - 1][:, rows] = np.linalg.solve(b, lam[k][:, rows].T[..., None])[..., 0].T
 
-    if dim != 2:
-        for k in range(n_layers, 0, -1):
-            lapack(k, slice(None))
-        return lam
     a00, a10, a01, a11 = (factors[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
     swap = np.abs(a10) > np.abs(a00)
     p00 = np.where(swap, a10, a00)
@@ -342,17 +332,16 @@ def backward_covector(
     the first solve.  When some have a condition estimate above
     ``CONDITION_LIMIT``, the FlowError names the highest such layer, the
     first the transport would reach, and that layer's worst-conditioned
-    sample.  The solves are ``np.linalg.solve``'s bit for bit, and planar
-    ones make no LAPACK call (``_solve_backward``).
+    sample.  The solves are ``np.linalg.solve``'s bit for bit, and make no
+    LAPACK call but for the rows ``_solve_backward`` cannot replay.
     """
     states = _as_bundle(family, u, states, u.n_layers + 1)
-    n_pts, _, dim = states.shape
-    n_layers = u.n_layers
+    n_pts, n_layers = states.shape[0], u.n_layers
     term = np.asarray(terminal, dtype=float)
-    if term.shape != (n_pts, dim):
-        raise ValueError(f"terminal covectors must have shape ({n_pts}, {dim}), got {term.shape}")
+    if term.shape != (n_pts, 2):
+        raise ValueError(f"terminal covectors must have shape ({n_pts}, 2), got {term.shape}")
     h = u.step
-    factors = np.empty((n_layers, n_pts, dim, dim))
+    factors = np.empty((n_layers, n_pts, 2, 2))
     for k in range(1, n_layers + 1):
         factors[k - 1] = family.layer_factor(states[:, k - 1], u.values[k - 1], -h)
     _screen(factors)

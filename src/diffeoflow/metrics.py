@@ -45,16 +45,15 @@ class MetricsBlock:
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular value of a batch of matrices, shape (..., n, n).
+    """Largest singular value of a batch of 2x2 matrices, shape (..., 2, 2).
 
-    2x2 batches use the closed form of ``flow._spectral_norm_2x2``, which
-    the covector conditioning guard shares; anything else falls back to
-    LAPACK singular values.
+    Uses the closed form of ``flow._spectral_norm_2x2``, which the covector
+    conditioning guard shares.  Other shapes are a ValueError naming them.
     """
     mats = np.asarray(mats, dtype=float)
-    if mats.shape[-2:] == (2, 2):
-        return _spectral_norm_2x2(mats)
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    if mats.shape[-2:] != (2, 2):
+        raise ValueError(f"spectral norms are of 2x2 matrices, got shape {mats.shape}")
+    return _spectral_norm_2x2(mats)
 
 
 def lipschitz_estimate(

@@ -25,13 +25,14 @@ from .flow import ControlGrid, _as_bundle, flow_endpoints, forward_euler
 
 @dataclass(frozen=True)
 class Dataset:
-    """Paired source and target point clouds, one row per sample.
+    """Paired planar source and target point clouds, one (M, 2) row per sample.
 
     Both are stored coordinate-major (Fortran order), like the nodes of the
     flow's bundles, so that residuals between flowed points and targets run
-    over contiguous coordinate rows.  Sources must be pairwise distinct, -0.0
-    equal to 0.0: one sort of planar rows as complex keys x1 + i x2 (numpy
-    orders them by x1, then x2), else an ``np.lexsort``, puts equal rows together.
+    over contiguous coordinate rows.  Any other shape is a ValueError naming
+    it.  Sources must be pairwise distinct, -0.0 equal to 0.0: one sort of the
+    rows as complex keys x1 + i x2 (numpy orders them by x1, then x2) puts
+    equal rows together.
     """
 
     sources: np.ndarray
@@ -40,17 +41,14 @@ class Dataset:
     def __post_init__(self) -> None:
         src = np.asfortranarray(self.sources, dtype=float)
         tgt = np.asfortranarray(self.targets, dtype=float)
-        if src.ndim != 2 or src.shape[0] < 1:
-            raise ValueError(f"sources must be a (M, dim) array, got shape {src.shape}")
+        if src.ndim != 2 or src.shape[0] < 1 or src.shape[1] != 2:
+            raise ValueError(f"sources must be a (M, 2) array, got shape {src.shape}")
         if tgt.shape != src.shape:
             raise ValueError(f"targets shape {tgt.shape} does not match sources shape {src.shape}")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ValueError("dataset points must all be finite")
-        if src.shape[1] == 2:
-            rows = np.sort(np.ascontiguousarray(src).view(complex).ravel())[:, None]  # a 1-D sort is faster
-        else:
-            rows = src[np.lexsort(src.T)]
-        if (rows[1:] == rows[:-1]).all(axis=1).any():
+        keys = np.sort(np.ascontiguousarray(src).view(complex).ravel())
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("source points must be pairwise distinct")
         object.__setattr__(self, "sources", src)
         object.__setattr__(self, "targets", tgt)

@@ -1,4 +1,7 @@
-"""Shared fixtures: the benchmark target, grids, and field families."""
+"""Shared fixtures: the benchmark target, grids, field families, and the np.exp kernel."""
+
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +13,30 @@ from diffeoflow import (
     make_grid_dataset,
     make_random_testset,
 )
+
+# np.exp on these arguments tells which kernel numpy runs, and the golden
+# digests depend on it.  libm's exp matches math.exp on every one; numpy
+# 2.4.6's AVX-512 kernel, which is not correctly rounded, differs on 245 of
+# them and gives the recorded SHA-256 of its results.
+EXP_ARGUMENTS = np.linspace(-0.2, 0.0, 4001)
+AVX512_EXP_SHA256 = "9553372b9e58055be131f6537a267d902786e5663f24a1c163aeafde805cbef7"
+
+
+def exp_kernel_name() -> str:
+    """The np.exp kernel of this process: "libm", "avx512", or "unknown (...)" with its fingerprint."""
+    got = np.exp(EXP_ARGUMENTS)
+    differ = int((got != [math.exp(v) for v in EXP_ARGUMENTS.tolist()]).sum())
+    sha = hashlib.sha256(got.tobytes()).hexdigest()
+    if differ == 0:
+        return "libm"
+    if sha == AVX512_EXP_SHA256:
+        return "avx512"
+    return f"unknown (np.exp differs from math.exp on {differ} of {EXP_ARGUMENTS.size} arguments, sha256 {sha})"
+
+
+@pytest.fixture(scope="session")
+def exp_kernel():
+    return exp_kernel_name()
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,28 +20,46 @@ def load_ab_pairs():
     return module
 
 
-def test_one_quick_a_a_pair_reports_every_metric_with_quartiles_and_wins():
+def test_quick_a_a_pairs_of_two_workloads_report_every_metric_with_quartiles_and_wins():
+    workloads = ["pmp_affine8_m900_n16", "gd_affine8_m900_n16"]
     proc = subprocess.run(
-        [sys.executable, "bench/ab_pairs.py", ".", ".", "--workload", "gd_affine8_m900_n16",
+        [sys.executable, "bench/ab_pairs.py", ".", ".", "--workload", workloads[0], "--workload", workloads[1],
          "--pairs", "1", "--seconds", "0", "--quick", "--seed-base", "3"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, capture_output=True, text=True, timeout=240,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    runs = [line for line in lines if line.startswith("# pair 1 seed 3 ")]
-    assert [line.split()[5] for line in runs] == ["parent:", "change:"]
-    assert all("correct True failed 0/" in line for line in runs)
-    rows = {line.split()[0]: line.split() for line in lines if not line.startswith("#")}
+    runs, blocks, block = [], {}, None
+    for line in proc.stdout.splitlines():
+        if line.startswith("# pair "):
+            runs.append(line)
+            block = None
+        elif re.match(r"# \S+, 1 pairs, ", line):
+            block = blocks.setdefault(line.split()[1][:-1], [])
+        else:
+            block.append(line)
+    assert list(blocks) == workloads  # in the order given, each after its own pairs
+    assert [line.split()[5] for line in runs] == ["parent:", "change:"] * 2
+    assert all(line.startswith("# pair 1 seed 3 ") and "correct True failed 0/" in line for line in runs)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    assert {m["name"] for m in declared} <= set(rows)
-    for m in declared:
-        row = rows[m["name"]]
-        assert row[1] == m["unit"] and row[-1] in ("0/1", "1/1")
-        assert row[2] == row[3][1:-1] == row[4][:-1]  # one value is its own median and quartiles
-    verdicts = dict(line[len("# verdict "):].split(": ", 1) for line in lines
-                    if line.startswith("# verdict "))
-    assert set(verdicts) == {m["name"] for m in declared}
-    assert all(v.startswith(VERDICTS) for v in verdicts.values())
+    for lines in blocks.values():
+        rows = {line.split()[0]: line.split() for line in lines if not line.startswith("#")}
+        assert {m["name"] for m in declared} <= set(rows)
+        for m in declared:
+            row = rows[m["name"]]
+            assert row[1] == m["unit"] and row[-1] in ("0/1", "1/1")
+            assert row[2] == row[3][1:-1] == row[4][:-1]  # one value is its own median and quartiles
+        verdicts = dict(line[len("# verdict "):].split(": ", 1) for line in lines
+                        if line.startswith("# verdict "))
+        assert set(verdicts) == {m["name"] for m in declared}
+        assert all(v.startswith(VERDICTS) for v in verdicts.values())
+
+
+def test_unknown_workload_is_refused():
+    proc = subprocess.run(
+        [sys.executable, "bench/ab_pairs.py", ".", ".", "--workload", "gd_affine8_m900_n16", "--workload", "nope"],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and "unknown workload nope" in proc.stderr
 
 
 PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]

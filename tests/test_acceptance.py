@@ -107,8 +107,7 @@ def test_criterion_02_closed_form_flows_are_exact():
                 value=lambda x: np.broadcast_to(shift, x.shape).copy(),
                 jacobian=lambda x: np.zeros(x.shape + (x.shape[-1],)),
             )
-        ],
-        dim=2,
+        ]
     )
     n_layers = 12
     weights = rng.uniform(-1.0, 1.0, size=(n_layers, 1))
@@ -124,8 +123,7 @@ def test_criterion_02_closed_form_flows_are_exact():
                 value=lambda x: x @ mat.T,
                 jacobian=lambda x: np.broadcast_to(mat, x.shape + (x.shape[-1],)).copy(),
             )
-        ],
-        dim=2,
+        ]
     )
     n_layers = 16
     got = forward_euler(linear, ControlGrid(np.ones((n_layers, 1))), x0)[:, -1]

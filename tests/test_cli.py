@@ -506,6 +506,27 @@ def test_empty_csv_is_a_bad_input(which, content, tmp_path, capsys):
     assert "empty_input.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize(
+    "command, which", [("train", "dataset_file"), ("train", "test_file"), ("eval", "dataset_file"),
+                       ("gradcheck", "dataset_file")]
+)
+def test_non_planar_dataset_exits_two_with_one_line_naming_the_file(command, which, dim, tmp_path, capsys):
+    bad = tmp_path / f"cloud{dim}d.csv"
+    rows = np.arange(8.0 * dim).reshape(4, 2 * dim).tolist()
+    header = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
+    bad.write_text("\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows]) + "\n")
+    control = tmp_path / "zero.csv"
+    save_control_csv(control, ControlGrid(np.zeros((4, 8))))
+    argv = [command, "--config", str(write_config(tmp_path, **{which: str(bad)}))]
+    argv += {"train": ["--out", str(tmp_path / "out")], "gradcheck": [],
+             "eval": ["--control", str(control), "--out", str(tmp_path / "ev")]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err, err
+    assert f"got shape (4, {dim})" in err, err
+
+
 def test_control_csv_round_trip(tmp_path):
     rng = np.random.Generator(np.random.Philox(5))
     u = ControlGrid(rng.standard_normal((6, 14)))

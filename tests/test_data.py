@@ -13,7 +13,6 @@ from diffeoflow import (
     target_from_name,
 )
 from diffeoflow.data import _EXPONENT_DECADES, _ROWS_PER_BLOCK, read_table, write_table
-from diffeoflow.objective import Dataset
 
 
 def reference_target(points):
@@ -269,13 +268,3 @@ def test_dataset_csv_header_validated(tmp_path):
     path.write_text("x1,x2,z1,z2\n0,0,1,1\n")
     with pytest.raises(ValueError):
         load_dataset_csv(path)
-
-
-def test_dataset_csv_higher_dim_round_trip(tmp_path, rng):
-    src = rng.normal(size=(6, 3))
-    data = Dataset(src, src * 2.0)
-    path = tmp_path / "pairs3d.csv"
-    save_dataset_csv(path, data)
-    back = load_dataset_csv(path)
-    assert np.array_equal(back.sources, data.sources)
-    assert back.dim == 3

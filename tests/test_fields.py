@@ -129,16 +129,14 @@ def test_custom_family_round_trip(rng):
             np.array([[0.0, -1.0], [1.0, 0.0]]), x.shape[:-1] + (2, 2)
         ).copy(),
     )
-    fam = make_custom([rot], dim=2)
+    fam = make_custom([rot])
     assert fam.n_fields == 1
     pts = rng.normal(size=(6, 2))
     assert np.allclose(fam.values(pts)[:, 0], np.stack([-pts[:, 1], pts[:, 0]], axis=-1))
     for m in range(6):
         assert np.allclose(fd_jacobian(fam, 0, pts[m]), fam.jacobians(pts[m])[0], atol=1e-6)
     with pytest.raises(ValueError):
-        make_custom([], dim=2)
-    with pytest.raises(ValueError):
-        make_custom([rot], dim=0)
+        make_custom([])
 
 
 CONTRACTIONS = ("displacement", "layer_matrix", "layer_factor", "pairing")
@@ -254,7 +252,7 @@ def test_custom_family_inherits_dense_contractions(name, rng):
         ).copy(),
     )
     shift = FieldSpec(value=lambda x: np.ones_like(x), jacobian=lambda x: np.zeros(x.shape + (2,)))
-    fam = make_custom([rot, shift], dim=2)
+    fam = make_custom([rot, shift])
     assert getattr(type(fam), name) is getattr(VectorFieldFamily, name)
     x = rng.normal(size=(10_000, 2))
     args = _contraction_args(fam, name, x, rng)

@@ -240,7 +240,7 @@ def wavy_planar_family():
                   jacobian=lambda x: np.zeros(x.shape + (2,))),
         FieldSpec(value=lambda x: np.stack([np.exp(-x[..., 0] ** 2), np.cos(x[..., 0])], axis=-1),
                   jacobian=lambda x: np.zeros(x.shape + (2,))),
-    ], dim=2)
+    ])
 
 
 def counted_blocks(family, monkeypatch):
@@ -352,7 +352,7 @@ def test_singular_implicit_transport_raises(affine8):
         backward_covector(affine8, ControlGrid(u), states, np.array([[1.0, 1.0]]))
 
 
-def nan_jacobian_family(dim):
+def nan_jacobian_family():
     """One field, the constant e_1, whose Jacobian reads NaN where x1 = 0: the flow stays finite."""
 
     def value(x):
@@ -361,25 +361,24 @@ def nan_jacobian_family(dim):
         return out
 
     def jacobian(x):
-        return np.einsum("...,pq->...pq", np.where(x[..., 0] == 0.0, np.nan, 0.0), np.eye(dim))
+        return np.einsum("...,pq->...pq", np.where(x[..., 0] == 0.0, np.nan, 0.0), np.eye(2))
 
-    return make_custom([FieldSpec(value=value, jacobian=jacobian)], dim=dim)
+    return make_custom([FieldSpec(value=value, jacobian=jacobian)])
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_nan_factor_fails_the_guard_naming_its_sample_and_layer(dim, monkeypatch):
-    # LAPACK cannot decompose a NaN factor, so it must not see it: the 2x2
-    # screen and the per-layer dim-3 path both rank it worst with condition inf.
-    fam = nan_jacobian_family(dim)
+def test_nan_factor_fails_the_guard_naming_its_sample_and_layer(monkeypatch):
+    # LAPACK cannot decompose a NaN factor, so it must not see it: the
+    # closed-form screen ranks it worst with condition inf.
+    fam = nan_jacobian_family()
     u = ControlGrid(np.ones((1, 1)))
-    states = forward_euler(fam, u, np.array([[1.0] * dim, [0.0] + [1.0] * (dim - 1)]))
+    states = forward_euler(fam, u, np.array([[1.0, 1.0], [0.0, 1.0]]))
     shapes = []
     lapack_cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda m: shapes.append(np.shape(m)) or lapack_cond(m))
     with pytest.raises(FlowError, match="sample 1 at layer 1 .condition estimate inf") as err:
-        backward_covector(fam, u, states, np.ones((2, dim)))
+        backward_covector(fam, u, states, np.ones((2, 2)))
     assert (err.value.sample, err.value.layer) == (1, 1)
-    assert shapes == ([(0, 2, 2)] if dim == 2 else [(1, 3, 3)])  # the finite factors only
+    assert shapes == [(0, 2, 2)]  # the finite factors only
 
 
 def test_variational_jacobian_closed_form(affine8, rng):
@@ -489,69 +488,43 @@ def test_closed_form_screen_picks_the_lapack_argmax(seed, monkeypatch):
     assert np.allclose(screen, conds, rtol=1e-10)
 
 
-def test_three_dimensional_family_goes_through_lapack(monkeypatch):
-    # F(x) = (x1^2 / 2, 0, 0) has DF = diag(x1, 0, 0), so with h u = 1 the
-    # implicit factor is singular exactly at the sample with x1 = 1.
-    half_square = FieldSpec(
-        value=lambda x: np.stack([0.5 * x[..., 0] ** 2, 0 * x[..., 1], 0 * x[..., 2]], axis=-1),
-        jacobian=lambda x: np.einsum("...,pq->...pq", x[..., 0], np.diag([1.0, 0.0, 0.0])),
-    )
-    fam = make_custom([half_square], dim=3)
-    u = ControlGrid(np.array([[1.0]]))
-    pts = np.array([[0.2, 0.0, 1.0], [1.0, 2.0, 0.0], [-0.5, 1.0, 1.0]])
-    states = forward_euler(fam, u, pts)
-    shapes = []
-    lapack_cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", lambda m: shapes.append(np.shape(m)) or lapack_cond(m))
-    with pytest.raises(FlowError) as err:
-        backward_covector(fam, u, states, np.ones((3, 3)))
-    assert (err.value.sample, err.value.layer) == (1, 1)
-    assert shapes == [(3, 3, 3)]
-    lam = backward_covector(fam, ControlGrid(np.array([[0.5]])), states, np.ones((3, 3)))
-    assert np.isfinite(lam).all()
-    assert shapes[1:] == [(3, 3, 3)]
-
-
-def test_three_dimensional_guard_screens_every_layer_in_one_lapack_call(monkeypatch):
-    # F_a = (x1^2 / 2, 0, 0) and F_b = (0, x2^2 / 2, 0) have DF_a = diag(x1, 0, 0)
-    # and DF_b = diag(0, x2, 0).  With h u = 1, layer 3 (on F_a) has a singular
+def test_planar_guard_screens_every_layer_in_one_lapack_call(monkeypatch):
+    # F_a = (x1^2 / 2, 0) and F_b = (0, x2^2 / 2) have DF_a = diag(x1, 0) and
+    # DF_b = diag(0, x2).  With h u = 1, layer 3 (on F_a) has a singular
     # factor exactly where x1 = 1, at sample 2, and layer 1 (on F_b) where
     # x2 = 1, at sample 4; layer 1 leaves x1 alone.
     half_squares = [
         FieldSpec(
-            value=lambda x, a=a: np.einsum("...,p->...p", 0.5 * x[..., a] ** 2, np.eye(3)[a]),
-            jacobian=lambda x, a=a: np.einsum("...,pq->...pq", x[..., a], np.diag(np.eye(3)[a])),
+            value=lambda x, a=a: np.einsum("...,p->...p", 0.5 * x[..., a] ** 2, np.eye(2)[a]),
+            jacobian=lambda x, a=a: np.einsum("...,pq->...pq", x[..., a], np.diag(np.eye(2)[a])),
         )
         for a in (0, 1)
     ]
-    fam = make_custom(half_squares, dim=3)
+    fam = make_custom(half_squares)
     u = np.zeros((4, 2))
     u[2, 0] = 4.0
     u[0, 1] = 4.0
-    pts = np.array(
-        [[0.2, 0.5, 0.0], [-0.8, 0.2, 1.0], [1.0, 0.7, 0.0], [0.6, -0.9, 2.0], [0.3, 1.0, -1.0]]
-    )
+    pts = np.array([[0.2, 0.5], [-0.8, 0.2], [1.0, 0.7], [0.6, -0.9], [0.3, 1.0]])
     shapes = []
     lapack_cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda m: shapes.append(np.shape(m)) or lapack_cond(m))
     states = forward_euler(fam, ControlGrid(u), pts)
     with pytest.raises(FlowError, match="sample 2 at layer 3") as err:
-        backward_covector(fam, ControlGrid(u), states, np.ones((5, 3)))
+        backward_covector(fam, ControlGrid(u), states, np.ones((5, 2)))
     assert (err.value.sample, err.value.layer) == (2, 3)
-    assert shapes == [(20, 3, 3)]  # all 4 layers of 5 samples at once
+    assert shapes == [(4, 2, 2)]  # each layer's worst sample, all 4 layers at once
     # Layer 1 alone reports its own worst sample.
     u[2] = 0.0
     states = forward_euler(fam, ControlGrid(u), pts)
     with pytest.raises(FlowError, match="sample 4 at layer 1") as err:
-        backward_covector(fam, ControlGrid(u), states, np.ones((5, 3)))
+        backward_covector(fam, ControlGrid(u), states, np.ones((5, 2)))
     assert (err.value.sample, err.value.layer) == (4, 1)
 
 
 def test_planar_transport_makes_one_lapack_call(affine8, rng, monkeypatch):
     # The closed-form screen picks the worst sample of every layer, and one
     # LAPACK call gives the condition numbers of those 16 matrices.  The
-    # solves replay dgesv without LAPACK; a 3-D family still solves each
-    # layer with np.linalg.solve.
+    # solves replay dgesv without LAPACK.
     u = ControlGrid(rng.normal(scale=0.5, size=(16, 8)))
     states = forward_euler(affine8, u, rng.uniform(-1.5, 1.5, size=(900, 2)))
     shapes, solves = [], []
@@ -562,16 +535,6 @@ def test_planar_transport_makes_one_lapack_call(affine8, rng, monkeypatch):
     assert np.isfinite(lam).all()
     assert shapes == [(16, 2, 2)]
     assert solves == []
-    linear = FieldSpec(
-        value=lambda x: 0.5 * x,
-        jacobian=lambda x: np.broadcast_to(0.5 * np.eye(3), x.shape + (3,)).copy(),
-    )
-    fam = make_custom([linear], dim=3)
-    u = ControlGrid(rng.normal(size=(4, 1)))
-    states = forward_euler(fam, u, rng.normal(size=(50, 3)))
-    lam = backward_covector(fam, u, states, rng.normal(size=(50, 3)))
-    assert np.isfinite(lam).all()
-    assert solves == [(50, 3, 3)] * 4
 
 
 def lapack_transport(factors, terminal):
@@ -694,7 +657,7 @@ def rotation_and_bump():
         value=lambda x: np.stack([bump(x), np.zeros(x.shape[:-1])], axis=-1),
         jacobian=bump_jacobian,
     )
-    return make_custom([rot, bump_e1], dim=2)
+    return make_custom([rot, bump_e1])
 
 
 FAMILIES = {

@@ -119,10 +119,10 @@ def dataset_lines(rng, dim=2):
     """The text lines of a valid dataset CSV: header first, one sample per row."""
     if dim == 2:
         data = make_grid_dataset(builtin_target(), side=1.5, per_axis=3)
-    else:
+        rows = np.hstack([data.sources, data.targets])
+    else:  # written directly, since a Dataset refuses points that are not planar
         sources = rng.uniform(-1.0, 1.0, size=(9, dim))
-        data = Dataset(sources, 2.0 * sources)
-    rows = np.hstack([data.sources, data.targets])
+        rows = np.hstack([sources, 2.0 * sources])
     header = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
     return [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
 

@@ -29,12 +29,17 @@ change the last bits; re-record the digests there from a commit whose
 outputs are known to be right.
 
 Those digests hold for numpy's AVX-512 ``exp``, which is not correctly
-rounded; CPUs without AVX-512 run the libm kernel.  The short runs, and
-an enriched14 pmp run, are therefore also checked in a child process whose
-``NPY_DISABLE_CPU_FEATURES`` turns the AVX-512 kernels off, against a
-second set of digests recorded that way with the same numpy build before
-the built-in families gained their per-sweep workspace.  The variable acts
-on that child only.
+rounded; CPUs without AVX-512 run the libm kernel, which writes other last
+bits.  So there is one digest set per kernel, and each test compares with
+the set of the kernel it runs on, which ``exp_kernel_name`` in
+``conftest.py`` tells from ``np.exp`` on a fixed vector.  A kernel with no
+recorded set fails the tests with a message naming its fingerprint.  The
+libm set was recorded with the same numpy build in a child process whose
+``NPY_DISABLE_CPU_FEATURES`` turns the AVX-512 kernels off: the short runs
+before the built-in families gained their per-sweep workspace, the long
+runs before they became planar-only.  One test reruns the short runs, an
+enriched14 pmp run and the long runs in such a child, so the libm set is
+checked on an AVX-512 machine too.  The variable acts on that child only.
 """
 
 import dataclasses
@@ -176,18 +181,49 @@ LIBM_GOLDEN = {
         "summary.json": "a68570c7fc7e96fcbc1530018cecbb938dac57df8416f9ffc9d9c6bec8127114",
     },
 }
+LIBM_LONG_GOLDEN = {
+    "affine8_pmp_n16_beta1e-4.json": {
+        "trace.csv": "f3f713b8ee8e0aac3771acdc169b09d1d19e326d03eda2c5a913789af8a0ccc1",
+        "control.csv": "089c6140a51d23ac7c67273f3976e9838e2d7ab98b6081bb04d15a61f07ea530",
+        "summary.json": "f3dec76060bafaae1ddbe8162f3e9ce89a8f6b25c02e24ba2a885a2be2eab32c",
+    },
+    "affine8_gd_n16_beta1e-4.json": {
+        "trace.csv": "8b517d2bb2afea7cfe571a4669590d078ef7cef42fa4a9d927b6f290fbb1321c",
+        "control.csv": "e6009b9461aa0ae0d851a765c431c10e82e83a695869e5dfab7b7f294457cfbb",
+        "summary.json": "f737edbad376ac7119dc9ac0e4f8e77bab8bf280a0b98311869aca472c585a31",
+    },
+    "enriched14_gd_n16_beta1e-3.json": {
+        "trace.csv": "7d339184b8765bf5b6b64cfd6c5a0fed19138e8b3658bdb0f79821514be6588b",
+        "control.csv": "773c94fd1f565e79571ef2e944f0d7816483033f5be8372214dc9ef7daa12d9f",
+        "summary.json": "ab60a380afd1ca5c855940ba93b5ebb8cafe4263eb084217aaeb05dbac0e6c5f",
+    },
+}
+# The digest sets by np.exp kernel.
+DIGESTS = {
+    "avx512": {"short": GOLDEN, "long": LONG_GOLDEN},
+    "libm": {"short": LIBM_GOLDEN, "long": LIBM_LONG_GOLDEN},
+}
 LIBM_CHILD = """
-import json, math, sys, tempfile
+import json, tempfile
 from pathlib import Path
-import numpy as np
-from test_golden import CONFIGS, LIBM_RUNS, run_digests
-x = np.linspace(-0.2, 0.0, 4001)
-digests = {"libm exp": bool((np.exp(x) == [math.exp(v) for v in x]).all())}
+from conftest import exp_kernel_name
+from test_golden import CONFIGS, LIBM_LONG_GOLDEN, LIBM_RUNS, LONG_PASSES, run_digests
+digests = {"kernel": exp_kernel_name()}
 with tempfile.TemporaryDirectory() as tmp:
     for label, (name, changes) in LIBM_RUNS.items():
         digests[label] = run_digests(CONFIGS / name, Path(tmp) / str(len(digests)), **changes)
+    for name in LIBM_LONG_GOLDEN:
+        digests["long " + name] = run_digests(CONFIGS / name, Path(tmp) / str(len(digests)), LONG_PASSES)
 print(json.dumps(digests))
 """
+
+
+def recorded(kernel: str, runs: str) -> dict:
+    """The "short" or "long" ``runs``' digests of ``kernel``; a kernel without them fails, naming it."""
+    if kernel not in DIGESTS:
+        pytest.fail(f"no golden digests are recorded for the np.exp kernel {kernel}; "
+                    "record them as README 'Determinism' says", pytrace=False)
+    return DIGESTS[kernel][runs]
 
 
 def run_digests(config: Path, out: Path, max_iter: int = MAX_ITER, **changes) -> dict:
@@ -210,13 +246,15 @@ def test_every_config_is_covered():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_config_outputs_are_byte_identical(name, tmp_path):
-    assert run_digests(CONFIGS / name, tmp_path / "run") == GOLDEN[name]
+def test_config_outputs_are_byte_identical(name, tmp_path, exp_kernel):
+    want = recorded(exp_kernel, "short")[name]
+    assert run_digests(CONFIGS / name, tmp_path / "run") == want
 
 
 @pytest.mark.parametrize("name", sorted(LONG_GOLDEN))
-def test_long_run_is_byte_identical(name, tmp_path):
-    assert run_digests(CONFIGS / name, tmp_path / "run", LONG_PASSES) == LONG_GOLDEN[name]
+def test_long_run_is_byte_identical(name, tmp_path, exp_kernel):
+    want = recorded(exp_kernel, "long")[name]
+    assert run_digests(CONFIGS / name, tmp_path / "run", LONG_PASSES) == want
 
 
 def test_gradcheck_line_is_unchanged(capsys):
@@ -224,11 +262,12 @@ def test_gradcheck_line_is_unchanged(capsys):
     assert capsys.readouterr().out == GRADCHECK_LINE
 
 
-def test_short_runs_are_byte_identical_under_libm_exp():
+def test_runs_are_byte_identical_under_libm_exp():
     path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=LIBM_FEATURES_OFF, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", LIBM_CHILD], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"libm exp": True, **LIBM_GOLDEN}
+    long_runs = {"long " + name: digests for name, digests in LIBM_LONG_GOLDEN.items()}
+    assert json.loads(proc.stdout) == {"kernel": "libm", **LIBM_GOLDEN, **long_runs}

@@ -1,7 +1,6 @@
 """Backtracking gradient-descent trainer behavior, and the loop both trainers share."""
 
 import importlib
-import re
 import weakref
 
 import numpy as np
@@ -39,7 +38,7 @@ def shift_family():
         value=lambda x: np.broadcast_to(np.array([0.0, 1.0]), x.shape).copy(),
         jacobian=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
     )
-    return make_custom([e1, e2], dim=2)
+    return make_custom([e1, e2])
 
 
 def shift_dataset(rng, m=12, shift=(0.8, -0.5)):
@@ -225,8 +224,7 @@ def test_overflowing_proposal_is_a_rejected_pass(affine8, grid25):
 def dilation_family():
     """One field F(x) = x: every layer scales all points by one factor."""
     return make_custom(
-        [FieldSpec(value=np.array, jacobian=lambda x: np.broadcast_to(np.eye(2), x.shape + (2,)).copy())],
-        dim=2,
+        [FieldSpec(value=np.array, jacobian=lambda x: np.broadcast_to(np.eye(2), x.shape + (2,)).copy())]
     )
 
 
@@ -319,46 +317,12 @@ def test_held_out_overflow_under_a_rejected_proposal_does_not_abort(trainer, rng
     assert len(rep.records) == 7 and np.isfinite([r.testing_error for r in rep.records]).all()
 
 
-@pytest.mark.parametrize("trainer", [train_gradient_flow, train_pmp])
-def test_held_out_set_of_another_dimension_is_refused_before_any_flow(trainer, affine8, grid25, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("flowed before checking the held-out dimension")
-
-    monkeypatch.setattr(train_gd_module, "forward_euler", unreachable)
-    cube = Dataset(np.eye(3), np.eye(3))
-    expected = "test_data has shape (3, 3), data (25, 2)"
-    with pytest.raises(ValueError, match=re.escape(expected)):
-        trainer(affine8, grid25, 4, TrainConfig(beta=0.1, max_iter=2), test_data=cube)
-
-
-def spin3d_family():
-    """Three fields on R^3: a rotation about the third axis, a constant shift and a bend."""
-    def rot_jacobian(x):
-        return np.broadcast_to(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), x.shape + (3,)).copy()
-
-    def bend_jacobian(x):
-        jac = np.zeros(x.shape + (3,))
-        jac[..., 0, 2], jac[..., 1, 0] = np.cos(x[..., 2]), 2.0 * x[..., 0]
-        return jac
-
-    return make_custom(
-        [
-            FieldSpec(value=lambda x: np.stack([-x[..., 1], x[..., 0], 0.0 * x[..., 2]], axis=-1),
-                      jacobian=rot_jacobian),
-            FieldSpec(value=np.ones_like, jacobian=lambda x: np.zeros(x.shape + (3,))),
-            FieldSpec(value=lambda x: np.stack([np.sin(x[..., 2]), x[..., 0] ** 2, 0.0 * x[..., 0]], axis=-1),
-                      jacobian=bend_jacobian),
-        ],
-        dim=3,
-    )
-
-
-@pytest.mark.parametrize("kind", ["affine8", "enriched14", "spin3d"])
+@pytest.mark.parametrize("kind", ["affine8", "enriched14"])
 def test_stacked_flow_is_the_separate_flows_bit_for_bit(kind, request):
-    family = spin3d_family() if kind == "spin3d" else request.getfixturevalue(kind)
+    family = request.getfixturevalue(kind)
     rng = np.random.Generator(np.random.Philox(22))
     train, test = (
-        Dataset(rng.uniform(-1.5, 1.5, size=(m, family.dim)), rng.uniform(-1.5, 1.5, size=(m, family.dim)))
+        Dataset(rng.uniform(-1.5, 1.5, size=(m, 2)), rng.uniform(-1.5, 1.5, size=(m, 2)))
         for m in (900, 300)
     )
     u = ControlGrid(rng.normal(scale=0.5, size=(16, family.n_fields)))
@@ -411,12 +375,6 @@ def test_argument_validation(affine8, grid25, rng):
     with pytest.raises(ValueError):
         bad_init = ControlGrid(rng.normal(size=(3, 8)))
         train_gradient_flow(affine8, grid25, 4, TrainConfig(beta=0.1), init=bad_init)
-    one_d = Dataset(np.array([[0.0], [1.0]]), np.array([[0.5], [1.5]]))
-    with pytest.raises(ValueError):
-        train_gradient_flow(affine8, one_d, 4, TrainConfig(beta=0.1))
-    # The training set's own shape is named, not that of the stacked bundle.
-    with pytest.raises(ValueError, match=re.escape("points have shape (2, 1), expected (M, 2)")):
-        train_gradient_flow(affine8, one_d, 4, TrainConfig(beta=0.1), test_data=one_d)
 
 
 @pytest.mark.parametrize(
