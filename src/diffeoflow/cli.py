@@ -52,6 +52,7 @@ from .train_gd import TrainAbort, TrainConfig, TrainReport, train_gradient_flow
 from .train_pmp import train_pmp
 
 TRACE_COLUMNS = ("iteration", "cost", "training_error", "testing_error", "gamma", "accepted")
+EVAL_COLUMNS = ("x1", "x2", "mapped1", "mapped2", "y1", "y2", "point_loss")
 TABLE_COLUMNS = (
     "beta", "lipschitz", "training_error", "testing_error",
     "ref_lipschitz", "ref_training_error", "ref_testing_error", "wall_clock_seconds",
@@ -472,15 +473,8 @@ def cmd_eval(args) -> int:
     point_loss = loss(endpoints - data.targets)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dim = data.dim
-    header = (
-        [f"x{i + 1}" for i in range(dim)]
-        + [f"mapped{i + 1}" for i in range(dim)]
-        + [f"y{i + 1}" for i in range(dim)]
-        + ["point_loss"]
-    )
     table = np.column_stack([data.sources, endpoints, data.targets, point_loss])
-    write_table(out / "eval.csv", header, table)
+    write_table(out / "eval.csv", EVAL_COLUMNS, table)
     with np.errstate(over="ignore"):
         mean = np.mean(point_loss)
     print(f"mean error {mean:.6f} over {data.n_samples} samples")

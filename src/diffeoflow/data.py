@@ -26,7 +26,7 @@ exactly and in bulk, block by block, and leaves only zeros, subnormals, inf,
 nan and magnitudes outside [1e-4, 1e16) to Python's ``%``; a value's decade
 is the table ``_EXPONENT_DECADES`` at its binary exponent, raised by one
 where it reaches the next power of ten.  Dataset files carry one sample per
-row with header ``x1,...,xn,y1,...,yn``.
+row with header ``x1,x2,y1,y2``.
 """
 
 from __future__ import annotations
@@ -46,14 +46,13 @@ ROTATION_ANGLE = math.pi / 3.0
 
 @dataclass(frozen=True)
 class TargetMap:
-    """A smooth map R^n -> R^n with an explicit Jacobian.
+    """A smooth planar map R^2 -> R^2 with an explicit Jacobian.
 
-    ``value_fn`` maps (..., dim) to (..., dim); ``jacobian_fn`` maps
-    (..., dim) to (..., dim, dim).
+    ``value_fn`` maps (..., 2) to (..., 2); ``jacobian_fn`` maps (..., 2)
+    to (..., 2, 2).
     """
 
     kind: str
-    dim: int
     value_fn: Callable[[np.ndarray], np.ndarray]
     jacobian_fn: Callable[[np.ndarray], np.ndarray]
 
@@ -71,7 +70,7 @@ def identity_target() -> TargetMap:
     def jac(x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
 
-    return TargetMap(kind="identity", dim=2, value_fn=value, jacobian_fn=jac)
+    return TargetMap(kind="identity", value_fn=value, jacobian_fn=jac)
 
 
 def builtin_target() -> TargetMap:
@@ -100,7 +99,7 @@ def builtin_target() -> TargetMap:
         deform[..., 1, 1] = 1.0 + 6.0 * z2 * z2
         return deform @ rot
 
-    return TargetMap(kind="builtin", dim=2, value_fn=value, jacobian_fn=jac)
+    return TargetMap(kind="builtin", value_fn=value, jacobian_fn=jac)
 
 
 def target_from_name(name: str) -> TargetMap:
@@ -146,7 +145,7 @@ def make_random_testset(
     if side <= 0.0:
         raise ValueError(f"side must be positive, got {side}")
     rng = np.random.Generator(np.random.Philox(seed))
-    sources = rng.uniform(-0.5 * side, 0.5 * side, size=(count, target.dim))
+    sources = rng.uniform(-0.5 * side, 0.5 * side, size=(count, 2))
     return Dataset(sources=sources, targets=target(sources))
 
 
@@ -300,22 +299,22 @@ def read_table(path, what: str) -> tuple[list[str], np.ndarray]:
     return names, table
 
 
-def _dataset_header(dim: int) -> list[str]:
-    return [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
+def _dataset_header(width: int) -> list[str]:
+    return [f"x{i + 1}" for i in range(width)] + [f"y{i + 1}" for i in range(width)]
 
 
 def save_dataset_csv(path, data: Dataset) -> None:
-    """Write one sample per row as x1..xn,y1..yn."""
-    write_table(path, _dataset_header(data.dim), np.hstack([data.sources, data.targets]))
+    """Write one sample per row as x1,x2,y1,y2."""
+    write_table(path, _dataset_header(2), np.hstack([data.sources, data.targets]))
 
 
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset written by save_dataset_csv."""
     header, arr = read_table(path, "dataset")
-    dim = len(header) // 2
-    if header != _dataset_header(dim):
+    width = len(header) // 2  # any width, so that a 1-D or 3-D file meets Dataset's shape check
+    if header != _dataset_header(width):
         raise ValueError(f"unexpected dataset header in {path}: {header}")
     try:
-        return Dataset(sources=arr[:, :dim], targets=arr[:, dim:])
-    except ValueError as err:  # repeated source points
+        return Dataset(sources=arr[:, :width], targets=arr[:, width:])
+    except ValueError as err:  # a width other than 2, or repeated source points
         raise ValueError(f"dataset file {path}: {err}") from err

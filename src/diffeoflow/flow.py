@@ -362,15 +362,20 @@ def variational_jacobian(
 
 
 def jacobian_along(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray) -> np.ndarray:
-    """Jacobian of the input-to-output map at node 0 of a stored trajectory, shape (M, dim, dim).
+    """Jacobian of the input-to-output map at node 0 of a stored trajectory, shape (M, 2, 2).
 
-    ``states`` is the (M, N+1, dim) bundle the controls produced from the
+    ``states`` is the (M, N+1, 2) bundle the controls produced from the
     points, in any memory layout, such as a trainer's final trajectory.
     Accumulates V <- (Id + h A_k) V over the layers, with each factor the
-    family's ``layer_factor``; no point is flowed again.
+    family's ``layer_factor``; no point is flowed again.  Runs in the flow's
+    row blocks, each through all N layers; no bit depends on the blocks.
     """
     states = _as_bundle(family, u, states, u.n_layers + 1)
-    jac = np.broadcast_to(np.eye(family.dim), (states.shape[0], family.dim, family.dim)).copy()
-    for k in range(1, u.n_layers + 1):
-        jac = family.layer_factor(states[:, k - 1], u.values[k - 1], u.step) @ jac
+    jac = np.empty((states.shape[0], 2, 2))
+    for start in range(0, states.shape[0], _BLOCK_ROWS):
+        block = states[start:start + _BLOCK_ROWS]
+        v = np.broadcast_to(np.eye(2), (block.shape[0], 2, 2)).copy()
+        for k in range(1, u.n_layers + 1):
+            v = family.layer_factor(block[:, k - 1], u.values[k - 1], u.step) @ v
+        jac[start:start + _BLOCK_ROWS] = v
     return jac

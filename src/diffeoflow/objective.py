@@ -57,10 +57,6 @@ class Dataset:
     def n_samples(self) -> int:
         return self.sources.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.sources.shape[1]
-
 
 @dataclass(frozen=True)
 class ObjectiveValue:

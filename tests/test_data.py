@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffeoflow import (
+    TargetMap,
     identity_target,
     load_dataset_csv,
     make_grid_dataset,
@@ -94,6 +95,15 @@ def test_random_testset_seeded(target):
     assert a.n_samples == 300
     assert np.abs(a.sources).max() <= 0.75
     assert np.array_equal(a.targets, target(a.sources))
+
+
+def test_target_map_takes_kind_and_two_callables_and_samples_planar_sources():
+    swap = TargetMap("swap", lambda x: x[..., ::-1].copy(),
+                     lambda x: np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], x.shape + (2,)).copy())
+    data = make_random_testset(swap, side=2.0, count=7, seed=4)
+    assert data.sources.shape == data.targets.shape == (7, 2)
+    assert np.array_equal(data.targets, data.sources[:, ::-1])
+    assert swap.jacobian(data.sources).shape == (7, 2, 2)
 
 
 def test_dataset_csv_round_trip(tmp_path, target):

@@ -258,11 +258,16 @@ def test_row_blocks_change_no_bit(kind, request, rng, monkeypatch):
     pts = rng.uniform(-1.5, 1.5, size=(25, 2))
     pts[:6] *= 1e-300  # underflowing products and signed zeros in the fields
     pts[3] = [-0.0, 0.0]
-    whole = forward_euler(family, u, pts), flow_endpoints(family, u, pts)
-    rows = counted_blocks(family, monkeypatch)
+    states = forward_euler(family, u, pts)
+    whole = states, flow_endpoints(family, u, pts), jacobian_along(family, u, states)
+    rows, factor_rows = counted_blocks(family, monkeypatch), []
+    factor = type(family).layer_factor
+    monkeypatch.setattr(type(family), "layer_factor",
+                        lambda fam, x, *args: factor_rows.append(x.shape[0]) or factor(fam, x, *args))
     monkeypatch.setattr(flow, "_BLOCK_ROWS", 7)  # three full blocks and a ragged tail of 4
-    blocked = forward_euler(family, u, pts), flow_endpoints(family, u, pts)
-    assert rows == 2 * [7, 7, 7, 4]  # one call per block, through all five layers
+    blocked = forward_euler(family, u, pts), flow_endpoints(family, u, pts), jacobian_along(family, u, states)
+    assert rows == 2 * [7, 7, 7, 4]  # one sweep per block, through all five layers
+    assert factor_rows == [7] * 15 + [4] * 5  # one Jacobian factor per layer of each block
     for one, many in zip(whole, blocked):
         assert one.strides == many.strides
         assert one.tobytes() == many.tobytes()

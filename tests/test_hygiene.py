@@ -128,6 +128,35 @@ def test_every_private_function_is_named_in_the_package():
     assert unnamed_private_functions(sources) == []
 
 
+def dimension_reads(source: str) -> list[str]:
+    """Lines that read a dimension other than through ``VectorFieldFamily.dim``.
+
+    Flags every ``.dim`` attribute read but ``family.dim`` and every ``range``
+    call over a name or attribute ``dim``: the package is planar, so only a
+    family states the plane's 2.
+    """
+    flagged = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "dim" and isinstance(node.ctx, ast.Load):
+            if not (isinstance(node.value, ast.Name) and node.value.id == "family"):
+                flagged.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range":
+            if any((isinstance(n, ast.Name) and n.id == "dim") or (isinstance(n, ast.Attribute) and n.attr == "dim")
+                   for arg in node.args for n in ast.walk(arg)):
+                flagged.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return flagged
+
+
+def test_dimension_check_flags_a_generic_dimension():
+    source = "n = family.dim\nm = data.dim\nfor i in range(dim):\n    pass\nlist(range(family.dim))\n"
+    assert dimension_reads(source) == ["line 2: data.dim", "line 3: range(dim)", "line 5: range(family.dim)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_reads_no_dimension_but_the_family_one(path):
+    assert dimension_reads(path.read_text(encoding="utf-8")) == []
+
+
 def unused_public_functions(modules: dict[str, str]) -> list[str]:
     """Public module-level functions, as ``module.name``, that nothing in the package uses.
 

@@ -139,7 +139,7 @@ def test_dataset_validation():
         Dataset(np.zeros((0, 2)), np.zeros((0, 2)))
     d = Dataset(good, good + 1.0)
     sub = Dataset(d.sources[[1]], d.targets[[1]])
-    assert sub.n_samples == 1 and sub.dim == 2
+    assert sub.n_samples == 1 and sub.sources.shape == sub.targets.shape == (1, 2)
 
 
 def test_non_planar_input_is_refused_naming_its_shape():
