@@ -16,20 +16,20 @@ of the fields at a batch of points:
                                                        stepped covector).
 
 The base class computes them from the stacked ``values`` and ``jacobians``
-of the fields, so a family only has to supply those two.  The built-in
-families compute the four that a run calls, all but ``layer_matrix``, in
-closed form instead, without the mostly-zero ``(..., l, n[, n])`` tensors:
-each field is a coefficient K_j(x) times one axis, for one list K that both
-axes share, and each closed form is written once over K and its gradients.
-It assembles each sum in place, adding terms in the dense contraction's
-order, so both give the same bits; only a sum's leading ``0.0 +`` may move,
-to its end or into a scalar term, since adding +0.0 only turns -0.0 into
-+0.0.  Their ``layer_matrix``, ``values`` and ``jacobians`` are dense.
+of the fields, so a family only has to supply those two.  These dense
+contractions are the public ones of every family, built-ins included, and
+the reference every fast path is tested against.
 
-The flow's two layer loops take their per-layer steps from ``_sweep``: one
-contraction call each in the base class, in the built-ins one workspace of
-arrays made when the sweep starts, refilled at every node and dropped at its
-end.  A per-layer contraction runs the same kernels on a workspace of one node.
+The layer loops of the flow and the gradient take their per-layer steps
+from ``_sweep``: one contraction call each in the base class, in the
+built-ins their closed forms, on one workspace of arrays made when the
+sweep starts, refilled at every node and dropped at its end.  The closed
+forms do without the mostly-zero ``(..., l, n[, n])`` tensors: each field
+is a coefficient K_j(x) times one axis, for one list K that both axes
+share, and each closed form is written once over K and its gradients.  It
+assembles each sum in place, adding terms in the dense contraction's order,
+so both give the same bits; only a sum's leading ``0.0 +`` may move, to its
+end or into a scalar term, since adding +0.0 only turns -0.0 into +0.0.
 
 Two planar built-ins are provided.
 
@@ -61,8 +61,8 @@ the field listed at position i.
 Points are arrays whose last axis holds the coordinates; any number of
 leading batch axes is allowed and preserved.  They may come in any memory
 layout: the flow passes (M, dim) views whose coordinate columns are
-contiguous, and the closed-form contractions return their (M, dim) results
-in the layout of their input.
+contiguous, and the built-ins' sweep steps return their (M, dim) results in
+the layout of their input.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ class VectorFieldFamily(ABC):
 
     Evaluation is pure: instances hold no mutable state and may be shared
     freely across threads, since each sweep and call makes its own arrays.
-    Subclasses supply ``values`` and ``jacobians``; the contractions and
-    the per-layer steps of a sweep default to dense einsums over them.
+    Subclasses supply ``values`` and ``jacobians``; the contractions are
+    dense einsums over them, and the per-layer steps of a sweep default to
+    one contraction call each.
     """
 
     kind: str
@@ -138,8 +139,8 @@ class VectorFieldFamily(ABC):
 
     def _sweep(self, shape: tuple) -> SimpleNamespace:
         """The steps of a layer loop over nodes of leading shape ``shape``, each one contraction call: ``pair``,
-        ``pair_and_step`` and ``displace(x, u_row, out)``, which returns ``displacement`` in ``out`` or fresh."""
-        steps = {"pair": self.pairing, "pair_and_step": self.adjoint_step}
+        ``pair_and_step``, ``factor`` and ``displace(x, u_row, out)``, which returns ``displacement`` in ``out`` or fresh."""
+        steps = {"pair": self.pairing, "pair_and_step": self.adjoint_step, "factor": self.layer_factor}
         return SimpleNamespace(displace=lambda x, u_row, out: self.displacement(x, u_row), **steps)
 
 
@@ -151,7 +152,7 @@ def _as_points(x: np.ndarray) -> np.ndarray:
 
 
 class _Planar:
-    """The steps of one layer loop, or one per-layer call, of a planar built-in: a workspace over nodes of one shape.
+    """The steps of one layer loop of a planar built-in, its closed forms: a workspace over nodes of one shape.
 
     Each step loads its node x (coordinates ``x1``, ``x2``, squares ``q1``, ``q2``, g = exp(-(q1 + q2) / (2 nu)), 0 at
     |x|^2 = inf under the caller's ``np.errstate``) and runs the family's kernels on it in scratch arrays made on
@@ -187,9 +188,18 @@ class _Planar:
         return self.family._pairing(self.load(x), lam)
 
     def pair_and_step(self, x: np.ndarray, u_row, lam: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        row, out = self.pair(x, lam), np.empty_like(lam) if self.spare is None else self.spare
-        self.spare = lam
+        row = self.pair(x, lam)
+        if self.spare is None:  # the first node: the step reads none of the pairing's arrays, so free them first
+            self.ks, self.arrays, self.spare = None, {}, np.empty_like(lam)
+        out, self.spare = self.spare, lam
         return row, self.family._step(self, u_row, lam, h, out)
+
+    def factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
+        """I + h sum_i u_row[i] DF_i(x), C order like ``layer_factor``: products of factors stay on one path."""
+        b = self.family._factor_entries(self.load(x), u_row, h)
+        out = np.empty(self.shape + (2, 2))
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = b.reshape((4,) + self.shape)
+        return out
 
 
 @dataclass(frozen=True)
@@ -200,7 +210,8 @@ class Affine8(VectorFieldFamily):
     both axes share in the same order: K = (1, g, x1, x2).  A subclass that
     appends fields appends to K, to its gradients and to both axes' columns.
     Each closed form is one kernel that adds its terms in the order of K
-    into the arrays of a loaded ``_Planar`` workspace.
+    into the arrays of a loaded ``_Planar`` workspace, the steps of its
+    ``_sweep``; its public contractions are the dense ones it inherits.
     """
 
     nu: float = DEFAULT_GAUSSIAN_WIDTH
@@ -215,8 +226,7 @@ class Affine8(VectorFieldFamily):
     def _node(self, x: np.ndarray) -> _Planar:
         """A workspace loaded with the points ``x`` alone."""
         x = _as_points(x)
-        with np.errstate(over="ignore"):
-            return _Planar(self, x.shape[:-1]).load(x)
+        return _Planar(self, x.shape[:-1]).load(x)
 
     def _coefficients(self, ws: _Planar) -> tuple:
         """K at the loaded node, 1.0 for the constant coefficient."""
@@ -290,37 +300,17 @@ class Affine8(VectorFieldFamily):
         return out
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        ws = self._node(x)
-        return self._dense(np.zeros(ws.shape + (self.n_fields, 2)), self._coefficients(ws))
+        with np.errstate(over="ignore", invalid="ignore"):  # as in a flow: at |x|^2 = inf, g is 0 and x1^2 g NaN
+            ws = self._node(x)
+            return self._dense(np.zeros(ws.shape + (self.n_fields, 2)), self._coefficients(ws))
 
     def jacobians(self, x: np.ndarray) -> np.ndarray:
-        ws = self._node(x)
-        out, grads = np.zeros(ws.shape + (self.n_fields, 2, 2)), self._gradients(ws)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ws = self._node(x)
+            out, grads = np.zeros(ws.shape + (self.n_fields, 2, 2)), self._gradients(ws)
         for q in (0, 1):
             self._dense(out[..., q], [part[q] for part in grads])
         return out
-
-    def displacement(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-        ws = self._node(x)  # out in the layout of x, so each coordinate is summed in one pass
-        return self._displacement(ws, np.asarray(u_row, dtype=float).tolist(), np.empty_like(ws.x))
-
-    def layer_factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
-        ws = self._node(x)
-        b = self._factor_entries(ws, np.asarray(u_row, dtype=float), h)
-        out = np.empty(ws.shape + (2, 2))  # C order like eye + h * layer_matrix: products of factors stay on one path
-        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = b.reshape((4,) + ws.shape)
-        return out
-
-    def pairing(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self._pairing(self._node(x), np.asarray(lam, dtype=float))
-
-    def adjoint_step(
-        self, x: np.ndarray, u_row: np.ndarray, lam: np.ndarray, h: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        ws, lam = self._node(x), np.asarray(lam, dtype=float)
-        row = self._pairing(ws, lam)
-        ws.ks, ws.arrays = None, {}  # the step reads none of the pairing's arrays: free them before it makes its own
-        return row, self._step(ws, np.asarray(u_row, dtype=float), lam, h, np.empty_like(lam))
 
 
 @dataclass(frozen=True)

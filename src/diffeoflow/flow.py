@@ -319,7 +319,8 @@ def backward_covector(
         lambda_{k-1} = lambda_k (Id - h A_k)^{-1},
 
     the backward-Euler transport of the continuous covector flow.  The
-    factor Id - h A_k is the family's ``layer_factor`` with step -h.  (The
+    factor Id - h A_k is the ``factor`` step of one ``family._sweep`` with
+    step -h, bit for bit the family's ``layer_factor(x, u, -h)``.  (The
     exact transpose of the forward layer, lambda_k (Id + h A_k), is the
     family's ``adjoint_step``.)
 
@@ -340,10 +341,10 @@ def backward_covector(
     term = np.asarray(terminal, dtype=float)
     if term.shape != (n_pts, 2):
         raise ValueError(f"terminal covectors must have shape ({n_pts}, 2), got {term.shape}")
-    h = u.step
-    factors = np.empty((n_layers, n_pts, 2, 2))
-    for k in range(1, n_layers + 1):
-        factors[k - 1] = family.layer_factor(states[:, k - 1], u.values[k - 1], -h)
+    factors, sweep = np.empty((n_layers, n_pts, 2, 2)), family._sweep((n_pts,))
+    with np.errstate(over="ignore"):  # |x|^2 = inf gives the Gaussian weight its limit 0
+        for k in range(1, n_layers + 1):
+            factors[k - 1] = sweep.factor(states[:, k - 1], u.values[k - 1], -u.step)
     _screen(factors)
     return _solve_backward(factors, term).transpose(2, 0, 1)
 
@@ -367,15 +368,17 @@ def jacobian_along(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray
     ``states`` is the (M, N+1, 2) bundle the controls produced from the
     points, in any memory layout, such as a trainer's final trajectory.
     Accumulates V <- (Id + h A_k) V over the layers, with each factor the
+    ``factor`` step of one ``family._sweep`` per row block, bit for bit the
     family's ``layer_factor``; no point is flowed again.  Runs in the flow's
     row blocks, each through all N layers; no bit depends on the blocks.
     """
     states = _as_bundle(family, u, states, u.n_layers + 1)
     jac = np.empty((states.shape[0], 2, 2))
-    for start in range(0, states.shape[0], _BLOCK_ROWS):
-        block = states[start:start + _BLOCK_ROWS]
-        v = np.broadcast_to(np.eye(2), (block.shape[0], 2, 2)).copy()
-        for k in range(1, u.n_layers + 1):
-            v = family.layer_factor(block[:, k - 1], u.values[k - 1], u.step) @ v
-        jac[start:start + _BLOCK_ROWS] = v
+    with np.errstate(over="ignore"):  # |x|^2 = inf gives the Gaussian weight its limit 0
+        for start in range(0, states.shape[0], _BLOCK_ROWS):
+            block = states[start:start + _BLOCK_ROWS]
+            sweep, v = family._sweep(block.shape[:1]), np.broadcast_to(np.eye(2), (block.shape[0], 2, 2)).copy()
+            for k in range(1, u.n_layers + 1):
+                v = sweep.factor(block[:, k - 1], u.values[k - 1], u.step) @ v
+            jac[start:start + _BLOCK_ROWS] = v
     return jac

@@ -29,9 +29,10 @@ correction reads; both are recomputed only after an accepted pass.
 
 The sweep is ``flow._euler``, the Euler recursion of every other flow, with
 the maximizer as its row rule: at each node it reached, the sweep pairs with
-``VectorFieldFamily.pairing``, the dense einsum over the (M, l, dim) field
-``values``, not the built-ins' closed form, because perfbench's tracing
-self-test requires a ``fields.values`` span from a pmp run.
+the family's public ``pairing``, the dense einsum over the (M, l, dim) field
+``values`` for every family, whose spans perfbench's tracing self-test
+reads from a pmp run; the forward steps and the transport's factors are the
+family's ``_sweep`` steps.
 """
 
 from __future__ import annotations
@@ -95,9 +96,7 @@ def train_pmp(
             # by the change this causes in the endpoint penalty gradients.
             x = x[:n_pts]
             lam = cov[:, k - 1] + (penalty[:, k - 1] - loss_grad(x - targets)) / n_pts
-            # Not family.pairing: a built-in's closed form would drop the fields.values span.
-            pairing = VectorFieldFamily.pairing(family, x, lam)
-            new_controls[k - 1] = _maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
+            new_controls[k - 1] = _maximized_controls(family.pairing(x, lam), u.values[k - 1], gamma, cfg.beta)
             return new_controls[k - 1]
 
         swept = _euler(family, u, states[:, 0], u.n_layers + 1, maximize, checked=n_pts).transpose(2, 0, 1)

@@ -140,9 +140,18 @@ def test_custom_family_round_trip(rng):
 
 
 CONTRACTIONS = ("displacement", "layer_matrix", "layer_factor", "pairing")
-# The built-ins compute these in closed form; their layer_matrix is the dense one.
+# The contractions whose closed forms are the built-ins' sweep steps; layer_matrix has none.
 CLOSED_FORMS = ("displacement", "layer_factor", "pairing")
 EINSUMS = ("displacement", "layer_matrix", "pairing")
+STEPS = {"layer_factor": "factor", "pairing": "pair", "adjoint_step": "pair_and_step"}
+
+
+def _sweep_step(fam, name, x, *args):
+    """The closed form of contraction ``name`` at the points ``x``: its step on a fresh sweep of ``fam``."""
+    sweep = fam._sweep(x.shape[:-1])
+    if name == "displacement":
+        return sweep.displace(x, *args, np.empty_like(x))
+    return getattr(sweep, STEPS[name])(x, *args)
 
 
 def _contraction_args(fam, name, x, rng, signed_zeros=False):
@@ -159,6 +168,8 @@ def _contraction_args(fam, name, x, rng, signed_zeros=False):
         u_row = rng.normal(size=fam.n_fields)
     if name == "layer_factor":
         return (x, u_row, 1.0 / 16)
+    if name == "adjoint_step":
+        return (x, u_row, rng.normal(size=x.shape), 1.0 / 16)
     return (x, u_row)
 
 
@@ -179,7 +190,7 @@ def test_closed_form_contractions_equal_dense_path_bit_for_bit(name, maker, shap
     x.reshape(-1)[::5] = 0.0  # grid points on the axes
     for signed_zeros in (False, True):
         args = _contraction_args(fam, name, x, rng, signed_zeros)
-        got = getattr(fam, name)(*args)
+        got = _sweep_step(fam, name, *args)
         dense = _dense_contraction(fam, name, *args)
         assert got.shape == dense.shape
         # Bits, not values: array_equal counts -0.0 and 0.0 as equal.
@@ -187,9 +198,10 @@ def test_closed_form_contractions_equal_dense_path_bit_for_bit(name, maker, shap
 
 
 @pytest.mark.parametrize("cls", [Affine8, Enriched14])
-def test_builtins_inherit_the_dense_layer_matrix(cls):
-    assert "layer_matrix" not in vars(cls)
-    assert cls.layer_matrix is VectorFieldFamily.layer_matrix
+def test_builtins_inherit_every_dense_contraction(cls):
+    for name in CONTRACTIONS + ("adjoint_step",):
+        assert name not in vars(cls)
+        assert getattr(cls, name) is getattr(VectorFieldFamily, name)
 
 
 LAYOUTS = {
@@ -209,9 +221,9 @@ def test_layer_factor_is_the_dense_eye_plus_h_layer_matrix_bit_for_bit(maker, h,
     x.reshape(-1)[::5] = 0.0  # grid points on the axes
     x[1::7] *= 1e3  # far away: the Gaussian weight underflows to 0
     x[3::11] = [1e150, -1e150]
-    x = LAYOUTS[layout](x)
+    x, sweep = LAYOUTS[layout](x), fam._sweep((900,))
     for u_row in (rng.normal(size=fam.n_fields), np.where(np.arange(fam.n_fields) % 2, -0.0, 0.0)):
-        got = fam.layer_factor(x, u_row, h)
+        got = sweep.factor(x, u_row, h)
         dense = VectorFieldFamily.layer_matrix(fam, x, u_row)
         want = np.eye(2) + h * dense
         assert got.shape == (900, 2, 2) and got.flags.c_contiguous
@@ -237,7 +249,7 @@ def test_dense_contractions_match_explicit_einsums(name, enriched14, rng):
 def test_pairing_keeps_middle_axes_and_accepts_strided_slices(affine8, rng):
     states = rng.normal(size=(40, 9, 2))
     lam = rng.normal(size=(40, 9, 2))
-    got = affine8.pairing(states[:, :-1], lam[:, 1:])
+    got = affine8._sweep((40, 8)).pair(states[:, :-1], lam[:, 1:])
     assert got.shape == (8, 8)
     want = VectorFieldFamily.pairing(affine8, states[:, :-1], lam[:, 1:])
     assert np.array_equal(got, want)
@@ -277,11 +289,31 @@ def test_closed_form_adjoint_step_equals_dense_step_bit_for_bit(maker, h, rng):
     lam[::3] = -0.0  # rows of signed zeros
     lam[1::7, 0] = 0.0
     for u_row in (rng.normal(size=fam.n_fields), np.where(np.arange(fam.n_fields) % 2, -0.0, 0.0)):
-        row, step = fam.adjoint_step(x, u_row, lam, h)
+        row, step = _sweep_step(fam, "adjoint_step", x, u_row, lam, h)
         dense_row, dense_step = VectorFieldFamily.adjoint_step(fam, x, u_row, lam, h)
         assert row.shape == (fam.n_fields,) and step.shape == lam.shape
         assert np.array_equal(row.view(np.int64), dense_row.view(np.int64))
         assert np.array_equal(step.view(np.int64), dense_step.view(np.int64))
+
+
+def _flat(result):
+    """A result as one flat array; ``adjoint_step`` returns two."""
+    return np.concatenate([np.ravel(part) for part in (result if isinstance(result, tuple) else (result,))])
+
+
+@pytest.mark.parametrize("name", ("values", "jacobians") + CONTRACTIONS + ("adjoint_step",))
+@pytest.mark.parametrize("maker", [make_affine8, make_enriched14])
+def test_public_calls_are_quiet_where_the_squares_overflow(maker, name, rng):
+    """At |x|^2 = inf, g is 0 and x1^2 g is inf * 0: the NaN of a sweep step, with no warning (an error under pytest)."""
+    fam = maker(20.0)
+    x = np.array([[1e200, 0.0], [0.5, -0.25], [1e200, 1e200]])
+    args = (x,) if name in ("values", "jacobians") else _contraction_args(fam, name, x, rng)
+    got = _flat(getattr(fam, name)(*args))
+    assert np.isnan(got).any() == (fam.kind == "enriched14")
+    if name in CLOSED_FORMS + ("adjoint_step",):
+        with np.errstate(over="ignore", invalid="ignore"):  # the forward flow's
+            want = _flat(_sweep_step(fam, name, *args))
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_dense_adjoint_step_is_the_pairing_and_the_transposed_layer():
@@ -294,8 +326,9 @@ def test_dense_adjoint_step_is_the_pairing_and_the_transposed_layer():
     assert np.array_equal(step, want)
 
 
-# The peak bytes one call on 10^4 points may allocate, in float columns of
-# 10^4 values: its measured peak (6.02, 9.02, 11.02 and 20.03 columns)
+# The peak bytes that the closed form of a contraction, one node of a fresh
+# sweep on 10^4 points, may allocate with its output, in float columns of
+# 10^4 values: its measured peak (6.02, 9.03, 11.06 and 19.07 columns)
 # rounded up to a whole column.  The sums are assembled in place, into the
 # output and one scratch column.
 PEAK_COLUMNS = {
@@ -314,11 +347,10 @@ def test_closed_forms_assemble_their_sums_in_place(kind, name):
     args = (x, rng.normal(size=fam.n_fields))
     if name == "adjoint_step":
         args += (np.asfortranarray(rng.normal(size=x.shape)), 1.0 / 16)
-    call = getattr(fam, name)
-    call(*args)
+    _sweep_step(fam, name, *args)
     tracemalloc.start()
     try:
-        call(*args)
+        _sweep_step(fam, name, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

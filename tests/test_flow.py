@@ -244,11 +244,19 @@ def wavy_planar_family():
 
 
 def counted_blocks(family, monkeypatch):
-    """Record the number of rows of each row block, one ``family._sweep`` each."""
-    rows = []
+    """Record each ``family._sweep``, one per row block, as its rows and the rows of each of its ``factor`` steps."""
+    sweeps = []
     plain = type(family)._sweep
-    monkeypatch.setattr(type(family), "_sweep", lambda fam, shape: rows.append(shape[0]) or plain(fam, shape))
-    return rows
+
+    def counted(fam, shape):
+        sweep, factors = plain(fam, shape), []
+        factor = sweep.factor
+        sweep.factor = lambda x, *args: factors.append(x.shape[0]) or factor(x, *args)
+        sweeps.append((shape[0], factors))
+        return sweep
+
+    monkeypatch.setattr(type(family), "_sweep", counted)
+    return sweeps
 
 
 @pytest.mark.parametrize("kind", ["affine8", "enriched14", "custom"])
@@ -260,14 +268,11 @@ def test_row_blocks_change_no_bit(kind, request, rng, monkeypatch):
     pts[3] = [-0.0, 0.0]
     states = forward_euler(family, u, pts)
     whole = states, flow_endpoints(family, u, pts), jacobian_along(family, u, states)
-    rows, factor_rows = counted_blocks(family, monkeypatch), []
-    factor = type(family).layer_factor
-    monkeypatch.setattr(type(family), "layer_factor",
-                        lambda fam, x, *args: factor_rows.append(x.shape[0]) or factor(fam, x, *args))
+    sweeps, blocks = counted_blocks(family, monkeypatch), [7, 7, 7, 4]
     monkeypatch.setattr(flow, "_BLOCK_ROWS", 7)  # three full blocks and a ragged tail of 4
     blocked = forward_euler(family, u, pts), flow_endpoints(family, u, pts), jacobian_along(family, u, states)
-    assert rows == 2 * [7, 7, 7, 4]  # one sweep per block, through all five layers
-    assert factor_rows == [7] * 15 + [4] * 5  # one Jacobian factor per layer of each block
+    # One sweep per block, through all five layers; the Jacobian's takes one factor step per layer.
+    assert sweeps == [(n, []) for n in 2 * blocks] + [(n, [n] * 5) for n in blocks]
     for one, many in zip(whole, blocked):
         assert one.strides == many.strides
         assert one.tobytes() == many.tobytes()

@@ -157,6 +157,48 @@ def test_package_reads_no_dimension_but_the_family_one(path):
     assert dimension_reads(path.read_text(encoding="utf-8")) == []
 
 
+CONTRACTIONS = ("displacement", "layer_matrix", "layer_factor", "pairing", "adjoint_step")
+
+
+def contraction_calls(source: str) -> list[str]:
+    """Calls of a family's per-node contraction, as ``function.contraction`` of the innermost enclosing function.
+
+    A call counts when it reads one of ``CONTRACTIONS`` as an attribute,
+    such as ``family.layer_factor(...)``; a sweep's steps have other names.
+    """
+    calls = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr in CONTRACTIONS:
+                calls.append(f"{where}.{child.func.attr}")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), "<module>")
+    return calls
+
+
+def test_contraction_check_flags_a_per_node_call_in_a_loop():
+    source = (
+        "def product(family, x, rows):\n"
+        "    sweep = family._sweep(x.shape[:1])\n"
+        "    for row in rows:\n"
+        "        family.layer_factor(x, row, 0.5) @ sweep.factor(x, row, 0.5)\n"
+    )
+    assert contraction_calls(source) == ["product.layer_factor"]
+
+
+def test_layer_loops_take_their_steps_from_a_sweep():
+    # Outside fields.py the per-node contractions are called only by the two
+    # thin public wrappers and by pmp's pairing, the dense einsum over values.
+    calls = [
+        f"{path.stem}.{call}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "fields.py"
+        for call in contraction_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert calls == ["flow.displacement.displacement", "flow.layer_matrix.layer_matrix", "train_pmp.maximize.pairing"]
+
+
 def unused_public_functions(modules: dict[str, str]) -> list[str]:
     """Public module-level functions, as ``module.name``, that nothing in the package uses.
 

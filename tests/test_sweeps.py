@@ -1,18 +1,23 @@
-"""The built-ins' workspace sweeps against their per-layer contractions, bit for bit.
+"""The built-ins' workspace sweeps against loops of the dense per-layer contractions, bit for bit.
 
-``flow._euler`` runs each row block, and ``control_gradient`` the whole
-trajectory, on the steps of one ``family._sweep``; the built-ins' sweep is
-one workspace that every node is loaded into.  The references are plain loops of the public one-node calls:
-x_k = x_{k-1} + h displacement(x_{k-1}, row) forward, and backward one
-``adjoint_step`` per node, then ``pairing`` at node 0.  M = 16385 is one
-full row block of 16384 points and a ragged one of a single point.
+Every layer loop runs on the steps of one ``family._sweep``: ``flow._euler``
+and ``jacobian_along`` one per row block, ``control_gradient`` and
+``backward_covector`` one over the whole trajectory.  The built-ins' sweep
+is one workspace that every node is loaded into, and its steps are their
+closed forms.  The references are plain loops of the public one-node
+contractions, the dense einsums: x_k = x_{k-1} + h displacement(x_{k-1},
+row) forward; backward one ``adjoint_step`` per node, then ``pairing`` at
+node 0; one ``layer_factor`` per layer for the transport and the Jacobian.
+M = 16385 is one full row block of 16384 points and a ragged one of a
+single point.
 """
 
 import numpy as np
 import pytest
 
-from diffeoflow import ControlGrid, flow_endpoints, forward_euler, make_affine8, make_enriched14
+from diffeoflow import ControlGrid, backward_covector, flow_endpoints, forward_euler, make_affine8, make_enriched14
 from diffeoflow import flow
+from diffeoflow.flow import jacobian_along
 from diffeoflow.objective import control_gradient, loss_grad
 
 N_LAYERS = 4
@@ -52,6 +57,23 @@ def per_layer_gradient(family, u, states, targets, beta):
     return grad + beta * u.values
 
 
+def per_layer_transport(family, u, states, terminal):
+    """``backward_covector`` as a loop of ``np.linalg.solve`` through the ``layer_factor`` of step -h."""
+    lam = [terminal]
+    for k in range(u.n_layers, 0, -1):
+        factor = family.layer_factor(states[:, k - 1], u.values[k - 1], -u.step)
+        lam.append(np.linalg.solve(np.swapaxes(factor, -1, -2), lam[-1][..., None])[..., 0])
+    return np.stack(lam[::-1], axis=1)
+
+
+def per_layer_jacobian(family, u, states):
+    """``jacobian_along`` as one product of ``layer_factor`` calls over all points."""
+    v = np.broadcast_to(np.eye(2), (states.shape[0], 2, 2)).copy()
+    for k in range(1, u.n_layers + 1):
+        v = family.layer_factor(states[:, k - 1], u.values[k - 1], u.step) @ v
+    return v
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
@@ -88,6 +110,20 @@ def test_gradient_sweep_matches_a_loop_of_adjoint_steps(kind, n_pts):
     want = per_layer_gradient(family, u, states, targets, 1e-3)
     for layout in (states, np.ascontiguousarray(states)):
         assert_same_bits(control_gradient(family, u, layout, targets, 1e-3), want)
+
+
+@pytest.mark.parametrize("n_pts", [1, 7, 900, 16385])
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_transport_and_jacobian_sweeps_match_loops_of_layer_factors(kind, n_pts):
+    family = FAMILIES[kind]
+    u, pts, targets = problem(family, n_pts, n_pts + 2)
+    states = forward_euler(family, u, pts)
+    targets[::3] = states[::3, -1]  # zero residuals give zero covectors
+    terminal = loss_grad(states[:, -1] - targets) / n_pts
+    transport, jacobian = per_layer_transport(family, u, states, terminal), per_layer_jacobian(family, u, states)
+    for layout in (states, np.ascontiguousarray(states)):
+        assert_same_bits(backward_covector(family, u, layout, terminal), transport)
+        assert_same_bits(jacobian_along(family, u, layout), jacobian)
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
@@ -129,4 +165,5 @@ def test_pairing_adds_the_samples_in_order(kind, layout):
         lam = layout(rng.normal(size=x.shape) * rng.choice([1e-300, 1.0, 1e8], size=(n_pts, 1)))
         terms = (lam[:, None, :] * family.values(x)).sum(axis=-1)  # one product and a zero per field
         in_order = np.cumsum(terms, axis=0)[-1] + 0.0
+        assert_same_bits(family._sweep(x.shape[:-1]).pair(x, lam), in_order)
         assert_same_bits(family.pairing(x, lam), in_order)
