@@ -8,15 +8,19 @@ Times the package of the checkout this script lives in.  At each size
 (M points, N layers) the inputs are seeded: M random sources on the
 side-1.5 square, their targets under the builtin map, and an (N, l)
 control of scale 0.5.  Each primitive runs once untimed, then ``REPEATS``
-times; a row gives the median in ms and the same per point and layer in ns:
+times; a row gives the median in ms, the same per point and layer in ns,
+and the peak of the memory that ``tracemalloc`` traces during one more
+untimed call, above what was allocated before it, in MB:
 
 - ``forward_euler`` and ``flow_endpoints`` of the sources;
 - ``control_gradient`` on the ``forward_euler`` trajectory;
+- ``gd_passes``: ``train_gradient_flow`` with ``max_iter`` 2, that is the
+  initial flow and cost, one gradient and two proposals;
 - ``pmp_pass``: ``train_pmp`` with ``max_iter`` 1, that is the initial
   flow and cost, the covector transport and one maximization sweep;
   above ``PMP_MAX_POINT_LAYERS`` it is skipped, since its N covector
   factors and solve buffers take about 1.8 GB at M 10^5, N 128;
-- ``build_metrics`` on the trajectory.
+- ``build_metrics`` with the sources as probes, which includes their flow.
 
 Uses the machine as it is: no thread or CPU settings are changed, so pin
 BLAS threads in the environment if they matter.
@@ -28,6 +32,7 @@ import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +48,7 @@ from diffeoflow import (  # noqa: E402
     family_from_name,
     flow_endpoints,
     forward_euler,
+    train_gradient_flow,
     train_pmp,
 )
 from diffeoflow.objective import control_gradient  # noqa: E402
@@ -52,7 +58,7 @@ LAYERS = (16, 32, 128)
 QUICK = ((30,), (4,))
 PMP_MAX_POINT_LAYERS = 4_000_000
 REPEATS = 5
-PRIMITIVES = ("forward_euler", "flow_endpoints", "control_gradient", "pmp_pass", "build_metrics")
+PRIMITIVES = ("forward_euler", "flow_endpoints", "control_gradient", "gd_passes", "pmp_pass", "build_metrics")
 
 
 def calls(family, n_pts: int, n_layers: int) -> dict:
@@ -62,13 +68,14 @@ def calls(family, n_pts: int, n_layers: int) -> dict:
     data = Dataset(sources, builtin_target()(sources))
     u = ControlGrid(rng.normal(scale=0.5, size=(n_layers, family.n_fields)))
     states = forward_euler(family, u, data.sources)
-    cfg = TrainConfig(beta=1e-3, max_iter=1)
+    cfg, gd_cfg = TrainConfig(beta=1e-3, max_iter=1), TrainConfig(beta=1e-3, max_iter=2)
     primitives = {
         "forward_euler": lambda: forward_euler(family, u, data.sources),
         "flow_endpoints": lambda: flow_endpoints(family, u, data.sources),
         "control_gradient": lambda: control_gradient(family, u, states, data.targets, cfg.beta),
+        "gd_passes": lambda: train_gradient_flow(family, data, n_layers, gd_cfg, init=u),
         "pmp_pass": lambda: train_pmp(family, data, n_layers, cfg, init=u),
-        "build_metrics": lambda: build_metrics(family, u, None, states, 0.0, 1.5),
+        "build_metrics": lambda: build_metrics(family, u, None, data.sources, 0.0, 1.5),
     }
     if n_pts * n_layers > PMP_MAX_POINT_LAYERS:
         del primitives["pmp_pass"]
@@ -85,6 +92,17 @@ def median_seconds(call, repeats: int) -> float:
     return statistics.median(times)
 
 
+def peak_traced_bytes(call) -> int:
+    """The peak of the memory ``tracemalloc`` traces during one call, above what was traced before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench/primitives.py", description=__doc__.split("\n\n")[0])
     parser.add_argument("--family", default="affine8", choices=("affine8", "enriched14"))
@@ -94,17 +112,21 @@ def main(argv=None) -> int:
     repeats = 1 if args.quick else REPEATS
     family = family_from_name(args.family)
     print(f"# {args.family}, median of {repeats} calls, numpy {np.__version__}")
-    print(f"{'primitive':<18} {'M':>7} {'N':>4} {'median_ms':>11} {'ns_per_point_layer':>19}")
+    print(f"{'primitive':<18} {'M':>7} {'N':>4} {'median_ms':>11} {'ns_per_point_layer':>19} {'peak_traced_mb':>15}")
     for n_pts in points:
         for n_layers in layers:
             primitives = calls(family, n_pts, n_layers)
             for name in PRIMITIVES:
                 if name not in primitives:
-                    print(f"{name:<18} {n_pts:>7} {n_layers:>4} {'skipped':>11} {'-':>19}")
+                    print(f"{name:<18} {n_pts:>7} {n_layers:>4} {'skipped':>11} {'-':>19} {'-':>15}")
                     continue
                 seconds = median_seconds(primitives[name], repeats)
                 per = 1e9 * seconds / (n_pts * n_layers)
-                print(f"{name:<18} {n_pts:>7} {n_layers:>4} {1e3 * seconds:>11.4f} {per:>19.2f}", flush=True)
+                peak = peak_traced_bytes(primitives[name]) / 1e6
+                print(
+                    f"{name:<18} {n_pts:>7} {n_layers:>4} {1e3 * seconds:>11.4f} {per:>19.2f} {peak:>15.3f}",
+                    flush=True,
+                )
     return 0
 
 

@@ -290,7 +290,7 @@ def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
         family,
         report.control,
         lipschitz_target,
-        states=report.states,
+        probes=train.sources,
         training_error=report.final_cost.data_term,
         side=cfg.grid_side,
     )

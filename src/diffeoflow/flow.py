@@ -342,7 +342,7 @@ def backward_covector(
     if term.shape != (n_pts, 2):
         raise ValueError(f"terminal covectors must have shape ({n_pts}, 2), got {term.shape}")
     factors, sweep = np.empty((n_layers, n_pts, 2, 2)), family._sweep((n_pts,))
-    with np.errstate(over="ignore"):  # |x|^2 = inf gives the Gaussian weight its limit 0
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a flow: at |x|^2 = inf, g is 0 and x1^2 g NaN
         for k in range(1, n_layers + 1):
             factors[k - 1] = sweep.factor(states[:, k - 1], u.values[k - 1], -u.step)
     _screen(factors)
@@ -366,7 +366,7 @@ def jacobian_along(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray
     """Jacobian of the input-to-output map at node 0 of a stored trajectory, shape (M, 2, 2).
 
     ``states`` is the (M, N+1, 2) bundle the controls produced from the
-    points, in any memory layout, such as a trainer's final trajectory.
+    points, in any memory layout, such as a ``forward_euler`` bundle.
     Accumulates V <- (Id + h A_k) V over the layers, with each factor the
     ``factor`` step of one ``family._sweep`` per row block, bit for bit the
     family's ``layer_factor``; no point is flowed again.  Runs in the flow's
@@ -374,7 +374,7 @@ def jacobian_along(family: VectorFieldFamily, u: ControlGrid, states: np.ndarray
     """
     states = _as_bundle(family, u, states, u.n_layers + 1)
     jac = np.empty((states.shape[0], 2, 2))
-    with np.errstate(over="ignore"):  # |x|^2 = inf gives the Gaussian weight its limit 0
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a flow: at |x|^2 = inf, g is 0 and x1^2 g NaN
         for start in range(0, states.shape[0], _BLOCK_ROWS):
             block = states[start:start + _BLOCK_ROWS]
             sweep, v = family._sweep(block.shape[:1]), np.broadcast_to(np.eye(2), (block.shape[0], 2, 2)).copy()

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, _spectral_norm_2x2, jacobian_along, variational_jacobian
+from .flow import ControlGrid, _spectral_norm_2x2, variational_jacobian
 
 
 @dataclass(frozen=True)
@@ -106,25 +106,24 @@ def build_metrics(
     family: VectorFieldFamily,
     u: ControlGrid,
     lipschitz_target: float | None,
-    states: np.ndarray,
+    probes: np.ndarray,
     training_error: float,
     side: float,
 ) -> MetricsBlock:
     """Assemble the full diagnostics block for a finished run.
 
-    ``states`` is the (M, N+1, dim) trajectory of the probe points under
-    ``u``, such as ``TrainReport.states``; its node 0 holds the probes.  The
-    flow's Lipschitz constant is read off it without flowing the probes
-    again, and equals ``lipschitz_estimate`` at the probes bit for bit.
+    ``probes`` is an (M, 2) cloud, such as the training sources; the flow's
+    Lipschitz constant is ``lipschitz_estimate`` at them, which flows them
+    under ``u`` and raises that flow's FlowError if it overflows.
     ``lipschitz_target`` is the target's Lipschitz constant on the square of
     side ``side``, or None when the training data are not the target's grid
     on it; W1 and the bound then describe no data and are None too.  Otherwise
     the probes are that grid, and W1 is ``w1_grid_bound`` of their number.
     """
-    l_flow = float(np.max(spectral_norms(jacobian_along(family, u, states))))
+    l_flow = lipschitz_estimate(family, u, probes)
     w1 = bound = None
     if lipschitz_target is not None:
-        w1 = w1_grid_bound(states.shape[0], side)
+        w1 = w1_grid_bound(len(probes), side)
         bound = generalization_bound(training_error, lipschitz_target, l_flow, w1)
     return MetricsBlock(
         lipschitz_flow=l_flow,

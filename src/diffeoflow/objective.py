@@ -158,7 +158,7 @@ def control_gradient(
     lam = np.empty_like(states[:, -1])
     np.divide(loss_grad(states[:, -1] - targets), states.shape[0], out=lam)
     grad, sweep = np.empty(u.values.shape), family._sweep(lam.shape[:-1])
-    with np.errstate(over="ignore"):  # |x|^2 = inf gives the Gaussian weight its limit 0
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a flow: at |x|^2 = inf, g is 0 and x1^2 g NaN
         for k in range(u.n_layers, 1, -1):
             grad[k - 1], lam = sweep.pair_and_step(states[:, k - 1], u.values[k - 1], lam, u.step)
         grad[0] = sweep.pair(states[:, 0], lam)

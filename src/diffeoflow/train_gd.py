@@ -1,12 +1,15 @@
 """Projected-gradient-flow trainer with Armijo backtracking, and the shared loop.
 
-Both trainers run one loop, ``_descend``, each with its own ``propose``
-step; the loop accepts the proposal or shrinks gamma by tau (never growing
-it back).  Every pass counts toward max_iter and produces one trace record,
-so backtracking is visible; a rejected row reports the testing error of the
-unchanged control, and a proposal whose control or flow overflows is a
-rejected row with cost +inf.  The held-out sources ride below the training
-sources in every flow, so no pass flows the held-out cloud on its own.
+Both trainers run one loop, ``_descend``, each with its own ``prepare``
+and ``propose`` steps; the loop accepts the proposal or shrinks gamma by
+tau (never growing it back).  Every pass counts toward max_iter and
+produces one trace record, so backtracking is visible; a rejected row
+reports the testing error of the unchanged control, and a proposal whose
+control or flow overflows is a rejected row with cost +inf.  The held-out
+sources ride below the training sources in every flow, so no pass flows
+the held-out cloud on its own.  The loop holds one trajectory at a time:
+an accepted one is read once, by ``prepare``, and dropped before the next
+proposal is flowed.
 
 The gradient-flow step proposes u_new = u - gamma * g, where g is the
 objective gradient in slab-average coordinates, and accepts it only under
@@ -14,7 +17,7 @@ sufficient decrease:
 
     cost(u) >= cost(u_new) + c * gamma * |g|_{L2}^2.
 
-A rejected step leaves the trajectories unchanged, so the gradient is
+A rejected step leaves the control unchanged, so the gradient is
 recomputed only after an accepted one.  Both trainers work on the full
 dataset: the cost is the training error over every sample plus the
 control penalty.
@@ -88,18 +91,11 @@ class IterationRecord:
 
 @dataclass
 class TrainReport:
-    """Everything a training run produced.
-
-    ``states`` is the (M, N+1, dim) trajectory of the training sources under
-    ``control``, the one the trainer accepted last: the training rows of its
-    bundle, bit for bit the same as flowing the training sources alone.  It
-    is None in the partial report of a run whose initial flow failed.
-    """
+    """Everything a training run produced."""
 
     records: list[IterationRecord]
     control: ControlGrid
     final_cost: ObjectiveValue
-    states: np.ndarray | None = None
 
 
 class TrainAbort(FlowError):
@@ -134,21 +130,26 @@ def _descend(
     cfg: TrainConfig,
     init: ControlGrid | None,
     test_data: Dataset | None,
+    prepare: Callable[[ControlGrid, np.ndarray], object],
     propose: Callable[..., tuple],
 ) -> TrainReport:
-    """The loop both trainers share: propose, accept or shrink gamma, record.
+    """The loop both trainers share: prepare, propose, accept or shrink gamma, record.
 
-    ``propose(u, states, current, gamma)`` gets the accepted control, its
-    trajectories and cost, and returns ``(proposal, states_new, cost_new,
-    accepted)``.  Trajectories bundle the training sources, then the held-out
-    ones: ``propose`` flows ``states[:, 0]`` and checks and reads only the
-    first ``data.n_samples`` rows.  A proposal whose control or training
-    rows overflow (a FlowError inside ``propose``), or whose cost does, is a
-    rejected pass with cost +inf.  The held-out rows are read initially and
-    once per accepted pass; a non-finite one there, or a FlowError in the
-    initial flow, aborts training with TrainAbort, whose partial report
-    carries the last accepted control, its training rows and its cost (no
-    trajectory and +inf when the initial flow failed).
+    ``prepare(u, states)`` reads the training rows ``states`` of the accepted
+    control's trajectory once, at the start of the first pass after each
+    acceptance (and of pass 1); the loop then drops the trajectory, so no
+    two are held at once.  ``propose(u, prepared, current, gamma, sources)``
+    gets the accepted control, what ``prepare`` returned for it, its cost,
+    the step size and the stacked sources, and returns ``(proposal,
+    states_new, cost_new, accepted)``.  Trajectories bundle the training
+    sources, then the held-out ones: ``propose`` flows ``sources`` and checks
+    and reads only the first ``data.n_samples`` rows.  A proposal whose
+    control or training rows overflow (a FlowError inside ``propose``), or
+    whose cost does, is a rejected pass with cost +inf.  The held-out rows
+    are read initially and once per accepted pass; a non-finite one there,
+    or a FlowError in the initial flow, aborts training with TrainAbort,
+    whose partial report carries the last accepted control and its cost
+    (+inf when the initial flow failed).
     """
     if n_layers < 1:
         raise ValueError(f"n_layers must be positive, got {n_layers}")
@@ -165,7 +166,7 @@ def _descend(
 
     records: list[IterationRecord] = []
     gamma = cfg.gamma0
-    current, bundle = _OVERFLOWED, None  # an abort reports the last accepted cost
+    current = _OVERFLOWED  # an abort reports the last accepted cost
     try:
         bundle = forward_euler(family, u, sources, checked=n_train)
         current = cost_of_endpoints(bundle[:n_train, -1], data.targets, u, cfg.beta)
@@ -174,16 +175,19 @@ def _descend(
             IterationRecord(0, current.total, current.data_term, testing_error, gamma, True)
         )
         for it in range(1, cfg.max_iter + 1):
+            if bundle is not None:  # the accepted trajectory is read once, then dropped
+                prepared, bundle = prepare(u, bundle[:n_train]), None
             try:
-                proposal, bundle_new, cost_new, accepted = propose(u, bundle, current, gamma)
+                proposal, bundle, cost_new, accepted = propose(u, prepared, current, gamma, sources)
             except FlowError:
                 cost_new = _OVERFLOWED
             if not math.isfinite(cost_new.total):
                 cost_new, accepted = _OVERFLOWED, False
             if accepted:
-                testing_error = _testing_error(bundle_new[n_train:], test_data)
-                u, bundle, current = proposal, bundle_new, cost_new
-            bundle_new = None  # a rejected trajectory must not outlive its pass
+                testing_error = _testing_error(bundle[n_train:], test_data)
+                u, current, prepared = proposal, cost_new, None
+            else:
+                bundle = None  # a rejected trajectory must not outlive its pass
             records.append(
                 IterationRecord(
                     it, cost_new.total, cost_new.data_term, testing_error, gamma, accepted
@@ -191,11 +195,10 @@ def _descend(
             )
             if not accepted:
                 gamma *= cfg.tau
-        return TrainReport(records, u, current, bundle[:n_train])
+        return TrainReport(records, u, current)
     except FlowError as err:
-        partial = TrainReport(records, u, current, None if bundle is None else bundle[:n_train])
         raise TrainAbort(
-            f"flow failed at training pass {len(records)}: {err}", partial, err
+            f"flow failed at training pass {len(records)}: {err}", TrainReport(records, u, current), err
         ) from err
 
 
@@ -210,21 +213,22 @@ def train_gradient_flow(
     """Minimize the objective by backtracking gradient descent.
 
     Returns a TrainReport whose records include the initial state (iteration
-    0) and one row per pass.
+    0) and one row per pass.  The gradient of each accepted control is read
+    off its trajectory by ``control_gradient``, which is then dropped; each
+    proposal is flowed anew.
     """
     n_train = data.n_samples
-    grad_u = grad = None  # the gradient is cached until the control changes
 
-    def armijo_step(u, states, current, gamma):
-        nonlocal grad_u, grad
-        if grad_u is not u:
-            grad_u, grad = u, control_gradient(family, u, states[:n_train], data.targets, cfg.beta)
+    def gradient(u, states):
+        return control_gradient(family, u, states, data.targets, cfg.beta)
+
+    def armijo_step(u, grad, current, gamma, sources):
         with np.errstate(over="ignore"):
             values = u.values - gamma * grad
         if not np.isfinite(values).all():
             raise FlowError(f"the proposed control overflowed at step size {gamma:g}")
         proposal = ControlGrid(values)
-        states_new = forward_euler(family, proposal, states[:, 0], checked=n_train)
+        states_new = forward_euler(family, proposal, sources, checked=n_train)
         cost_new = cost_of_endpoints(states_new[:n_train, -1], data.targets, proposal, cfg.beta)
         scale = cfg.c * gamma * proposal.step
         with np.errstate(over="ignore"):
@@ -234,4 +238,4 @@ def train_gradient_flow(
             decrease = scale * m * float(np.sum((grad / m) ** 2)) * m
         return proposal, states_new, cost_new, current.total >= cost_new.total + decrease
 
-    return _descend(family, data, n_layers, cfg, init, test_data, armijo_step)
+    return _descend(family, data, n_layers, cfg, init, test_data, gradient, armijo_step)

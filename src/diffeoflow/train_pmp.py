@@ -18,14 +18,15 @@ the drift of the updated trajectory before the control update uses them.
 The sweep is the ``propose`` step of the loop shared with the gradient-flow
 trainer (``train_gd._descend``): a pass is accepted only if the cost
 strictly decreased, otherwise gamma shrinks by tau, and a rejected row
-reports the testing error of the unchanged control.  The sweep writes a
-new trajectory and reads the accepted one and its cache without changing
-them, so a rejection needs no restore.  The held-out rows ride in both
-below the training rows and move under the new controls; only the
-training rows pair.  The cache holds the covectors (or the FlowError of a
-transport that fails the guard) and the penalty gradients grad a(x_k - y)
-at every training node of the accepted trajectory, which the drift
-correction reads; both are recomputed only after an accepted pass.
+reports the testing error of the unchanged control.  The sweep flows the
+stacked sources anew and reads only what the loop's ``prepare`` step took
+from the accepted trajectory, which the loop then dropped, so a rejection
+needs no restore.  The held-out rows ride below the training rows and
+move under the new controls; only the training rows pair.  ``prepare``
+computes the covectors (or keeps the FlowError of a transport that fails
+the guard) and the penalty gradients grad a(x_k - y) at every training
+node of the accepted trajectory, which the drift correction reads; both
+are recomputed only after an accepted pass.
 
 The sweep is ``flow._euler``, the Euler recursion of every other flow, with
 the maximizer as its row rule: at each node it reached, the sweep pairs with
@@ -71,24 +72,29 @@ def train_pmp(
     Accepts the same configuration as the gradient-flow trainer, except that
     c is ignored.  Records follow the same convention: iteration 0 is the
     initial state, then one row per pass with its proposal cost and
-    accepted flag.
+    accepted flag.  The penalties and covectors of each accepted control
+    are read off its trajectory once, which the shared loop then drops;
+    each sweep flows the sources anew.
     """
     n_pts, targets = data.n_samples, data.targets
-    # Cached until the control changes: the penalties and the covectors (or the transport's FlowError).
-    cov_u = cov = penalty = None
 
-    def sweep(u, states, current, gamma):
-        nonlocal cov_u, cov, penalty
-        if cov_u is not u:
-            with np.errstate(over="ignore", invalid="ignore"):
-                penalty = loss_grad(states[:n_pts] - targets[:, None])
-            try:
-                cov = backward_covector(family, u, states[:n_pts], -penalty[:, -1] / n_pts)
-            except FlowError as err:
-                cov = err
-            cov_u = u
-        if isinstance(cov, FlowError):
-            raise cov.with_traceback(None)
+    def transport(u, states):
+        # The penalties and the covectors of the accepted trajectory, or the
+        # transport's FlowError; the penalties are formed after the transport,
+        # whose factors are the peak of a run, and only if it succeeds.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terminal = -loss_grad(states[:, -1] - targets) / n_pts
+        try:
+            cov = backward_covector(family, u, states, terminal)
+        except FlowError as err:
+            return err
+        with np.errstate(over="ignore", invalid="ignore"):
+            return loss_grad(states - targets[:, None]), cov
+
+    def sweep(u, prepared, current, gamma, sources):
+        if isinstance(prepared, FlowError):
+            raise prepared.with_traceback(None)
+        penalty, cov = prepared
         new_controls = u.values.copy()
 
         def maximize(k, x):
@@ -99,9 +105,9 @@ def train_pmp(
             new_controls[k - 1] = _maximized_controls(family.pairing(x, lam), u.values[k - 1], gamma, cfg.beta)
             return new_controls[k - 1]
 
-        swept = _euler(family, u, states[:, 0], u.n_layers + 1, maximize, checked=n_pts).transpose(2, 0, 1)
+        swept = _euler(family, u, sources, u.n_layers + 1, maximize, checked=n_pts).transpose(2, 0, 1)
         proposal = ControlGrid(new_controls)
         cost_new = cost_of_endpoints(swept[:n_pts, -1], targets, proposal, cfg.beta)
         return proposal, swept, cost_new, current.total > cost_new.total
 
-    return _descend(family, data, n_layers, cfg, init, test_data, sweep)
+    return _descend(family, data, n_layers, cfg, init, test_data, transport, sweep)

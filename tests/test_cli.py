@@ -300,14 +300,14 @@ def test_train_reruns_are_bit_identical(tmp_path):
 
 
 @pytest.mark.parametrize("algorithm", ["gd", "pmp"])
-def test_train_flows_the_training_set_once_per_proposal_and_reuses_it_for_lipschitz(
+def test_train_flows_the_training_set_once_per_proposal_and_once_for_lipschitz(
     algorithm, tmp_path, monkeypatch
 ):
     # The training set, with the held-out cloud below it, is flowed once at
     # the start and, by the gradient flow, once per proposal; the sweep flows
-    # its proposals itself.  The summary's Lipschitz constant is read off the
-    # trainer's last trajectory, with no further flow, and equals the
-    # estimate from flowing the training sources anew.
+    # its proposals itself.  No trajectory outlives the trainer, so the
+    # summary's Lipschitz constant flows the training sources alone once
+    # more, and is the estimate at them.
     real, flowed = forward_euler, []
 
     def counting(family, u, sources, **kwargs):
@@ -324,10 +324,11 @@ def test_train_flows_the_training_set_once_per_proposal_and_reuses_it_for_lipsch
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
     passes = len(read_trace(tmp_path / "run" / "trace.csv")) - 2  # the header and row 0
     assert passes == 4
-    assert len(flowed) == (1 + passes if algorithm == "gd" else 1)
+    assert len(flowed) == (1 + passes if algorithm == "gd" else 1) + 1
     family, _, train, test = cli.build_problem(load_config(cfg_path))
     stacked = np.concatenate([train.sources, test.sources])
-    assert all(np.array_equal(sources, stacked) for sources in flowed)
+    assert all(np.array_equal(sources, stacked) for sources in flowed[:-1])
+    assert np.array_equal(flowed[-1], train.sources)
 
     summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
     control = load_control_csv(tmp_path / "run" / "control.csv")

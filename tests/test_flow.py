@@ -725,3 +725,15 @@ def test_transport_and_gradients_do_not_depend_on_the_trajectory_layout(name, si
     grad = control_gradient(fam, u, states, targets, 1e-3)
     grad_dense = control_gradient(fam, u, dense, targets, 1e-3)
     assert np.array_equal(grad.view(np.int64), grad_dense.view(np.int64))
+
+
+def test_linearizations_of_an_overflowing_node_give_nan_without_a_warning(enriched14):
+    # At x1 = 1e200 the square x1^2 is inf and the Gaussian weight 0, so the
+    # quadratic fields are inf * 0 = NaN; the suite turns any numpy warning
+    # into an error, so each call must meet it silently, as a flow does.
+    u, bundle = ControlGrid.zeros(1, 14), np.array([[[1e200, 0.0], [1e200, 0.0]]])
+    assert np.isnan(control_gradient(enriched14, u, bundle, np.zeros((1, 2)), 1e-3)).any()
+    assert np.isnan(jacobian_along(enriched14, u, bundle)).all()
+    # The transport's factor is NaN too, which its conditioning guard names.
+    with pytest.raises(FlowError, match="sample 0 at layer 1"):
+        backward_covector(enriched14, u, bundle, np.ones((1, 2)))

@@ -233,9 +233,9 @@ def test_public_function_check_flags_a_pin_only_function():
 
 
 # Public functions that only BENCHMARK.json's declared spans use
-# (flow.displacement.*, flow.layer_matrix.*, metrics.lipschitz_estimate.s);
-# they go when the benchmark stops declaring those spans.
-KEPT_FOR_BENCHMARK_SPANS = ["flow.displacement", "flow.layer_matrix", "metrics.lipschitz_estimate"]
+# (flow.displacement.*, flow.layer_matrix.*); they go when the benchmark
+# stops declaring those spans.
+KEPT_FOR_BENCHMARK_SPANS = ["flow.displacement", "flow.layer_matrix"]
 
 
 def test_every_public_function_is_used_in_the_package():

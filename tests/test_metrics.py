@@ -96,9 +96,8 @@ def test_generalization_bound_arithmetic():
 def test_build_metrics_assembly(affine8, target, rng):
     u = ControlGrid(rng.normal(scale=0.3, size=(8, 8)))
     probes = square_grid(1.5, 10)
-    states = forward_euler(affine8, u, probes)
     l_target = target_lipschitz_estimate(target, probes)
-    block = build_metrics(affine8, u, l_target, states, training_error=0.4, side=1.5)
+    block = build_metrics(affine8, u, l_target, probes, training_error=0.4, side=1.5)
     assert block.lipschitz_flow == lipschitz_estimate(affine8, u, probes)
     assert block.lipschitz_target == l_target
     assert np.isclose(block.w1_bound, w1_grid_bound(100, 1.5), rtol=1e-15)
@@ -117,5 +116,5 @@ def test_build_metrics_assembly(affine8, target, rng):
         "generalization_bound",
     }
     # Without a target constant (data from a file) the grid-bound fields are None.
-    bare = build_metrics(affine8, u, None, states, training_error=0.4, side=1.5)
+    bare = build_metrics(affine8, u, None, probes, training_error=0.4, side=1.5)
     assert dataclasses.astuple(bare) == (block.lipschitz_flow, None, block.control_norm, None, None)

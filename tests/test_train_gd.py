@@ -1,6 +1,7 @@
 """Backtracking gradient-descent trainer behavior, and the loop both trainers share."""
 
 import importlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,6 +20,7 @@ from diffeoflow import (
     forward_euler,
     make_custom,
     make_grid_dataset,
+    make_random_testset,
     train_gradient_flow,
     train_pmp,
 )
@@ -99,16 +101,22 @@ def test_rejected_rows_leave_control_unchanged(affine8, grid25):
     assert all(a >= b for a, b in zip(acc, acc[1:]))
 
 
-def spy_on_proposals(monkeypatch, on_call, before=lambda call: None):
+def spy_on_proposals(monkeypatch, on_call, before=lambda call: None, on_prepare=lambda call, out: None):
     """Make both trainers' shared loop call ``before(args)`` and ``on_call(args, out)`` around each ``propose``.
 
-    ``args`` is ``(u, states, current, gamma)`` and ``out`` what ``propose``
-    returned, or None when it raised a FlowError.
+    ``args`` is ``(u, prepared, current, gamma, sources)`` and ``out`` what
+    ``propose`` returned, or None when it raised a FlowError.  Each
+    ``prepare`` call reports its ``(u, states)`` and result to ``on_prepare``.
     """
     real = train_gd_module._descend
 
     def spying(*args):
-        *rest, propose = args
+        *rest, prepare, propose = args
+
+        def prepared(*call):
+            out = prepare(*call)
+            on_prepare(call, out)
+            return out
 
         def recorded(*call):
             before(call)
@@ -120,7 +128,7 @@ def spy_on_proposals(monkeypatch, on_call, before=lambda call: None):
             on_call(call, out)
             return out
 
-        return real(*rest, recorded)
+        return real(*rest, prepared, recorded)
 
     for module in (train_gd_module, train_pmp_module):
         monkeypatch.setattr(module, "_descend", spying)
@@ -178,6 +186,27 @@ def test_rejected_trajectory_is_freed_before_the_next_proposal(
     assert rejected and any(r.accepted for r in rep.records[1:])
 
 
+@pytest.mark.parametrize(
+    "trainer, gamma0", [(train_gradient_flow, 1e4), (train_pmp, 50.0)], ids=["gd", "pmp"]
+)
+def test_accepted_trajectory_is_freed_once_prepared(trainer, gamma0, affine8, grid25, testset300, monkeypatch):
+    # The loop reads an accepted bundle once, in ``prepare``, and drops it
+    # before the next proposal is flowed, so one trajectory is held at a time.
+    accepted = []
+
+    def on_call(call, out):
+        if out is not None and out[3]:
+            accepted.append(weakref.ref(out[1].base))
+
+    def before(call):
+        assert all(ref() is None for ref in accepted)
+
+    spy_on_proposals(monkeypatch, on_call, before)
+    rep = trainer(affine8, grid25, 6, TrainConfig(beta=0.01, max_iter=30, gamma0=gamma0),
+                  test_data=testset300)
+    assert len(accepted) > 1 and any(not r.accepted for r in rep.records[1:])
+
+
 @pytest.mark.parametrize("kind", ["affine8", "enriched14"])
 @pytest.mark.parametrize(
     "trainer, gamma0", [(train_gradient_flow, 1e4), (train_pmp, 50.0)], ids=["gd", "pmp"]
@@ -193,15 +222,23 @@ def test_final_cost_is_the_cost_of_the_final_control_exactly(trainer, gamma0, ki
 @pytest.mark.parametrize(
     "trainer, gamma0", [(train_gradient_flow, 100.0), (train_pmp, 40.0)], ids=["gd", "pmp"]
 )
-def test_final_states_are_the_forward_flow_of_the_final_control(trainer, gamma0, kind, target, request):
+def test_prepared_states_are_the_forward_flow_of_the_accepted_control(
+    trainer, gamma0, kind, target, request, monkeypatch
+):
     family = request.getfixturevalue(kind)
     data = make_grid_dataset(target, side=1.5, per_axis=6)
+    prepared = []
+    spy_on_proposals(monkeypatch, lambda call, out: None, on_prepare=lambda call, out: prepared.append(call))
     rep = trainer(family, data, 5, TrainConfig(beta=0.01, max_iter=8, gamma0=gamma0))
-    # The states must be those of the last accepted control, not of the rejected last proposal.
+    # Each prepared trajectory is that of the control accepted last, not of
+    # a rejected proposal; it is read once, at the first pass after acceptance.
     rows = rep.records[1:]
     assert any(r.accepted for r in rows) and not rows[-1].accepted
-    flowed = forward_euler(family, rep.control, data.sources)
-    assert np.array_equal(rep.states.view(np.int64), flowed.view(np.int64))
+    assert len(prepared) == 1 + sum(r.accepted for r in rows[:-1])
+    assert prepared[-1][0] is rep.control
+    for u, states in prepared:
+        flowed = forward_euler(family, u, data.sources)
+        assert np.array_equal(states.view(np.int64), flowed.view(np.int64))
 
 
 def test_custom_init_control_is_used(affine8, grid25, rng):
@@ -283,18 +320,16 @@ def test_held_out_overflow_names_its_own_sample_and_first_layer(start, rng):
             train_gradient_flow(family, data, 4, cfg, init=dilating, test_data=test)
         assert err.value.report.records == [] and np.isfinite(err.value.report.final_cost.total)
     else:
-        def propose(u, states, current, gamma):
-            states_new = forward_euler(family, dilating, states[:, 0], checked=12)
+        def propose(u, prepared, current, gamma, sources):
+            states_new = forward_euler(family, dilating, sources, checked=12)
             return dilating, states_new, cost_of_endpoints(states_new[:12, -1], data.targets, dilating, 0.0), True
 
         with pytest.raises(TrainAbort, match="training pass 1: non-finite state for sample 1 at layer 2") as err:
-            train_gd_module._descend(family, data, 4, cfg, None, test, propose)
+            train_gd_module._descend(family, data, 4, cfg, None, test, lambda u, states: None, propose)
         report = err.value.report
         assert [r.iteration for r in report.records] == [0]
         assert np.array_equal(report.control.values, np.zeros((4, 1)))
-        assert np.array_equal(report.states, forward_euler(family, report.control, src))
     assert (err.value.sample, err.value.layer) == (1, 2)
-    assert err.value.report.states.shape == (12, 5, 2)
 
 
 @pytest.mark.parametrize("trainer", [train_gradient_flow, train_pmp])
@@ -351,8 +386,7 @@ def test_held_out_cloud_leaves_the_training_bit_for_bit(trainer, gamma0, kind, g
     alone = trainer(family, grid25, 6, cfg)
     strip = [(r.cost, r.data_term, r.gamma, r.accepted) for r in with_test.records]
     assert strip == [(r.cost, r.data_term, r.gamma, r.accepted) for r in alone.records]
-    assert np.array_equal(with_test.control.values, alone.control.values)
-    assert np.array_equal(with_test.states.view(np.int64), alone.states.view(np.int64))
+    assert np.array_equal(with_test.control.values.view(np.int64), alone.control.values.view(np.int64))
     assert with_test.final_cost == alone.final_cost
 
 
@@ -395,3 +429,30 @@ def test_config_validation(kwargs):
     field = list(kwargs)[-1]  # the one invalid value
     with pytest.raises(ValueError, match=f"^{field}: "):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "trainer, bound", [(train_gradient_flow, 1.5), (train_pmp, 7.5)], ids=["gd", "pmp"]
+)
+def test_peak_traced_memory_in_stacked_trajectories(trainer, bound, affine8, target):
+    # gamma0 64 makes the early passes rejections, and a later acceptance is
+    # followed by more passes, so the loop reads an accepted trajectory anew.
+    # The gradient flow holds one (M + M_test, N+1, 2) bundle at a time
+    # (1.15 of them at the peak; 2.09 if the accepted one outlives its
+    # reading).  The sweep peaks in the covector transport of the accepted
+    # trajectory (6.99; 8.80 if the previous covectors and penalties outlive
+    # their control), and keeps the penalties and covectors for its passes.
+    train = make_grid_dataset(target, side=1.5, per_axis=60)
+    test = make_random_testset(target, side=1.5, count=400, seed=0)
+    n_layers = 64
+    bundle = (train.n_samples + test.n_samples) * (n_layers + 1) * 2 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = trainer(affine8, train, n_layers, TrainConfig(beta=1e-3, max_iter=6, gamma0=64.0), test_data=test)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    accepted = [r.accepted for r in rep.records[1:]]
+    assert not accepted[0] and any(accepted[:-1])
+    assert peak < bound * bundle, peak / bundle
