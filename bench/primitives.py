@@ -9,8 +9,11 @@ Times the package of the checkout this script lives in.  At each size
 side-1.5 square, their targets under the builtin map, and an (N, l)
 control of scale 0.5.  Each primitive runs once untimed, then ``REPEATS``
 times; a row gives the median in ms, the same per point and layer in ns,
-and the peak of the memory that ``tracemalloc`` traces during one more
-untimed call, above what was allocated before it, in MB:
+the peak of the memory that ``tracemalloc`` traces during one more untimed
+call, above what was allocated before it, in MB, and the minor page faults
+of one more untimed call (the ``ru_minflt`` delta of the process): memory
+that the allocator hands back to the kernel faults again when it is taken
+back, so a primitive whose arrays churn shows faults on every call.
 
 - ``forward_euler`` and ``flow_endpoints`` of the sources;
 - ``control_gradient`` on the ``forward_euler`` trajectory;
@@ -20,6 +23,9 @@ untimed call, above what was allocated before it, in MB:
   flow and cost, the covector transport and one maximization sweep;
   above ``PMP_MAX_POINT_LAYERS`` it is skipped, since its N covector
   factors and solve buffers take about 1.8 GB at M 10^5, N 128;
+- ``pmp_passes``: ``train_pmp`` with ``max_iter`` 4, so that the loop
+  transports again after accepted passes, into the buffers of the first
+  transport; skipped with ``pmp_pass``;
 - ``build_metrics`` with the sources as probes, which includes their flow.
 
 Uses the machine as it is: no thread or CPU settings are changed, so pin
@@ -29,6 +35,7 @@ BLAS threads in the environment if they matter.
 from __future__ import annotations
 
 import argparse
+import resource
 import statistics
 import sys
 import time
@@ -58,7 +65,9 @@ LAYERS = (16, 32, 128)
 QUICK = ((30,), (4,))
 PMP_MAX_POINT_LAYERS = 4_000_000
 REPEATS = 5
-PRIMITIVES = ("forward_euler", "flow_endpoints", "control_gradient", "gd_passes", "pmp_pass", "build_metrics")
+PRIMITIVES = (
+    "forward_euler", "flow_endpoints", "control_gradient", "gd_passes", "pmp_pass", "pmp_passes", "build_metrics"
+)
 
 
 def calls(family, n_pts: int, n_layers: int) -> dict:
@@ -68,17 +77,18 @@ def calls(family, n_pts: int, n_layers: int) -> dict:
     data = Dataset(sources, builtin_target()(sources))
     u = ControlGrid(rng.normal(scale=0.5, size=(n_layers, family.n_fields)))
     states = forward_euler(family, u, data.sources)
-    cfg, gd_cfg = TrainConfig(beta=1e-3, max_iter=1), TrainConfig(beta=1e-3, max_iter=2)
+    cfg, gd_cfg, pmp_cfg = (TrainConfig(beta=1e-3, max_iter=n) for n in (1, 2, 4))
     primitives = {
         "forward_euler": lambda: forward_euler(family, u, data.sources),
         "flow_endpoints": lambda: flow_endpoints(family, u, data.sources),
         "control_gradient": lambda: control_gradient(family, u, states, data.targets, cfg.beta),
         "gd_passes": lambda: train_gradient_flow(family, data, n_layers, gd_cfg, init=u),
         "pmp_pass": lambda: train_pmp(family, data, n_layers, cfg, init=u),
+        "pmp_passes": lambda: train_pmp(family, data, n_layers, pmp_cfg, init=u),
         "build_metrics": lambda: build_metrics(family, u, None, data.sources, 0.0, 1.5),
     }
     if n_pts * n_layers > PMP_MAX_POINT_LAYERS:
-        del primitives["pmp_pass"]
+        del primitives["pmp_pass"], primitives["pmp_passes"]
     return primitives
 
 
@@ -103,6 +113,13 @@ def peak_traced_bytes(call) -> int:
         tracemalloc.stop()
 
 
+def minor_faults(call) -> int:
+    """The minor page faults of the process during one call."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench/primitives.py", description=__doc__.split("\n\n")[0])
     parser.add_argument("--family", default="affine8", choices=("affine8", "enriched14"))
@@ -112,19 +129,24 @@ def main(argv=None) -> int:
     repeats = 1 if args.quick else REPEATS
     family = family_from_name(args.family)
     print(f"# {args.family}, median of {repeats} calls, numpy {np.__version__}")
-    print(f"{'primitive':<18} {'M':>7} {'N':>4} {'median_ms':>11} {'ns_per_point_layer':>19} {'peak_traced_mb':>15}")
+    print(
+        f"{'primitive':<18} {'M':>7} {'N':>4} {'median_ms':>11} {'ns_per_point_layer':>19} "
+        f"{'peak_traced_mb':>15} {'minor_faults':>13}"
+    )
     for n_pts in points:
         for n_layers in layers:
             primitives = calls(family, n_pts, n_layers)
             for name in PRIMITIVES:
                 if name not in primitives:
-                    print(f"{name:<18} {n_pts:>7} {n_layers:>4} {'skipped':>11} {'-':>19} {'-':>15}")
+                    print(f"{name:<18} {n_pts:>7} {n_layers:>4} {'skipped':>11} {'-':>19} {'-':>15} {'-':>13}")
                     continue
                 seconds = median_seconds(primitives[name], repeats)
                 per = 1e9 * seconds / (n_pts * n_layers)
                 peak = peak_traced_bytes(primitives[name]) / 1e6
+                faults = minor_faults(primitives[name])
                 print(
-                    f"{name:<18} {n_pts:>7} {n_layers:>4} {1e3 * seconds:>11.4f} {per:>19.2f} {peak:>15.3f}",
+                    f"{name:<18} {n_pts:>7} {n_layers:>4} {1e3 * seconds:>11.4f} {per:>19.2f} {peak:>15.3f} "
+                    f"{faults:>13}",
                     flush=True,
                 )
     return 0

@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import sys
 import time
 from pathlib import Path
@@ -48,10 +49,12 @@ from .flow import ControlGrid, FlowError, flow_endpoints
 from .flow import forward_euler  # noqa: F401
 from .metrics import build_metrics, target_lipschitz_estimate
 from .objective import Dataset, adjoint_gradient, fd_gradient_oracle, loss
-from .train_gd import TrainAbort, TrainConfig, TrainReport, train_gradient_flow
+from .train_gd import IterationRecord, TrainAbort, TrainConfig, TrainReport, train_gradient_flow
 from .train_pmp import train_pmp
 
 TRACE_COLUMNS = ("iteration", "cost", "training_error", "testing_error", "gamma", "accepted")
+# The fields of a record, in the order of the trace columns, as a plain tuple.
+_TRACE_ROW = operator.attrgetter(*(f.name for f in dataclasses.fields(IterationRecord)))
 EVAL_COLUMNS = ("x1", "x2", "mapped1", "mapped2", "y1", "y2", "point_loss")
 TABLE_COLUMNS = (
     "beta", "lipschitz", "training_error", "testing_error",
@@ -331,7 +334,7 @@ def _write_run(out: Path, report: TrainReport, summary: dict | None) -> None:
     each non-finite float is written as null, and the dotted keys of those
     values are listed under ``non_finite`` when there are any.
     """
-    trace = [dataclasses.astuple(r) for r in report.records]  # none when the initial flow failed
+    trace = [_TRACE_ROW(r) for r in report.records]  # none when the initial flow failed
     write_table(out / "trace.csv", TRACE_COLUMNS, np.reshape(trace, (-1, len(TRACE_COLUMNS))))
     save_control_csv(out / "control.csv", report.control)
     if summary is not None:

@@ -105,21 +105,41 @@ def layer_matrix(family: VectorFieldFamily, x: np.ndarray, u_row: np.ndarray) ->
     return family.layer_matrix(x, u_row)
 
 
-def _spectral_norm_2x2(mats: np.ndarray) -> np.ndarray:
+def _spectral_norm_2x2(mats: np.ndarray, out: np.ndarray | None = None, scratch: tuple | None = None) -> np.ndarray:
     """Largest singular value of a batch of 2x2 matrices, in closed form:
 
         sigma_max = ( sqrt((a+d)^2 + (b-c)^2) + sqrt((a-d)^2 + (b+c)^2) ) / 2.
+
+    Written into ``out``, with the two arrays ``scratch`` of its shape as
+    temporaries; each is made when not given.  One matrix gives a scalar.
     """
-    a = mats[..., 0, 0]
-    b = mats[..., 0, 1]
-    c = mats[..., 1, 0]
-    d = mats[..., 1, 1]
-    s1 = np.sqrt((a + d) ** 2 + (b - c) ** 2)
-    s2 = np.sqrt((a - d) ** 2 + (b + c) ** 2)
-    return 0.5 * (s1 + s2)
+    a, b, c, d = _entries(mats)
+    out = np.empty(a.shape) if out is None else out
+    s, t = (np.empty(a.shape), np.empty(a.shape)) if scratch is None else scratch
+    np.square(np.add(a, d, out=out), out=out)
+    out += np.square(np.subtract(b, c, out=s), out=s)
+    np.sqrt(out, out=out)
+    np.square(np.subtract(a, d, out=s), out=s)
+    s += np.square(np.add(b, c, out=t), out=t)
+    out += np.sqrt(s, out=s)
+    out *= 0.5
+    return out[()]
 
 
-def _screen(factors: np.ndarray) -> None:
+def _entries(mats: np.ndarray) -> tuple:
+    """The entries a, b, c, d of ``mats[..., :, :]`` = [[a, b], [c, d]], as views."""
+    return tuple(mats[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+def _buffer(workspace: dict, name: str, shape: tuple) -> np.ndarray:
+    """The float array ``workspace[name]`` if it has ``shape``; else a new one, kept there."""
+    buf = workspace.get(name)
+    if buf is None or buf.shape != shape:
+        buf = workspace[name] = np.empty(shape)
+    return buf
+
+
+def _screen(factors: np.ndarray, scratch: np.ndarray) -> None:
     """Raise FlowError if a layer of ``factors`` (N, M, 2, 2) has a condition above ``CONDITION_LIMIT``.
 
     The factors are screened in closed form, cond = sigma_max^2 / |det|
@@ -127,12 +147,19 @@ def _screen(factors: np.ndarray) -> None:
     sample; one LAPACK call then gives the condition numbers of those N
     matrices.  A NaN or inf entry has condition inf without LAPACK, so it
     fails.  The error names the highest failing layer, the first the
-    transport would reach, and that layer's worst sample.
+    transport would reach, and that layer's worst sample.  The closed form
+    runs in ``scratch``, two (N, M) arrays, and one more array of that shape.
     """
-    smax = _spectral_norm_2x2(factors)
-    det = factors[..., 0, 0] * factors[..., 1, 1] - factors[..., 0, 1] * factors[..., 1, 0]
+    ratio, det = scratch
+    spare = np.empty_like(det)
+    _spectral_norm_2x2(factors, ratio, (det, spare))
+    a, b, c, d = _entries(factors)
+    np.multiply(a, d, out=det)
+    det -= np.multiply(b, c, out=spare)
     with np.errstate(divide="ignore", invalid="ignore"):
-        samples = np.argmax(smax * smax / np.abs(det), axis=1)
+        ratio *= ratio
+        ratio /= np.abs(det, out=det)
+        samples = np.argmax(ratio, axis=1)
     mats = factors[np.arange(len(factors)), samples]
     finite = np.isfinite(mats).all(axis=(-2, -1))
     conds = np.full(finite.shape, np.inf)
@@ -147,8 +174,8 @@ def _screen(factors: np.ndarray) -> None:
         )
 
 
-def _solve_backward(factors: np.ndarray, terminal: np.ndarray) -> np.ndarray:
-    """The covectors with lambda_{k-1} B_k = lambda_k, k = N..1, in an (N+1, 2, M) buffer.
+def _solve_backward(factors: np.ndarray, terminal: np.ndarray, lam: np.ndarray, refactor) -> np.ndarray:
+    """The covectors with lambda_{k-1} B_k = lambda_k, k = N..1, into the (N+1, 2, M) buffer ``lam``.
 
     ``factors`` (N, M, 2, 2) holds the finite, nonsingular B_k, ``terminal``
     (M, 2) lambda_N.  Each node is ``np.linalg.solve(B_k^T, lambda_k)`` bit for
@@ -156,41 +183,55 @@ def _solve_backward(factors: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     layers: rows swap only where |a10| > |a00| (idamax takes the first
     maximum), l = a10 * (1/a00), u11 = a11 - l a01 unfused.  As dgetrs, each
     layer substitutes x1 = fma(-l, c0, c1) / u11, x0 = fma(-a01, x1, c0) / a00
-    for the swapped right-hand side c, the fma being a stacked matmul of
-    (1, -l) with (c1, c0).  LAPACK takes the rows this misses: a pivot below
-    the smallest normal (dgetf2 divides by it) and a -0.0 right-hand side (the
-    matmul's sum starts at +0.0).  NaNs from infinite ones may differ in sign.
+    for the swapped right-hand side c, the fma being a matmul of the row
+    (1, -l) with the column (c1, c0).  LAPACK takes the rows this misses: a
+    pivot below the smallest normal (dgetf2 divides by it) and a -0.0
+    right-hand side (the matmul's sum starts at +0.0).  NaNs from infinite
+    ones may differ in sign.
+
+    The factorization consumes ``factors``: each entry slot of A is
+    overwritten, once read, by what the substitution reads, a00 by the pivot,
+    a10 by -l, a01 by -a01 and a11 by u11 (of the swapped rows), and nodes
+    0..N-1 of ``lam`` hold its two temporaries until the substitution writes
+    them.  ``refactor(k, rows)`` gives LAPACK the (n, 2, 2) factors B_k of
+    the rows of the bool mask ``rows`` anew.
     """
     n_layers, n_pts = factors.shape[:2]
-    lam = np.empty((n_layers + 1, 2, n_pts))
     lam[n_layers] = terminal.T
-
-    def lapack(k: int, rows) -> None:
-        # Row convention: lambda_{k-1} B = lambda_k, so solve B^T y = lambda_k^T.
-        b = np.swapaxes(factors[k - 1, rows], -1, -2)
-        lam[k - 1][:, rows] = np.linalg.solve(b, lam[k][:, rows].T[..., None])[..., 0].T
-
-    a00, a10, a01, a11 = (factors[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    swap = np.abs(a10) > np.abs(a00)
-    p00 = np.where(swap, a10, a00)
-    tiny_pivot = np.abs(p00) < np.finfo(float).tiny
-    # The rows (1, -l) and (1, -a01) of the fused multiply-adds, (N, M, 1, 2) each.
-    lower, upper = np.ones((2, n_layers, n_pts, 1, 2))
+    pivot, lower, upper, u11 = a00, a10, a01, a11 = _entries(factors)
+    s, t = lam[:n_layers].reshape(2, n_layers, n_pts)
+    swap = np.abs(a10, out=s) > np.abs(a00, out=t)
+    np.copyto(s, a00)
+    np.copyto(s, a10, where=swap)  # the pivot
+    tiny_pivot = np.abs(s, out=t) < np.finfo(float).tiny
+    # The row (1, -l), then (1, -a01), of the fused multiply-adds of one layer.
+    row = np.ones((n_pts, 1, 2))
     column = np.empty((n_pts, 2, 1))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.multiply(np.where(swap, a00, a10), -1.0 / p00, out=lower[..., 0, 1])
-        np.negative(np.where(swap, a11, a01), out=upper[..., 0, 1])
-        u11 = np.where(swap, a01, a11) - lower[..., 0, 1] * upper[..., 0, 1]
+        np.divide(-1.0, s, out=t)
+        np.copyto(a10, a00, where=swap)
+        lower *= t  # -l: the swapped a10 times -1 / pivot
+        pivot[...] = s
+        np.copyto(t, a01)
+        np.copyto(t, a11, where=swap)  # the swapped a01
+        np.copyto(s, a11)
+        np.copyto(s, a01, where=swap)  # the swapped a11
+        np.negative(t, out=upper)
+        np.subtract(s, np.multiply(lower, upper, out=t), out=u11)
         for k in range(n_layers, 0, -1):
-            s, rhs, x = swap[k - 1], lam[k], lam[k - 1]
+            sw, rhs, x = swap[k - 1], lam[k], lam[k - 1]
             # The column (c1, c0) of the swapped right-hand side, then (c0, x1).
-            column[:, 0, 0], column[:, 1, 0] = np.where(s, rhs[0], rhs[1]), np.where(s, rhs[1], rhs[0])
-            np.divide((lower[k - 1] @ column)[:, 0, 0], u11[k - 1], out=x[1])
+            column[:, 0, 0], column[:, 1, 0] = np.where(sw, rhs[0], rhs[1]), np.where(sw, rhs[1], rhs[0])
+            row[:, 0, 1] = lower[k - 1]
+            np.divide((row @ column)[:, 0, 0], u11[k - 1], out=x[1])
             column[:, 0, 0], column[:, 1, 0] = column[:, 1, 0], x[1]
-            np.divide((upper[k - 1] @ column)[:, 0, 0], p00[k - 1], out=x[0])
+            row[:, 0, 1] = upper[k - 1]
+            np.divide((row @ column)[:, 0, 0], pivot[k - 1], out=x[0])
             missed = tiny_pivot[k - 1] | (np.signbit(rhs) & (rhs == 0)).any(axis=0)
             if missed.any():
-                lapack(k, missed)
+                # Row convention: lambda_{k-1} B = lambda_k, so solve B^T y = lambda_k^T.
+                b = np.swapaxes(refactor(k, missed), -1, -2)
+                x[:, missed] = np.linalg.solve(b, rhs[:, missed].T[..., None])[..., 0].T
     return lam
 
 
@@ -311,6 +352,8 @@ def backward_covector(
     u: ControlGrid,
     states: np.ndarray,
     terminal: np.ndarray,
+    *,
+    workspace: dict | None = None,
 ) -> np.ndarray:
     """Transport row covectors from node N back to node 0 by backward Euler.
 
@@ -334,19 +377,37 @@ def backward_covector(
     ``CONDITION_LIMIT``, the FlowError names the highest such layer, the
     first the transport would reach, and that layer's worst-conditioned
     sample.  The solves are ``np.linalg.solve``'s bit for bit, and make no
-    LAPACK call but for the rows ``_solve_backward`` cannot replay.
+    LAPACK call but for the rows ``_solve_backward`` cannot replay; those
+    rows' factors are formed again from ``states``, by the same step.
+
+    ``workspace``, a dict, keeps the transport's buffers between calls: the
+    first call of a trajectory shape makes there the (N, M, 2, 2)
+    ``"factors"`` and the (N+1, 2, M) ``"covectors"``, and every later call
+    of that shape refills them.  The result is then a view of the
+    covectors, which the next call into the same workspace overwrites, and
+    the factors are dead once a call returns, so a caller may use them as
+    scratch.  A call that raises leaves both half-written.  Without a
+    workspace each call makes its own buffers.
     """
     states = _as_bundle(family, u, states, u.n_layers + 1)
     n_pts, n_layers = states.shape[0], u.n_layers
-    term = np.asarray(terminal, dtype=float)
+    term = np.array(terminal, dtype=float)  # a copy: it may be a view of the workspace's earlier covectors
     if term.shape != (n_pts, 2):
         raise ValueError(f"terminal covectors must have shape ({n_pts}, 2), got {term.shape}")
-    factors, sweep = np.empty((n_layers, n_pts, 2, 2)), family._sweep((n_pts,))
+    workspace = {} if workspace is None else workspace
+    factors = _buffer(workspace, "factors", (n_layers, n_pts, 2, 2))
+    lam = _buffer(workspace, "covectors", (n_layers + 1, 2, n_pts))
+    sweep = family._sweep((n_pts,))
     with np.errstate(over="ignore", invalid="ignore"):  # as in a flow: at |x|^2 = inf, g is 0 and x1^2 g NaN
         for k in range(1, n_layers + 1):
             factors[k - 1] = sweep.factor(states[:, k - 1], u.values[k - 1], -u.step)
-    _screen(factors)
-    return _solve_backward(factors, term).transpose(2, 0, 1)
+    _screen(factors, lam[:n_layers].reshape(2, n_layers, n_pts))
+
+    def refactor(k: int, rows: np.ndarray) -> np.ndarray:
+        x = states[rows, k - 1]
+        return family._sweep(x.shape[:1]).factor(x, u.values[k - 1], -u.step)
+
+    return _solve_backward(factors, term, lam, refactor).transpose(2, 0, 1)
 
 
 def variational_jacobian(

@@ -67,6 +67,18 @@ class ObjectiveValue:
     reg_term: float
 
 
+def _squared_norm(z: np.ndarray, out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
+    """|z|^2 of planar residuals z (..., 2) as z0 * z0 + z1 * z1, in ``out`` with ``spare`` when given.
+
+    The two-term ``np.sum(z * z, axis=-1)`` bit for bit: the one formula of
+    the penalty, its gradient and the sweep's penalty gradients.
+    """
+    z0, z1 = z[..., 0], z[..., 1]
+    out = np.multiply(z0, z0, out=out)
+    out += np.multiply(z1, z1, out=spare)
+    return out
+
+
 def _scaled_norm(z: np.ndarray) -> np.ndarray:
     """|z| along the last axis, safe against |z|^2 overflowing."""
     m = np.maximum(np.max(np.abs(z), axis=-1, keepdims=True), 1.0)
@@ -83,7 +95,7 @@ def loss(z: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # s = inf gives inf / inf here
-        s = np.sum(z * z, axis=-1)
+        s = _squared_norm(z)
         plain = s / (1.0 + np.sqrt(1.0 + s))
     if np.isfinite(s).all():
         return plain
@@ -98,7 +110,7 @@ def loss_grad(z: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore"):
-        s = np.sum(z * z, axis=-1, keepdims=True)
+        s = _squared_norm(z)[..., None]
         plain = z / np.sqrt(1.0 + s)
     if np.isfinite(s).all():
         return plain

@@ -26,7 +26,8 @@ move under the new controls; only the training rows pair.  ``prepare``
 computes the covectors (or keeps the FlowError of a transport that fails
 the guard) and the penalty gradients grad a(x_k - y) at every training
 node of the accepted trajectory, which the drift correction reads; both
-are recomputed only after an accepted pass.
+are recomputed only after an accepted pass, into the buffers of the run's
+one transport workspace.
 
 The sweep is ``flow._euler``, the Euler recursion of every other flow, with
 the maximizer as its row rule: at each node it reached, the sweep pairs with
@@ -42,8 +43,8 @@ import numpy as np
 
 from .fields import VectorFieldFamily
 # forward_euler is unused here, but perfbench's tracing self-test expects this module to bind it.
-from .flow import ControlGrid, FlowError, _euler, backward_covector, forward_euler  # noqa: F401
-from .objective import Dataset, cost_of_endpoints, loss_grad
+from .flow import ControlGrid, FlowError, _buffer, _euler, backward_covector, forward_euler  # noqa: F401
+from .objective import Dataset, _squared_norm, cost_of_endpoints, loss_grad
 from .train_gd import TrainConfig, TrainReport, _descend
 
 
@@ -57,6 +58,27 @@ def _maximized_controls(
     is the unique maximizer.
     """
     return (u_old + gamma * field_pairing) / (1.0 + gamma * beta)
+
+
+def _penalty_gradients(states: np.ndarray, targets: np.ndarray, workspace: dict) -> np.ndarray:
+    """``loss_grad(states - targets[:, None])`` bit for bit, as a view of the workspace's ``"penalties"``.
+
+    The (N+1, 2, M) buffer is made on first use and refilled after; |z|^2
+    and then sqrt(1 + |z|^2) are formed in two (N+1, M) rows of the
+    ``"factors"`` that a transport into the workspace leaves dead.  Residuals
+    whose |z|^2 overflows take ``loss_grad``'s own path.
+    """
+    n_pts, n_nodes = states.shape[:2]
+    z = _buffer(workspace, "penalties", (n_nodes, 2, n_pts)).transpose(2, 0, 1)
+    np.subtract(states, targets[:, None], out=z)
+    root, spare = workspace["factors"].reshape(-1)[:2 * n_nodes * n_pts].reshape(2, n_nodes, n_pts)
+    _squared_norm(z, root.T, spare.T)
+    if not np.isfinite(root).all():
+        z[...] = loss_grad(z)
+        return z
+    root += 1.0
+    z /= np.sqrt(root, out=root).T[..., None]
+    return z
 
 
 def train_pmp(
@@ -75,21 +97,28 @@ def train_pmp(
     accepted flag.  The penalties and covectors of each accepted control
     are read off its trajectory once, which the shared loop then drops;
     each sweep flows the sources anew.
+
+    Both live in one workspace per run: the first transport makes its
+    (N, M, 2, 2) factors and the (N+1, 2, M) covectors and penalty
+    gradients, and every later one refills them, the penalties forming
+    their norms in the factors it leaves dead.  A transport follows an
+    acceptance only, when the previous control's covectors and penalties
+    are dead, so no pass hands these arrays back to the allocator.
     """
     n_pts, targets = data.n_samples, data.targets
+    workspace: dict = {}
 
     def transport(u, states):
-        # The penalties and the covectors of the accepted trajectory, or the
-        # transport's FlowError; the penalties are formed after the transport,
-        # whose factors are the peak of a run, and only if it succeeds.
+        # The covectors and then the penalties of the accepted trajectory,
+        # refilling the run's workspace, or the transport's FlowError.
         with np.errstate(over="ignore", invalid="ignore"):
             terminal = -loss_grad(states[:, -1] - targets) / n_pts
         try:
-            cov = backward_covector(family, u, states, terminal)
+            cov = backward_covector(family, u, states, terminal, workspace=workspace)
         except FlowError as err:
             return err
         with np.errstate(over="ignore", invalid="ignore"):
-            return loss_grad(states - targets[:, None]), cov
+            return _penalty_gradients(states, targets, workspace), cov
 
     def sweep(u, prepared, current, gamma, sources):
         if isinstance(prepared, FlowError):

@@ -1,6 +1,7 @@
 """Flow map, covector transport, variational Jacobian, commutator probe."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from diffeoflow import (
     ControlGrid,
     FieldSpec,
     FlowError,
+    VectorFieldFamily,
     backward_covector,
     flow_endpoints,
     forward_euler,
@@ -491,7 +493,7 @@ def test_closed_form_screen_picks_the_lapack_argmax(seed, monkeypatch):
     monkeypatch.setattr(flow, "CONDITION_LIMIT", 0.0)
     want = re.escape(f"sample {j} at layer 1 (condition estimate {conds[j]:.3e} ")
     with pytest.raises(FlowError, match=want) as err:
-        _screen(mats[None])
+        _screen(mats[None], np.empty((2, 1, len(mats))))
     assert (err.value.sample, err.value.layer) == (j, 1)
     smax = _spectral_norm_2x2(mats)
     screen = smax * smax / np.abs(np.linalg.det(mats))
@@ -557,8 +559,14 @@ def lapack_transport(factors, terminal):
 
 
 def replica_transport(factors, terminal):
-    """``_solve_backward`` in the (N+1, M, dim) shape of ``lapack_transport``."""
-    return _solve_backward(factors, terminal).transpose(0, 2, 1)
+    """``_solve_backward`` in the (N+1, M, dim) shape of ``lapack_transport``.
+
+    The solve consumes a copy of ``factors``, and its LAPACK fallback reads
+    the rows it asks for from the original.
+    """
+    lam = np.empty((factors.shape[0] + 1, 2, factors.shape[1]))
+    _solve_backward(factors.copy(), terminal, lam, lambda k, rows: factors[k - 1, rows])
+    return lam.transpose(0, 2, 1)
 
 
 def assert_same_bits(got, want):
@@ -737,3 +745,145 @@ def test_linearizations_of_an_overflowing_node_give_nan_without_a_warning(enrich
     # The transport's factor is NaN too, which its conditioning guard names.
     with pytest.raises(FlowError, match="sample 0 at layer 1"):
         backward_covector(enriched14, u, bundle, np.ones((1, 2)))
+
+
+class ScaledRotations(VectorFieldFamily):
+    """A still flow whose backward factor at x = (s, t) under u is s u_0 [[1, t], [-t, 1]].
+
+    A factor of condition 1 whose entries are all subnormal where s is, so
+    that its pivot is below the smallest normal and LAPACK solves that row.
+    """
+
+    kind = "scaled_rotations"
+    n_fields = 1
+
+    def values(self, x):
+        return np.zeros(x.shape[:-1] + (1, 2))
+
+    def jacobians(self, x):
+        return np.zeros(x.shape[:-1] + (1, 2, 2))
+
+    def layer_factor(self, x, u_row, h):
+        scale = x[..., 0] * u_row[0]
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = out[..., 1, 1] = scale
+        out[..., 0, 1] = scale * x[..., 1]
+        out[..., 1, 0] = -out[..., 0, 1]
+        return out
+
+
+def lapack_covectors(family, u, states, terminal):
+    """``lapack_transport`` of the ``layer_factor``s of step -h, shaped like ``backward_covector``'s result."""
+    factors = np.stack([family.layer_factor(states[:, k], u.values[k], -u.step) for k in range(u.n_layers)])
+    return lapack_transport(factors, terminal).transpose(1, 0, 2)
+
+
+def transports_into_one_workspace(family, problems):
+    """Each (u, states, terminal) transported fresh and into one workspace; assert the same bits."""
+    workspace, previous = {}, None
+    for u, states, terminal in problems:
+        fresh = backward_covector(family, u, states, terminal)
+        reused = backward_covector(family, u, states, terminal, workspace=workspace)
+        assert_same_bits(reused, fresh)
+        assert rows_are_contiguous(reused)
+        # The result is a view of the workspace, which the next call refills.
+        assert previous is None or np.shares_memory(previous, reused)
+        previous = reused
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_a_reused_workspace_gives_the_bits_of_a_fresh_transport(name):
+    fam, _, _, rng = random_problem(name, 900, 16)
+    problems = []
+    for _ in range(5):
+        u = ControlGrid(rng.normal(scale=0.3, size=(16, fam.n_fields)))
+        states = forward_euler(fam, u, rng.uniform(-1.0, 1.0, size=(900, 2)))
+        problems.append((u, states, rng.normal(size=(900, 2))))
+    transports_into_one_workspace(fam, problems)
+
+
+def test_a_reused_workspace_refactors_the_rows_of_subnormal_pivots(rng, monkeypatch):
+    fam, n_pts = ScaledRotations(), 40
+    problems = []
+    for _ in range(5):
+        u = ControlGrid(rng.uniform(0.5, 2.0, size=(3, 1)))
+        pts = np.stack([rng.uniform(0.5, 1.5, n_pts), rng.uniform(-1.0, 1.0, n_pts)], axis=-1)
+        tiny = rng.permutation(n_pts)[:5]
+        pts[tiny, 0] *= 1e-310  # every entry of their factors subnormal
+        states = forward_euler(fam, u, pts)
+        terminal = rng.normal(size=(n_pts, 2))
+        terminal[tiny] *= 1e-310  # so that their covectors stay finite
+        assert_same_bits(backward_covector(fam, u, states, terminal), lapack_covectors(fam, u, states, terminal))
+        problems.append((u, states, terminal))
+    solves = []
+    lapack_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(np.shape(a)) or lapack_solve(a, b))
+    transports_into_one_workspace(fam, problems)
+    assert solves == 2 * 5 * 3 * [(5, 2, 2)]  # fresh and reused, five problems, three layers
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_a_reused_workspace_keeps_lapacks_signs_of_negative_zero_covectors(name, monkeypatch):
+    fam, _, _, rng = random_problem(name, 300, 8)
+    problems = []
+    for _ in range(5):
+        u = ControlGrid(rng.normal(scale=0.3, size=(8, fam.n_fields)))
+        states = forward_euler(fam, u, rng.uniform(-1.0, 1.0, size=(300, 2)))
+        terminal = rng.normal(size=(300, 2))
+        terminal[rng.random(terminal.shape) < 0.05] = -0.0  # as for a point that sits on its target
+        assert_same_bits(backward_covector(fam, u, states, terminal), lapack_covectors(fam, u, states, terminal))
+        problems.append((u, states, terminal))
+    solves = []
+    lapack_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(np.shape(a)) or lapack_solve(a, b))
+    transports_into_one_workspace(fam, problems)
+    assert solves  # the -0.0 right-hand sides are LAPACK's
+
+
+def test_a_workspace_left_by_a_guard_error_gives_exact_transports(affine8, rng):
+    # The singular layer of test_guard_names_the_one_singular_sample_and_its_layer.
+    u = np.zeros((4, 8))
+    u[2, 2], u[2, 4] = 5.0, 4.0
+    pts = np.array([[1.0, 0.5], [-0.8, 0.2], [0.0, 0.7], [0.6, -0.9], [0.3, 0.0]])
+    singular = (ControlGrid(u), forward_euler(affine8, ControlGrid(u), pts), np.ones((5, 2)))
+    good = []
+    for _ in range(2):
+        v = ControlGrid(rng.normal(scale=0.3, size=(4, 8)))
+        good.append((v, forward_euler(affine8, v, pts), rng.normal(size=(5, 2))))
+    workspace = {}
+    for problem in (good[0], singular, good[1], singular, good[0]):
+        if problem is singular:
+            with pytest.raises(FlowError, match="sample 2 at layer 3"):
+                backward_covector(affine8, *problem, workspace=workspace)
+            continue
+        reused = backward_covector(affine8, *problem, workspace=workspace)
+        assert_same_bits(reused, backward_covector(affine8, *problem))
+
+
+def test_a_warm_workspace_transports_in_little_more_memory():
+    fam, u, pts, rng = random_problem("affine8", 3600, 64)
+    states, terminal = forward_euler(fam, u, pts), rng.normal(size=(3600, 2))
+    bundle = states.nbytes
+    workspace = {}
+    backward_covector(fam, u, states, terminal, workspace=workspace)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lam = backward_covector(fam, u, states, terminal, workspace=workspace)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(lam).all()
+    # Warm, the transport makes only the screen's third (N, M) array, the
+    # solve's masks and per-layer rows: 0.72 trajectories.  Without a
+    # workspace it peaks at 3.69, its factors and covectors included.
+    assert peak < 1.0 * bundle, peak / bundle
+
+
+def test_a_terminal_read_from_the_workspace_is_read_before_the_refill(affine8, rng):
+    u = ControlGrid(rng.normal(scale=0.3, size=(4, 8)))
+    states = forward_euler(affine8, u, rng.uniform(-1.0, 1.0, size=(50, 2)))
+    workspace = {}
+    first = backward_covector(affine8, u, states, rng.normal(size=(50, 2)), workspace=workspace)
+    want = backward_covector(affine8, u, states, first[:, 0].copy())
+    assert_same_bits(backward_covector(affine8, u, states, first[:, 0], workspace=workspace), want)

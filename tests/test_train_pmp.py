@@ -15,7 +15,7 @@ from diffeoflow import (
 from diffeoflow.flow import _check_finite, backward_covector
 from diffeoflow.objective import Dataset, cost_of_endpoints, loss_grad
 from diffeoflow.train_gd import _descend
-from diffeoflow.train_pmp import _maximized_controls
+from diffeoflow.train_pmp import _maximized_controls, _penalty_gradients
 
 from test_flow import nan_jacobian_family
 from test_train_gd import shift_family
@@ -141,7 +141,7 @@ def test_nan_layer_factor_is_a_rejected_pass(monkeypatch):
     pmp_module = importlib.import_module("diffeoflow.train_pmp")
     transport = pmp_module.backward_covector
     calls = []
-    monkeypatch.setattr(pmp_module, "backward_covector", lambda *a: calls.append(1) or transport(*a))
+    monkeypatch.setattr(pmp_module, "backward_covector", lambda *a, **k: calls.append(1) or transport(*a, **k))
     fam = nan_jacobian_family()
     data = Dataset(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[2.0, 1.0], [1.0, 1.5]]))
     rep = train_pmp(fam, data, 1, TrainConfig(beta=1e-3, gamma0=2.0, max_iter=3))
@@ -273,14 +273,14 @@ def test_sweep_is_the_dense_reference_sweep_bit_for_bit(kind, grid, n_layers, re
 
 def test_penalty_gradients_are_computed_once_per_accepted_control(affine8, grid25, monkeypatch):
     pmp_module = importlib.import_module("diffeoflow.train_pmp")
-    calls = {"loss_grad": 0, "backward_covector": 0}
+    calls = {"loss_grad": 0, "backward_covector": 0, "_penalty_gradients": 0}
 
     def counted(name):
         original = getattr(pmp_module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         return wrapper
 
@@ -295,7 +295,28 @@ def test_penalty_gradients_are_computed_once_per_accepted_control(affine8, grid2
     # pass that another pass follows.
     transports = 1 + sum(r.accepted for r in rows[:-1])
     assert calls["backward_covector"] == transports
-    # Every pass evaluates the N swept nodes; every fill adds one call at the
-    # last node for the terminal covector and, after the transport, one
-    # batched call over the accepted trajectory.
-    assert calls["loss_grad"] == passes * n_layers + 2 * transports
+    # Every fill computes the penalty gradients over the accepted trajectory
+    # once, after the transport.  Every pass evaluates the N swept nodes, and
+    # every fill adds one call at the last node for the terminal covector.
+    assert calls["_penalty_gradients"] == transports
+    assert calls["loss_grad"] == passes * n_layers + transports
+
+
+def test_penalty_gradients_in_the_workspace_are_loss_grads_bits(rng):
+    # Three fills of one workspace; the last overflows |z|^2 on one sample,
+    # which takes loss_grad's own path.  Each sample of the second sits on
+    # its target at node 0, a residual of +0.0.
+    workspace = {"factors": np.empty((6, 50, 2, 2))}
+    for scale in (1.0, 1.0, 1e200):
+        states = np.empty((7, 2, 50)).transpose(2, 0, 1)
+        states[...] = rng.normal(size=(50, 7, 2))
+        states[0, 3] *= scale
+        targets = rng.normal(size=(50, 2))
+        if scale == 1.0 and "penalties" in workspace:
+            targets = states[:, 0].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _penalty_gradients(states, targets, workspace)
+            want = loss_grad(states - targets[:, None])
+        assert np.shares_memory(got, workspace["penalties"])
+        assert all(got[:, k, d].flags.c_contiguous for k in range(7) for d in range(2))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
