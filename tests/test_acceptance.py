@@ -167,14 +167,15 @@ def test_criterion_04_affine8_gradient_flow_matches_recorded_table(benchmark_run
     lip = summary["metrics"]["lipschitz_flow"]
     if not 0.95 <= train <= 1.45:
         problems.append(
-            f"beta=1e-4 training error {train:.4f} not in [0.95, 1.45]; the trainer "
-            f"converges from the zero control to the near-affine optimum, an order "
-            f"of magnitude below the recorded 1.18"
+            f"beta=1e-4 training error {train:.4f} not in [0.95, 1.45]; 500 passes "
+            f"from the zero control end at a near-affine map whose error is an order "
+            f"of magnitude below the recorded 1.18; that is where the passes stop, "
+            f"not a minimizer"
         )
     if not 7.0 <= lip <= 12.0:
         problems.append(
-            f"beta=1e-4 flow Lipschitz constant {lip:.4f} not in [7, 12]; the "
-            f"converged map stays close to affine instead of the recorded 9.37"
+            f"beta=1e-4 flow Lipschitz constant {lip:.4f} not in [7, 12]; after "
+            f"500 passes the map is still close to affine, short of the recorded 9.37"
         )
     _, _, summary = benchmark_runs["gd_beta1"]
     train = summary["final"]["training_error"]
@@ -192,9 +193,10 @@ def test_criterion_05_affine8_maximum_principle_matches_recorded_table(benchmark
     _, _, summary = benchmark_runs["pmp_beta1e-4"]
     train = summary["final"]["training_error"]
     assert 0.95 <= train <= 1.45, (
-        f"beta=1e-4 training error {train:.4f} not in [0.95, 1.45]; the sweep "
-        f"trainer reaches the same near-affine optimum as the gradient flow, an "
-        f"order of magnitude below the recorded 1.19"
+        f"beta=1e-4 training error {train:.4f} not in [0.95, 1.45]; 500 passes of "
+        f"the sweep trainer end at the same near-affine map as the gradient flow, "
+        f"whose error is an order of magnitude below the recorded 1.19; that is "
+        f"where they stop, not a minimizer"
     )
 
 

@@ -32,7 +32,7 @@ from diffeoflow import (
     target_from_name,
     target_lipschitz_estimate,
 )
-from diffeoflow import cli
+from diffeoflow import cli, flow
 from diffeoflow.cli import (
     GRADCHECK_TOLERANCE,
     REFERENCE_RESULTS,
@@ -307,28 +307,34 @@ def test_train_flows_the_training_set_once_per_proposal_and_once_for_lipschitz(
     # the start and, by the gradient flow, once per proposal; the sweep flows
     # its proposals itself.  No trajectory outlives the trainer, so the
     # summary's Lipschitz constant flows the training sources alone once
-    # more, and is the estimate at them.
-    real, flowed = forward_euler, []
+    # more, in ``variational_jacobian``, which stores no trajectory, and is
+    # the estimate at them.
+    flowed = {"forward_euler": [], "variational_jacobian": []}
 
-    def counting(family, u, sources, **kwargs):
-        flowed.append(np.array(sources))
-        return real(family, u, sources, **kwargs)
+    def counting(real, calls):
+        def run(family, u, sources, **kwargs):
+            calls.append(np.array(sources))
+            return real(family, u, sources, **kwargs)
 
-    package = importlib.import_module("diffeoflow")
-    for name in ("", ".flow", ".objective", ".train_gd", ".train_pmp", ".metrics", ".cli"):
-        module = importlib.import_module(f"diffeoflow{name}")
-        if getattr(module, "forward_euler", None) is real:
-            monkeypatch.setattr(module, "forward_euler", counting)
-    assert package.forward_euler is counting
+        return run
+
+    wrapped = {name: (getattr(flow, name), counting(getattr(flow, name), calls)) for name, calls in flowed.items()}
+    for module_name in ("", ".flow", ".objective", ".train_gd", ".train_pmp", ".metrics", ".cli"):
+        module = importlib.import_module(f"diffeoflow{module_name}")
+        for name, (real, run) in wrapped.items():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, run)
+    assert importlib.import_module("diffeoflow").forward_euler is wrapped["forward_euler"][1]
     cfg_path = write_config(tmp_path, algorithm=algorithm, max_iter=4)
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
     passes = len(read_trace(tmp_path / "run" / "trace.csv")) - 2  # the header and row 0
     assert passes == 4
-    assert len(flowed) == (1 + passes if algorithm == "gd" else 1) + 1
+    assert len(flowed["forward_euler"]) == (1 + passes if algorithm == "gd" else 1)
     family, _, train, test = cli.build_problem(load_config(cfg_path))
     stacked = np.concatenate([train.sources, test.sources])
-    assert all(np.array_equal(sources, stacked) for sources in flowed[:-1])
-    assert np.array_equal(flowed[-1], train.sources)
+    assert all(np.array_equal(sources, stacked) for sources in flowed["forward_euler"])
+    assert len(flowed["variational_jacobian"]) == 1
+    assert np.array_equal(flowed["variational_jacobian"][0], train.sources)
 
     summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
     control = load_control_csv(tmp_path / "run" / "control.csv")

@@ -1,15 +1,15 @@
 """The built-ins' workspace sweeps against loops of the dense per-layer contractions, bit for bit.
 
 Every layer loop runs on the steps of one ``family._sweep``: ``flow._euler``
-and ``jacobian_along`` one per row block, ``control_gradient`` and
-``backward_covector`` one over the whole trajectory.  The built-ins' sweep
-is one workspace that every node is loaded into, and its steps are their
-closed forms.  The references are plain loops of the public one-node
-contractions, the dense einsums: x_k = x_{k-1} + h displacement(x_{k-1},
-row) forward; backward one ``adjoint_step`` per node, then ``pairing`` at
-node 0; one ``layer_factor`` per layer for the transport and the Jacobian.
-M = 16385 is one full row block of 16384 points and a ragged one of a
-single point.
+one per row block (it also takes ``variational_jacobian``'s product of
+factors), ``control_gradient`` and ``backward_covector`` one over the whole
+trajectory.  The built-ins' sweep is one workspace that every node is
+loaded into, and its steps are their closed forms.  The references are
+plain loops of the public one-node contractions, the dense einsums:
+x_k = x_{k-1} + h displacement(x_{k-1}, row) forward; backward one
+``adjoint_step`` per node, then ``pairing`` at node 0; one
+``layer_factor`` per layer for the transport and the Jacobian.  M = 16385
+is one full row block of 16384 points and a ragged one of a single point.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ import pytest
 
 from diffeoflow import ControlGrid, backward_covector, flow_endpoints, forward_euler, make_affine8, make_enriched14
 from diffeoflow import flow
-from diffeoflow.flow import jacobian_along
+from diffeoflow.flow import variational_jacobian
 from diffeoflow.objective import control_gradient, loss_grad
 
 N_LAYERS = 4
@@ -67,7 +67,7 @@ def per_layer_transport(family, u, states, terminal):
 
 
 def per_layer_jacobian(family, u, states):
-    """``jacobian_along`` as one product of ``layer_factor`` calls over all points."""
+    """``variational_jacobian`` as one product of ``layer_factor`` calls over all points of a stored trajectory."""
     v = np.broadcast_to(np.eye(2), (states.shape[0], 2, 2)).copy()
     for k in range(1, u.n_layers + 1):
         v = family.layer_factor(states[:, k - 1], u.values[k - 1], u.step) @ v
@@ -123,7 +123,8 @@ def test_transport_and_jacobian_sweeps_match_loops_of_layer_factors(kind, n_pts)
     transport, jacobian = per_layer_transport(family, u, states, terminal), per_layer_jacobian(family, u, states)
     for layout in (states, np.ascontiguousarray(states)):
         assert_same_bits(backward_covector(family, u, layout, terminal), transport)
-        assert_same_bits(jacobian_along(family, u, layout), jacobian)
+    for layout in (np.ascontiguousarray(pts), np.asfortranarray(pts)):
+        assert_same_bits(variational_jacobian(family, u, layout), jacobian)
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
