@@ -20,12 +20,12 @@ back, so a primitive whose arrays churn shows faults on every call.
 - ``gd_passes``: ``train_gradient_flow`` with ``max_iter`` 2, that is the
   initial flow and cost, one gradient and two proposals;
 - ``pmp_pass``: ``train_pmp`` with ``max_iter`` 1, that is the initial
-  flow and cost, the covector transport and one maximization sweep;
-  above ``PMP_MAX_POINT_LAYERS`` it is skipped, since its N covector
-  factors and solve buffers take about 1.8 GB at M 10^5, N 128;
+  flow and cost, the covector transport and one maximization sweep.
+  Its N covector factors make it the largest: at M 10^5, N 128 one call
+  peaks at 1.05 GB traced and 1.3 GB resident on either family;
 - ``pmp_passes``: ``train_pmp`` with ``max_iter`` 4, so that the loop
   transports again after accepted passes, into the buffers of the first
-  transport; skipped with ``pmp_pass``;
+  transport; it peaks at 1.17 GB traced and 1.4 GB resident there;
 - ``build_metrics`` with the sources as probes, which includes their flow.
 
 Uses the machine as it is: no thread or CPU settings are changed, so pin
@@ -63,7 +63,6 @@ from diffeoflow.objective import control_gradient  # noqa: E402
 POINTS = (900, 10_000, 100_000)
 LAYERS = (16, 32, 128)
 QUICK = ((30,), (4,))
-PMP_MAX_POINT_LAYERS = 4_000_000
 REPEATS = 5
 PRIMITIVES = (
     "forward_euler", "flow_endpoints", "control_gradient", "gd_passes", "pmp_pass", "pmp_passes", "build_metrics"
@@ -78,7 +77,7 @@ def calls(family, n_pts: int, n_layers: int) -> dict:
     u = ControlGrid(rng.normal(scale=0.5, size=(n_layers, family.n_fields)))
     states = forward_euler(family, u, data.sources)
     cfg, gd_cfg, pmp_cfg = (TrainConfig(beta=1e-3, max_iter=n) for n in (1, 2, 4))
-    primitives = {
+    return {
         "forward_euler": lambda: forward_euler(family, u, data.sources),
         "flow_endpoints": lambda: flow_endpoints(family, u, data.sources),
         "control_gradient": lambda: control_gradient(family, u, states, data.targets, cfg.beta),
@@ -87,9 +86,6 @@ def calls(family, n_pts: int, n_layers: int) -> dict:
         "pmp_passes": lambda: train_pmp(family, data, n_layers, pmp_cfg, init=u),
         "build_metrics": lambda: build_metrics(family, u, None, data.sources, 0.0, 1.5),
     }
-    if n_pts * n_layers > PMP_MAX_POINT_LAYERS:
-        del primitives["pmp_pass"], primitives["pmp_passes"]
-    return primitives
 
 
 def median_seconds(call, repeats: int) -> float:
@@ -137,9 +133,6 @@ def main(argv=None) -> int:
         for n_layers in layers:
             primitives = calls(family, n_pts, n_layers)
             for name in PRIMITIVES:
-                if name not in primitives:
-                    print(f"{name:<18} {n_pts:>7} {n_layers:>4} {'skipped':>11} {'-':>19} {'-':>15} {'-':>13}")
-                    continue
                 seconds = median_seconds(primitives[name], repeats)
                 per = 1e9 * seconds / (n_pts * n_layers)
                 peak = peak_traced_bytes(primitives[name]) / 1e6

@@ -1,11 +1,11 @@
 """End-to-end reference runs: both trainers against the dense contractions.
 
-The built-in families compute the four contractions the flow and the
-gradients use in closed form, and the flow stores its bundles in its own
-memory layout.  Neither may change a number: a short run of each trainer
-must give byte-identical trace rows and controls when the family uses the
-base class's dense einsums instead, and when the dataset arrives in any
-memory layout.
+The built-in families take every layer step from the closed forms of their
+sweep, and the flow stores its bundles in its own memory layout.  Neither
+may change a number: a short run of each trainer must give byte-identical
+trace rows and controls when the family runs on the base class's dense
+einsums and sweep instead (``oracle.dense``), and when the dataset arrives
+in any memory layout.
 """
 
 import numpy as np
@@ -14,34 +14,17 @@ import pytest
 from diffeoflow import (
     Dataset,
     TrainConfig,
-    VectorFieldFamily,
     builtin_target,
     make_grid_dataset,
     make_random_testset,
     train_gradient_flow,
     train_pmp,
 )
-from diffeoflow.fields import Affine8, Enriched14
+from diffeoflow.fields import Affine8, Enriched14, _Planar
+
+from oracle import LAYOUTS, dense
 
 
-def dense(base):
-    """A subclass of ``base`` whose contractions are the dense einsums of VectorFieldFamily."""
-    return type(
-        f"Dense{base.__name__}",
-        (base,),
-        {
-            name: getattr(VectorFieldFamily, name)
-            for name in ("displacement", "layer_factor", "pairing", "adjoint_step")
-        },
-    )
-
-
-LAYOUTS = {
-    "c_order": np.ascontiguousarray,
-    "fortran_order": np.asfortranarray,
-    # Every row and every column strided: one plane of an (M, 2, 2) stack.
-    "strided_view": lambda a: np.stack([a, a], axis=-1)[..., 0],
-}
 TRAINERS = {"gd": train_gradient_flow, "pmp": train_pmp}
 
 
@@ -63,6 +46,7 @@ def test_runs_match_the_dense_family_in_every_input_layout(base, algorithm):
     grid = make_grid_dataset(target, side=1.5, per_axis=6)
     test = make_random_testset(target, side=1.5, count=10, seed=3)
     trainer = TRAINERS[algorithm]
+    assert not isinstance(dense(base)(nu=20.0)._sweep((1,)), _Planar)  # the layer loops run on the dense steps
     want_rows, want_control = run_bits(trainer, dense(base)(nu=20.0), grid, test)
     for layout, arrange in LAYOUTS.items():
         data = Dataset(arrange(grid.sources), arrange(grid.targets))

@@ -1,4 +1,8 @@
-"""Field families: values, Jacobians, contractions, ordering, and input validation."""
+"""Field families: values, Jacobians, contractions, ordering, and input validation.
+
+The closed-form steps of the built-ins' sweep are checked bit for bit
+against the dense contractions, the base class's einsums.
+"""
 
 import tracemalloc
 
@@ -6,7 +10,6 @@ import numpy as np
 import pytest
 
 from diffeoflow import (
-    FieldSpec,
     VectorFieldFamily,
     family_from_name,
     make_affine8,
@@ -14,6 +17,8 @@ from diffeoflow import (
     make_enriched14,
 )
 from diffeoflow.fields import Affine8, Enriched14
+
+from oracle import DIAGONAL_SHIFT, LAYOUTS, ROTATION, assert_same_bits
 
 
 def fd_jacobian(family, i, x, eps=1e-6):
@@ -123,13 +128,7 @@ def test_family_from_name():
 
 
 def test_custom_family_round_trip(rng):
-    rot = FieldSpec(
-        value=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
-        jacobian=lambda x: np.broadcast_to(
-            np.array([[0.0, -1.0], [1.0, 0.0]]), x.shape[:-1] + (2, 2)
-        ).copy(),
-    )
-    fam = make_custom([rot])
+    fam = make_custom([ROTATION])
     assert fam.n_fields == 1
     pts = rng.normal(size=(6, 2))
     assert np.allclose(fam.values(pts)[:, 0], np.stack([-pts[:, 1], pts[:, 0]], axis=-1))
@@ -173,14 +172,6 @@ def _contraction_args(fam, name, x, rng, signed_zeros=False):
     return (x, u_row)
 
 
-def _dense_contraction(fam, name, *args):
-    """The contraction computed from the dense values and Jacobians of ``fam``."""
-    if name == "layer_factor":
-        x, u_row, h = args
-        return np.eye(fam.dim) + h * VectorFieldFamily.layer_matrix(fam, x, u_row)
-    return getattr(VectorFieldFamily, name)(fam, *args)
-
-
 @pytest.mark.parametrize("shape", [(1, 2), (900, 2), (10_000, 2), (900, 16, 2), (1_000, 33, 2)])
 @pytest.mark.parametrize("maker", [make_affine8, make_enriched14])
 @pytest.mark.parametrize("name", CLOSED_FORMS)
@@ -190,11 +181,7 @@ def test_closed_form_contractions_equal_dense_path_bit_for_bit(name, maker, shap
     x.reshape(-1)[::5] = 0.0  # grid points on the axes
     for signed_zeros in (False, True):
         args = _contraction_args(fam, name, x, rng, signed_zeros)
-        got = _sweep_step(fam, name, *args)
-        dense = _dense_contraction(fam, name, *args)
-        assert got.shape == dense.shape
-        # Bits, not values: array_equal counts -0.0 and 0.0 as equal.
-        assert np.array_equal(got.view(np.int64), dense.view(np.int64)), signed_zeros
+        assert_same_bits(_sweep_step(fam, name, *args), getattr(VectorFieldFamily, name)(fam, *args))
 
 
 @pytest.mark.parametrize("cls", [Affine8, Enriched14])
@@ -202,14 +189,6 @@ def test_builtins_inherit_every_dense_contraction(cls):
     for name in CONTRACTIONS + ("adjoint_step",):
         assert name not in vars(cls)
         assert getattr(cls, name) is getattr(VectorFieldFamily, name)
-
-
-LAYOUTS = {
-    "c_order": np.ascontiguousarray,
-    "fortran_order": np.asfortranarray,
-    # Every row and every column strided: one plane of an (M, 2, 2) stack.
-    "strided_view": lambda a: np.stack([a, a], axis=-1)[..., 0],
-}
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -225,11 +204,10 @@ def test_layer_factor_is_the_dense_eye_plus_h_layer_matrix_bit_for_bit(maker, h,
     for u_row in (rng.normal(size=fam.n_fields), np.where(np.arange(fam.n_fields) % 2, -0.0, 0.0)):
         got = sweep.factor(x, u_row, h)
         dense = VectorFieldFamily.layer_matrix(fam, x, u_row)
-        want = np.eye(2) + h * dense
         assert got.shape == (900, 2, 2) and got.flags.c_contiguous
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert_same_bits(got, np.eye(2) + h * dense)
         if h < 0:  # the backward-Euler factor of the covector transport
-            assert np.array_equal(got.view(np.int64), (np.eye(2) - (-h) * dense).view(np.int64))
+            assert_same_bits(got, np.eye(2) - (-h) * dense)
 
 
 @pytest.mark.parametrize("name", EINSUMS)
@@ -257,14 +235,7 @@ def test_pairing_keeps_middle_axes_and_accepts_strided_slices(affine8, rng):
 
 @pytest.mark.parametrize("name", CONTRACTIONS)
 def test_custom_family_inherits_dense_contractions(name, rng):
-    rot = FieldSpec(
-        value=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
-        jacobian=lambda x: np.broadcast_to(
-            np.array([[0.0, -1.0], [1.0, 0.0]]), x.shape[:-1] + (2, 2)
-        ).copy(),
-    )
-    shift = FieldSpec(value=lambda x: np.ones_like(x), jacobian=lambda x: np.zeros(x.shape + (2,)))
-    fam = make_custom([rot, shift])
+    fam = make_custom([ROTATION, DIAGONAL_SHIFT])
     assert getattr(type(fam), name) is getattr(VectorFieldFamily, name)
     x = rng.normal(size=(10_000, 2))
     args = _contraction_args(fam, name, x, rng)
@@ -292,8 +263,8 @@ def test_closed_form_adjoint_step_equals_dense_step_bit_for_bit(maker, h, rng):
         row, step = _sweep_step(fam, "adjoint_step", x, u_row, lam, h)
         dense_row, dense_step = VectorFieldFamily.adjoint_step(fam, x, u_row, lam, h)
         assert row.shape == (fam.n_fields,) and step.shape == lam.shape
-        assert np.array_equal(row.view(np.int64), dense_row.view(np.int64))
-        assert np.array_equal(step.view(np.int64), dense_step.view(np.int64))
+        assert_same_bits(row, dense_row)
+        assert_same_bits(step, dense_step)
 
 
 def _flat(result):

@@ -1,4 +1,4 @@
-"""Package hygiene: no unused imports or test-only helpers, and a pinned public API."""
+"""Package hygiene: no unused imports or test-only helpers, one copy of each dense reference, and a pinned public API."""
 
 import ast
 import re
@@ -197,6 +197,39 @@ def test_layer_loops_take_their_steps_from_a_sweep():
         for call in contraction_calls(path.read_text(encoding="utf-8"))
     ]
     assert calls == ["flow.displacement.displacement", "flow.layer_matrix.layer_matrix", "train_pmp.maximize.pairing"]
+
+
+def contraction_loops(source: str) -> list[str]:
+    """Functions not named ``test_*`` with a ``for`` loop or a comprehension that calls one of ``CONTRACTIONS``."""
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return [
+        f"line {func.lineno}: {func.name}"
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, ast.FunctionDef) and not func.name.startswith("test_") and any(
+            isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) in CONTRACTIONS
+            for loop in ast.walk(func) if isinstance(loop, loops)
+            for call in ast.walk(loop)
+        )
+    ]
+
+
+def test_contraction_loop_check_flags_a_leftover_reference():
+    source = (
+        "def forward(family, u, x):\n    for row in u.values:\n        x = x + family.displacement(x, row)\n"
+        "def factors(u, x):\n    return [layer_factor(x, row, u.step) for row in u.values]\n"
+        "def one_node(family, x, lam):\n    return family.pairing(x, lam)\n"
+        "def test_layers(family, u, x):\n    for row in u.values:\n        family.adjoint_step(x, row, x, u.step)\n"
+    )
+    assert contraction_loops(source) == ["line 1: forward", "line 4: factors"]
+
+
+def test_the_dense_references_live_in_the_oracle_alone():
+    flagged = [
+        f"{path.name} {helper}"
+        for path in sorted(TESTS.glob("*.py")) if path.name != "oracle.py"
+        for helper in contraction_loops(path.read_text(encoding="utf-8"))
+    ]
+    assert flagged == []
 
 
 def unused_public_functions(modules: dict[str, str]) -> list[str]:

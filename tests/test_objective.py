@@ -1,4 +1,8 @@
-"""Loss, cost assembly, and the adjoint gradient against finite differences."""
+"""Loss, cost assembly, and the adjoint gradient against finite differences.
+
+The exact gradient is also checked bit for bit against ``oracle.py``'s
+two-pass gradient, which pairs all layers in one einsum.
+"""
 
 import re
 import tracemalloc
@@ -9,7 +13,6 @@ import pytest
 from diffeoflow import (
     ControlGrid,
     FieldSpec,
-    VectorFieldFamily,
     adjoint_gradient,
     cost,
     cost_of_endpoints,
@@ -24,6 +27,8 @@ from diffeoflow import (
     spectral_norms,
 )
 from diffeoflow.objective import Dataset, control_gradient
+
+from oracle import DIAGONAL_SHIFT, ROTATION, assert_same_bits, two_pass_gradient
 
 
 def test_loss_known_values():
@@ -201,11 +206,6 @@ def test_endpoint_states_feed_cost(affine8, grid25):
 
 
 def three_field_family():
-    rot = FieldSpec(
-        value=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
-        jacobian=lambda x: np.broadcast_to(np.array([[0.0, -1.0], [1.0, 0.0]]), x.shape[:-1] + (2, 2)).copy(),
-    )
-    shift = FieldSpec(value=lambda x: np.ones_like(x), jacobian=lambda x: np.zeros(x.shape + (2,)))
     bend = FieldSpec(
         value=lambda x: np.stack([x[..., 0] ** 2, np.sin(x[..., 1])], axis=-1),
         jacobian=lambda x: np.stack(
@@ -214,23 +214,7 @@ def three_field_family():
             axis=-2,
         ),
     )
-    return make_custom([rot, shift, bend])
-
-
-def two_pass_gradient(fam, u, states, targets, beta):
-    """The exact gradient as two passes: store every covector, then pair them all.
-
-    The covectors are transported with the dense step lambda (I + h A) of the
-    base class, and the pairing is the base-class einsum over all layers at once.
-    """
-    n_pts, n_nodes, dim = states.shape
-    h = u.step
-    lam = np.empty((n_pts, n_nodes, dim))
-    lam[:, -1] = loss_grad(states[:, -1] - targets) / n_pts
-    for k in range(n_nodes - 1, 0, -1):
-        a = VectorFieldFamily.layer_matrix(fam, states[:, k - 1], u.values[k - 1])
-        lam[:, k - 1] = np.einsum("mp,mpn->mn", lam[:, k], np.eye(dim) + h * a)
-    return VectorFieldFamily.pairing(fam, states[:, :-1], lam[:, 1:]) + beta * u.values
+    return make_custom([ROTATION, DIAGONAL_SHIFT, bend])
 
 
 @pytest.mark.parametrize("size", [(7, 3), (900, 16), (10_000, 32)], ids=lambda s: f"m{s[0]}_n{s[1]}")
@@ -247,8 +231,7 @@ def test_exact_gradient_is_the_two_pass_gradient_bit_for_bit(name, size):
     states = forward_euler(fam, u, src)
     want = two_pass_gradient(fam, u, states, targets, 1e-3)
     for layout in (states, np.ascontiguousarray(states)):
-        got = control_gradient(fam, u, layout, targets, 1e-3)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert_same_bits(control_gradient(fam, u, layout, targets, 1e-3), want)
 
 
 def test_exact_gradient_stores_no_covectors(enriched14):

@@ -1,27 +1,33 @@
-"""The built-ins' workspace sweeps against loops of the dense per-layer contractions, bit for bit.
+"""The built-ins' workspace sweeps against the loops of the dense oracle, bit for bit.
 
 Every layer loop runs on the steps of one ``family._sweep``: ``flow._euler``
 one per row block (it also takes ``variational_jacobian``'s product of
 factors), ``control_gradient`` and ``backward_covector`` one over the whole
 trajectory.  The built-ins' sweep is one workspace that every node is
-loaded into, and its steps are their closed forms.  The references are
-plain loops of the public one-node contractions, the dense einsums:
-x_k = x_{k-1} + h displacement(x_{k-1}, row) forward; backward one
-``adjoint_step`` per node, then ``pairing`` at node 0; one
-``layer_factor`` per layer for the transport and the Jacobian.  M = 16385
-is one full row block of 16384 points and a ragged one of a single point.
+loaded into, and its steps are their closed forms.  The references are the
+loops of the public one-node contractions in ``oracle.py``.  M = 16385 is
+one full row block of 16384 points and a ragged one of a single point.
 """
 
 import numpy as np
 import pytest
 
-from diffeoflow import ControlGrid, backward_covector, flow_endpoints, forward_euler, make_affine8, make_enriched14
+from diffeoflow import ControlGrid, backward_covector, family_from_name, flow_endpoints, forward_euler
 from diffeoflow import flow
 from diffeoflow.flow import variational_jacobian
 from diffeoflow.objective import control_gradient, loss_grad
 
+from oracle import (
+    assert_same_bits,
+    per_layer_flow,
+    per_layer_gradient,
+    per_layer_jacobian,
+    per_layer_transport,
+    rows_are_contiguous,
+)
+
 N_LAYERS = 4
-FAMILIES = {"affine8": make_affine8(5.0), "enriched14": make_enriched14(5.0)}
+FAMILIES = {kind: family_from_name(kind, 5.0) for kind in ("affine8", "enriched14")}
 
 
 def points(n_pts, rng):
@@ -38,47 +44,6 @@ def damped_rows(u):
     return lambda k, x: u.values[k - 1] / (1.0 + np.max(np.abs(x)))
 
 
-def per_layer_flow(family, u, pts, row=None):
-    """The (M, N+1, 2) trajectory, one ``displacement`` call per layer."""
-    nodes = [pts]
-    for k in range(1, u.n_layers + 1):
-        x = nodes[-1]
-        nodes.append(x + u.step * family.displacement(x, u.values[k - 1] if row is None else row(k, x)))
-    return np.stack(nodes, axis=1)
-
-
-def per_layer_gradient(family, u, states, targets, beta):
-    """``control_gradient`` as a loop of ``adjoint_step``, then ``pairing`` at node 0."""
-    lam = loss_grad(states[:, -1] - targets) / states.shape[0]
-    grad = np.empty(u.values.shape)
-    for k in range(u.n_layers, 1, -1):
-        grad[k - 1], lam = family.adjoint_step(states[:, k - 1], u.values[k - 1], lam, u.step)
-    grad[0] = family.pairing(states[:, 0], lam)
-    return grad + beta * u.values
-
-
-def per_layer_transport(family, u, states, terminal):
-    """``backward_covector`` as a loop of ``np.linalg.solve`` through the ``layer_factor`` of step -h."""
-    lam = [terminal]
-    for k in range(u.n_layers, 0, -1):
-        factor = family.layer_factor(states[:, k - 1], u.values[k - 1], -u.step)
-        lam.append(np.linalg.solve(np.swapaxes(factor, -1, -2), lam[-1][..., None])[..., 0])
-    return np.stack(lam[::-1], axis=1)
-
-
-def per_layer_jacobian(family, u, states):
-    """``variational_jacobian`` as one product of ``layer_factor`` calls over all points of a stored trajectory."""
-    v = np.broadcast_to(np.eye(2), (states.shape[0], 2, 2)).copy()
-    for k in range(1, u.n_layers + 1):
-        v = family.layer_factor(states[:, k - 1], u.values[k - 1], u.step) @ v
-    return v
-
-
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
-
-
 def problem(family, n_pts, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     u = ControlGrid(rng.normal(scale=2.0, size=(N_LAYERS, family.n_fields)))
@@ -86,18 +51,33 @@ def problem(family, n_pts, seed):
     return u, pts, pts + rng.normal(scale=0.5, size=pts.shape)
 
 
-@pytest.mark.parametrize("n_pts", [1, 7, 900, 16385])
+# Two input sets: nu 5, N 4 on ``points`` under controls of scale 2, seeded by M; and
+# nu 20 at the trainers' sizes, on the side-2 square under controls of scale 0.3, seed 7.
+FLOW_CASES = [(5.0, n_pts, N_LAYERS) for n_pts in (1, 7, 900, 16385)] + [(20.0, 900, 16), (20.0, 10_000, 32)]
+
+
+def flow_problem(kind, nu, n_pts, n_layers):
+    family = family_from_name(kind, nu)
+    if nu == 5.0:
+        return (family,) + problem(family, n_pts, n_pts)[:2]
+    rng = np.random.Generator(np.random.Philox(7))
+    u = ControlGrid(rng.normal(scale=0.3, size=(n_layers, family.n_fields)))
+    return family, u, rng.uniform(-1.0, 1.0, size=(n_pts, 2))
+
+
+@pytest.mark.parametrize("nu, n_pts, n_layers", FLOW_CASES, ids=[f"nu{nu:g}_m{m}_n{n}" for nu, m, n in FLOW_CASES])
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
-def test_flow_sweeps_match_the_per_layer_loop(kind, n_pts):
-    family = FAMILIES[kind]
-    u, pts, _ = problem(family, n_pts, n_pts)
+def test_flows_are_layer_major_and_match_the_per_layer_loop(kind, nu, n_pts, n_layers):
+    family, u, pts = flow_problem(kind, nu, n_pts, n_layers)
     want = per_layer_flow(family, u, pts)
-    assert_same_bits(forward_euler(family, u, pts), want)
-    assert_same_bits(flow_endpoints(family, u, pts), want[:, -1])
+    states, ends = forward_euler(family, u, pts), flow_endpoints(family, u, pts)
+    assert_same_bits(states, want)
+    assert_same_bits(ends, want[:, -1])
+    assert rows_are_contiguous(states) and all(ends[:, d].flags.c_contiguous for d in range(2))
     row = damped_rows(u)
     want = per_layer_flow(family, u, pts, row)
-    assert_same_bits(flow._euler(family, u, pts, N_LAYERS + 1, row).transpose(2, 0, 1), want)
-    assert_same_bits(flow._euler(family, u, pts, 2, row)[N_LAYERS % 2].T, want[:, -1])
+    assert_same_bits(flow._euler(family, u, pts, n_layers + 1, row).transpose(2, 0, 1), want)
+    assert_same_bits(flow._euler(family, u, pts, 2, row)[n_layers % 2].T, want[:, -1])
 
 
 @pytest.mark.parametrize("n_pts", [1, 7, 900, 16385])

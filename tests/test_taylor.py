@@ -25,6 +25,8 @@ from diffeoflow import ControlGrid, FieldSpec, VectorFieldFamily, builtin_target
 from diffeoflow import flow
 from diffeoflow.objective import Dataset, control_gradient
 
+from oracle import DIAGONAL_SHIFT, ROTATION
+
 EPS = 1e-2 * 4.0 ** -np.arange(6)
 RATE_WINDOW = (3.9, 4.1)
 BETA = 1e-3
@@ -74,18 +76,12 @@ def test_builtin_gradient_is_second_order_accurate(kind, n_layers, n_pts, reques
 
 def test_custom_gradient_is_second_order_accurate():
     # A rotation, a constant shift and a bend: the dense base-class sweep.
-    rot = FieldSpec(
-        value=lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
-        jacobian=lambda x: np.broadcast_to(np.array([[0.0, -1.0], [1.0, 0.0]]), x.shape + (2,)).copy(),
-    )
-    shift = FieldSpec(value=np.ones_like, jacobian=lambda x: np.zeros(x.shape + (2,)))
-
     def bend_jacobian(x):
         jac = np.zeros(x.shape + (2,))
         jac[..., 0, 1], jac[..., 1, 0] = np.cos(x[..., 1]), 2.0 * x[..., 0]
         return jac
 
     bend = FieldSpec(value=lambda x: np.stack([np.sin(x[..., 1]), x[..., 0] ** 2], axis=-1), jacobian=bend_jacobian)
-    family = make_custom([rot, shift, bend])
+    family = make_custom([ROTATION, DIAGONAL_SHIFT, bend])
     assert type(family)._sweep is VectorFieldFamily._sweep
     assert_taylor(family, 8, 50)

@@ -26,21 +26,10 @@ from diffeoflow import (
 )
 from diffeoflow.objective import Dataset, control_gradient, cost_of_endpoints, mean_loss
 
+from oracle import shift_family
+
 # The package's ``train_pmp`` attribute is the trainer, so fetch the module by name.
 train_pmp_module = importlib.import_module("diffeoflow.train_pmp")
-
-
-def shift_family():
-    """Two constant fields: the flow endpoint is x plus the mean control."""
-    e1 = FieldSpec(
-        value=lambda x: np.broadcast_to(np.array([1.0, 0.0]), x.shape).copy(),
-        jacobian=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
-    )
-    e2 = FieldSpec(
-        value=lambda x: np.broadcast_to(np.array([0.0, 1.0]), x.shape).copy(),
-        jacobian=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
-    )
-    return make_custom([e1, e2])
 
 
 def shift_dataset(rng, m=12, shift=(0.8, -0.5)):

@@ -1,4 +1,8 @@
-"""Maximum-principle trainer: sweep updates, acceptance, closed-form maximizer."""
+"""Maximum-principle trainer: sweep updates, acceptance, closed-form maximizer.
+
+The sweep is checked bit for bit against ``oracle.py``'s ``reference_pmp``,
+which transports the covectors through LAPACK and writes the sweep out densely.
+"""
 
 import importlib
 
@@ -12,13 +16,10 @@ from diffeoflow import (
     forward_euler,
     train_pmp,
 )
-from diffeoflow.flow import _check_finite, backward_covector
-from diffeoflow.objective import Dataset, cost_of_endpoints, loss_grad
-from diffeoflow.train_gd import _descend
+from diffeoflow.objective import Dataset, loss_grad
 from diffeoflow.train_pmp import _maximized_controls, _penalty_gradients
 
-from test_flow import nan_jacobian_family
-from test_train_gd import shift_family
+from oracle import assert_same_bits, nan_jacobian_family, reference_pmp, rows_are_contiguous, shift_family
 
 
 def endpoints_of(family, u, sources):
@@ -193,7 +194,7 @@ def test_sweep_proposals_keep_the_layer_major_layout(affine8, grid25, monkeypatc
     assert len(seen) == 5 + 1 + accepted and accepted
     for bundle in seen:
         assert bundle.shape == (25, 7, 2)
-        assert all(bundle[:, k, d].flags.c_contiguous for k in range(7) for d in range(2))
+        assert rows_are_contiguous(bundle)
 
 
 def test_the_sweep_rule_reads_every_row_in_one_block(affine8, grid25, monkeypatch):
@@ -223,37 +224,6 @@ def test_sweep_covectors_are_coordinate_major(affine8, grid25, monkeypatch):
     train_pmp(affine8, grid25, 6, TrainConfig(beta=0.01, max_iter=3))
     assert len(seen) == 3 * 6
     assert all(lam[:, d].flags.c_contiguous for lam in seen for d in range(2))
-
-
-def reference_pmp(family, data, n_layers, cfg):
-    """train_pmp with the sweep written out densely: the dense einsum step,
-    the penalty gradient of the accepted node recomputed on every layer, and
-    a full copy of the accepted trajectory."""
-    n_pts, targets = data.n_samples, data.targets
-
-    def transport(u, states):
-        terminal = -loss_grad(states[:, -1] - targets) / n_pts
-        return states, backward_covector(family, u, states, terminal)
-
-    def sweep(u, prepared, current, gamma, sources):
-        states, cov = prepared
-        swept = np.copy(states)
-        new_controls = u.values.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, u.n_layers + 1):
-                drift = loss_grad(states[:, k - 1] - targets) - loss_grad(swept[:, k - 1] - targets)
-                lam = cov[:, k - 1] + drift / n_pts
-                vals = family.values(swept[:, k - 1])
-                pairing = np.einsum("mn,mln->l", lam, vals)
-                new_controls[k - 1] = _maximized_controls(pairing, u.values[k - 1], gamma, cfg.beta)
-                step = np.einsum("mln,l->mn", vals, new_controls[k - 1])
-                swept[:, k] = swept[:, k - 1] + u.step * step
-                _check_finite(swept[:, k], k)
-        proposal = ControlGrid(new_controls)
-        cost_new = cost_of_endpoints(swept[:, -1], targets, proposal, cfg.beta)
-        return proposal, swept, cost_new, current.total > cost_new.total
-
-    return _descend(family, data, n_layers, cfg, None, None, transport, sweep)
 
 
 @pytest.mark.parametrize("kind", ["affine8", "enriched14"])
@@ -318,5 +288,5 @@ def test_penalty_gradients_in_the_workspace_are_loss_grads_bits(rng):
             got = _penalty_gradients(states, targets, workspace)
             want = loss_grad(states - targets[:, None])
         assert np.shares_memory(got, workspace["penalties"])
-        assert all(got[:, k, d].flags.c_contiguous for k in range(7) for d in range(2))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert rows_are_contiguous(got)
+        assert_same_bits(got, want)
