@@ -22,11 +22,12 @@ the reference every fast path is tested against.
 
 The layer loops of the flow and the gradient take their per-layer steps
 from ``_sweep``: one contraction call each in the base class, in the
-built-ins their closed forms, on one workspace of arrays made when the
-sweep starts, refilled at every node and dropped at its end.  The closed
-forms do without the mostly-zero ``(..., l, n[, n])`` tensors: each field
-is a coefficient K_j(x) times one axis, for one list K that both axes
-share, and each closed form is written once over K and its gradients.  It
+built-ins their closed forms.  The closed forms do without the mostly-zero
+``(..., l, n[, n])`` tensors: each field is a coefficient K_j(x) times one
+axis, for one list K that both axes share.  A built-in states only K, its
+gradients and its fields' columns; its sweep, a ``_Planar`` workspace of
+arrays made when the sweep starts, refilled at every node and dropped at
+its end, writes each closed form once over them for every built-in.  It
 assembles each sum in place, adding terms in the dense contraction's order,
 so both give the same bits; only a sum's leading ``0.0 +`` may move, to its
 end or into a scalar term, since adding +0.0 only turns -0.0 into +0.0.
@@ -155,8 +156,8 @@ class _Planar:
     """The steps of one layer loop of a planar built-in, its closed forms: a workspace over nodes of one shape.
 
     Each step loads its node x (coordinates ``x1``, ``x2``, squares ``q1``, ``q2``, g = exp(-(q1 + q2) / (2 nu)), 0 at
-    |x|^2 = inf under the caller's ``np.errstate``) and runs the family's kernels on it in scratch arrays made on
-    first use; the covector ``lam`` that a step is given becomes the buffer of the next step's.
+    |x|^2 = inf under the caller's ``np.errstate``) and sums its closed form over the family's K and its gradients in
+    scratch arrays made on first use; the covector ``lam`` that a step is given becomes the buffer of the next step's.
     """
 
     def __init__(self, family: "Affine8", shape: tuple):
@@ -172,7 +173,7 @@ class _Planar:
         return self.arrays[key]
 
     def load(self, x: np.ndarray) -> "_Planar":
-        self.x, self.x1, self.x2 = x, x[..., 0], x[..., 1]
+        self.x1, self.x2 = x[..., 0], x[..., 1]
         np.multiply(self.x1, self.x1, out=self.q1)
         np.multiply(self.x2, self.x2, out=self.q2)
         g = np.add(self.q1, self.q2, out=self.g)
@@ -182,24 +183,70 @@ class _Planar:
         return self
 
     def displace(self, x: np.ndarray, u_row, out: np.ndarray) -> np.ndarray:
-        return self.family._displacement(self.load(x), u_row, out)
+        """sum_i u_row[i] F_i(x), into ``out`` (..., 2)."""
+        coefficients, tmp = self.family._coefficients(self.load(x)), self.array("tmp")
+        for a, cols in enumerate(self.family.columns):
+            col = np.multiply(self.g, u_row[cols[1]], out=out[..., a])
+            col += 0.0 + u_row[cols[0]]  # the sum's leading 0.0, moved into its constant term
+            for c, i in zip(coefficients[2:], cols[2:]):
+                col += np.multiply(c, u_row[i], out=tmp)
+        return out
 
     def pair(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self.family._pairing(self.load(x), lam)
+        """sum_j <lam^j, F_i(x^j)> through ``ks``, a C-order (..., len(K)) array of K at the node.
+
+        Field columns[a][j] pairs to sum_m lam[m, a] K_j[m], its samples added in order from +0.0
+        as the dense einsum does, since they are the outer axis of ``ks`` (not the contiguous one).
+        """
+        columns = self.family.columns
+        self.load(x)
+        if self.ks is None:  # its column 0, of the constant coefficient, stays 1.0
+            self.ks = np.ones(self.shape + (len(columns[0]),))
+        for j, c in enumerate(self.family._coefficients(self)[1:], 1):
+            self.ks[..., j] = c
+        sums = np.einsum("m...a,m...j->...aj", lam, self.ks)
+        row = np.empty(sums.shape[:-2] + (self.family.n_fields,))
+        row[..., columns[0] + columns[1]] = sums.reshape(row.shape)
+        return row
 
     def pair_and_step(self, x: np.ndarray, u_row, lam: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """The pairing row and lam (I + h sum_i u_row[i] DF_i(x)), the step into the spare covector buffer."""
         row = self.pair(x, lam)
         if self.spare is None:  # the first node: the step reads none of the pairing's arrays, so free them first
             self.ks, self.arrays, self.spare = None, {}, np.empty_like(lam)
         out, self.spare = self.spare, lam
-        return row, self.family._step(self, u_row, lam, h, out)
+        b = self._factor_entries(u_row, h)
+        np.multiply(b[0], lam[:, 0], out=b[0])
+        np.multiply(b[1], lam[:, 1], out=b[1])
+        np.add(b[0], b[1], out=out.T)
+        out += 0.0  # the einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does
+        return row, out
 
     def factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
         """I + h sum_i u_row[i] DF_i(x), C order like ``layer_factor``: products of factors stay on one path."""
-        b = self.family._factor_entries(self.load(x), u_row, h)
+        b = self.load(x)._factor_entries(u_row, h)
         out = np.empty(self.shape + (2, 2))
         out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = b.reshape((4,) + self.shape)
         return out
+
+    def _factor_entries(self, u: np.ndarray, h: float) -> np.ndarray:
+        """Entries b[p, q] of I + h sum_i u[i] DF_i at the loaded node, a (2, 2, ...) scratch array.
+
+        Entry a[p][q] of a = sum_i u[i] DF_i sums dK_j/dx_q u[columns[p][j]]
+        over the K_j whose derivative is not zero, in the order of K: g, then
+        x_q (derivative 1, so its term is a scalar, into which the sum's
+        leading 0.0 moves), then the appended coefficients; all four at once.
+        """
+        family = self.family
+        grads, b, gx = family._gradients(self), self.array("b", 2, 2), u[family._gx].reshape((2, 3) + self.lead)
+        np.multiply(grads[1], gx[:, :1], out=b)
+        b += 0.0 + gx[:, 1:]
+        for j in range(4, len(grads)):
+            for p, cols in enumerate(family.columns):
+                np.add(b[p], np.multiply(grads[j], u[cols[j]], out=grads[1]), out=b[p])  # dg is read by now
+        b *= h
+        b += self.eye
+        return b
 
 
 @dataclass(frozen=True)
@@ -209,9 +256,9 @@ class Affine8(VectorFieldFamily):
     Field ``columns[a][j]`` is K_j(x) e_a, for one coefficient list K that
     both axes share in the same order: K = (1, g, x1, x2).  A subclass that
     appends fields appends to K, to its gradients and to both axes' columns.
-    Each closed form is one kernel that adds its terms in the order of K
-    into the arrays of a loaded ``_Planar`` workspace, the steps of its
-    ``_sweep``; its public contractions are the dense ones it inherits.
+    The family states only K and its gradients at a loaded ``_Planar``
+    workspace; the steps of its ``_sweep`` sum the closed forms over them,
+    and its public contractions are the dense ones it inherits.
     """
 
     nu: float = DEFAULT_GAUSSIAN_WIDTH
@@ -222,11 +269,6 @@ class Affine8(VectorFieldFamily):
 
     def _sweep(self, shape: tuple) -> _Planar:
         return _Planar(self, shape)
-
-    def _node(self, x: np.ndarray) -> _Planar:
-        """A workspace loaded with the points ``x`` alone."""
-        x = _as_points(x)
-        return _Planar(self, x.shape[:-1]).load(x)
 
     def _coefficients(self, ws: _Planar) -> tuple:
         """K at the loaded node, 1.0 for the constant coefficient."""
@@ -240,58 +282,6 @@ class Affine8(VectorFieldFamily):
         dg /= -self.nu
         return ((0.0, 0.0), dg, (1.0, 0.0), (0.0, 1.0))
 
-    def _factor_entries(self, ws: _Planar, u: np.ndarray, h: float) -> np.ndarray:
-        """Entries b[p, q] of I + h sum_i u[i] DF_i at the loaded node, a (2, 2, ...) array of ``ws``.
-
-        Entry a[p][q] of a = sum_i u[i] DF_i sums dK_j/dx_q u[columns[p][j]]
-        over the K_j whose derivative is not zero, in the order of K: g, then
-        x_q (derivative 1, so its term is a scalar, into which the sum's
-        leading 0.0 moves), then the appended coefficients; all four at once.
-        """
-        grads, b, gx = self._gradients(ws), ws.array("b", 2, 2), u[self._gx].reshape((2, 3) + ws.lead)
-        np.multiply(grads[1], gx[:, :1], out=b)
-        b += 0.0 + gx[:, 1:]
-        for j in range(4, len(grads)):
-            for p, cols in enumerate(self.columns):
-                np.add(b[p], np.multiply(grads[j], u[cols[j]], out=grads[1]), out=b[p])  # dg is read by now
-        b *= h
-        b += ws.eye
-        return b
-
-    def _displacement(self, ws: _Planar, u, out: np.ndarray) -> np.ndarray:
-        """sum_i u[i] F_i at the loaded node, into ``out`` (..., 2)."""
-        coefficients, tmp = self._coefficients(ws), ws.array("tmp")
-        for a, cols in enumerate(self.columns):
-            col = np.multiply(ws.g, u[cols[1]], out=out[..., a])
-            col += 0.0 + u[cols[0]]  # the sum's leading 0.0, moved into its constant term
-            for c, i in zip(coefficients[2:], cols[2:]):
-                col += np.multiply(c, u[i], out=tmp)
-        return out
-
-    def _pairing(self, ws: _Planar, lam: np.ndarray) -> np.ndarray:
-        """sum_j <lam^j, F_i(x^j)> at the loaded node, through ``ws.ks``, a C-order (..., len(K)) array.
-
-        Field columns[a][j] pairs to sum_m lam[m, a] K_j[m], its samples added in order from +0.0
-        as the dense einsum does, since they are the outer axis of ``ks`` (not the contiguous one).
-        """
-        if ws.ks is None:  # its column 0, of the constant coefficient, stays 1.0
-            ws.ks = np.ones(ws.shape + (len(self.columns[0]),))
-        for j, c in enumerate(self._coefficients(ws)[1:], 1):
-            ws.ks[..., j] = c
-        sums = np.einsum("m...a,m...j->...aj", lam, ws.ks)
-        row = np.empty(sums.shape[:-2] + (self.n_fields,))
-        row[..., self.columns[0] + self.columns[1]] = sums.reshape(row.shape)
-        return row
-
-    def _step(self, ws: _Planar, u: np.ndarray, lam: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-        """lam (I + h sum_i u[i] DF_i) at the loaded node, into ``out``."""
-        b = self._factor_entries(ws, u, h)
-        np.multiply(b[0], lam[:, 0], out=b[0])
-        np.multiply(b[1], lam[:, 1], out=b[1])
-        np.add(b[0], b[1], out=out.T)
-        out += 0.0  # the einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does
-        return out
-
     def _dense(self, out: np.ndarray, parts: tuple) -> np.ndarray:
         """Write part j of K, or of its gradient, into ``out[..., columns[a][j], a]``."""
         for a, cols in enumerate(self.columns):
@@ -300,13 +290,15 @@ class Affine8(VectorFieldFamily):
         return out
 
     def values(self, x: np.ndarray) -> np.ndarray:
+        x = _as_points(x)
         with np.errstate(over="ignore", invalid="ignore"):  # as in a flow: at |x|^2 = inf, g is 0 and x1^2 g NaN
-            ws = self._node(x)
+            ws = _Planar(self, x.shape[:-1]).load(x)
             return self._dense(np.zeros(ws.shape + (self.n_fields, 2)), self._coefficients(ws))
 
     def jacobians(self, x: np.ndarray) -> np.ndarray:
+        x = _as_points(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            ws = self._node(x)
+            ws = _Planar(self, x.shape[:-1]).load(x)
             out, grads = np.zeros(ws.shape + (self.n_fields, 2, 2)), self._gradients(ws)
         for q in (0, 1):
             self._dense(out[..., q], [part[q] for part in grads])

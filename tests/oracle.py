@@ -4,14 +4,16 @@ The built-ins take every layer step of the flow, the gradients and the
 covector transport from the closed forms of ``family._sweep``.  The
 references are plain loops of the public one-node contractions, the dense
 einsums of ``VectorFieldFamily``, and ``reference_pmp`` writes the pmp sweep
-out densely.  Test modules import them, ``assert_same_bits`` and the shared
-families from here; ``test_hygiene.py`` checks that no other test helper
-loops over a per-node contraction, so that the references do not fork.
+out densely.  ``planted`` builds a problem with a known answer for the
+trainers: targets that the flow of a given control reaches exactly.  Test
+modules import them, ``assert_same_bits`` and the shared families from
+here; ``test_hygiene.py`` checks that no other test helper loops over a
+per-node contraction, so that the references do not fork.
 """
 
 import numpy as np
 
-from diffeoflow import ControlGrid, FieldSpec, VectorFieldFamily, make_custom
+from diffeoflow import ControlGrid, Dataset, FieldSpec, VectorFieldFamily, flow_endpoints, make_custom
 from diffeoflow.flow import _check_finite
 from diffeoflow.objective import cost_of_endpoints, loss_grad
 from diffeoflow.train_gd import _descend
@@ -62,6 +64,11 @@ def nan_jacobian_family():
         value=lambda x: np.broadcast_to(np.array([1.0, 0.0]), x.shape).copy(),
         jacobian=lambda x: np.einsum("...,pq->...pq", np.where(x[..., 0] == 0.0, np.nan, 0.0), np.eye(2)),
     )])
+
+
+def planted(family, u_star, sources):
+    """The dataset whose targets are the flow endpoints of ``u_star``: at beta 0 its cost is exactly 0 there."""
+    return Dataset(sources, flow_endpoints(family, u_star, sources))
 
 
 def per_layer_flow(family, u, pts, row=None):

@@ -4,7 +4,9 @@ The closed-form steps of the built-ins' sweep are checked bit for bit
 against the dense contractions, the base class's einsums.
 """
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from diffeoflow import (
     make_custom,
     make_enriched14,
 )
+from diffeoflow import fields
 from diffeoflow.fields import Affine8, Enriched14
 
 from oracle import DIAGONAL_SHIFT, LAYOUTS, ROTATION, assert_same_bits
@@ -189,6 +192,24 @@ def test_builtins_inherit_every_dense_contraction(cls):
     for name in CONTRACTIONS + ("adjoint_step",):
         assert name not in vars(cls)
         assert getattr(cls, name) is getattr(VectorFieldFamily, name)
+    # A built-in states K, its gradients and the dense tensors; ``_Planar`` sums every closed form over them.
+    kernels = ("_displacement", "_pairing", "_step", "_factor_entries", "_node")
+    assert [name for name in kernels if hasattr(cls, name)] == []
+
+
+def test_no_package_code_outside_the_sweep_sets_its_attributes():
+    package = Path(fields.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    planar = next(n for n in ast.walk(trees["fields.py"]) if isinstance(n, ast.ClassDef) and n.name == "_Planar")
+    inside = {id(n) for n in ast.walk(planar)}
+    own = {n.attr for n in ast.walk(planar) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+    stores = sorted(
+        f"{name}:{n.lineno} {ast.unparse(n)}"
+        for name, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and n.attr in own and id(n) not in inside
+    )
+    assert own and stores == []
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))

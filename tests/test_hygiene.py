@@ -1,4 +1,6 @@
-"""Package hygiene: no unused imports or test-only helpers, one copy of each dense reference, and a pinned public API."""
+"""Package hygiene: no unused imports, test-only helpers or unread attributes,
+one copy of each dense reference, and a pinned public API.
+"""
 
 import ast
 import re
@@ -126,6 +128,37 @@ def test_private_function_check_flags_a_test_only_helper():
 def test_every_private_function_is_named_in_the_package():
     sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
     assert unnamed_private_functions(sources) == []
+
+
+def unread_attributes(modules: dict[str, str]) -> list[str]:
+    """Attributes assigned on ``self``, as ``file:line name``, that no module reads.
+
+    ``modules`` maps each file's name to its source.  An attribute counts as
+    read when any module loads it, as ``anything.name``.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    attributes = [n for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Attribute)]
+    read = {n.attr for n in attributes if isinstance(n.ctx, ast.Load)}
+    return sorted(
+        f"{name}:{n.lineno} {n.attr}"
+        for name, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name) and n.value.id == "self" and n.attr not in read
+    )
+
+
+def test_unread_attribute_check_flags_dead_state():
+    modules = {
+        "a.py": "class A:\n    def load(self, x):\n        self.x, self.x1 = x, x[0]\n        self.kept = 1\n",
+        "b.py": "def first(ws):\n    return ws.x1\n\n\ndef kept(a):\n    a.kept = 2\n",
+    }
+    assert unread_attributes(modules) == ["a.py:3 x", "a.py:4 kept"]
+
+
+def test_every_attribute_the_package_sets_is_read():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_attributes(modules) == []
 
 
 def dimension_reads(source: str) -> list[str]:
