@@ -2,6 +2,7 @@
 
     python3 bench/ab_pairs.py PARENT CHANGE --workload gd_affine8_m900_n16 --pairs 10 --seconds 5
     python3 bench/ab_pairs.py PARENT CHANGE --pairs 10
+    python3 bench/ab_pairs.py PARENT CHANGE --workload gd_affine8_m900_n16 --pairs 10 --trace
     python3 bench/ab_pairs.py . . --workload gd_affine8_m900_n16 --pairs 1 --seconds 0 --quick
 
 PARENT and CHANGE are two checkouts of the repository (the same one twice
@@ -24,6 +25,14 @@ workload's table judges each metric against its bound in BENCHMARK.json:
   unless every run of the change is better than every run of the parent;
 - no regression: otherwise.
 
+With ``--trace``, the pairs of a workload are followed by one traced run
+per side (``perfbench/run.py --trace 1``, seed SEED_BASE, the parent
+first), and a second table prints each per-layer metric that
+BENCHMARK.json declares with the parent's and the change's value and the
+change in %: where in the program a change of the end-to-end metrics lands.
+One traced run is no paired measurement; it locates a saving, it does not
+show it.
+
 Uses the standard library only.  Exits 1 if a run fails or reports
 incorrect outputs, 2 on bad arguments.
 """
@@ -40,10 +49,10 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, quick: bool) -> dict:
-    """One ``perfbench/run.py`` process in ``checkout``; its result object."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, quick: bool, trace: bool = False) -> dict:
+    """One ``perfbench/run.py`` process in ``checkout``; its result object, of the per-layer metrics if ``trace``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     if quick:
         argv.append("--quick")
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -116,6 +125,18 @@ def summarize(results: dict[str, list[dict]], declared: dict[str, dict]) -> list
     return lines + verdicts
 
 
+def trace_table(traced: dict[str, dict], declared: list[dict]) -> list[str]:
+    """One line per declared per-layer metric: each side's value in its traced run, and the change in %."""
+    lines = [f"{'metric':<44} {'unit':<6} {'parent':>14} {'change':>14} {'change':>8}"]
+    for m in declared:
+        values = [traced[side]["metrics"].get(m["name"], {}).get("value") for side in SIDES]
+        cells = ["n/a" if v is None else f"{v:.6g}" for v in values]
+        base, new = values
+        delta = f"{100.0 * (new - base) / base:+.1f}%" if base and new is not None else "n/a"
+        lines.append(f"{m['name']:<44} {m['unit']:<6} {cells[0]:>14} {cells[1]:>14} {delta:>8}")
+    return lines
+
+
 def measure_pairs(checkouts: dict[str, Path], workload: str, args) -> tuple[dict[str, list[dict]], bool]:
     """The alternating pairs of one workload: each side's results, and whether every run was correct.
 
@@ -145,6 +166,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=5.0, help="time budget of each run")
     parser.add_argument("--seed-base", type=int, default=41, help="pair i runs seed SEED_BASE+i")
     parser.add_argument("--quick", action="store_true", help="tiny sizes, for a smoke run")
+    parser.add_argument("--trace", action="store_true",
+                        help="after each workload's pairs, one traced run per side and its per-layer metrics")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in checkouts.items():
@@ -170,6 +193,17 @@ def main(argv=None) -> int:
         print(f"# {workload}, {args.pairs} pairs, --seconds {args.seconds:g}, seeds {args.seed_base}+")
         for line in summarize(results, declared):
             print(line)
+        if args.trace:
+            try:
+                traced = {side: run_once(checkouts[side], workload, args.seed_base, args.seconds, args.quick, True)
+                          for side in SIDES}
+            except RuntimeError as err:
+                print(f"error: {err}", file=sys.stderr)
+                return 1
+            ok = ok and all(r["correct"] and not r["failed"] for r in traced.values())
+            print(f"# {workload}, one traced run per side, --seconds {args.seconds:g}, seed {args.seed_base}")
+            for line in trace_table(traced, spec["per_layer"]):
+                print(line)
     return 0 if ok else 1
 
 

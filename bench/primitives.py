@@ -16,7 +16,10 @@ that the allocator hands back to the kernel faults again when it is taken
 back, so a primitive whose arrays churn shows faults on every call.
 
 - ``forward_euler`` and ``flow_endpoints`` of the sources;
-- ``control_gradient`` on the ``forward_euler`` trajectory;
+- ``control_gradient`` the way the gd trainer runs it: on the trajectory
+  of a ``forward_euler`` flow that wrote its (N, M) buffer of Gaussian
+  weights, which the gradient reads back.  The buffer is N M floats, 102.4
+  MB at M 10^5, N 128; it is made once, outside the timed calls;
 - ``gd_passes``: ``train_gradient_flow`` with ``max_iter`` 2, that is the
   initial flow and cost, one gradient and two proposals;
 - ``pmp_pass``: ``train_pmp`` with ``max_iter`` 1, that is the initial
@@ -75,12 +78,13 @@ def calls(family, n_pts: int, n_layers: int) -> dict:
     sources = rng.uniform(-1.5, 1.5, size=(n_pts, 2))
     data = Dataset(sources, builtin_target()(sources))
     u = ControlGrid(rng.normal(scale=0.5, size=(n_layers, family.n_fields)))
-    states = forward_euler(family, u, data.sources)
+    weights = np.empty((n_layers, n_pts))
+    states = forward_euler(family, u, data.sources, weights=weights)
     cfg, gd_cfg, pmp_cfg = (TrainConfig(beta=1e-3, max_iter=n) for n in (1, 2, 4))
     return {
         "forward_euler": lambda: forward_euler(family, u, data.sources),
         "flow_endpoints": lambda: flow_endpoints(family, u, data.sources),
-        "control_gradient": lambda: control_gradient(family, u, states, data.targets, cfg.beta),
+        "control_gradient": lambda: control_gradient(family, u, states, data.targets, cfg.beta, weights=weights),
         "gd_passes": lambda: train_gradient_flow(family, data, n_layers, gd_cfg, init=u),
         "pmp_pass": lambda: train_pmp(family, data, n_layers, cfg, init=u),
         "pmp_passes": lambda: train_pmp(family, data, n_layers, pmp_cfg, init=u),

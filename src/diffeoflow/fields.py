@@ -31,6 +31,10 @@ its end, writes each closed form once over them for every built-in.  It
 assembles each sum in place, adding terms in the dense contraction's order,
 so both give the same bits; only a sum's leading ``0.0 +`` may move, to its
 end or into a scalar term, since adding +0.0 only turns -0.0 into +0.0.
+The sweep forms what its factors read of the control once for all layers,
+and a flow may keep each node's Gaussian weight g in an array of its
+caller's, which the gradient's steps then read back instead of computing
+g again.
 
 Two planar built-ins are provided.
 
@@ -139,10 +143,25 @@ class VectorFieldFamily(ABC):
         return self.pairing(x, lam), step
 
     def _sweep(self, shape: tuple) -> SimpleNamespace:
-        """The steps of a layer loop over nodes of leading shape ``shape``, each one contraction call: ``pair``,
-        ``pair_and_step``, ``factor`` and ``displace(x, u_row, out)``, which returns ``displacement`` in ``out`` or fresh."""
-        steps = {"pair": self.pairing, "pair_and_step": self.adjoint_step, "factor": self.layer_factor}
-        return SimpleNamespace(displace=lambda x, u_row, out: self.displacement(x, u_row), **steps)
+        """The steps of a layer loop over nodes of leading shape ``shape``, each one contraction call.
+
+        ``displace(x, u_row, out)`` returns ``displacement`` in ``out`` or fresh; ``factor(x, row, h)``,
+        ``displace_and_factor(x, row, h, out)``, ``pair(x, lam, out, g=None)`` and ``pair_and_step(x, row, lam, h,
+        out, g=None)``, which write the pairing row into ``out`` and return the stepped covector, take the rows of
+        ``rows(values)``, here the control rows themselves.  ``hold(g)`` and the node weights ``g`` are for families
+        with a Gaussian weight to keep: here they do nothing.
+        """
+
+        def pair_and_step(x, u_row, lam, h, out, g=None):
+            out[...], step = self.adjoint_step(x, u_row, lam, h)
+            return step
+
+        return SimpleNamespace(
+            displace=lambda x, u_row, out: self.displacement(x, u_row), factor=self.layer_factor, hold=lambda g: None,
+            displace_and_factor=lambda x, u_row, h, out: (self.displacement(x, u_row), self.layer_factor(x, u_row, h)),
+            pair=lambda x, lam, out, g=None: np.copyto(out, self.pairing(x, lam)), pair_and_step=pair_and_step,
+            rows=lambda values: values,
+        )
 
 
 def _as_points(x: np.ndarray) -> np.ndarray:
@@ -158,6 +177,9 @@ class _Planar:
     Each step loads its node x (coordinates ``x1``, ``x2``, squares ``q1``, ``q2``, g = exp(-(q1 + q2) / (2 nu)), 0 at
     |x|^2 = inf under the caller's ``np.errstate``) and sums its closed form over the family's K and its gradients in
     scratch arrays made on first use; the covector ``lam`` that a step is given becomes the buffer of the next step's.
+    ``hold(g)`` has every later load write g into the caller's array ``g``, and a gradient step given a node's g from
+    such an array reads it back instead of loading it.  ``rows(values)`` gives the rows that ``factor`` and the gradient
+    steps take, each a control row with the columns of its factor entries formed once for all layers.
     """
 
     def __init__(self, family: "Affine8", shape: tuple):
@@ -172,6 +194,10 @@ class _Planar:
             self.arrays[key] = np.empty(lead + self.shape)
         return self.arrays[key]
 
+    def hold(self, g: np.ndarray) -> None:
+        """Write the Gaussian weight of every later loaded node into ``g``, an array of the nodes' shape."""
+        self.g = g
+
     def load(self, x: np.ndarray) -> "_Planar":
         self.x1, self.x2 = x[..., 0], x[..., 1]
         np.multiply(self.x1, self.x1, out=self.q1)
@@ -181,6 +207,28 @@ class _Planar:
         g /= self.nu
         np.exp(g, out=g)
         return self
+
+    def read(self, x: np.ndarray, g: np.ndarray | None) -> "_Planar":
+        """Load x, whose Gaussian weight ``g`` a flow kept: only the squares that the family reads besides g.
+
+        With g None, ``load`` it.  Else, as after ``hold(g)``, a later ``load`` would write into ``g``.
+        """
+        if g is None:
+            return self.load(x)
+        self.x1, self.x2, self.g = x[..., 0], x[..., 1], g
+        if self.family._squares:
+            np.multiply(self.x1, self.x1, out=self.q1)
+            np.multiply(self.x2, self.x2, out=self.q2)
+        return self
+
+    def rows(self, values: np.ndarray) -> list:
+        """The rows of the control ``values`` (N, l) for ``factor`` and the gradient steps, one per layer.
+
+        Each is the row as a list, then the (2, 1) g columns and the (2, 2) x columns of the factor entries per axis
+        (see ``_factor_entries``), the x ones with the sums' leading 0.0 added.
+        """
+        gx = values[:, self.family._gx].reshape((len(values), 2, 3) + self.lead)
+        return list(zip(values.tolist(), gx[:, :, :1], 0.0 + gx[:, :, 1:]))
 
     def displace(self, x: np.ndarray, u_row, out: np.ndarray) -> np.ndarray:
         """sum_i u_row[i] F_i(x), into ``out`` (..., 2)."""
@@ -192,55 +240,64 @@ class _Planar:
                 col += np.multiply(c, u_row[i], out=tmp)
         return out
 
-    def pair(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """sum_j <lam^j, F_i(x^j)> through ``ks``, a C-order (..., len(K)) array of K at the node.
+    def displace_and_factor(self, x: np.ndarray, row: tuple, h: float, out: np.ndarray) -> tuple:
+        """``displace`` and ``factor`` at one node, of one of ``rows``, from one load: (displacement, factor)."""
+        return self.displace(x, row[0], out), self._factor(row, h)
+
+    def pair(self, x: np.ndarray, lam: np.ndarray, out: np.ndarray, g: np.ndarray | None = None) -> None:
+        """sum_j <lam^j, F_i(x^j)> into ``out`` (..., l), through ``ks``, a C-order (..., len(K)) array of K.
 
         Field columns[a][j] pairs to sum_m lam[m, a] K_j[m], its samples added in order from +0.0
         as the dense einsum does, since they are the outer axis of ``ks`` (not the contiguous one).
+        ``g`` is the node's Gaussian weight, if a flow kept it (see ``read``).
         """
-        columns = self.family.columns
-        self.load(x)
+        self.read(x, g)
         if self.ks is None:  # its column 0, of the constant coefficient, stays 1.0
-            self.ks = np.ones(self.shape + (len(columns[0]),))
+            columns = self.family.columns
+            self.ks, self.order = np.ones(self.shape + (len(columns[0]),)), np.array(columns[0] + columns[1])
         for j, c in enumerate(self.family._coefficients(self)[1:], 1):
             self.ks[..., j] = c
         sums = np.einsum("m...a,m...j->...aj", lam, self.ks)
-        row = np.empty(sums.shape[:-2] + (self.family.n_fields,))
-        row[..., columns[0] + columns[1]] = sums.reshape(row.shape)
-        return row
+        out[..., self.order] = sums.reshape(out.shape)
 
-    def pair_and_step(self, x: np.ndarray, u_row, lam: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """The pairing row and lam (I + h sum_i u_row[i] DF_i(x)), the step into the spare covector buffer."""
-        row = self.pair(x, lam)
+    def pair_and_step(
+        self, x: np.ndarray, row: tuple, lam: np.ndarray, h: float, out: np.ndarray, g: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The pairing row into ``out``; returns lam (I + h sum_i u[i] DF_i(x)) for one of ``rows``, in a spare buffer."""
+        self.pair(x, lam, out, g)
         if self.spare is None:  # the first node: the step reads none of the pairing's arrays, so free them first
             self.ks, self.arrays, self.spare = None, {}, np.empty_like(lam)
-        out, self.spare = self.spare, lam
-        b = self._factor_entries(u_row, h)
+        step, self.spare = self.spare, lam
+        b = self._factor_entries(row, h)
         np.multiply(b[0], lam[:, 0], out=b[0])
         np.multiply(b[1], lam[:, 1], out=b[1])
-        np.add(b[0], b[1], out=out.T)
-        out += 0.0  # the einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does
-        return row, out
+        np.add(b[0], b[1], out=step.T)
+        step += 0.0  # the einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does
+        return step
 
-    def factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
-        """I + h sum_i u_row[i] DF_i(x), C order like ``layer_factor``: products of factors stay on one path."""
-        b = self.load(x)._factor_entries(u_row, h)
+    def factor(self, x: np.ndarray, row: tuple, h: float) -> np.ndarray:
+        """I + h sum_i u[i] DF_i(x) for one of ``rows``, C order like ``layer_factor``: products stay on one path."""
+        return self.load(x)._factor(row, h)
+
+    def _factor(self, row: tuple, h: float) -> np.ndarray:
+        """``factor`` at the loaded node."""
+        b = self._factor_entries(row, h)
         out = np.empty(self.shape + (2, 2))
         out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = b.reshape((4,) + self.shape)
         return out
 
-    def _factor_entries(self, u: np.ndarray, h: float) -> np.ndarray:
-        """Entries b[p, q] of I + h sum_i u[i] DF_i at the loaded node, a (2, 2, ...) scratch array.
+    def _factor_entries(self, row: tuple, h: float) -> np.ndarray:
+        """Entries b[p, q] of I + h sum_i u[i] DF_i at the loaded node, for one of ``rows``, in a (2, 2, ...) array.
 
         Entry a[p][q] of a = sum_i u[i] DF_i sums dK_j/dx_q u[columns[p][j]]
         over the K_j whose derivative is not zero, in the order of K: g, then
         x_q (derivative 1, so its term is a scalar, into which the sum's
         leading 0.0 moves), then the appended coefficients; all four at once.
         """
-        family = self.family
-        grads, b, gx = family._gradients(self), self.array("b", 2, 2), u[family._gx].reshape((2, 3) + self.lead)
-        np.multiply(grads[1], gx[:, :1], out=b)
-        b += 0.0 + gx[:, 1:]
+        (u, g_columns, x_columns), family = row, self.family
+        grads, b = family._gradients(self), self.array("b", 2, 2)
+        np.multiply(grads[1], g_columns, out=b)
+        b += x_columns
         for j in range(4, len(grads)):
             for p, cols in enumerate(family.columns):
                 np.add(b[p], np.multiply(grads[j], u[cols[j]], out=grads[1]), out=b[p])  # dg is read by now
@@ -266,6 +323,7 @@ class Affine8(VectorFieldFamily):
     n_fields: ClassVar[int] = 8
     columns: ClassVar[tuple[tuple[int, ...], ...]] = ((0, 2, 4, 5), (1, 3, 6, 7))
     _gx: ClassVar[np.ndarray] = np.array(columns)[:, 1:4]  # the columns of g, x1 and x2 per axis, kept by subclasses
+    _squares: ClassVar[bool] = False  # whether K or its gradients read the squares q1, q2 besides through g
 
     def _sweep(self, shape: tuple) -> _Planar:
         return _Planar(self, shape)
@@ -312,6 +370,7 @@ class Enriched14(Affine8):
     kind: ClassVar[str] = "enriched14"
     n_fields: ClassVar[int] = 14
     columns: ClassVar[tuple[tuple[int, ...], ...]] = ((0, 2, 4, 5, 8, 9, 10), (1, 3, 6, 7, 11, 12, 13))
+    _squares: ClassVar[bool] = True
 
     def _coefficients(self, ws: _Planar) -> tuple:
         g, p12g = ws.g, np.multiply(ws.x1, ws.x2, out=ws.array("p12g"))

@@ -260,7 +260,8 @@ def _check_nodes(states: np.ndarray) -> None:
 
 
 def _euler(
-    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, keep: int, row=None, *, checked=None, tangent=None
+    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, keep: int, row=None, *, checked=None, tangent=None,
+    weights=None,
 ) -> np.ndarray:
     """Run the Euler recursion, holding node k in slot ``k % keep`` of a (keep, dim, M) buffer.
 
@@ -282,9 +283,14 @@ def _euler(
 
     ``tangent``, an (M, dim, dim) array, receives the Jacobian of the
     input-to-output map at the sources: each block starts V at the identity
-    and takes V <- (Id + h A_k) V at every layer, the factor being the
-    ``factor`` step of the block's sweep at x_{k-1}, bit for bit the
-    family's ``layer_factor``.  It is taken with the default rule only.
+    and takes V <- (Id + h A_k) V at every layer, the factor coming with the
+    Euler step from the block's ``displace_and_factor`` step at x_{k-1}, one
+    load of the node for both, bit for bit the family's ``layer_factor``.
+    It is taken with the default rule only.
+
+    ``weights``, an (N, M) array, receives in row k-1 the Gaussian weight
+    g(x_{k-1}) that the displace step of layer k computes, through the
+    sweep's ``hold``; a family without one leaves it as it is.
 
     Raises FlowError if a state of the first ``checked`` samples (all by
     default) turns non-finite, naming the first such sample and its layer;
@@ -294,6 +300,8 @@ def _euler(
     a failing flow is run again keeping every node, to find the layer.
     """
     pts = _as_bundle(family, u, sources)
+    if weights is not None and weights.shape != (u.n_layers, pts.shape[0]):
+        raise ValueError(f"weights have shape {weights.shape}, expected ({u.n_layers}, {pts.shape[0]})")
     h, n_rows = u.step, max(pts.shape[0], 1)  # an empty bundle is one empty block
     nodes = np.empty((keep, pts.shape[1], pts.shape[0]))
     nodes[0] = pts.T
@@ -305,13 +313,18 @@ def _euler(
             slots = [slot[:, start:start + size].T for slot in nodes]
             sweep, step = family._sweep(slots[0].shape[:-1]), np.empty_like(slots[0])
             if tangent is not None:
-                v = np.broadcast_to(np.eye(2), (step.shape[0], 2, 2)).copy()
+                v, factor_rows = np.broadcast_to(np.eye(2), (step.shape[0], 2, 2)).copy(), sweep.rows(u.values)
+            held = None if weights is None else list(weights[:, start:start + size])
             for k in range(1, u.n_layers + 1):
                 prev = slots[(k - 1) % keep]
-                # The factor before the Euler step, not between its displace and add: 5-10% faster at 10^4 points.
-                if tangent is not None:
-                    v = sweep.factor(prev, u.values[k - 1], h) @ v
-                np.multiply(sweep.displace(prev, rule(k, prev), step), h, out=step)
+                if held:
+                    sweep.hold(held[k - 1])
+                if tangent is None:
+                    moved = sweep.displace(prev, rule(k, prev), step)
+                else:
+                    moved, factor = sweep.displace_and_factor(prev, factor_rows[k - 1], h, step)
+                    v = factor @ v
+                np.multiply(moved, h, out=step)
                 np.add(prev, step, out=slots[k % keep])
             if tangent is not None:
                 tangent[start:start + size] = v
@@ -323,7 +336,8 @@ def _euler(
 
 
 def forward_euler(
-    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, *, checked: int | None = None
+    family: VectorFieldFamily, u: ControlGrid, sources: np.ndarray, *, checked: int | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Push a bundle of points through all layers, keeping every node.
 
@@ -341,8 +355,12 @@ def forward_euler(
     The check tests node N once and searches the nodes only if that fails.
     Points flow in row blocks of at most 16384, each through all N layers;
     as each sample follows its own arithmetic, no bit depends on the blocks.
+
+    ``weights``, an (N, M) float array, receives the built-ins' Gaussian
+    weight g(x_{k-1}) of every sample in row k-1, at no extra numpy call,
+    for ``control_gradient`` to read back; other families leave it as it is.
     """
-    return _euler(family, u, sources, u.n_layers + 1, checked=checked).transpose(2, 0, 1)
+    return _euler(family, u, sources, u.n_layers + 1, checked=checked, weights=weights).transpose(2, 0, 1)
 
 
 def flow_endpoints(
@@ -411,14 +429,15 @@ def backward_covector(
     factors = _buffer(workspace, "factors", (n_layers, n_pts, 2, 2))
     lam = _buffer(workspace, "covectors", (n_layers + 1, 2, n_pts))
     sweep = family._sweep((n_pts,))
+    rows = sweep.rows(u.values)
     with np.errstate(over="ignore", invalid="ignore"):  # as in a flow: at |x|^2 = inf, g is 0 and x1^2 g NaN
         for k in range(1, n_layers + 1):
-            factors[k - 1] = sweep.factor(states[:, k - 1], u.values[k - 1], -u.step)
+            factors[k - 1] = sweep.factor(states[:, k - 1], rows[k - 1], -u.step)
     _screen(factors, lam[:n_layers].reshape(2, n_layers, n_pts))
 
-    def refactor(k: int, rows: np.ndarray) -> np.ndarray:
-        x = states[rows, k - 1]
-        return family._sweep(x.shape[:1]).factor(x, u.values[k - 1], -u.step)
+    def refactor(k: int, missed: np.ndarray) -> np.ndarray:
+        x = states[missed, k - 1]
+        return family._sweep(x.shape[:1]).factor(x, rows[k - 1], -u.step)
 
     return _solve_backward(factors, term, lam, refactor).transpose(2, 0, 1)
 

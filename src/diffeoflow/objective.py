@@ -148,6 +148,8 @@ def control_gradient(
     states: np.ndarray,
     targets: np.ndarray,
     beta: float,
+    *,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient array (N, l) in slab-average coordinates, from a stored trajectory.
 
@@ -165,15 +167,26 @@ def control_gradient(
     memory layout of the trajectory's nodes (coordinate-major for a
     ``forward_euler`` bundle), so each adjoint step reads and writes
     contiguous coordinate rows; the result does not depend on the layout.
+    The sweep forms what the steps read of the control once, for all
+    layers, and writes each pairing row straight into the gradient.
+
+    ``weights``, an (N, M') array with M' >= M, is what the flow of
+    ``states`` wrote with ``forward_euler(..., weights=...)``: the built-ins
+    read each node's Gaussian weight from its first M columns instead of
+    computing it again, with the same bits.  Other families ignore it.
     """
     states = _as_bundle(family, u, states, u.n_layers + 1)
+    n_pts = states.shape[0]
+    if weights is not None and (weights.shape[0] != u.n_layers or weights.shape[1] < n_pts):
+        raise ValueError(f"weights have shape {weights.shape}, expected ({u.n_layers}, at least {n_pts})")
     lam = np.empty_like(states[:, -1])
-    np.divide(loss_grad(states[:, -1] - targets), states.shape[0], out=lam)
+    np.divide(loss_grad(states[:, -1] - targets), n_pts, out=lam)
     grad, sweep = np.empty(u.values.shape), family._sweep(lam.shape[:-1])
+    rows, g = sweep.rows(u.values), [None] * u.n_layers if weights is None else weights[:, :n_pts]
     with np.errstate(over="ignore", invalid="ignore"):  # as in a flow: at |x|^2 = inf, g is 0 and x1^2 g NaN
         for k in range(u.n_layers, 1, -1):
-            grad[k - 1], lam = sweep.pair_and_step(states[:, k - 1], u.values[k - 1], lam, u.step)
-        grad[0] = sweep.pair(states[:, 0], lam)
+            lam = sweep.pair_and_step(states[:, k - 1], rows[k - 1], lam, u.step, grad[k - 1], g[k - 1])
+        sweep.pair(states[:, 0], lam, grad[0], g[0])
     return grad + beta * u.values
 
 

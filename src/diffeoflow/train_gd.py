@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import VectorFieldFamily
-from .flow import ControlGrid, FlowError, _check_nodes, forward_euler
+from .flow import ControlGrid, FlowError, _buffer, _check_nodes, forward_euler
 from .objective import (
     Dataset,
     ObjectiveValue,
@@ -216,11 +216,18 @@ def train_gradient_flow(
     0) and one row per pass.  The gradient of each accepted control is read
     off its trajectory by ``control_gradient``, which is then dropped; each
     proposal is flowed anew.
+
+    The run keeps one (N, M) buffer of the Gaussian weights of every node,
+    made by the first proposal's flow, which every proposal's flow refills:
+    the gradient of an accepted control reads its nodes' weights back from
+    it before the next proposal is flowed.  The loop flows the initial
+    control itself, without the buffer, so its gradient computes them.
     """
     n_train = data.n_samples
+    workspace: dict = {}
 
     def gradient(u, states):
-        return control_gradient(family, u, states, data.targets, cfg.beta)
+        return control_gradient(family, u, states, data.targets, cfg.beta, weights=workspace.get("weights"))
 
     def armijo_step(u, grad, current, gamma, sources):
         with np.errstate(over="ignore"):
@@ -228,7 +235,8 @@ def train_gradient_flow(
         if not np.isfinite(values).all():
             raise FlowError(f"the proposed control overflowed at step size {gamma:g}")
         proposal = ControlGrid(values)
-        states_new = forward_euler(family, proposal, sources, checked=n_train)
+        weights = _buffer(workspace, "weights", (proposal.n_layers, len(sources)))
+        states_new = forward_euler(family, proposal, sources, checked=n_train, weights=weights)
         cost_new = cost_of_endpoints(states_new[:n_train, -1], data.targets, proposal, cfg.beta)
         scale = cfg.c * gamma * proposal.step
         with np.errstate(over="ignore"):

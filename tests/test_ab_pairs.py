@@ -94,3 +94,32 @@ def test_bad_checkout_is_refused():
         cwd=ROOT, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2 and "parent:" in proc.stderr
+
+
+def test_trace_runs_one_traced_run_per_side_and_prints_every_declared_per_layer_metric():
+    proc = subprocess.run(
+        [sys.executable, "bench/ab_pairs.py", ".", ".", "--workload", "gd_affine8_m900_n16",
+         "--pairs", "1", "--seconds", "0", "--quick", "--seed-base", "5", "--trace"],
+        cwd=ROOT, capture_output=True, text=True, timeout=240,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    start = lines.index("# gd_affine8_m900_n16, one traced run per side, --seconds 0, seed 5")
+    assert lines[start + 1].split() == ["metric", "unit", "parent", "change", "change"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    rows = [line.split() for line in lines[start + 2:]]
+    assert [row[:2] for row in rows] == [[m["name"], m["unit"]] for m in declared]
+    calls = next(row for row in rows if row[0] == "objective.control_gradient.calls")
+    assert float(calls[2]) > 0 and calls[2] == calls[3] and calls[4] == "+0.0%"
+
+
+def test_trace_table_gives_the_change_of_each_metric_and_n_a_without_a_base():
+    ab_pairs = load_ab_pairs()
+    declared = [{"name": "a.s", "unit": "s"}, {"name": "b.calls", "unit": "count"}, {"name": "c.s", "unit": "s"}]
+    traced = {
+        "parent": {"metrics": {"a.s": {"value": 2.0}, "b.calls": {"value": 0.0}, "c.s": {"value": None}}},
+        "change": {"metrics": {"a.s": {"value": 1.5}, "b.calls": {"value": 0.0}, "c.s": {"value": 1.0}}},
+    }
+    rows = [line.split() for line in ab_pairs.trace_table(traced, declared)[1:]]
+    assert rows == [["a.s", "s", "2", "1.5", "-25.0%"], ["b.calls", "count", "0", "0", "n/a"],
+                    ["c.s", "s", "n/a", "1", "n/a"]]

@@ -145,15 +145,25 @@ CONTRACTIONS = ("displacement", "layer_matrix", "layer_factor", "pairing")
 # The contractions whose closed forms are the built-ins' sweep steps; layer_matrix has none.
 CLOSED_FORMS = ("displacement", "layer_factor", "pairing")
 EINSUMS = ("displacement", "layer_matrix", "pairing")
-STEPS = {"layer_factor": "factor", "pairing": "pair", "adjoint_step": "pair_and_step"}
 
 
 def _sweep_step(fam, name, x, *args):
-    """The closed form of contraction ``name`` at the points ``x``: its step on a fresh sweep of ``fam``."""
+    """The closed form of contraction ``name`` at the points ``x``: its step on a fresh sweep of ``fam``.
+
+    A control row is handed to the step as the sweep's row of it; a pairing row is written into a new array.
+    """
     sweep = fam._sweep(x.shape[:-1])
     if name == "displacement":
         return sweep.displace(x, *args, np.empty_like(x))
-    return getattr(sweep, STEPS[name])(x, *args)
+    out = np.empty(x.shape[1:-1] + (fam.n_fields,))
+    if name == "pairing":
+        sweep.pair(x, *args, out)
+        return out
+    u_row, *rest = args
+    row = sweep.rows(u_row[None])[0]
+    if name == "layer_factor":
+        return sweep.factor(x, row, *rest)
+    return out, sweep.pair_and_step(x, row, *rest, out)
 
 
 def _contraction_args(fam, name, x, rng, signed_zeros=False):
@@ -223,7 +233,7 @@ def test_layer_factor_is_the_dense_eye_plus_h_layer_matrix_bit_for_bit(maker, h,
     x[3::11] = [1e150, -1e150]
     x, sweep = LAYOUTS[layout](x), fam._sweep((900,))
     for u_row in (rng.normal(size=fam.n_fields), np.where(np.arange(fam.n_fields) % 2, -0.0, 0.0)):
-        got = sweep.factor(x, u_row, h)
+        got = sweep.factor(x, sweep.rows(u_row[None])[0], h)
         dense = VectorFieldFamily.layer_matrix(fam, x, u_row)
         assert got.shape == (900, 2, 2) and got.flags.c_contiguous
         assert_same_bits(got, np.eye(2) + h * dense)
@@ -248,7 +258,8 @@ def test_dense_contractions_match_explicit_einsums(name, enriched14, rng):
 def test_pairing_keeps_middle_axes_and_accepts_strided_slices(affine8, rng):
     states = rng.normal(size=(40, 9, 2))
     lam = rng.normal(size=(40, 9, 2))
-    got = affine8._sweep((40, 8)).pair(states[:, :-1], lam[:, 1:])
+    got = np.empty((8, 8))
+    affine8._sweep((40, 8)).pair(states[:, :-1], lam[:, 1:], got)
     assert got.shape == (8, 8)
     want = VectorFieldFamily.pairing(affine8, states[:, :-1], lam[:, 1:])
     assert np.array_equal(got, want)

@@ -249,14 +249,17 @@ def wavy_planar_family():
 
 
 def counted_blocks(family, monkeypatch):
-    """Record each ``family._sweep``, one per row block, as its rows and the rows of each of its ``factor`` steps."""
+    """Record each ``family._sweep``, one per row block, as its rows and the rows of each step that makes a factor.
+
+    In a flow that is ``displace_and_factor``, which takes the factor with the Euler step.
+    """
     sweeps = []
     plain = type(family)._sweep
 
     def counted(fam, shape):
         sweep, factors = plain(fam, shape), []
-        factor = sweep.factor
-        sweep.factor = lambda x, *args: factors.append(x.shape[0]) or factor(x, *args)
+        step = sweep.displace_and_factor
+        sweep.displace_and_factor = lambda x, *args: factors.append(x.shape[0]) or step(x, *args)
         sweeps.append((shape[0], factors))
         return sweep
 

@@ -9,15 +9,19 @@ loops of the public one-node contractions in ``oracle.py``.  M = 16385 is
 one full row block of 16384 points and a ragged one of a single point.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
-from diffeoflow import ControlGrid, backward_covector, family_from_name, flow_endpoints, forward_euler
+from diffeoflow import ControlGrid, backward_covector, family_from_name, flow_endpoints, forward_euler, make_custom
 from diffeoflow import flow
 from diffeoflow.flow import variational_jacobian
 from diffeoflow.objective import control_gradient, loss_grad
 
 from oracle import (
+    DIAGONAL_SHIFT,
+    ROTATION,
     assert_same_bits,
     per_layer_flow,
     per_layer_gradient,
@@ -146,5 +150,81 @@ def test_pairing_adds_the_samples_in_order(kind, layout):
         lam = layout(rng.normal(size=x.shape) * rng.choice([1e-300, 1.0, 1e8], size=(n_pts, 1)))
         terms = (lam[:, None, :] * family.values(x)).sum(axis=-1)  # one product and a zero per field
         in_order = np.cumsum(terms, axis=0)[-1] + 0.0
-        assert_same_bits(family._sweep(x.shape[:-1]).pair(x, lam), in_order)
+        got = np.empty(family.n_fields)
+        family._sweep(x.shape[:-1]).pair(x, lam, got)
+        assert_same_bits(got, in_order)
         assert_same_bits(family.pairing(x, lam), in_order)
+
+
+def carried_problem(family, n_pts, n_layers, seed):
+    """A flow that writes the Gaussian weights into its buffer: (u, states, weights, targets).
+
+    The sources are ``points``; from M 900 on, the last few start where |x|^2
+    overflows, so their g is 0 and, for enriched14, x1^2 g is NaN.  Only the
+    rows before them are checked for overflow.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    u = ControlGrid(rng.normal(scale=0.5, size=(n_layers, family.n_fields)))
+    pts = points(n_pts, rng)
+    far = [[1e200, 0.0], [-1e160, 1e160], [3e154, -3e154]] if n_pts >= 900 else []
+    pts[n_pts - len(far):] = np.reshape(far, (-1, 2))
+    weights = np.full((n_layers, n_pts), np.nan)
+    states = forward_euler(family, u, pts, checked=n_pts - len(far), weights=weights)
+    return u, states, weights, states[:, -1] + rng.normal(scale=0.5, size=pts.shape)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 16])
+@pytest.mark.parametrize("n_pts", [1, 900, 2 * 16384 + 5])
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_gradient_from_carried_weights_is_the_loaded_one_bit_for_bit(kind, n_pts, n_layers):
+    family = FAMILIES[kind]
+    u, states, weights, targets = carried_problem(family, n_pts, n_layers, n_pts + n_layers)
+    for k in range(n_layers):  # row k-1 is g at node k-1: field 2 is g e_1
+        assert_same_bits(weights[k], family.values(states[:, k])[:, 2, 0])
+    # All rows, then the rows above the far ones, which ride below them as the
+    # trainers' held-out rows do: the gradient reads the buffer's first columns.
+    far = n_pts >= 900
+    for n in (n_pts, n_pts - 3) if far else (n_pts,):
+        loaded = control_gradient(family, u, states[:n], targets[:n], 1e-3)
+        for layout in (states[:n], np.ascontiguousarray(states[:n])):
+            assert_same_bits(control_gradient(family, u, layout, targets[:n], 1e-3, weights=weights), loaded)
+        assert_same_bits(loaded, per_layer_gradient(family, u, states[:n], targets[:n], 1e-3))
+        # g is 0 at the far sources; enriched14's x1^2 g is NaN there and spreads to every sum
+        assert np.isfinite(loaded).all() == (n < n_pts or not far or kind == "affine8")
+    assert not far or (weights[0, -3:] == 0.0).all()
+
+
+def test_families_without_a_gaussian_weight_ignore_the_buffer():
+    family = make_custom([ROTATION, DIAGONAL_SHIFT])
+    u, pts, targets = problem(family, 7, 3)
+    weights = np.full((N_LAYERS, 7), 5.0)
+    states = forward_euler(family, u, pts, weights=weights)
+    assert (weights == 5.0).all()
+    assert_same_bits(states, forward_euler(family, u, pts))
+    want = per_layer_gradient(family, u, states, targets, 1e-3)
+    assert_same_bits(control_gradient(family, u, states, targets, 1e-3, weights=weights), want)
+
+
+@pytest.mark.parametrize("shape", [(N_LAYERS - 1, 7), (N_LAYERS, 6), (N_LAYERS, 8)])
+def test_a_buffer_of_the_wrong_shape_is_refused(shape):
+    family = FAMILIES["affine8"]
+    u, pts, targets = problem(family, 7, 3)
+    states = forward_euler(family, u, pts)
+    with pytest.raises(ValueError, match="weights have shape"):
+        forward_euler(family, u, pts, weights=np.empty(shape))
+    if shape[1] < 7 or shape[0] != N_LAYERS:
+        with pytest.raises(ValueError, match="weights have shape"):
+            control_gradient(family, u, states, targets, 1e-3, weights=np.empty(shape))
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_the_buffer_keeps_no_trajectory_alive(kind):
+    family = FAMILIES[kind]
+    u, pts, targets = problem(family, 900, 4)
+    weights = np.empty((N_LAYERS, 900))
+    states = forward_euler(family, u, pts, weights=weights)
+    trajectory = weakref.ref(states.base)
+    control_gradient(family, u, states, targets, 1e-3, weights=weights)
+    del states
+    assert trajectory() is None
+    assert weights.base is None and np.isfinite(weights).all()
