@@ -20,9 +20,17 @@ of the fields, so a family only has to supply those two.  These dense
 contractions are the public ones of every family, built-ins included, and
 the reference every fast path is tested against.
 
-The layer loops of the flow and the gradient take their per-layer steps
-from ``_sweep``: one contraction call each in the base class, in the
-built-ins their closed forms.  The closed forms do without the mostly-zero
+Every layer loop of the flow and the gradient runs on one ``_sweep`` of
+the family, which it hands each node once, ``load(x, g=None)``; four
+kernels then read the loaded node, and a loop calls only those it needs:
+
+    displace(u_row, out)   the node's ``displacement``,
+    factor(row, h)         its ``layer_factor``,
+    pair(lam, out)         its ``pairing`` row, written into ``out``,
+    step(row, lam, h)      the covector of its ``adjoint_step``.
+
+In the base class each kernel is one contraction call; in the built-ins it
+is a closed form.  The closed forms do without the mostly-zero
 ``(..., l, n[, n])`` tensors: each field is a coefficient K_j(x) times one
 axis, for one list K that both axes share.  A built-in states only K, its
 gradients and its fields' columns; its sweep, a ``_Planar`` workspace of
@@ -31,10 +39,10 @@ its end, writes each closed form once over them for every built-in.  It
 assembles each sum in place, adding terms in the dense contraction's order,
 so both give the same bits; only a sum's leading ``0.0 +`` may move, to its
 end or into a scalar term, since adding +0.0 only turns -0.0 into +0.0.
-The sweep forms what its factors read of the control once for all layers,
-and a flow may keep each node's Gaussian weight g in an array of its
-caller's, which the gradient's steps then read back instead of computing
-g again.
+The sweep forms what ``factor`` and ``step`` read of the control once for
+all layers (``rows``), and a flow may keep each node's Gaussian weight g in
+an array of its caller's (``hold``), which the gradient's ``load`` then
+reads back instead of computing g again.
 
 Two planar built-ins are provided.
 
@@ -66,7 +74,7 @@ the field listed at position i.
 Points are arrays whose last axis holds the coordinates; any number of
 leading batch axes is allowed and preserved.  They may come in any memory
 layout: the flow passes (M, dim) views whose coordinate columns are
-contiguous, and the built-ins' sweep steps return their (M, dim) results in
+contiguous, and the built-ins' kernels return their (M, dim) results in
 the layout of their input.
 """
 
@@ -89,8 +97,8 @@ class VectorFieldFamily(ABC):
     Evaluation is pure: instances hold no mutable state and may be shared
     freely across threads, since each sweep and call makes its own arrays.
     Subclasses supply ``values`` and ``jacobians``; the contractions are
-    dense einsums over them, and the per-layer steps of a sweep default to
-    one contraction call each.
+    dense einsums over them, and the kernels of a sweep default to one
+    contraction call each.
     """
 
     kind: str
@@ -143,25 +151,21 @@ class VectorFieldFamily(ABC):
         return self.pairing(x, lam), step
 
     def _sweep(self, shape: tuple) -> SimpleNamespace:
-        """The steps of a layer loop over nodes of leading shape ``shape``, each one contraction call.
+        """The layer loop over nodes of leading shape ``shape``: each kernel one contraction call at the loaded node.
 
-        ``displace(x, u_row, out)`` returns ``displacement`` in ``out`` or fresh; ``factor(x, row, h)``,
-        ``displace_and_factor(x, row, h, out)``, ``pair(x, lam, out, g=None)`` and ``pair_and_step(x, row, lam, h,
-        out, g=None)``, which write the pairing row into ``out`` and return the stepped covector, take the rows of
-        ``rows(values)``, here the control rows themselves.  ``hold(g)`` and the node weights ``g`` are for families
-        with a Gaussian weight to keep: here they do nothing.
+        ``load(x, g=None)`` keeps the node x; ``displace(u_row, out)`` returns ``displacement`` (``out`` is for the
+        built-ins), ``factor(row, h)`` ``layer_factor``, ``pair(lam, out)`` writes the ``pairing`` row into ``out`` and
+        ``step(row, lam, h)`` returns the covector of ``adjoint_step``, for the rows of ``rows(values)``, here the
+        control rows themselves.  ``hold(g)`` and a node's weight ``g`` are for families with a Gaussian weight to
+        keep: here they do nothing.
         """
-
-        def pair_and_step(x, u_row, lam, h, out, g=None):
-            out[...], step = self.adjoint_step(x, u_row, lam, h)
-            return step
-
-        return SimpleNamespace(
-            displace=lambda x, u_row, out: self.displacement(x, u_row), factor=self.layer_factor, hold=lambda g: None,
-            displace_and_factor=lambda x, u_row, h, out: (self.displacement(x, u_row), self.layer_factor(x, u_row, h)),
-            pair=lambda x, lam, out, g=None: np.copyto(out, self.pairing(x, lam)), pair_and_step=pair_and_step,
-            rows=lambda values: values,
-        )
+        node = SimpleNamespace(hold=lambda g: None, rows=lambda values: values)
+        node.load = lambda x, g=None: setattr(node, "x", x) or node
+        node.displace = lambda u_row, out: self.displacement(node.x, u_row)
+        node.factor = lambda row, h: self.layer_factor(node.x, row, h)
+        node.pair = lambda lam, out: np.copyto(out, self.pairing(node.x, lam))
+        node.step = lambda row, lam, h: np.einsum("mp,mpn->mn", lam, self.layer_factor(node.x, row, h))
+        return node
 
 
 def _as_points(x: np.ndarray) -> np.ndarray:
@@ -172,14 +176,16 @@ def _as_points(x: np.ndarray) -> np.ndarray:
 
 
 class _Planar:
-    """The steps of one layer loop of a planar built-in, its closed forms: a workspace over nodes of one shape.
+    """The layer loop of a planar built-in over nodes of one shape: a workspace that loads a node, four closed forms.
 
-    Each step loads its node x (coordinates ``x1``, ``x2``, squares ``q1``, ``q2``, g = exp(-(q1 + q2) / (2 nu)), 0 at
-    |x|^2 = inf under the caller's ``np.errstate``) and sums its closed form over the family's K and its gradients in
-    scratch arrays made on first use; the covector ``lam`` that a step is given becomes the buffer of the next step's.
-    ``hold(g)`` has every later load write g into the caller's array ``g``, and a gradient step given a node's g from
-    such an array reads it back instead of loading it.  ``rows(values)`` gives the rows that ``factor`` and the gradient
-    steps take, each a control row with the columns of its factor entries formed once for all layers.
+    ``load(x, g=None)`` takes node x into the workspace: its coordinates ``x1``, ``x2``, squares ``q1``, ``q2`` and
+    g = exp(-(q1 + q2) / (2 nu)), 0 at |x|^2 = inf under the caller's ``np.errstate``.  Given ``g``, the node's weight
+    that a flow kept, it reads g back instead and forms only the squares the family reads besides g.  ``hold(g)``, as
+    a load given ``g`` does, has every later load write g into the caller's array ``g``.  The kernels ``displace``,
+    ``factor``, ``pair`` and ``step`` sum their closed forms at the loaded node over the family's K and its gradients,
+    in scratch arrays made on first use; the covector ``lam`` that ``step`` is given becomes the buffer of the next
+    step's.  ``rows(values)`` gives the rows that ``factor`` and ``step`` take, each a control row with the columns of
+    its factor entries formed once for all layers.
     """
 
     def __init__(self, family: "Affine8", shape: tuple):
@@ -198,31 +204,22 @@ class _Planar:
         """Write the Gaussian weight of every later loaded node into ``g``, an array of the nodes' shape."""
         self.g = g
 
-    def load(self, x: np.ndarray) -> "_Planar":
+    def load(self, x: np.ndarray, g: np.ndarray | None = None) -> "_Planar":
+        """Load the node ``x``, reading its Gaussian weight from ``g`` if a flow kept it there."""
         self.x1, self.x2 = x[..., 0], x[..., 1]
-        np.multiply(self.x1, self.x1, out=self.q1)
-        np.multiply(self.x2, self.x2, out=self.q2)
-        g = np.add(self.q1, self.q2, out=self.g)
-        g *= -0.5
-        g /= self.nu
-        np.exp(g, out=g)
-        return self
-
-    def read(self, x: np.ndarray, g: np.ndarray | None) -> "_Planar":
-        """Load x, whose Gaussian weight ``g`` a flow kept: only the squares that the family reads besides g.
-
-        With g None, ``load`` it.  Else, as after ``hold(g)``, a later ``load`` would write into ``g``.
-        """
-        if g is None:
-            return self.load(x)
-        self.x1, self.x2, self.g = x[..., 0], x[..., 1], g
-        if self.family._squares:
+        if g is None or self.family._squares:
             np.multiply(self.x1, self.x1, out=self.q1)
             np.multiply(self.x2, self.x2, out=self.q2)
+        if g is None:
+            g = np.add(self.q1, self.q2, out=self.g)
+            g *= -0.5
+            g /= self.nu
+            np.exp(g, out=g)
+        self.g = g
         return self
 
     def rows(self, values: np.ndarray) -> list:
-        """The rows of the control ``values`` (N, l) for ``factor`` and the gradient steps, one per layer.
+        """The rows of the control ``values`` (N, l) for ``factor`` and ``step``, one per layer.
 
         Each is the row as a list, then the (2, 1) g columns and the (2, 2) x columns of the factor entries per axis
         (see ``_factor_entries``), the x ones with the sums' leading 0.0 added.
@@ -230,9 +227,9 @@ class _Planar:
         gx = values[:, self.family._gx].reshape((len(values), 2, 3) + self.lead)
         return list(zip(values.tolist(), gx[:, :, :1], 0.0 + gx[:, :, 1:]))
 
-    def displace(self, x: np.ndarray, u_row, out: np.ndarray) -> np.ndarray:
-        """sum_i u_row[i] F_i(x), into ``out`` (..., 2)."""
-        coefficients, tmp = self.family._coefficients(self.load(x)), self.array("tmp")
+    def displace(self, u_row, out: np.ndarray) -> np.ndarray:
+        """sum_i u_row[i] F_i at the loaded node, into ``out`` (..., 2)."""
+        coefficients, tmp = self.family._coefficients(self), self.array("tmp")
         for a, cols in enumerate(self.family.columns):
             col = np.multiply(self.g, u_row[cols[1]], out=out[..., a])
             col += 0.0 + u_row[cols[0]]  # the sum's leading 0.0, moved into its constant term
@@ -240,18 +237,19 @@ class _Planar:
                 col += np.multiply(c, u_row[i], out=tmp)
         return out
 
-    def displace_and_factor(self, x: np.ndarray, row: tuple, h: float, out: np.ndarray) -> tuple:
-        """``displace`` and ``factor`` at one node, of one of ``rows``, from one load: (displacement, factor)."""
-        return self.displace(x, row[0], out), self._factor(row, h)
+    def factor(self, row: tuple, h: float) -> np.ndarray:
+        """I + h sum_i u[i] DF_i at the loaded node for one of ``rows``, C order like ``layer_factor``."""
+        b = self._factor_entries(row, h)
+        out = np.empty(self.shape + (2, 2))
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = b.reshape((4,) + self.shape)
+        return out
 
-    def pair(self, x: np.ndarray, lam: np.ndarray, out: np.ndarray, g: np.ndarray | None = None) -> None:
-        """sum_j <lam^j, F_i(x^j)> into ``out`` (..., l), through ``ks``, a C-order (..., len(K)) array of K.
+    def pair(self, lam: np.ndarray, out: np.ndarray) -> None:
+        """sum_j <lam^j, F_i(x^j)> at the loaded node into ``out`` (..., l), through ``ks``, a C-order (..., len(K)) K.
 
         Field columns[a][j] pairs to sum_m lam[m, a] K_j[m], its samples added in order from +0.0
         as the dense einsum does, since they are the outer axis of ``ks`` (not the contiguous one).
-        ``g`` is the node's Gaussian weight, if a flow kept it (see ``read``).
         """
-        self.read(x, g)
         if self.ks is None:  # its column 0, of the constant coefficient, stays 1.0
             columns = self.family.columns
             self.ks, self.order = np.ones(self.shape + (len(columns[0]),)), np.array(columns[0] + columns[1])
@@ -260,12 +258,9 @@ class _Planar:
         sums = np.einsum("m...a,m...j->...aj", lam, self.ks)
         out[..., self.order] = sums.reshape(out.shape)
 
-    def pair_and_step(
-        self, x: np.ndarray, row: tuple, lam: np.ndarray, h: float, out: np.ndarray, g: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The pairing row into ``out``; returns lam (I + h sum_i u[i] DF_i(x)) for one of ``rows``, in a spare buffer."""
-        self.pair(x, lam, out, g)
-        if self.spare is None:  # the first node: the step reads none of the pairing's arrays, so free them first
+    def step(self, row: tuple, lam: np.ndarray, h: float) -> np.ndarray:
+        """lam (I + h sum_i u[i] DF_i) at the loaded node for one of ``rows``, in a spare buffer."""
+        if self.spare is None:  # the first step: it reads none of the pairing's arrays, so free them first
             self.ks, self.arrays, self.spare = None, {}, np.empty_like(lam)
         step, self.spare = self.spare, lam
         b = self._factor_entries(row, h)
@@ -274,17 +269,6 @@ class _Planar:
         np.add(b[0], b[1], out=step.T)
         step += 0.0  # the einsum sums into a zeroed output; adding 0.0 turns -0.0 into 0.0 as it does
         return step
-
-    def factor(self, x: np.ndarray, row: tuple, h: float) -> np.ndarray:
-        """I + h sum_i u[i] DF_i(x) for one of ``rows``, C order like ``layer_factor``: products stay on one path."""
-        return self.load(x)._factor(row, h)
-
-    def _factor(self, row: tuple, h: float) -> np.ndarray:
-        """``factor`` at the loaded node."""
-        b = self._factor_entries(row, h)
-        out = np.empty(self.shape + (2, 2))
-        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = b.reshape((4,) + self.shape)
-        return out
 
     def _factor_entries(self, row: tuple, h: float) -> np.ndarray:
         """Entries b[p, q] of I + h sum_i u[i] DF_i at the loaded node, for one of ``rows``, in a (2, 2, ...) array.
@@ -314,7 +298,7 @@ class Affine8(VectorFieldFamily):
     both axes share in the same order: K = (1, g, x1, x2).  A subclass that
     appends fields appends to K, to its gradients and to both axes' columns.
     The family states only K and its gradients at a loaded ``_Planar``
-    workspace; the steps of its ``_sweep`` sum the closed forms over them,
+    workspace; the kernels of its ``_sweep`` sum the closed forms over them,
     and its public contractions are the dense ones it inherits.
     """
 

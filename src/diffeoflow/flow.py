@@ -279,18 +279,18 @@ def _euler(
     each through all N layers before the next, in one ``family._sweep``, so
     a layer's temporaries stay in cache; every sample follows its own
     elementwise arithmetic, so no bit depends on the blocking.  A row rule
-    reads all samples: one block.
+    reads all samples: one block.  At layer k the block's sweep loads
+    x_{k-1} once, and its ``displace`` kernel gives the Euler step.
 
     ``tangent``, an (M, dim, dim) array, receives the Jacobian of the
     input-to-output map at the sources: each block starts V at the identity
-    and takes V <- (Id + h A_k) V at every layer, the factor coming with the
-    Euler step from the block's ``displace_and_factor`` step at x_{k-1}, one
-    load of the node for both, bit for bit the family's ``layer_factor``.
-    It is taken with the default rule only.
+    and takes V <- (Id + h A_k) V at every layer, the factor coming from the
+    ``factor`` kernel at the node that the Euler step loaded, bit for bit
+    the family's ``layer_factor``.  It is taken with the default rule only.
 
     ``weights``, an (N, M) array, receives in row k-1 the Gaussian weight
-    g(x_{k-1}) that the displace step of layer k computes, through the
-    sweep's ``hold``; a family without one leaves it as it is.
+    g(x_{k-1}) that the load of node k-1 computes, through the sweep's
+    ``hold``; a family without one leaves it as it is.
 
     Raises FlowError if a state of the first ``checked`` samples (all by
     default) turns non-finite, naming the first such sample and its layer;
@@ -319,11 +319,9 @@ def _euler(
                 prev = slots[(k - 1) % keep]
                 if held:
                     sweep.hold(held[k - 1])
-                if tangent is None:
-                    moved = sweep.displace(prev, rule(k, prev), step)
-                else:
-                    moved, factor = sweep.displace_and_factor(prev, factor_rows[k - 1], h, step)
-                    v = factor @ v
+                moved = sweep.load(prev).displace(rule(k, prev), step)
+                if tangent is not None:
+                    v = sweep.factor(factor_rows[k - 1], h) @ v
                 np.multiply(moved, h, out=step)
                 np.add(prev, step, out=slots[k % keep])
             if tangent is not None:
@@ -393,10 +391,10 @@ def backward_covector(
         lambda_{k-1} = lambda_k (Id - h A_k)^{-1},
 
     the backward-Euler transport of the continuous covector flow.  The
-    factor Id - h A_k is the ``factor`` step of one ``family._sweep`` with
-    step -h, bit for bit the family's ``layer_factor(x, u, -h)``.  (The
-    exact transpose of the forward layer, lambda_k (Id + h A_k), is the
-    family's ``adjoint_step``.)
+    factor Id - h A_k is the ``factor`` kernel, with step -h, of one
+    ``family._sweep`` that loads x_{k-1}, bit for bit the family's
+    ``layer_factor(x, u, -h)``.  (The exact transpose of the forward layer,
+    lambda_k (Id + h A_k), is the family's ``adjoint_step``.)
 
     ``states`` must be the trajectory bundle the controls produced, in any
     memory layout.  Returns covectors of shape (M, N+1, dim), stored
@@ -409,16 +407,15 @@ def backward_covector(
     first the transport would reach, and that layer's worst-conditioned
     sample.  The solves are ``np.linalg.solve``'s bit for bit, and make no
     LAPACK call but for the rows ``_solve_backward`` cannot replay; those
-    rows' factors are formed again from ``states``, by the same step.
+    rows' factors are formed again from ``states``, by the same kernel.
 
     ``workspace``, a dict, keeps the transport's buffers between calls: the
     first call of a trajectory shape makes there the (N, M, 2, 2)
     ``"factors"`` and the (N+1, 2, M) ``"covectors"``, and every later call
     of that shape refills them.  The result is then a view of the
-    covectors, which the next call into the same workspace overwrites, and
-    the factors are dead once a call returns, so a caller may use them as
-    scratch.  A call that raises leaves both half-written.  Without a
-    workspace each call makes its own buffers.
+    covectors, which the next call into the same workspace overwrites.  A
+    call that raises leaves both half-written.  Without a workspace each
+    call makes its own buffers.
     """
     states = _as_bundle(family, u, states, u.n_layers + 1)
     n_pts, n_layers = states.shape[0], u.n_layers
@@ -432,12 +429,12 @@ def backward_covector(
     rows = sweep.rows(u.values)
     with np.errstate(over="ignore", invalid="ignore"):  # as in a flow: at |x|^2 = inf, g is 0 and x1^2 g NaN
         for k in range(1, n_layers + 1):
-            factors[k - 1] = sweep.factor(states[:, k - 1], rows[k - 1], -u.step)
+            factors[k - 1] = sweep.load(states[:, k - 1]).factor(rows[k - 1], -u.step)
     _screen(factors, lam[:n_layers].reshape(2, n_layers, n_pts))
 
     def refactor(k: int, missed: np.ndarray) -> np.ndarray:
         x = states[missed, k - 1]
-        return family._sweep(x.shape[:1]).factor(x, rows[k - 1], -u.step)
+        return family._sweep(x.shape[:1]).load(x).factor(rows[k - 1], -u.step)
 
     return _solve_backward(factors, term, lam, refactor).transpose(2, 0, 1)
 

@@ -154,9 +154,10 @@ def control_gradient(
     """Gradient array (N, l) in slab-average coordinates, from a stored trajectory.
 
     Backpropagates through the discrete layers in one sweep, k = N..1, on
-    one ``family._sweep``: at each node it pairs the covector with the
-    fields at the node where the control acts and steps it back with the
-    explicit factor (Id + h A_k), as ``family.adjoint_step`` does,
+    one ``family._sweep``: it loads the node x_{k-1} where the control
+    acts, its ``pair`` kernel pairs the covector with the fields there, and
+    its ``step`` kernel steps the covector back with the explicit factor
+    (Id + h A_k), as ``family.adjoint_step`` does,
 
         g[k-1, i]     = sum_j <lambda_k^j, F_i(x_{k-1}^j)> + beta * u[k-1, i],
         lambda_{k-1}  = lambda_k (Id + h A_k),
@@ -167,13 +168,14 @@ def control_gradient(
     memory layout of the trajectory's nodes (coordinate-major for a
     ``forward_euler`` bundle), so each adjoint step reads and writes
     contiguous coordinate rows; the result does not depend on the layout.
-    The sweep forms what the steps read of the control once, for all
-    layers, and writes each pairing row straight into the gradient.
+    The sweep forms what ``step`` reads of the control once, for all
+    layers, and ``pair`` writes each row straight into the gradient.
 
     ``weights``, an (N, M') array with M' >= M, is what the flow of
-    ``states`` wrote with ``forward_euler(..., weights=...)``: the built-ins
-    read each node's Gaussian weight from its first M columns instead of
-    computing it again, with the same bits.  Other families ignore it.
+    ``states`` wrote with ``forward_euler(..., weights=...)``: the sweep's
+    ``load`` of node k-1 is given row k-1, and the built-ins read the
+    node's Gaussian weight from its first M columns instead of computing it
+    again, with the same bits.  Other families ignore it.
     """
     states = _as_bundle(family, u, states, u.n_layers + 1)
     n_pts = states.shape[0]
@@ -184,9 +186,10 @@ def control_gradient(
     grad, sweep = np.empty(u.values.shape), family._sweep(lam.shape[:-1])
     rows, g = sweep.rows(u.values), [None] * u.n_layers if weights is None else weights[:, :n_pts]
     with np.errstate(over="ignore", invalid="ignore"):  # as in a flow: at |x|^2 = inf, g is 0 and x1^2 g NaN
-        for k in range(u.n_layers, 1, -1):
-            lam = sweep.pair_and_step(states[:, k - 1], rows[k - 1], lam, u.step, grad[k - 1], g[k - 1])
-        sweep.pair(states[:, 0], lam, grad[0], g[0])
+        for k in range(u.n_layers, 0, -1):
+            sweep.load(states[:, k - 1], g[k - 1]).pair(lam, grad[k - 1])
+            if k > 1:
+                lam = sweep.step(rows[k - 1], lam, u.step)
     return grad + beta * u.values
 
 

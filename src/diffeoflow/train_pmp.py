@@ -34,7 +34,7 @@ the maximizer as its row rule: at each node it reached, the sweep pairs with
 the family's public ``pairing``, the dense einsum over the (M, l, dim) field
 ``values`` for every family, whose spans perfbench's tracing self-test
 reads from a pmp run; the forward steps and the transport's factors are the
-family's ``_sweep`` steps.
+``displace`` and ``factor`` kernels of the family's ``_sweep``.
 """
 
 from __future__ import annotations
@@ -63,21 +63,22 @@ def _maximized_controls(
 def _penalty_gradients(states: np.ndarray, targets: np.ndarray, workspace: dict) -> np.ndarray:
     """``loss_grad(states - targets[:, None])`` bit for bit, as a view of the workspace's ``"penalties"``.
 
-    The (N+1, 2, M) buffer is made on first use and refilled after; |z|^2
-    and then sqrt(1 + |z|^2) are formed in two (N+1, M) rows of the
-    ``"factors"`` that a transport into the workspace leaves dead.  Residuals
-    whose |z|^2 overflows take ``loss_grad``'s own path.
+    The (N+1, 2, M) buffer is made on first use and refilled after.  Node by
+    node, |z|^2 and then sqrt(1 + |z|^2) are formed in the workspace's two
+    (M,) ``"norms"``; a node where |z|^2 overflows takes ``loss_grad``'s own
+    path.
     """
     n_pts, n_nodes = states.shape[:2]
     z = _buffer(workspace, "penalties", (n_nodes, 2, n_pts)).transpose(2, 0, 1)
     np.subtract(states, targets[:, None], out=z)
-    root, spare = workspace["factors"].reshape(-1)[:2 * n_nodes * n_pts].reshape(2, n_nodes, n_pts)
-    _squared_norm(z, root.T, spare.T)
-    if not np.isfinite(root).all():
-        z[...] = loss_grad(z)
-        return z
-    root += 1.0
-    z /= np.sqrt(root, out=root).T[..., None]
+    root, spare = _buffer(workspace, "norms", (2, n_pts))
+    for node in z.swapaxes(0, 1):
+        _squared_norm(node, root, spare)
+        if np.isfinite(root).all():
+            root += 1.0
+            node /= np.sqrt(root, out=root)[:, None]
+        else:
+            node[...] = loss_grad(node)
     return z
 
 
@@ -100,10 +101,10 @@ def train_pmp(
 
     Both live in one workspace per run: the first transport makes its
     (N, M, 2, 2) factors and the (N+1, 2, M) covectors and penalty
-    gradients, and every later one refills them, the penalties forming
-    their norms in the factors it leaves dead.  A transport follows an
-    acceptance only, when the previous control's covectors and penalties
-    are dead, so no pass hands these arrays back to the allocator.
+    gradients, with two (M,) arrays for the penalties' norms, and every
+    later one refills them.  A transport follows an acceptance only, when
+    the previous control's covectors and penalties are dead, so no pass
+    hands these arrays back to the allocator.
     """
     n_pts, targets = data.n_samples, data.targets
     workspace: dict = {}

@@ -5,16 +5,25 @@ covector transport from the closed forms of ``family._sweep``.  The
 references are plain loops of the public one-node contractions, the dense
 einsums of ``VectorFieldFamily``, and ``reference_pmp`` writes the pmp sweep
 out densely.  ``planted`` builds a problem with a known answer for the
-trainers: targets that the flow of a given control reaches exactly.  Test
-modules import them, ``assert_same_bits`` and the shared families from
-here; ``test_hygiene.py`` checks that no other test helper loops over a
-per-node contraction, so that the references do not fork.
+trainers: targets that the flow of a given control reaches exactly, the
+values of ``planted_map``.  Test modules import them, ``assert_same_bits``
+and the shared families from here; ``test_hygiene.py`` checks that no other
+test helper loops over a per-node contraction, so that the references do
+not fork.
 """
 
 import numpy as np
 
-from diffeoflow import ControlGrid, Dataset, FieldSpec, VectorFieldFamily, flow_endpoints, make_custom
-from diffeoflow.flow import _check_finite
+from diffeoflow import (
+    ControlGrid,
+    Dataset,
+    FieldSpec,
+    TargetMap,
+    VectorFieldFamily,
+    flow_endpoints,
+    make_custom,
+)
+from diffeoflow.flow import _check_finite, variational_jacobian
 from diffeoflow.objective import cost_of_endpoints, loss_grad
 from diffeoflow.train_gd import _descend
 from diffeoflow.train_pmp import _maximized_controls
@@ -66,9 +75,16 @@ def nan_jacobian_family():
     )])
 
 
+def planted_map(family, u_star):
+    """The flow of ``u_star`` as a target map, whose Jacobian is the flow's own ``variational_jacobian``."""
+    return TargetMap(
+        "planted", lambda x: flow_endpoints(family, u_star, x), lambda x: variational_jacobian(family, u_star, x)
+    )
+
+
 def planted(family, u_star, sources):
-    """The dataset whose targets are the flow endpoints of ``u_star``: at beta 0 its cost is exactly 0 there."""
-    return Dataset(sources, flow_endpoints(family, u_star, sources))
+    """The dataset whose targets are ``planted_map``'s values: at beta 0 its cost is exactly 0 at ``u_star``."""
+    return Dataset(sources, planted_map(family, u_star)(sources))
 
 
 def per_layer_flow(family, u, pts, row=None):

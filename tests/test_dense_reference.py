@@ -46,7 +46,7 @@ def test_runs_match_the_dense_family_in_every_input_layout(base, algorithm):
     grid = make_grid_dataset(target, side=1.5, per_axis=6)
     test = make_random_testset(target, side=1.5, count=10, seed=3)
     trainer = TRAINERS[algorithm]
-    assert not isinstance(dense(base)(nu=20.0)._sweep((1,)), _Planar)  # the layer loops run on the dense steps
+    assert not isinstance(dense(base)(nu=20.0)._sweep((1,)), _Planar)  # the layer loops run on the dense kernels
     want_rows, want_control = run_bits(trainer, dense(base)(nu=20.0), grid, test)
     for layout, arrange in LAYOUTS.items():
         data = Dataset(arrange(grid.sources), arrange(grid.targets))

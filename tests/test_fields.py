@@ -1,6 +1,6 @@
 """Field families: values, Jacobians, contractions, ordering, and input validation.
 
-The closed-form steps of the built-ins' sweep are checked bit for bit
+The closed-form kernels of the built-ins' sweep are checked bit for bit
 against the dense contractions, the base class's einsums.
 """
 
@@ -142,28 +142,30 @@ def test_custom_family_round_trip(rng):
 
 
 CONTRACTIONS = ("displacement", "layer_matrix", "layer_factor", "pairing")
-# The contractions whose closed forms are the built-ins' sweep steps; layer_matrix has none.
+# The contractions whose closed forms are the built-ins' sweep kernels; layer_matrix has none.
 CLOSED_FORMS = ("displacement", "layer_factor", "pairing")
 EINSUMS = ("displacement", "layer_matrix", "pairing")
 
 
-def _sweep_step(fam, name, x, *args):
-    """The closed form of contraction ``name`` at the points ``x``: its step on a fresh sweep of ``fam``.
+def _sweep_kernel(fam, name, x, *args):
+    """The closed form of contraction ``name`` at the points ``x``: the kernels of a fresh sweep of ``fam`` at x.
 
-    A control row is handed to the step as the sweep's row of it; a pairing row is written into a new array.
+    A control row is handed to a kernel as the sweep's row of it; a pairing row is written into a new array.
     """
-    sweep = fam._sweep(x.shape[:-1])
+    sweep = fam._sweep(x.shape[:-1]).load(x)
     if name == "displacement":
-        return sweep.displace(x, *args, np.empty_like(x))
+        return sweep.displace(*args, np.empty_like(x))
     out = np.empty(x.shape[1:-1] + (fam.n_fields,))
     if name == "pairing":
-        sweep.pair(x, *args, out)
+        sweep.pair(*args, out)
         return out
     u_row, *rest = args
     row = sweep.rows(u_row[None])[0]
     if name == "layer_factor":
-        return sweep.factor(x, row, *rest)
-    return out, sweep.pair_and_step(x, row, *rest, out)
+        return sweep.factor(row, *rest)
+    lam, h = rest
+    sweep.pair(lam, out)
+    return out, sweep.step(row, lam, h)
 
 
 def _contraction_args(fam, name, x, rng, signed_zeros=False):
@@ -194,7 +196,7 @@ def test_closed_form_contractions_equal_dense_path_bit_for_bit(name, maker, shap
     x.reshape(-1)[::5] = 0.0  # grid points on the axes
     for signed_zeros in (False, True):
         args = _contraction_args(fam, name, x, rng, signed_zeros)
-        assert_same_bits(_sweep_step(fam, name, *args), getattr(VectorFieldFamily, name)(fam, *args))
+        assert_same_bits(_sweep_kernel(fam, name, *args), getattr(VectorFieldFamily, name)(fam, *args))
 
 
 @pytest.mark.parametrize("cls", [Affine8, Enriched14])
@@ -233,7 +235,7 @@ def test_layer_factor_is_the_dense_eye_plus_h_layer_matrix_bit_for_bit(maker, h,
     x[3::11] = [1e150, -1e150]
     x, sweep = LAYOUTS[layout](x), fam._sweep((900,))
     for u_row in (rng.normal(size=fam.n_fields), np.where(np.arange(fam.n_fields) % 2, -0.0, 0.0)):
-        got = sweep.factor(x, sweep.rows(u_row[None])[0], h)
+        got = sweep.load(x).factor(sweep.rows(u_row[None])[0], h)
         dense = VectorFieldFamily.layer_matrix(fam, x, u_row)
         assert got.shape == (900, 2, 2) and got.flags.c_contiguous
         assert_same_bits(got, np.eye(2) + h * dense)
@@ -259,7 +261,7 @@ def test_pairing_keeps_middle_axes_and_accepts_strided_slices(affine8, rng):
     states = rng.normal(size=(40, 9, 2))
     lam = rng.normal(size=(40, 9, 2))
     got = np.empty((8, 8))
-    affine8._sweep((40, 8)).pair(states[:, :-1], lam[:, 1:], got)
+    affine8._sweep((40, 8)).load(states[:, :-1]).pair(lam[:, 1:], got)
     assert got.shape == (8, 8)
     want = VectorFieldFamily.pairing(affine8, states[:, :-1], lam[:, 1:])
     assert np.array_equal(got, want)
@@ -292,7 +294,7 @@ def test_closed_form_adjoint_step_equals_dense_step_bit_for_bit(maker, h, rng):
     lam[::3] = -0.0  # rows of signed zeros
     lam[1::7, 0] = 0.0
     for u_row in (rng.normal(size=fam.n_fields), np.where(np.arange(fam.n_fields) % 2, -0.0, 0.0)):
-        row, step = _sweep_step(fam, "adjoint_step", x, u_row, lam, h)
+        row, step = _sweep_kernel(fam, "adjoint_step", x, u_row, lam, h)
         dense_row, dense_step = VectorFieldFamily.adjoint_step(fam, x, u_row, lam, h)
         assert row.shape == (fam.n_fields,) and step.shape == lam.shape
         assert_same_bits(row, dense_row)
@@ -307,7 +309,7 @@ def _flat(result):
 @pytest.mark.parametrize("name", ("values", "jacobians") + CONTRACTIONS + ("adjoint_step",))
 @pytest.mark.parametrize("maker", [make_affine8, make_enriched14])
 def test_public_calls_are_quiet_where_the_squares_overflow(maker, name, rng):
-    """At |x|^2 = inf, g is 0 and x1^2 g is inf * 0: the NaN of a sweep step, with no warning (an error under pytest)."""
+    """At |x|^2 = inf, g is 0 and x1^2 g is inf * 0: the NaN of a kernel, with no warning (an error under pytest)."""
     fam = maker(20.0)
     x = np.array([[1e200, 0.0], [0.5, -0.25], [1e200, 1e200]])
     args = (x,) if name in ("values", "jacobians") else _contraction_args(fam, name, x, rng)
@@ -315,7 +317,7 @@ def test_public_calls_are_quiet_where_the_squares_overflow(maker, name, rng):
     assert np.isnan(got).any() == (fam.kind == "enriched14")
     if name in CLOSED_FORMS + ("adjoint_step",):
         with np.errstate(over="ignore", invalid="ignore"):  # the forward flow's
-            want = _flat(_sweep_step(fam, name, *args))
+            want = _flat(_sweep_kernel(fam, name, *args))
         assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -350,10 +352,10 @@ def test_closed_forms_assemble_their_sums_in_place(kind, name):
     args = (x, rng.normal(size=fam.n_fields))
     if name == "adjoint_step":
         args += (np.asfortranarray(rng.normal(size=x.shape)), 1.0 / 16)
-    _sweep_step(fam, name, *args)
+    _sweep_kernel(fam, name, *args)
     tracemalloc.start()
     try:
-        _sweep_step(fam, name, *args)
+        _sweep_kernel(fam, name, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -249,17 +249,23 @@ def wavy_planar_family():
 
 
 def counted_blocks(family, monkeypatch):
-    """Record each ``family._sweep``, one per row block, as its rows and the rows of each step that makes a factor.
+    """Record each ``family._sweep``, one per row block, as its rows and the rows of each factor its kernel makes.
 
-    In a flow that is ``displace_and_factor``, which takes the factor with the Euler step.
+    In a flow the ``factor`` kernel reads the node that the Euler step loaded.
     """
     sweeps = []
     plain = type(family)._sweep
 
     def counted(fam, shape):
         sweep, factors = plain(fam, shape), []
-        step = sweep.displace_and_factor
-        sweep.displace_and_factor = lambda x, *args: factors.append(x.shape[0]) or step(x, *args)
+        kernel = sweep.factor
+
+        def factor(*args):
+            out = kernel(*args)
+            factors.append(out.shape[0])
+            return out
+
+        sweep.factor = factor
         sweeps.append((shape[0], factors))
         return sweep
 

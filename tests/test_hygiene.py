@@ -197,7 +197,7 @@ def contraction_calls(source: str) -> list[str]:
     """Calls of a family's per-node contraction, as ``function.contraction`` of the innermost enclosing function.
 
     A call counts when it reads one of ``CONTRACTIONS`` as an attribute,
-    such as ``family.layer_factor(...)``; a sweep's steps have other names.
+    such as ``family.layer_factor(...)``; a sweep's kernels have other names.
     """
     calls = []
 
@@ -216,7 +216,7 @@ def test_contraction_check_flags_a_per_node_call_in_a_loop():
         "def product(family, x, rows):\n"
         "    sweep = family._sweep(x.shape[:1])\n"
         "    for row in rows:\n"
-        "        family.layer_factor(x, row, 0.5) @ sweep.factor(x, row, 0.5)\n"
+        "        family.layer_factor(x, row, 0.5) @ sweep.load(x).factor(row, 0.5)\n"
     )
     assert contraction_calls(source) == ["product.layer_factor"]
 

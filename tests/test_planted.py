@@ -3,7 +3,8 @@
 At beta 0 the cost of the planted control u* is exactly 0, the infimum of
 the objective, so each trainer's progress is measured against a known
 answer.  Many controls reach the same endpoints, and u* is not recovered:
-the tests compare costs and errors, never controls.
+the tests compare costs and errors, never controls.  The target map is the
+flow of u* itself, so its Lipschitz constant is the flow's, exactly.
 """
 
 import numpy as np
@@ -12,15 +13,19 @@ import pytest
 from diffeoflow import (
     ControlGrid,
     TrainConfig,
+    build_metrics,
     cost,
+    forward_euler,
     make_affine8,
     make_enriched14,
     square_grid,
+    target_lipschitz_estimate,
     train_gradient_flow,
     train_pmp,
 )
+from diffeoflow.metrics import lipschitz_estimate
 
-from oracle import planted
+from oracle import assert_same_bits, planted, planted_map
 
 N_LAYERS, PASSES = 8, 50
 FAMILIES = {"affine8": lambda: make_affine8(20.0), "enriched14": lambda: make_enriched14(5.0)}
@@ -60,3 +65,18 @@ def test_trainers_approach_the_planted_minimum(kind, algorithm):
     start, end = report.records[0].data_term, report.final_cost.data_term
     assert report.records[0].cost == start  # the zero control: no energy
     assert 0.0 <= end and end * MIN_FACTOR[kind, algorithm] <= start, (start, end)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_the_planted_map_is_the_flow_of_the_planted_control(kind):
+    family, u_star, data = planted_problem(kind)
+    target = planted_map(family, u_star)
+    assert target.kind == "planted"
+    assert_same_bits(target(data.sources), data.targets)
+    assert_same_bits(data.targets, forward_euler(family, u_star, data.sources)[:, -1])
+    probes = np.random.Generator(np.random.Philox(23)).uniform(-1.0, 1.0, size=(200, 2))
+    assert target_lipschitz_estimate(target, probes) == lipschitz_estimate(family, u_star, probes)
+    # At u* the flow is the target map: on the planted grid both read one Lipschitz constant.
+    lipschitz_target = target_lipschitz_estimate(target, data.sources)
+    metrics = build_metrics(family, u_star, lipschitz_target, data.sources, 0.0, 1.5)
+    assert metrics.lipschitz_flow == metrics.lipschitz_target == lipschitz_target

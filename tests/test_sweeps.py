@@ -1,10 +1,10 @@
 """The built-ins' workspace sweeps against the loops of the dense oracle, bit for bit.
 
-Every layer loop runs on the steps of one ``family._sweep``: ``flow._euler``
+Every layer loop runs on the kernels of one ``family._sweep``: ``flow._euler``
 one per row block (it also takes ``variational_jacobian``'s product of
 factors), ``control_gradient`` and ``backward_covector`` one over the whole
 trajectory.  The built-ins' sweep is one workspace that every node is
-loaded into, and its steps are their closed forms.  The references are the
+loaded into once, and its kernels are their closed forms.  The references are the
 loops of the public one-node contractions in ``oracle.py``.  M = 16385 is
 one full row block of 16384 points and a ragged one of a single point.
 """
@@ -14,7 +14,19 @@ import weakref
 import numpy as np
 import pytest
 
-from diffeoflow import ControlGrid, backward_covector, family_from_name, flow_endpoints, forward_euler, make_custom
+from diffeoflow import (
+    ControlGrid,
+    Dataset,
+    TrainConfig,
+    backward_covector,
+    builtin_target,
+    family_from_name,
+    flow_endpoints,
+    forward_euler,
+    make_custom,
+    square_grid,
+    train_pmp,
+)
 from diffeoflow import flow
 from diffeoflow.flow import variational_jacobian
 from diffeoflow.objective import control_gradient, loss_grad
@@ -139,6 +151,57 @@ def test_interleaved_sweeps_on_one_family_share_no_state(kind):
     assert_same_bits(first, per_layer_gradient(family, u, states, targets, 1e-3))
 
 
+def counted_loads(family, monkeypatch):
+    """Record each ``family._sweep`` as [rows of its nodes, calls of its ``load``], in the order they were made."""
+    sweeps = []
+    plain = type(family)._sweep
+
+    def counted(fam, shape):
+        sweep, entry = plain(fam, shape), [shape[0], 0]
+        load = sweep.load
+
+        def spy(*args):
+            entry[1] += 1
+            return load(*args)
+
+        sweep.load = spy
+        sweeps.append(entry)
+        return sweep
+
+    monkeypatch.setattr(type(family), "_sweep", counted)
+    return sweeps
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES) + ["custom"])
+def test_every_layer_loop_loads_each_node_once(kind, monkeypatch):
+    """One ``load`` per node per row block, whichever kernels the loop reads; the dense ``pairing`` makes no sweep."""
+    family = make_custom([ROTATION, DIAGONAL_SHIFT]) if kind == "custom" else FAMILIES[kind]
+    sources = square_grid(1.5, 5)
+    targets = builtin_target()(sources)
+    u = ControlGrid(np.random.Generator(np.random.Philox(5)).normal(scale=0.3, size=(5, family.n_fields)))
+    weights = np.empty((5, 25))
+    states = forward_euler(family, u, sources, weights=weights)
+    terminal = loss_grad(states[:, -1] - targets) / 25
+    sweeps, blocks = counted_loads(family, monkeypatch), [[7, 5], [7, 5], [7, 5], [4, 5]]
+    monkeypatch.setattr(flow, "_BLOCK_ROWS", 7)  # three full blocks and a ragged tail of 4
+    runs = {
+        "forward_euler": lambda: forward_euler(family, u, sources, weights=weights),
+        "flow_endpoints": lambda: flow_endpoints(family, u, sources),
+        "variational_jacobian": lambda: variational_jacobian(family, u, sources),
+        "control_gradient": lambda: control_gradient(family, u, states, targets, 1e-3),
+        "weighted_gradient": lambda: control_gradient(family, u, states, targets, 1e-3, weights=weights),
+        "backward_covector": lambda: backward_covector(family, u, states, terminal),
+    }
+    for name, run in runs.items():
+        sweeps.clear()
+        run()
+        assert sweeps == (blocks if name in ("forward_euler", "flow_endpoints", "variational_jacobian") else [[25, 5]])
+    # One pmp pass: the initial flow in row blocks, the transport, then the sweep, one block under its row rule.
+    sweeps.clear()
+    train_pmp(family, Dataset(sources, targets), 5, TrainConfig(beta=1e-3, max_iter=1), init=u)
+    assert sweeps == blocks + [[25, 5], [25, 5]]
+
+
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray], ids=["c_order", "fortran_order"])
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_pairing_adds_the_samples_in_order(kind, layout):
@@ -151,7 +214,7 @@ def test_pairing_adds_the_samples_in_order(kind, layout):
         terms = (lam[:, None, :] * family.values(x)).sum(axis=-1)  # one product and a zero per field
         in_order = np.cumsum(terms, axis=0)[-1] + 0.0
         got = np.empty(family.n_fields)
-        family._sweep(x.shape[:-1]).pair(x, lam, got)
+        family._sweep(x.shape[:-1]).load(x).pair(lam, got)
         assert_same_bits(got, in_order)
         assert_same_bits(family.pairing(x, lam), in_order)
 

@@ -276,7 +276,7 @@ def test_penalty_gradients_in_the_workspace_are_loss_grads_bits(rng):
     # Three fills of one workspace; the last overflows |z|^2 on one sample,
     # which takes loss_grad's own path.  Each sample of the second sits on
     # its target at node 0, a residual of +0.0.
-    workspace = {"factors": np.empty((6, 50, 2, 2))}
+    workspace = {}
     for scale in (1.0, 1.0, 1e200):
         states = np.empty((7, 2, 50)).transpose(2, 0, 1)
         states[...] = rng.normal(size=(50, 7, 2))
