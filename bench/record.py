@@ -16,8 +16,13 @@ JSON file with:
   kernel as ``tests/conftest.py``'s ``exp_kernel_name`` names it;
 - ``workloads``: each workload's result object, with its end-to-end metrics;
 - ``primitives``: one row per family, M, N and primitive, with the median
-  ms of ``primitives.REPEATS`` calls, the same per point and layer in ns
-  and the traced peak MB of one more call (see ``bench/primitives.py``).
+  ms of ``primitives.REPEATS`` calls, the same per point and layer in ns,
+  the traced peak MB of one more call (see ``bench/primitives.py``), and
+  the CALL and BINARY_OP opcodes that the package's own frames run in one
+  more call (``opcode_counts``): a count of interpreter work that no timer
+  noise moves.  It weighs no call by its size, so it is a proxy: at the
+  call-bound sizes, where a layer is mostly numpy dispatch, a change in
+  it is a change in work.
 
 Every number comes from a run; none is typed in.  The M 10^5 rows of
 ``bench/primitives.py`` are left out: their pmp pass peaks at 1.3 GB
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dis
 import glob
 import json
 import os
@@ -44,12 +50,15 @@ import numpy as np  # noqa: E402
 
 import primitives  # noqa: E402
 from conftest import exp_kernel_name  # noqa: E402
-from diffeoflow import family_from_name  # noqa: E402  (primitives puts src/ on the path)
+import diffeoflow  # noqa: E402  (primitives puts src/ on the path)
+from diffeoflow import family_from_name  # noqa: E402
 
 SEED = 0
 FAMILIES = ("affine8", "enriched14")
 POINTS = (900, 10_000)
 LAYERS = (16, 32)
+PACKAGE = os.path.dirname(os.path.abspath(diffeoflow.__file__)) + os.sep
+OPCODES = {dis.opmap["CALL"]: "call_opcodes", dis.opmap["BINARY_OP"]: "binary_op_opcodes"}
 
 
 def openblas_core() -> str:
@@ -86,6 +95,44 @@ def benchmark(quick: bool) -> tuple[dict, dict]:
     return json.loads(environment[len("# environment "):]), json.loads(lines[-1])
 
 
+def opcode_counts(call) -> dict:
+    """The CALL and BINARY_OP opcodes that frames of the package run during one call, by opcode tracing.
+
+    A frame whose code lives in the package's directory traces its opcodes
+    (``frame.f_trace_opcodes``); other frames, numpy's Python code among
+    them, are not traced, but the package frames they call are.  The count
+    is that of the bytecode as compiled, before the interpreter specializes
+    it.  Tracing is slow, so this is a call of its own, never a timed one.
+    """
+    counts, own, code_bytes = dict.fromkeys(OPCODES.values(), 0), {}, {}
+
+    def opcode(frame, event, arg):
+        if event == "opcode":
+            code = frame.f_code
+            if code not in code_bytes:
+                code_bytes[code] = code.co_code
+            name = OPCODES.get(code_bytes[code][frame.f_lasti])
+            if name:
+                counts[name] += 1
+        return opcode
+
+    def enter(frame, event, arg):
+        code = frame.f_code
+        if code not in own:
+            own[code] = os.path.abspath(code.co_filename).startswith(PACKAGE)
+        if not own[code]:
+            return None
+        frame.f_trace_opcodes = True
+        return opcode
+
+    sys.settrace(enter)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return counts
+
+
 def primitive_rows(quick: bool) -> list[dict]:
     """The primitives of both families at every size, each as one row."""
     points, layers = primitives.QUICK if quick else (POINTS, LAYERS)
@@ -103,6 +150,7 @@ def primitive_rows(quick: bool) -> list[dict]:
                         "median_ms": 1e3 * seconds,
                         "ns_per_point_layer": 1e9 * seconds / (n_pts * n_layers),
                         "peak_traced_mb": primitives.peak_traced_bytes(calls[name]) / 1e6,
+                        **opcode_counts(calls[name]),
                     })
                     print(f"# {kind} {name} M {n_pts} N {n_layers}: {1e3 * seconds:.3f} ms", flush=True)
     return rows

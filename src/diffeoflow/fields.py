@@ -1,48 +1,35 @@
-"""Controlled vector-field families: values, Jacobians and their contractions.
+"""Controlled vector-field families: values, Jacobians and the sweep that contracts them.
 
 A family is an ordered tuple of smooth fields F_1, ..., F_l on the plane.  The
 network layers move points along constant-coefficient combinations of these
-fields, so the flow, the gradients and the metrics use five contractions
-of the fields at a batch of points:
+fields, so every layer quantity is one contraction of the fields at a node.
+A family supplies the stacked ``values`` and ``jacobians`` of its fields,
+its whole public surface, and every layer loop of the flow, the gradients
+and the metrics runs on one ``_sweep`` of the family, which it hands each
+node once, ``load(x, g=None)``; four kernels then read the loaded node, and
+a loop calls only those it needs:
 
-    displacement(x, u)  = sum_i u_i F_i(x)           (one layer's step),
-    layer_matrix(x, u)  = sum_i u_i DF_i(x)          (its state matrix),
-    layer_factor(x, u, h)                             (the layer's
-                        = I + h layer_matrix(x, u)     Jacobian),
-    pairing(x, lam)[i]  = sum_j <lam^j, F_i(x^j)>    (the control gradient),
-    adjoint_step(x, u, lam, h)                        (one node of the
-                        = (pairing(x, lam),            backward sweep: its
-                           lam layer_factor(x, u, h))  gradient row and the
-                                                       stepped covector).
+    displace(u_row, out)   sum_i u_row[i] F_i(x)          (one layer's step),
+    factor(row, h)         I + h sum_i row[i] DF_i(x)     (the layer's Jacobian),
+    pair(lam, out)         sum_j <lam^j, F_i(x^j)>        (the control gradient,
+                                                          written into out),
+    step(row, lam, h)      lam factor(row, h)             (the covector a node back).
 
-The base class computes them from the stacked ``values`` and ``jacobians``
-of the fields, so a family only has to supply those two.  These dense
-contractions are the public ones of every family, built-ins included, and
-the reference every fast path is tested against.
-
-Every layer loop of the flow and the gradient runs on one ``_sweep`` of
-the family, which it hands each node once, ``load(x, g=None)``; four
-kernels then read the loaded node, and a loop calls only those it needs:
-
-    displace(u_row, out)   the node's ``displacement``,
-    factor(row, h)         its ``layer_factor``,
-    pair(lam, out)         its ``pairing`` row, written into ``out``,
-    step(row, lam, h)      the covector of its ``adjoint_step``.
-
-In the base class each kernel is one contraction call; in the built-ins it
-is a closed form.  The closed forms do without the mostly-zero
-``(..., l, n[, n])`` tensors: each field is a coefficient K_j(x) times one
-axis, for one list K that both axes share.  A built-in states only K, its
-gradients and its fields' columns; its sweep, a ``_Planar`` workspace of
-arrays made when the sweep starts, refilled at every node and dropped at
-its end, writes each closed form once over them for every built-in.  It
-assembles each sum in place, adding terms in the dense contraction's order,
-so both give the same bits; only a sum's leading ``0.0 +`` may move, to its
-end or into a scalar term, since adding +0.0 only turns -0.0 into +0.0.
-The sweep forms what ``factor`` and ``step`` read of the control once for
-all layers (``rows``), and a flow may keep each node's Gaussian weight g in
-an array of its caller's (``hold``), which the gradient's ``load`` then
-reads back instead of computing g again.
+The base class's sweep is the dense one, the reference every fast path is
+tested against: each kernel is one einsum over ``values`` or ``jacobians``.
+In the built-ins each kernel is a closed form.  The closed forms do
+without the mostly-zero ``(..., l, n[, n])`` tensors: each field is a
+coefficient K_j(x) times one axis, for one list K that both axes share.  A
+built-in states only K, its gradients and its fields' columns; its sweep, a
+``_Planar`` workspace of arrays made when the sweep starts, refilled at
+every node and dropped at its end, writes each closed form once over them
+for every built-in.  It assembles each sum in place, adding terms in the
+dense einsum's order, so both give the same bits; only a sum's leading
+``0.0 +`` may move, to its end or into a scalar term, since adding +0.0
+only turns -0.0 into +0.0.  The sweep forms what ``factor`` and ``step``
+read of the control once for all layers (``rows``), and a flow may keep
+each node's Gaussian weight g in an array of its caller's (``hold``), which
+the gradient's ``load`` then reads back instead of computing g again.
 
 Two planar built-ins are provided.
 
@@ -82,7 +69,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -96,9 +82,9 @@ class VectorFieldFamily(ABC):
 
     Evaluation is pure: instances hold no mutable state and may be shared
     freely across threads, since each sweep and call makes its own arrays.
-    Subclasses supply ``values`` and ``jacobians``; the contractions are
-    dense einsums over them, and the kernels of a sweep default to one
-    contraction call each.
+    Subclasses supply ``values`` and ``jacobians``, the whole public
+    surface of a family; the kernels of the base class's sweep are dense
+    einsums over them.
     """
 
     kind: str
@@ -113,59 +99,44 @@ class VectorFieldFamily(ABC):
     def jacobians(self, x: np.ndarray) -> np.ndarray:
         """Stacked field Jacobians at ``x``: shape ``(..., n_fields, dim, dim)``."""
 
-    def displacement(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-        """sum_i u_row[i] * F_i(x): shape ``(..., dim)``."""
-        return np.einsum("...ln,l->...n", self.values(x), u_row)
+    def _sweep(self, shape: tuple) -> "_Dense":
+        """The layer loop over nodes of leading shape ``shape``: here the dense one, for nodes of any shape."""
+        return _Dense(self)
 
-    def layer_matrix(self, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-        """sum_i u_row[i] * DF_i(x): shape ``(..., dim, dim)``."""
-        return np.einsum("...lpq,l->...pq", self.jacobians(x), u_row)
 
-    def pairing(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """sum_j <lam^j, F_i(x^j)> over the first axis of ``x`` and ``lam``.
+class _Dense:
+    """The dense sweep of a family: each kernel one einsum over its ``values`` or ``jacobians`` at the loaded node.
 
-        Both have shape ``(M, ..., dim)``; the result has shape
-        ``(..., n_fields)``, keeping any middle axes.
-        """
-        return np.einsum("m...n,m...ln->...l", lam, self.values(x))
+    ``pair`` sums over the first axis of x and ``lam``, keeping any middle axes; ``displace`` ignores ``out``, the
+    ``rows`` are the control rows themselves, and ``hold`` and a node's weight ``g`` do nothing.  With -h, ``factor``
+    is I - h sum_i row[i] DF_i(x) bit for bit: (-h) * a is -(h * a), and y + (-z) is y - z in IEEE arithmetic.  It is a
+    class, since closures over the node would make a reference cycle that keeps its flow's buffer alive after the loop.
+    """
 
-    def layer_factor(self, x: np.ndarray, u_row: np.ndarray, h: float) -> np.ndarray:
-        """I + h * sum_i u_row[i] * DF_i(x), the Jacobian of one layer: shape ``(..., dim, dim)``.
+    def __init__(self, family: VectorFieldFamily):
+        self.fields = family
 
-        Called with -h it gives the backward-Euler factor I - h sum_i u_row[i] DF_i(x)
-        bit for bit: (-h) * a is -(h * a), and y + (-z) is y - z in IEEE
-        arithmetic.
-        """
-        return _EYE + h * self.layer_matrix(x, u_row)
+    def hold(self, g: np.ndarray) -> None:
+        pass
 
-    def adjoint_step(
-        self, x: np.ndarray, u_row: np.ndarray, lam: np.ndarray, h: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One node of the backward sweep through the layer x -> x + h sum_i u_row[i] F_i(x).
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        return values
 
-        ``x`` and ``lam`` have shape ``(M, dim)``.  Returns the pairing row
-        ``sum_j <lam^j, F_i(x^j)>`` of shape ``(n_fields,)`` and the covector
-        ``lam layer_factor(x, u_row, h)`` of shape ``(M, dim)``.
-        """
-        step = np.einsum("mp,mpn->mn", lam, self.layer_factor(x, u_row, h))
-        return self.pairing(x, lam), step
+    def load(self, x: np.ndarray, g: np.ndarray | None = None) -> "_Dense":
+        self.x = x
+        return self
 
-    def _sweep(self, shape: tuple) -> SimpleNamespace:
-        """The layer loop over nodes of leading shape ``shape``: each kernel one contraction call at the loaded node.
+    def displace(self, u_row: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        return np.einsum("...ln,l->...n", self.fields.values(self.x), u_row)
 
-        ``load(x, g=None)`` keeps the node x; ``displace(u_row, out)`` returns ``displacement`` (``out`` is for the
-        built-ins), ``factor(row, h)`` ``layer_factor``, ``pair(lam, out)`` writes the ``pairing`` row into ``out`` and
-        ``step(row, lam, h)`` returns the covector of ``adjoint_step``, for the rows of ``rows(values)``, here the
-        control rows themselves.  ``hold(g)`` and a node's weight ``g`` are for families with a Gaussian weight to
-        keep: here they do nothing.
-        """
-        node = SimpleNamespace(hold=lambda g: None, rows=lambda values: values)
-        node.load = lambda x, g=None: setattr(node, "x", x) or node
-        node.displace = lambda u_row, out: self.displacement(node.x, u_row)
-        node.factor = lambda row, h: self.layer_factor(node.x, row, h)
-        node.pair = lambda lam, out: np.copyto(out, self.pairing(node.x, lam))
-        node.step = lambda row, lam, h: np.einsum("mp,mpn->mn", lam, self.layer_factor(node.x, row, h))
-        return node
+    def factor(self, row: np.ndarray, h: float) -> np.ndarray:
+        return _EYE + h * np.einsum("...lpq,l->...pq", self.fields.jacobians(self.x), row)
+
+    def pair(self, lam: np.ndarray, out: np.ndarray) -> None:
+        np.copyto(out, np.einsum("m...n,m...ln->...l", lam, self.fields.values(self.x)))
+
+    def step(self, row: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
+        return np.einsum("mp,mpn->mn", lam, self.factor(row, h))
 
 
 def _as_points(x: np.ndarray) -> np.ndarray:
@@ -238,7 +209,7 @@ class _Planar:
         return out
 
     def factor(self, row: tuple, h: float) -> np.ndarray:
-        """I + h sum_i u[i] DF_i at the loaded node for one of ``rows``, C order like ``layer_factor``."""
+        """I + h sum_i u[i] DF_i at the loaded node for one of ``rows``, C order like the dense ``factor``."""
         b = self._factor_entries(row, h)
         out = np.empty(self.shape + (2, 2))
         out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = b.reshape((4,) + self.shape)
@@ -299,7 +270,8 @@ class Affine8(VectorFieldFamily):
     appends fields appends to K, to its gradients and to both axes' columns.
     The family states only K and its gradients at a loaded ``_Planar``
     workspace; the kernels of its ``_sweep`` sum the closed forms over them,
-    and its public contractions are the dense ones it inherits.
+    and its public ``values`` and ``jacobians`` write the same fields out as
+    dense tensors.
     """
 
     nu: float = DEFAULT_GAUSSIAN_WIDTH

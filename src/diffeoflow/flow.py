@@ -96,13 +96,13 @@ def _as_bundle(family: VectorFieldFamily, u: ControlGrid, points: np.ndarray, *n
 
 
 def displacement(family: VectorFieldFamily, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-    """sum_i u_row[i] * F_i(x) for a bundle x of shape (M, dim)."""
-    return family.displacement(x, u_row)
+    """sum_i u_row[i] * F_i(x) for points x of shape (..., dim): the ``displace`` kernel of the dense sweep."""
+    return VectorFieldFamily._sweep(family, np.shape(x)[:-1]).load(x).displace(u_row, None)
 
 
 def layer_matrix(family: VectorFieldFamily, x: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-    """sum_i u_row[i] * DF_i(x): the state matrix of one layer, shape (M, dim, dim)."""
-    return family.layer_matrix(x, u_row)
+    """sum_i u_row[i] * DF_i(x) for points x of shape (..., dim): the state matrix of one layer, (..., dim, dim)."""
+    return np.einsum("...lpq,l->...pq", family.jacobians(x), u_row)
 
 
 def _spectral_norm_2x2(mats: np.ndarray, out: np.ndarray | None = None, scratch: tuple | None = None) -> np.ndarray:
@@ -285,8 +285,8 @@ def _euler(
     ``tangent``, an (M, dim, dim) array, receives the Jacobian of the
     input-to-output map at the sources: each block starts V at the identity
     and takes V <- (Id + h A_k) V at every layer, the factor coming from the
-    ``factor`` kernel at the node that the Euler step loaded, bit for bit
-    the family's ``layer_factor``.  It is taken with the default rule only.
+    ``factor`` kernel at the node that the Euler step loaded.  It is taken
+    with the default rule only.
 
     ``weights``, an (N, M) array, receives in row k-1 the Gaussian weight
     g(x_{k-1}) that the load of node k-1 computes, through the sweep's
@@ -392,9 +392,9 @@ def backward_covector(
 
     the backward-Euler transport of the continuous covector flow.  The
     factor Id - h A_k is the ``factor`` kernel, with step -h, of one
-    ``family._sweep`` that loads x_{k-1}, bit for bit the family's
-    ``layer_factor(x, u, -h)``.  (The exact transpose of the forward layer,
-    lambda_k (Id + h A_k), is the family's ``adjoint_step``.)
+    ``family._sweep`` that loads x_{k-1}.  (The exact transpose of the
+    forward layer, lambda_k (Id + h A_k), is the sweep's ``step`` kernel,
+    which ``objective.control_gradient`` runs.)
 
     ``states`` must be the trajectory bundle the controls produced, in any
     memory layout.  Returns covectors of shape (M, N+1, dim), stored

@@ -157,7 +157,7 @@ def control_gradient(
     one ``family._sweep``: it loads the node x_{k-1} where the control
     acts, its ``pair`` kernel pairs the covector with the fields there, and
     its ``step`` kernel steps the covector back with the explicit factor
-    (Id + h A_k), as ``family.adjoint_step`` does,
+    (Id + h A_k),
 
         g[k-1, i]     = sum_j <lambda_k^j, F_i(x_{k-1}^j)> + beta * u[k-1, i],
         lambda_{k-1}  = lambda_k (Id + h A_k),

@@ -30,11 +30,11 @@ are recomputed only after an accepted pass, into the buffers of the run's
 one transport workspace.
 
 The sweep is ``flow._euler``, the Euler recursion of every other flow, with
-the maximizer as its row rule: at each node it reached, the sweep pairs with
-the family's public ``pairing``, the dense einsum over the (M, l, dim) field
-``values`` for every family, whose spans perfbench's tracing self-test
-reads from a pmp run; the forward steps and the transport's factors are the
-``displace`` and ``factor`` kernels of the family's ``_sweep``.
+the maximizer as its row rule: at each node it reached, it pairs with the
+``pair`` kernel of the base class's dense sweep, an einsum over the field
+``values`` for every family, whose spans perfbench's tracing self-test reads
+from a pmp run; the forward steps and the transport's factors are the
+``displace`` and ``factor`` kernels of the family's own ``_sweep``.
 """
 
 from __future__ import annotations
@@ -125,15 +125,16 @@ def train_pmp(
         if isinstance(prepared, FlowError):
             raise prepared.with_traceback(None)
         penalty, cov = prepared
-        new_controls = u.values.copy()
+        new_controls, dense = u.values.copy(), VectorFieldFamily._sweep(family, (n_pts,))
 
         def maximize(k, x):
             # The sweep has already moved nodes 1..k-1; shift the covector
             # by the change this causes in the endpoint penalty gradients.
-            x = x[:n_pts]
+            x, row = x[:n_pts], new_controls[k - 1]
             lam = cov[:, k - 1] + (penalty[:, k - 1] - loss_grad(x - targets)) / n_pts
-            new_controls[k - 1] = _maximized_controls(family.pairing(x, lam), u.values[k - 1], gamma, cfg.beta)
-            return new_controls[k - 1]
+            dense.load(x).pair(lam, row)
+            row[...] = _maximized_controls(row, u.values[k - 1], gamma, cfg.beta)
+            return row
 
         swept = _euler(family, u, sources, u.n_layers + 1, maximize, checked=n_pts).transpose(2, 0, 1)
         proposal = ControlGrid(new_controls)

@@ -2,14 +2,15 @@
 
 The built-ins take every layer step of the flow, the gradients and the
 covector transport from the closed forms of ``family._sweep``.  The
-references are plain loops of the public one-node contractions, the dense
-einsums of ``VectorFieldFamily``, and ``reference_pmp`` writes the pmp sweep
-out densely.  ``planted`` builds a problem with a known answer for the
+references are plain loops of the kernels of the dense sweep, the einsums
+of ``VectorFieldFamily._sweep`` over ``values`` and ``jacobians`` at one
+node (``dense_node``), and ``reference_pmp`` writes the pmp sweep out
+densely.  ``planted`` builds a problem with a known answer for the
 trainers: targets that the flow of a given control reaches exactly, the
 values of ``planted_map``.  Test modules import them, ``assert_same_bits``
 and the shared families from here; ``test_hygiene.py`` checks that no other
-test helper loops over a per-node contraction, so that the references do
-not fork.
+test helper loops over a sweep's kernels, so that the references do not
+fork.
 """
 
 import numpy as np
@@ -54,9 +55,13 @@ def rows_are_contiguous(bundle):
 
 
 def dense(base):
-    """A subclass of ``base`` whose contractions and sweep are the dense ones of VectorFieldFamily."""
-    names = ("displacement", "layer_factor", "pairing", "adjoint_step", "_sweep")
-    return type(f"Dense{base.__name__}", (base,), {name: getattr(VectorFieldFamily, name) for name in names})
+    """A subclass of ``base`` whose layer loops run on the dense sweep of VectorFieldFamily."""
+    return type(f"Dense{base.__name__}", (base,), {"_sweep": VectorFieldFamily._sweep})
+
+
+def dense_node(family, x):
+    """The node ``x`` loaded into the dense sweep of ``family``: each kernel one einsum over its fields at x."""
+    return VectorFieldFamily._sweep(family, np.shape(x)[:-1]).load(x)
 
 
 def shift_family():
@@ -88,22 +93,24 @@ def planted(family, u_star, sources):
 
 
 def per_layer_flow(family, u, pts, row=None):
-    """The (M, N+1, 2) trajectory, one ``displacement`` call per layer; ``row(k, x)`` is layer k's control if given."""
+    """The (M, N+1, 2) trajectory, one dense ``displace`` per layer; ``row(k, x)`` is layer k's control if given."""
     nodes = [pts]
     for k in range(1, u.n_layers + 1):
         x = nodes[-1]
-        nodes.append(x + u.step * family.displacement(x, u.values[k - 1] if row is None else row(k, x)))
+        nodes.append(x + u.step * dense_node(family, x).displace(u.values[k - 1] if row is None else row(k, x), None))
     return np.stack(nodes, axis=1)
 
 
 def explicit_covectors(family, u, states, terminal):
-    """The transport lambda_{k-1} = lambda_k (Id + h A_k) from ``terminal`` at node N, one ``adjoint_step`` per node.
+    """The transport lambda_{k-1} = lambda_k (Id + h A_k) from ``terminal`` at node N, a dense ``pair`` and ``step`` a node.
 
     Returns the (N, l) pairing rows, row k-1 that of lambda_k at node k-1, and lambda_0.
     """
     rows, lam = np.empty(u.values.shape), terminal
     for k in range(u.n_layers, 0, -1):
-        rows[k - 1], lam = family.adjoint_step(states[:, k - 1], u.values[k - 1], lam, u.step)
+        node = dense_node(family, states[:, k - 1])
+        node.pair(lam, rows[k - 1])
+        lam = node.step(u.values[k - 1], lam, u.step)
     return rows, lam
 
 
@@ -116,17 +123,19 @@ def per_layer_gradient(family, u, states, targets, beta):
 def two_pass_gradient(fam, u, states, targets, beta):
     """The exact gradient as two passes: store every covector, then pair them all.
 
-    The covectors are transported with the dense step lambda (I + h A) of the
-    base class, and the pairing is the base-class einsum over all layers at once.
+    The covectors are transported with explicit einsums over the Jacobians,
+    lambda (I + h A), and the pairing is the dense ``pair`` over all layers at once.
     """
     n_pts, n_nodes, dim = states.shape
     h = u.step
     lam = np.empty((n_pts, n_nodes, dim))
     lam[:, -1] = loss_grad(states[:, -1] - targets) / n_pts
     for k in range(n_nodes - 1, 0, -1):
-        a = VectorFieldFamily.layer_matrix(fam, states[:, k - 1], u.values[k - 1])
+        a = np.einsum("...lpq,l->...pq", fam.jacobians(states[:, k - 1]), u.values[k - 1])
         lam[:, k - 1] = np.einsum("mp,mpn->mn", lam[:, k], np.eye(dim) + h * a)
-    return VectorFieldFamily.pairing(fam, states[:, :-1], lam[:, 1:]) + beta * u.values
+    rows = np.empty(u.values.shape)
+    dense_node(fam, states[:, :-1]).pair(lam[:, 1:], rows)
+    return rows + beta * u.values
 
 
 def lapack_transport(factors, terminal):
@@ -139,16 +148,16 @@ def lapack_transport(factors, terminal):
 
 
 def per_layer_transport(family, u, states, terminal):
-    """``backward_covector``: ``lapack_transport`` through the ``layer_factor``s of step -h, shaped (M, N+1, dim)."""
-    factors = np.stack([family.layer_factor(states[:, k], u.values[k], -u.step) for k in range(u.n_layers)])
+    """``backward_covector``: ``lapack_transport`` through the dense ``factor``s of step -h, shaped (M, N+1, dim)."""
+    factors = np.stack([dense_node(family, states[:, k]).factor(u.values[k], -u.step) for k in range(u.n_layers)])
     return lapack_transport(factors, terminal).transpose(1, 0, 2)
 
 
 def per_layer_jacobian(family, u, states):
-    """``variational_jacobian`` as one product of ``layer_factor`` calls over all points of a stored trajectory."""
+    """``variational_jacobian`` as one product of dense ``factor``s over all points of a stored trajectory."""
     v = np.broadcast_to(np.eye(2), (states.shape[0], 2, 2)).copy()
     for k in range(1, u.n_layers + 1):
-        v = family.layer_factor(states[:, k - 1], u.values[k - 1], u.step) @ v
+        v = dense_node(family, states[:, k - 1]).factor(u.values[k - 1], u.step) @ v
     return v
 
 

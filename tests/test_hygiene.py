@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import diffeoflow
+from diffeoflow import CustomFamily, VectorFieldFamily
+from diffeoflow.fields import Affine8, Enriched14
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "diffeoflow"
@@ -190,77 +192,117 @@ def test_package_reads_no_dimension_but_the_family_one(path):
     assert dimension_reads(path.read_text(encoding="utf-8")) == []
 
 
-CONTRACTIONS = ("displacement", "layer_matrix", "layer_factor", "pairing", "adjoint_step")
+# The whole public surface of a family: the dense fields it supplies.  Every
+# layer quantity is a kernel of its private ``_sweep``.
+FAMILY_INTERFACE = ["jacobians", "values"]
 
 
-def contraction_calls(source: str) -> list[str]:
-    """Calls of a family's per-node contraction, as ``function.contraction`` of the innermost enclosing function.
+def public_callables(cls: type) -> list[str]:
+    """The names of the public methods of ``cls``, its own and inherited; properties and data are not callables."""
+    return sorted(name for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name)))
 
-    A call counts when it reads one of ``CONTRACTIONS`` as an attribute,
-    such as ``family.layer_factor(...)``; a sweep's kernels have other names.
+
+def test_public_callable_check_lists_public_methods_alone():
+    class Base:
+        kind = "base"
+
+        def values(self):
+            pass
+
+        def _sweep(self):
+            pass
+
+    class Family(Base):
+        n_fields = property(lambda self: 1)
+
+        def pairing(self):
+            pass
+
+    assert public_callables(Family) == ["pairing", "values"]
+
+
+@pytest.mark.parametrize("cls", [VectorFieldFamily, Affine8, Enriched14, CustomFamily], ids=lambda c: c.__name__)
+def test_a_family_supplies_values_and_jacobians_alone(cls):
+    assert public_callables(cls) == FAMILY_INTERFACE
+
+
+def interface_calls(source: str) -> list[str]:
+    """Calls of a family's public method, as ``function.method`` of the innermost enclosing function.
+
+    A call counts when it reads one of ``FAMILY_INTERFACE`` as an attribute
+    and passes arguments, such as ``family.values(x)``; a dict's
+    ``values()`` passes none, and a sweep's kernels have other names.
     """
     calls = []
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr in CONTRACTIONS:
-                calls.append(f"{where}.{child.func.attr}")
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.args:
+                if child.func.attr in FAMILY_INTERFACE:
+                    calls.append(f"{where}.{child.func.attr}")
             visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
 
     visit(ast.parse(source), "<module>")
     return calls
 
 
-def test_contraction_check_flags_a_per_node_call_in_a_loop():
+def test_interface_check_flags_a_dense_call_in_a_loop():
     source = (
-        "def product(family, x, rows):\n"
+        "def product(family, x, rows, workspace):\n"
         "    sweep = family._sweep(x.shape[:1])\n"
         "    for row in rows:\n"
-        "        family.layer_factor(x, row, 0.5) @ sweep.load(x).factor(row, 0.5)\n"
+        "        family.jacobians(x) @ sweep.load(x).factor(row, 0.5)\n"
+        "    return list(workspace.values())\n"
     )
-    assert contraction_calls(source) == ["product.layer_factor"]
+    assert interface_calls(source) == ["product.jacobians"]
 
 
 def test_layer_loops_take_their_steps_from_a_sweep():
-    # Outside fields.py the per-node contractions are called only by the two
-    # thin public wrappers and by pmp's pairing, the dense einsum over values.
+    # Outside fields.py the package reads a family's fields through a sweep's
+    # kernels alone, but in the thin public wrapper that the benchmark keeps.
     calls = [
         f"{path.stem}.{call}"
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "fields.py"
-        for call in contraction_calls(path.read_text(encoding="utf-8"))
+        for call in interface_calls(path.read_text(encoding="utf-8"))
     ]
-    assert calls == ["flow.displacement.displacement", "flow.layer_matrix.layer_matrix", "train_pmp.maximize.pairing"]
+    assert calls == ["flow.layer_matrix.jacobians"]
 
 
-def contraction_loops(source: str) -> list[str]:
-    """Functions not named ``test_*`` with a ``for`` loop or a comprehension that calls one of ``CONTRACTIONS``."""
+KERNELS = ("displace", "factor", "pair", "step")
+
+
+def kernel_loops(source: str) -> list[str]:
+    """Functions not named ``test_*`` with a ``for`` loop or a comprehension that calls one of a sweep's ``KERNELS``."""
     loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     return [
         f"line {func.lineno}: {func.name}"
         for func in ast.walk(ast.parse(source))
         if isinstance(func, ast.FunctionDef) and not func.name.startswith("test_") and any(
-            isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) in CONTRACTIONS
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr in KERNELS
             for loop in ast.walk(func) if isinstance(loop, loops)
             for call in ast.walk(loop)
         )
     ]
 
 
-def test_contraction_loop_check_flags_a_leftover_reference():
+def test_kernel_loop_check_flags_a_leftover_reference():
     source = (
-        "def forward(family, u, x):\n    for row in u.values:\n        x = x + family.displacement(x, row)\n"
-        "def factors(u, x):\n    return [layer_factor(x, row, u.step) for row in u.values]\n"
-        "def one_node(family, x, lam):\n    return family.pairing(x, lam)\n"
-        "def test_layers(family, u, x):\n    for row in u.values:\n        family.adjoint_step(x, row, x, u.step)\n"
+        "def forward(node, u, x):\n    for row in u.values:\n        x = x + node.load(x).displace(row, None)\n"
+        "def factors(node, u, x):\n    return [node.load(x).factor(row, u.step) for row in u.values]\n"
+        "def one_node(node, x, lam, out):\n    return node.load(x).pair(lam, out)\n"
+        "def steps(u):\n    return [step(row) for row in u.values]\n"
+        "def test_layers(node, u, x):\n    for row in u.values:\n        node.load(x).step(row, x, u.step)\n"
     )
-    assert contraction_loops(source) == ["line 1: forward", "line 4: factors"]
+    assert kernel_loops(source) == ["line 1: forward", "line 4: factors"]
 
 
 def test_the_dense_references_live_in_the_oracle_alone():
+    # A per-node loop over a sweep's kernels is a layer loop: outside the
+    # package only the oracle writes one, over the kernels of the dense sweep.
     flagged = [
         f"{path.name} {helper}"
         for path in sorted(TESTS.glob("*.py")) if path.name != "oracle.py"
-        for helper in contraction_loops(path.read_text(encoding="utf-8"))
+        for helper in kernel_loops(path.read_text(encoding="utf-8"))
     ]
     assert flagged == []
 

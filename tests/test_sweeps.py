@@ -5,7 +5,7 @@ one per row block (it also takes ``variational_jacobian``'s product of
 factors), ``control_gradient`` and ``backward_covector`` one over the whole
 trajectory.  The built-ins' sweep is one workspace that every node is
 loaded into once, and its kernels are their closed forms.  The references are the
-loops of the public one-node contractions in ``oracle.py``.  M = 16385 is
+loops of the dense sweep's kernels in ``oracle.py``.  M = 16385 is
 one full row block of 16384 points and a ragged one of a single point.
 """
 
@@ -35,6 +35,7 @@ from oracle import (
     DIAGONAL_SHIFT,
     ROTATION,
     assert_same_bits,
+    dense_node,
     per_layer_flow,
     per_layer_gradient,
     per_layer_jacobian,
@@ -98,7 +99,7 @@ def test_flows_are_layer_major_and_match_the_per_layer_loop(kind, nu, n_pts, n_l
 
 @pytest.mark.parametrize("n_pts", [1, 7, 900, 16385])
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
-def test_gradient_sweep_matches_a_loop_of_adjoint_steps(kind, n_pts):
+def test_gradient_sweep_matches_a_loop_of_dense_steps(kind, n_pts):
     family = FAMILIES[kind]
     u, pts, targets = problem(family, n_pts, n_pts + 1)
     states = forward_euler(family, u, pts)
@@ -110,7 +111,7 @@ def test_gradient_sweep_matches_a_loop_of_adjoint_steps(kind, n_pts):
 
 @pytest.mark.parametrize("n_pts", [1, 7, 900, 16385])
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
-def test_transport_and_jacobian_sweeps_match_loops_of_layer_factors(kind, n_pts):
+def test_transport_and_jacobian_sweeps_match_loops_of_dense_factors(kind, n_pts):
     family = FAMILIES[kind]
     u, pts, targets = problem(family, n_pts, n_pts + 2)
     states = forward_euler(family, u, pts)
@@ -174,7 +175,10 @@ def counted_loads(family, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES) + ["custom"])
 def test_every_layer_loop_loads_each_node_once(kind, monkeypatch):
-    """One ``load`` per node per row block, whichever kernels the loop reads; the dense ``pairing`` makes no sweep."""
+    """One ``load`` per node per row block, whichever kernels the loop reads.
+
+    pmp's dense pairing runs on the base class's sweep, which this counts for no family.
+    """
     family = make_custom([ROTATION, DIAGONAL_SHIFT]) if kind == "custom" else FAMILIES[kind]
     sources = square_grid(1.5, 5)
     targets = builtin_target()(sources)
@@ -213,10 +217,10 @@ def test_pairing_adds_the_samples_in_order(kind, layout):
         lam = layout(rng.normal(size=x.shape) * rng.choice([1e-300, 1.0, 1e8], size=(n_pts, 1)))
         terms = (lam[:, None, :] * family.values(x)).sum(axis=-1)  # one product and a zero per field
         in_order = np.cumsum(terms, axis=0)[-1] + 0.0
-        got = np.empty(family.n_fields)
-        family._sweep(x.shape[:-1]).load(x).pair(lam, got)
-        assert_same_bits(got, in_order)
-        assert_same_bits(family.pairing(x, lam), in_order)
+        for node in (family._sweep(x.shape[:-1]).load(x), dense_node(family, x)):
+            got = np.empty(family.n_fields)
+            node.pair(lam, got)
+            assert_same_bits(got, in_order)
 
 
 def carried_problem(family, n_pts, n_layers, seed):

@@ -218,9 +218,15 @@ def test_sweep_covectors_are_coordinate_major(affine8, grid25, monkeypatch):
     # The cached covectors, the penalty gradients and the targets share the
     # trajectory's layout, so the covector paired at each node has contiguous
     # coordinate columns.
-    pairing = VectorFieldFamily.pairing
-    seen = []
-    monkeypatch.setattr(VectorFieldFamily, "pairing", lambda f, x, lam: seen.append(lam) or pairing(f, x, lam))
+    dense_sweep, seen = VectorFieldFamily._sweep, []
+
+    def spied(family, shape):
+        sweep = dense_sweep(family, shape)
+        pair = sweep.pair
+        sweep.pair = lambda lam, out: seen.append(lam) or pair(lam, out)
+        return sweep
+
+    monkeypatch.setattr(VectorFieldFamily, "_sweep", spied)
     train_pmp(affine8, grid25, 6, TrainConfig(beta=0.01, max_iter=3))
     assert len(seen) == 3 * 6
     assert all(lam[:, d].flags.c_contiguous for lam in seen for d in range(2))
