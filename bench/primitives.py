@@ -8,12 +8,13 @@ Times the package of the checkout this script lives in.  At each size
 (M points, N layers) the inputs are seeded: M random sources on the
 side-1.5 square, their targets under the builtin map, and an (N, l)
 control of scale 0.5.  Each primitive runs once untimed, then ``REPEATS``
-times; a row gives the median in ms, the same per point and layer in ns,
-the peak of the memory that ``tracemalloc`` traces during one more untimed
-call, above what was allocated before it, in MB, and the minor page faults
-of one more untimed call (the ``ru_minflt`` delta of the process): memory
-that the allocator hands back to the kernel faults again when it is taken
-back, so a primitive whose arrays churn shows faults on every call.
+times; a row (``measure``, which ``bench/record.py`` calls too) gives the
+median in ms, the same per point and layer in ns, the peak of the memory
+that ``tracemalloc`` traces during one more untimed call, above what was
+allocated before it, in MB, and the minor page faults of one more untimed
+call (the ``ru_minflt`` delta of the process): memory that the allocator
+hands back to the kernel faults again when it is taken back, so a
+primitive whose arrays churn shows faults on every call.
 
 - ``forward_euler`` and ``flow_endpoints`` of the sources;
 - ``control_gradient`` the way the gd trainer runs it: on the trajectory
@@ -92,32 +93,36 @@ def calls(family, n_pts: int, n_layers: int) -> dict:
     }
 
 
-def median_seconds(call, repeats: int) -> float:
+def measure(call, n_pts: int, n_layers: int, repeats: int) -> dict:
+    """The measured columns of ``call``'s row at M ``n_pts``, N ``n_layers``, by name.
+
+    After one untimed call: the median ms of ``repeats`` timed calls, the
+    same per point and layer in ns, the peak of the memory ``tracemalloc``
+    traces during one more call, above what was traced before it, in MB,
+    and the minor page faults of the process during one more call.
+    """
     call()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
-def peak_traced_bytes(call) -> int:
-    """The peak of the memory ``tracemalloc`` traces during one call, above what was traced before it."""
+    seconds = statistics.median(times)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         call()
-        return tracemalloc.get_traced_memory()[1] - base
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-
-
-def minor_faults(call) -> int:
-    """The minor page faults of the process during one call."""
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     call()
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return {
+        "median_ms": 1e3 * seconds,
+        "ns_per_point_layer": 1e9 * seconds / (n_pts * n_layers),
+        "peak_traced_mb": peak / 1e6,
+        "minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+    }
 
 
 def main(argv=None) -> int:
@@ -137,13 +142,10 @@ def main(argv=None) -> int:
         for n_layers in layers:
             primitives = calls(family, n_pts, n_layers)
             for name in PRIMITIVES:
-                seconds = median_seconds(primitives[name], repeats)
-                per = 1e9 * seconds / (n_pts * n_layers)
-                peak = peak_traced_bytes(primitives[name]) / 1e6
-                faults = minor_faults(primitives[name])
+                row = measure(primitives[name], n_pts, n_layers, repeats)
                 print(
-                    f"{name:<18} {n_pts:>7} {n_layers:>4} {1e3 * seconds:>11.4f} {per:>19.2f} {peak:>15.3f} "
-                    f"{faults:>13}",
+                    f"{name:<18} {n_pts:>7} {n_layers:>4} {row['median_ms']:>11.4f} {row['ns_per_point_layer']:>19.2f} "
+                    f"{row['peak_traced_mb']:>15.3f} {row['minor_faults']:>13}",
                     flush=True,
                 )
     return 0

@@ -15,16 +15,21 @@ JSON file with:
   OpenBLAS picked (``scipy_openblas_get_corename64_``) and the ``np.exp``
   kernel as ``tests/conftest.py``'s ``exp_kernel_name`` names it;
 - ``workloads``: each workload's result object, with its end-to-end metrics;
-- ``primitives``: one row per family, M, N and primitive, with the median
-  ms of ``primitives.REPEATS`` calls, the same per point and layer in ns,
-  the traced peak MB of one more call (see ``bench/primitives.py``), and
+- ``primitives``: one row per family, M, N and primitive, with the
+  columns of ``primitives.measure`` (the median ms of ``primitives.REPEATS``
+  calls, the same per point and layer in ns, the traced peak MB of one
+  more call and its minor page faults; see ``bench/primitives.py``), and
   the CALL and BINARY_OP opcodes that the package's own frames run in one
   more call (``opcode_counts``): a count of interpreter work that no timer
   noise moves.  It weighs no call by its size, so it is a proxy: at the
   call-bound sizes, where a layer is mostly numpy dispatch, a change in
   it is a change in work.
 
-Every number comes from a run; none is typed in.  The M 10^5 rows of
+Every number comes from a run; none is typed in.  One recording per side
+cannot resolve a ``median_ms`` change below about 60%: two recordings of
+unchanged code read 27.27 and 44.48 ms for one row.  So a speed claim
+quotes ``bench/ab_pairs.py`` pairs, and the opcode and fault columns,
+not the difference of two of these files.  The M 10^5 rows of
 ``bench/primitives.py`` are left out: their pmp pass peaks at 1.3 GB
 resident.  ``--quick`` runs the benchmark's and the primitives' tiny sizes,
 for a smoke test of the file's keys.  Exits 1 if the benchmark run fails or
@@ -144,15 +149,12 @@ def primitive_rows(quick: bool) -> list[dict]:
             for n_layers in layers:
                 calls = primitives.calls(family, n_pts, n_layers)
                 for name in primitives.PRIMITIVES:
-                    seconds = primitives.median_seconds(calls[name], repeats)
+                    row = primitives.measure(calls[name], n_pts, n_layers, repeats)
                     rows.append({
-                        "family": kind, "primitive": name, "M": n_pts, "N": n_layers,
-                        "median_ms": 1e3 * seconds,
-                        "ns_per_point_layer": 1e9 * seconds / (n_pts * n_layers),
-                        "peak_traced_mb": primitives.peak_traced_bytes(calls[name]) / 1e6,
+                        "family": kind, "primitive": name, "M": n_pts, "N": n_layers, **row,
                         **opcode_counts(calls[name]),
                     })
-                    print(f"# {kind} {name} M {n_pts} N {n_layers}: {1e3 * seconds:.3f} ms", flush=True)
+                    print(f"# {kind} {name} M {n_pts} N {n_layers}: {row['median_ms']:.3f} ms", flush=True)
     return rows
 
 

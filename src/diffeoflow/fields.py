@@ -114,7 +114,7 @@ class _Dense:
     """
 
     def __init__(self, family: VectorFieldFamily):
-        self.fields = family
+        self.family = family
 
     def hold(self, g: np.ndarray) -> None:
         pass
@@ -127,13 +127,13 @@ class _Dense:
         return self
 
     def displace(self, u_row: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        return np.einsum("...ln,l->...n", self.fields.values(self.x), u_row)
+        return np.einsum("...ln,l->...n", self.family.values(self.x), u_row)
 
     def factor(self, row: np.ndarray, h: float) -> np.ndarray:
-        return _EYE + h * np.einsum("...lpq,l->...pq", self.fields.jacobians(self.x), row)
+        return _EYE + h * np.einsum("...lpq,l->...pq", self.family.jacobians(self.x), row)
 
     def pair(self, lam: np.ndarray, out: np.ndarray) -> None:
-        np.copyto(out, np.einsum("m...n,m...ln->...l", lam, self.fields.values(self.x)))
+        np.copyto(out, np.einsum("m...n,m...ln->...l", lam, self.family.values(self.x)))
 
     def step(self, row: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
         return np.einsum("mp,mpn->mn", lam, self.factor(row, h))

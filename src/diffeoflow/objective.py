@@ -67,15 +67,15 @@ class ObjectiveValue:
     reg_term: float
 
 
-def _squared_norm(z: np.ndarray, out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
-    """|z|^2 of planar residuals z (..., 2) as z0 * z0 + z1 * z1, in ``out`` with ``spare`` when given.
+def _squared_norm(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of planar residuals z (..., 2) as z0 * z0 + z1 * z1.
 
     The two-term ``np.sum(z * z, axis=-1)`` bit for bit: the one formula of
-    the penalty, its gradient and the sweep's penalty gradients.
+    the penalty and of ``loss_grad``, which all penalty gradients call.
     """
     z0, z1 = z[..., 0], z[..., 1]
-    out = np.multiply(z0, z0, out=out)
-    out += np.multiply(z1, z1, out=spare)
+    out = z0 * z0
+    out += z1 * z1
     return out
 
 

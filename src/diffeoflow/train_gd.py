@@ -26,6 +26,7 @@ control penalty.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,8 +68,8 @@ class TrainConfig:
             raise ValueError(f"tau: must lie strictly between 0 and 1, got {self.tau}")
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"c: must lie strictly between 0 and 1, got {self.c}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter: must be nonnegative, got {self.max_iter}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ValueError(f"max_iter: must be a nonnegative integer, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ def _descend(
     whose partial report carries the last accepted control and its cost
     (+inf when the initial flow failed).
     """
-    if n_layers < 1:
-        raise ValueError(f"n_layers must be positive, got {n_layers}")
+    if not isinstance(n_layers, numbers.Integral) or n_layers < 1:
+        raise ValueError(f"n_layers: must be a positive integer, got {n_layers}")
     if init is None:
         u = ControlGrid.zeros(n_layers, family.n_fields)
     elif init.n_layers != n_layers or init.n_fields != family.n_fields:

@@ -12,8 +12,9 @@ The maximizer is available in closed form because H is quadratic in v:
     v_i = (u_old_k[i] + gamma * sum_j <lambda_{k-1}^j, F_i(x_{k-1}^j)>) / (1 + gamma * beta).
 
 Covectors solve the backward-Euler transport of ``flow.backward_covector``
-with terminal value -(1/M) grad a(x_N - y); inside a sweep they are corrected at each node for
-the drift of the updated trajectory before the control update uses them.
+with terminal value -(1/M) grad a(x_N - y); inside a sweep they are corrected
+at each node for the drift of the updated trajectory before the control
+update uses them.
 
 The sweep is the ``propose`` step of the loop shared with the gradient-flow
 trainer (``train_gd._descend``): a pass is accepted only if the cost
@@ -23,11 +24,11 @@ stacked sources anew and reads only what the loop's ``prepare`` step took
 from the accepted trajectory, which the loop then dropped, so a rejection
 needs no restore.  The held-out rows ride below the training rows and
 move under the new controls; only the training rows pair.  ``prepare``
-computes the covectors (or keeps the FlowError of a transport that fails
-the guard) and the penalty gradients grad a(x_k - y) at every training
-node of the accepted trajectory, which the drift correction reads; both
-are recomputed only after an accepted pass, into the buffers of the run's
-one transport workspace.
+computes the penalty gradients grad a(x_k - y), ``loss_grad`` at every
+training node of the accepted trajectory, and from the last of them the
+covectors (or keeps the FlowError of a transport that fails the guard);
+both are recomputed only after an accepted pass, into the buffers of the
+run's one transport workspace.
 
 The sweep is ``flow._euler``, the Euler recursion of every other flow, with
 the maximizer as its row rule: at each node it reached, it pairs with the
@@ -44,7 +45,7 @@ import numpy as np
 from .fields import VectorFieldFamily
 # forward_euler is unused here, but perfbench's tracing self-test expects this module to bind it.
 from .flow import ControlGrid, FlowError, _buffer, _euler, backward_covector, forward_euler  # noqa: F401
-from .objective import Dataset, _squared_norm, cost_of_endpoints, loss_grad
+from .objective import Dataset, cost_of_endpoints, loss_grad
 from .train_gd import TrainConfig, TrainReport, _descend
 
 
@@ -61,25 +62,12 @@ def _maximized_controls(
 
 
 def _penalty_gradients(states: np.ndarray, targets: np.ndarray, workspace: dict) -> np.ndarray:
-    """``loss_grad(states - targets[:, None])`` bit for bit, as a view of the workspace's ``"penalties"``.
-
-    The (N+1, 2, M) buffer is made on first use and refilled after.  Node by
-    node, |z|^2 and then sqrt(1 + |z|^2) are formed in the workspace's two
-    (M,) ``"norms"``; a node where |z|^2 overflows takes ``loss_grad``'s own
-    path.
-    """
+    """``loss_grad(states - targets[:, None])`` node by node, in the workspace's (N+1, 2, M) ``"penalties"``."""
     n_pts, n_nodes = states.shape[:2]
-    z = _buffer(workspace, "penalties", (n_nodes, 2, n_pts)).transpose(2, 0, 1)
-    np.subtract(states, targets[:, None], out=z)
-    root, spare = _buffer(workspace, "norms", (2, n_pts))
-    for node in z.swapaxes(0, 1):
-        _squared_norm(node, root, spare)
-        if np.isfinite(root).all():
-            root += 1.0
-            node /= np.sqrt(root, out=root)[:, None]
-        else:
-            node[...] = loss_grad(node)
-    return z
+    penalty = _buffer(workspace, "penalties", (n_nodes, 2, n_pts)).transpose(2, 0, 1)
+    for k in range(n_nodes):
+        penalty[:, k] = loss_grad(states[:, k] - targets)
+    return penalty
 
 
 def train_pmp(
@@ -95,31 +83,28 @@ def train_pmp(
     Accepts the same configuration as the gradient-flow trainer, except that
     c is ignored.  Records follow the same convention: iteration 0 is the
     initial state, then one row per pass with its proposal cost and
-    accepted flag.  The penalties and covectors of each accepted control
-    are read off its trajectory once, which the shared loop then drops;
-    each sweep flows the sources anew.
+    accepted flag.  The penalties (``loss_grad``, one call per node) and
+    covectors of each accepted control are read off its trajectory once,
+    which the shared loop then drops; each sweep flows the sources anew.
 
     Both live in one workspace per run: the first transport makes its
     (N, M, 2, 2) factors and the (N+1, 2, M) covectors and penalty
-    gradients, with two (M,) arrays for the penalties' norms, and every
-    later one refills them.  A transport follows an acceptance only, when
-    the previous control's covectors and penalties are dead, so no pass
-    hands these arrays back to the allocator.
+    gradients, and every later one refills them.  A transport follows an
+    acceptance only, when the previous control's covectors and penalties
+    are dead, so no pass hands these arrays back to the allocator.
     """
     n_pts, targets = data.n_samples, data.targets
     workspace: dict = {}
 
     def transport(u, states):
-        # The covectors and then the penalties of the accepted trajectory,
-        # refilling the run's workspace, or the transport's FlowError.
+        # The penalties and then the covectors of the accepted trajectory,
+        # from the last penalty, in the run's workspace; or the FlowError.
         with np.errstate(over="ignore", invalid="ignore"):
-            terminal = -loss_grad(states[:, -1] - targets) / n_pts
+            penalty = _penalty_gradients(states, targets, workspace)
         try:
-            cov = backward_covector(family, u, states, terminal, workspace=workspace)
+            return penalty, backward_covector(family, u, states, -penalty[:, -1] / n_pts, workspace=workspace)
         except FlowError as err:
             return err
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _penalty_gradients(states, targets, workspace), cov
 
     def sweep(u, prepared, current, gamma, sources):
         if isinstance(prepared, FlowError):

@@ -205,19 +205,95 @@ def test_builtins_state_only_their_fields(cls):
     assert [name for name in kernels if hasattr(cls, name)] == []
 
 
+def _makes_planar(value: ast.expr) -> bool:
+    """Whether ``value`` is a ``_Planar(...)`` or ``._sweep(...)`` call, or a ``.load(...)`` of one."""
+    while isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute) and value.func.attr == "load":
+        value = value.func.value
+    func = getattr(value, "func", None)
+    return isinstance(value, ast.Call) and (
+        getattr(func, "id", None) == "_Planar" or getattr(func, "attr", None) == "_sweep"
+    )
+
+
+def _planar_names(function: ast.FunctionDef) -> set:
+    """The names in ``function`` that can hold a ``_Planar``: bound from a maker call, or parameters annotated so."""
+    args = function.args
+    names = {
+        a.arg
+        for a in args.posonlyargs + args.args + args.kwonlyargs
+        if a.annotation is not None and ast.unparse(a.annotation).strip("'\"") == "_Planar"
+    }
+    for n in ast.walk(function):
+        if isinstance(n, ast.Assign):
+            for target in n.targets:
+                pairs = [(target, n.value)]
+                if isinstance(target, ast.Tuple) and isinstance(n.value, ast.Tuple):
+                    pairs = zip(target.elts, n.value.elts)
+                names |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _makes_planar(v)}
+    return names
+
+
+def _sweep_attribute_stores(trees: dict) -> list:
+    """Attribute stores outside class ``_Planar`` whose target can be a ``_Planar``, as ``file:line code``."""
+    inside = {
+        id(n)
+        for tree in trees.values()
+        for planar in ast.walk(tree)
+        if isinstance(planar, ast.ClassDef) and planar.name == "_Planar"
+        for n in ast.walk(planar)
+    }
+    stores = set()
+    for name, tree in trees.items():
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) or id(function) in inside:
+                continue
+            planar = _planar_names(function)
+            stores |= {
+                f"{name}:{n.lineno} {ast.unparse(n)}"
+                for n in ast.walk(function)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name)
+                and n.value.id in planar
+            }
+    return sorted(stores)
+
+
 def test_no_package_code_outside_the_sweep_sets_its_attributes():
     package = Path(fields.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
-    planar = next(n for n in ast.walk(trees["fields.py"]) if isinstance(n, ast.ClassDef) and n.name == "_Planar")
-    inside = {id(n) for n in ast.walk(planar)}
-    own = {n.attr for n in ast.walk(planar) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
-    stores = sorted(
-        f"{name}:{n.lineno} {ast.unparse(n)}"
-        for name, tree in trees.items()
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and n.attr in own and id(n) not in inside
-    )
-    assert own and stores == []
+    assert _sweep_attribute_stores(trees) == []
+
+
+def test_the_sweep_attribute_check_flags_stores_on_a_sweep_only():
+    source = """
+class _Planar:
+    def load(self, x):
+        self.x1 = x
+
+class Affine8:
+    def _coefficients(self, ws: _Planar):
+        ws.ks = None
+
+    def values(self, x):
+        ws = _Planar(self, x.shape[:-1]).load(x)
+        ws.g = 0.0
+
+class _Dense:
+    def __init__(self, family):
+        self.family = family
+
+def flow(family, x):
+    sweep, step = family._sweep(x.shape[:1]), None
+    step = object()
+    step.family = family
+    sweep.q1 = x
+"""
+    assert _sweep_attribute_stores({"m.py": ast.parse(source)}) == [
+        "m.py:12 ws.g",
+        "m.py:22 sweep.q1",
+        "m.py:8 ws.ks",
+    ]
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))

@@ -9,8 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MACHINE = {"cpu", "nproc", "python", "numpy", "openblas_core", "exp_kernel"}
 ROW = {
-    "family", "primitive", "M", "N", "median_ms", "ns_per_point_layer", "peak_traced_mb", "call_opcodes",
-    "binary_op_opcodes",
+    "family", "primitive", "M", "N", "median_ms", "ns_per_point_layer", "peak_traced_mb", "minor_faults",
+    "call_opcodes", "binary_op_opcodes",
 }
 
 

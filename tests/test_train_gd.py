@@ -393,8 +393,12 @@ def test_initial_flow_overflow_aborts_at_pass_0(trainer, enriched14, grid25):
 
 
 def test_argument_validation(affine8, grid25, rng):
-    with pytest.raises(ValueError):
-        train_gradient_flow(affine8, grid25, 0, TrainConfig(beta=0.1))
+    for n_layers in (0, 2.5, 4.0):
+        with pytest.raises(ValueError, match="^n_layers: "):
+            train_gradient_flow(affine8, grid25, n_layers, TrainConfig(beta=0.1))
+    # Numpy integers are integers.
+    rep = train_gradient_flow(affine8, grid25, np.int64(2), TrainConfig(beta=0.1, max_iter=np.int32(1)))
+    assert len(rep.records) == 2
     with pytest.raises(ValueError):
         bad_init = ControlGrid(rng.normal(size=(3, 8)))
         train_gradient_flow(affine8, grid25, 4, TrainConfig(beta=0.1), init=bad_init)
@@ -405,6 +409,8 @@ def test_argument_validation(affine8, grid25, rng):
     [
         {"beta": -1.0},
         {"beta": 0.1, "max_iter": -1},
+        {"beta": 0.1, "max_iter": 2.5},
+        {"beta": 0.1, "max_iter": 3.0},
         {"beta": 0.1, "gamma0": 0.0},
         {"beta": 0.1, "gamma0": float("inf")},
         {"beta": 0.1, "gamma0": float("nan")},

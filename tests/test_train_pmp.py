@@ -154,8 +154,13 @@ def test_nan_layer_factor_is_a_rejected_pass(monkeypatch):
 
 
 def test_argument_validation(affine8, grid25):
-    with pytest.raises(ValueError):
-        train_pmp(affine8, grid25, 0, TrainConfig(beta=0.1))
+    for n_layers in (0, 2.5, 4.0):
+        with pytest.raises(ValueError, match="^n_layers: "):
+            train_pmp(affine8, grid25, n_layers, TrainConfig(beta=0.1))
+    with pytest.raises(ValueError, match="^max_iter: "):
+        train_pmp(affine8, grid25, 4, TrainConfig(beta=0.1, max_iter=2.5))
+    rep = train_pmp(affine8, grid25, np.int64(2), TrainConfig(beta=0.1, max_iter=np.int32(1)))
+    assert len(rep.records) == 2
 
 
 def test_matches_gradient_trainer_on_translation(rng):
@@ -272,10 +277,10 @@ def test_penalty_gradients_are_computed_once_per_accepted_control(affine8, grid2
     transports = 1 + sum(r.accepted for r in rows[:-1])
     assert calls["backward_covector"] == transports
     # Every fill computes the penalty gradients over the accepted trajectory
-    # once, after the transport.  Every pass evaluates the N swept nodes, and
-    # every fill adds one call at the last node for the terminal covector.
+    # once, one call per node, before the transport, whose terminal covector
+    # is the last of them.  Every pass evaluates the N swept nodes.
     assert calls["_penalty_gradients"] == transports
-    assert calls["loss_grad"] == passes * n_layers + transports
+    assert calls["loss_grad"] == transports * (n_layers + 1) + passes * n_layers
 
 
 def test_penalty_gradients_in_the_workspace_are_loss_grads_bits(rng):
