@@ -18,13 +18,12 @@ from .data import (
     target_from_name,
 )
 from .fields import (
+    Affine8,
     CustomFamily,
+    Enriched14,
     FieldSpec,
     VectorFieldFamily,
     family_from_name,
-    make_affine8,
-    make_custom,
-    make_enriched14,
 )
 from .flow import (
     ControlGrid,
@@ -64,9 +63,11 @@ from .train_pmp import train_pmp
 __version__ = "0.1.0"
 
 __all__ = [
+    "Affine8",
     "ControlGrid",
     "CustomFamily",
     "Dataset",
+    "Enriched14",
     "FieldSpec",
     "FlowError",
     "IterationRecord",
@@ -92,9 +93,6 @@ __all__ = [
     "load_dataset_csv",
     "loss",
     "loss_grad",
-    "make_affine8",
-    "make_custom",
-    "make_enriched14",
     "make_grid_dataset",
     "make_random_testset",
     "mean_loss",

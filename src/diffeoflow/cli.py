@@ -149,18 +149,13 @@ class RunConfig(TrainConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.family not in ("affine8", "enriched14"):
-            raise ValueError(f"family: expected 'affine8' or 'enriched14', got {self.family!r}")
-        if self.nu <= 0.0 or not math.isfinite(self.nu):
-            raise ValueError(f"nu: must be positive and finite, got {self.nu}")
+        family_from_name(self.family, self.nu)
         if self.n_layers < 1:
             raise ValueError(f"n_layers: must be a positive integer, got {self.n_layers}")
-        if self.algorithm not in ("gd", "pmp"):
-            raise ValueError(f"algorithm: expected 'gd' or 'pmp', got {self.algorithm!r}")
+        _trainer(self.algorithm)
         if self.seed < 0:
             raise ValueError(f"seed: must be nonnegative, got {self.seed}")
-        if self.target not in ("builtin", "identity"):
-            raise ValueError(f"target: expected 'builtin' or 'identity', got {self.target!r}")
+        target_from_name(self.target)
         if self.grid_side <= 0.0 or not math.isfinite(self.grid_side):
             raise ValueError(f"grid_side: must be positive and finite, got {self.grid_side}")
         if self.grid_per_axis < 2:
@@ -169,6 +164,14 @@ class RunConfig(TrainConfig):
             raise ValueError(f"test_count: must be nonnegative, got {self.test_count}")
         if self.test_seed < 0:
             raise ValueError(f"test_seed: must be nonnegative, got {self.test_seed}")
+
+
+def _trainer(algorithm: str):
+    """The trainer named ``algorithm``; the table is made per call, so a wrapper bound to a trainer's name here runs."""
+    trainers = {"gd": train_gradient_flow, "pmp": train_pmp}
+    if algorithm not in trainers:
+        raise ValueError(f"algorithm: expected {' or '.join(map(repr, trainers))}, got {algorithm!r}")
+    return trainers[algorithm]
 
 
 def _check_types(raw: dict) -> None:
@@ -279,7 +282,7 @@ def _square_dataset(make, target, cfg: RunConfig, oom: str, **kwargs) -> Dataset
 def run_training(cfg: RunConfig) -> tuple[TrainReport, dict]:
     """Train per config and return the report plus the summary document."""
     family, lipschitz_target, train, test = build_problem(cfg)
-    trainer = train_gradient_flow if cfg.algorithm == "gd" else train_pmp
+    trainer = _trainer(cfg.algorithm)
     start = time.perf_counter()
     try:
         report = trainer(family, train, cfg.n_layers, cfg, test_data=test)

@@ -102,12 +102,20 @@ def builtin_target() -> TargetMap:
     return TargetMap(kind="builtin", value_fn=value, jacobian_fn=jac)
 
 
+_TARGETS = {"builtin": builtin_target, "identity": identity_target}
+
+
 def target_from_name(name: str) -> TargetMap:
-    if name == "builtin":
-        return builtin_target()
-    if name == "identity":
-        return identity_target()
-    raise ValueError(f"unknown target {name!r} (expected 'builtin' or 'identity')")
+    """The target map named ``name``."""
+    if name not in _TARGETS:
+        raise ValueError(f"target: expected {' or '.join(map(repr, _TARGETS))}, got {name!r}")
+    return _TARGETS[name]()
+
+
+def _check_side(side: float) -> None:
+    """Refuse a square side that is not positive and finite."""
+    if not 0.0 < side < math.inf:
+        raise ValueError(f"side must be positive and finite, got {side}")
 
 
 def square_grid(side: float, per_axis: int) -> np.ndarray:
@@ -115,8 +123,7 @@ def square_grid(side: float, per_axis: int) -> np.ndarray:
 
     Rows are ordered with the first coordinate varying slowest.
     """
-    if side <= 0.0:
-        raise ValueError(f"side must be positive, got {side}")
+    _check_side(side)
     if per_axis < 2:
         raise ValueError(f"per_axis must be at least 2, got {per_axis}")
     axis = np.linspace(-0.5 * side, 0.5 * side, per_axis)
@@ -142,8 +149,7 @@ def make_random_testset(
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if side <= 0.0:
-        raise ValueError(f"side must be positive, got {side}")
+    _check_side(side)
     rng = np.random.Generator(np.random.Philox(seed))
     sources = rng.uniform(-0.5 * side, 0.5 * side, size=(count, 2))
     return Dataset(sources=sources, targets=target(sources))

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -271,7 +271,7 @@ class Affine8(VectorFieldFamily):
     The family states only K and its gradients at a loaded ``_Planar``
     workspace; the kernels of its ``_sweep`` sum the closed forms over them,
     and its public ``values`` and ``jacobians`` write the same fields out as
-    dense tensors.
+    dense tensors.  Its Gaussian width ``nu`` must be positive and finite.
     """
 
     nu: float = DEFAULT_GAUSSIAN_WIDTH
@@ -280,6 +280,12 @@ class Affine8(VectorFieldFamily):
     columns: ClassVar[tuple[tuple[int, ...], ...]] = ((0, 2, 4, 5), (1, 3, 6, 7))
     _gx: ClassVar[np.ndarray] = np.array(columns)[:, 1:4]  # the columns of g, x1 and x2 per axis, kept by subclasses
     _squares: ClassVar[bool] = False  # whether K or its gradients read the squares q1, q2 besides through g
+
+    def __post_init__(self) -> None:
+        nu = float(self.nu)
+        if not 0.0 < nu < np.inf:
+            raise ValueError(f"nu: must be positive and finite, got {self.nu}")
+        object.__setattr__(self, "nu", nu)
 
     def _sweep(self, shape: tuple) -> _Planar:
         return _Planar(self, shape)
@@ -364,10 +370,15 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class CustomFamily(VectorFieldFamily):
-    """Family assembled from user-supplied planar field callables."""
+    """Family of user-supplied planar fields, in the order given; ``fields`` is any iterable of at least one."""
 
     fields: tuple[FieldSpec, ...]
     kind: ClassVar[str] = "custom"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fields", tuple(self.fields))
+        if not self.fields:
+            raise ValueError("a family needs at least one field")
 
     @property
     def n_fields(self) -> int:
@@ -388,34 +399,11 @@ class CustomFamily(VectorFieldFamily):
         return out
 
 
-def _check_width(nu: float) -> float:
-    nu = float(nu)
-    if not np.isfinite(nu) or nu <= 0.0:
-        raise ValueError(f"Gaussian width nu must be positive and finite, got {nu}")
-    return nu
-
-
-def make_affine8(nu: float = DEFAULT_GAUSSIAN_WIDTH) -> Affine8:
-    """Eight-field planar family: constants, damped constants, linears."""
-    return Affine8(nu=_check_width(nu))
-
-
-def make_enriched14(nu: float = DEFAULT_GAUSSIAN_WIDTH) -> Enriched14:
-    """Fourteen-field planar family: affine8 plus damped quadratics."""
-    return Enriched14(nu=_check_width(nu))
-
-
-def make_custom(fields: Sequence[FieldSpec]) -> CustomFamily:
-    """Family of user-supplied planar fields, in the order given."""
-    if len(fields) == 0:
-        raise ValueError("a family needs at least one field")
-    return CustomFamily(fields=tuple(fields))
+_BUILTINS = {cls.kind: cls for cls in (Affine8, Enriched14)}
 
 
 def family_from_name(name: str, nu: float = DEFAULT_GAUSSIAN_WIDTH) -> VectorFieldFamily:
-    """Resolve one of the built-in family names."""
-    if name == "affine8":
-        return make_affine8(nu)
-    if name == "enriched14":
-        return make_enriched14(nu)
-    raise ValueError(f"unknown field family {name!r} (expected 'affine8' or 'enriched14')")
+    """The built-in family named ``name``, of Gaussian width ``nu``."""
+    if name not in _BUILTINS:
+        raise ValueError(f"family: expected {' or '.join(map(repr, _BUILTINS))}, got {name!r}")
+    return _BUILTINS[name](nu)

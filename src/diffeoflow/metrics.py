@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_side
 from .fields import VectorFieldFamily
 from .flow import ControlGrid, _spectral_norm_2x2, variational_jacobian
 
@@ -82,8 +83,7 @@ def w1_grid_bound(n_samples: int, side: float) -> float:
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if side <= 0.0:
-        raise ValueError(f"side must be positive, got {side}")
+    _check_side(side)
     if n_samples == 4:
         return side / 6.0 * (math.sqrt(2.0) + math.asinh(1.0))
     return math.sqrt(2.0) * side / (2.0 * math.sqrt(n_samples))

@@ -137,8 +137,8 @@ def cost(
     family: VectorFieldFamily, u: ControlGrid, data: Dataset, beta: float
 ) -> ObjectiveValue:
     """Run the flow on the dataset sources and evaluate the objective."""
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    if not 0.0 <= beta < np.inf:
+        raise ValueError(f"beta: must be nonnegative and finite, got {beta}")
     return cost_of_endpoints(flow_endpoints(family, u, data.sources), data.targets, u, beta)
 
 

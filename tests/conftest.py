@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from diffeoflow import (
+    Affine8,
+    Enriched14,
     builtin_target,
-    make_affine8,
-    make_enriched14,
     make_grid_dataset,
     make_random_testset,
 )
@@ -46,12 +46,12 @@ def target():
 
 @pytest.fixture(scope="session")
 def affine8():
-    return make_affine8(20.0)
+    return Affine8(20.0)
 
 
 @pytest.fixture(scope="session")
 def enriched14():
-    return make_enriched14(20.0)
+    return Enriched14(20.0)
 
 
 @pytest.fixture(scope="session")

@@ -17,12 +17,12 @@ import numpy as np
 
 from diffeoflow import (
     ControlGrid,
+    CustomFamily,
     Dataset,
     FieldSpec,
     TargetMap,
     VectorFieldFamily,
     flow_endpoints,
-    make_custom,
 )
 from diffeoflow.flow import _check_finite, variational_jacobian
 from diffeoflow.objective import cost_of_endpoints, loss_grad
@@ -66,7 +66,7 @@ def dense_node(family, x):
 
 def shift_family():
     """Two constant fields, e1 and e2: the flow endpoint is x plus the mean control."""
-    return make_custom([
+    return CustomFamily([
         FieldSpec(value=lambda x, e=e: np.broadcast_to(e, x.shape).copy(), jacobian=lambda x: np.zeros(x.shape + (2,)))
         for e in np.eye(2)
     ])
@@ -74,7 +74,7 @@ def shift_family():
 
 def nan_jacobian_family():
     """One field, the constant e_1, whose Jacobian reads NaN where x1 = 0: the flow stays finite."""
-    return make_custom([FieldSpec(
+    return CustomFamily([FieldSpec(
         value=lambda x: np.broadcast_to(np.array([1.0, 0.0]), x.shape).copy(),
         jacobian=lambda x: np.einsum("...,pq->...pq", np.where(x[..., 0] == 0.0, np.nan, 0.0), np.eye(2)),
     )])

@@ -24,15 +24,15 @@ import numpy as np
 import pytest
 
 from diffeoflow import (
+    Affine8,
     ControlGrid,
+    CustomFamily,
+    Enriched14,
     FieldSpec,
     adjoint_gradient,
     cost,
     fd_gradient_oracle,
     forward_euler,
-    make_affine8,
-    make_custom,
-    make_enriched14,
 )
 from diffeoflow.cli import build_problem, load_config, run_training
 from diffeoflow.objective import Dataset
@@ -64,7 +64,7 @@ def benchmark_runs():
 def test_criterion_01_adjoint_gradient_matches_finite_differences():
     """20 random small instances, both families, beta in {0, 0.1}: rel err <= 1e-5."""
     rng = np.random.Generator(np.random.Philox(20260816))
-    families = (make_affine8(20.0), make_enriched14(20.0))
+    families = (Affine8(20.0), Enriched14(20.0))
     start = time.perf_counter()
     worst = 0.0
     for idx in range(20):
@@ -94,14 +94,14 @@ def test_criterion_02_closed_form_flows_are_exact():
         return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)))
 
     # zero control: every layer is the identity
-    affine8 = make_affine8(20.0)
+    affine8 = Affine8(20.0)
     u = ControlGrid(np.zeros((16, affine8.n_fields)))
     got = forward_euler(affine8, u, x0)[:, -1]
     assert rel_err(got, x0) <= 1e-12
 
     # one constant field: endpoint = x0 + (mean of the controls) * shift
     shift = np.array([0.8, -0.5])
-    const = make_custom(
+    const = CustomFamily(
         [
             FieldSpec(
                 value=lambda x: np.broadcast_to(shift, x.shape).copy(),
@@ -117,7 +117,7 @@ def test_criterion_02_closed_form_flows_are_exact():
 
     # one linear field with unit control: N Euler steps apply (I + A/N)^N
     mat = np.array([[0.3, -1.1], [0.7, 0.2]])
-    linear = make_custom(
+    linear = CustomFamily(
         [
             FieldSpec(
                 value=lambda x: x @ mat.T,
@@ -282,7 +282,7 @@ def test_criterion_10_closed_form_maximizer_beats_grid_search():
 def test_criterion_11_commutator_defect_ratio_decreases(commutator_defect):
     """The normalized back-and-forth defect of the two Gaussian-damped rotations
     shrinks with the step, as a vanishing commutator requires."""
-    family = make_affine8(20.0)
+    family = Affine8(20.0)
     x = np.array([1.0, 1.0])
     ratios = [commutator_defect(family, 5, 6, x, step) for step in (0.2, 0.1, 0.05)]
     assert ratios[0] > ratios[1] > ratios[2], (

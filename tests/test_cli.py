@@ -21,13 +21,13 @@ import numpy as np
 import pytest
 
 from diffeoflow import (
+    Affine8,
     ControlGrid,
     TargetMap,
     VectorFieldFamily,
     builtin_target,
     forward_euler,
     loss,
-    make_affine8,
     save_dataset_csv,
     target_from_name,
     target_lipschitz_estimate,
@@ -392,7 +392,7 @@ def test_gradcheck_flags_corrupted_jacobians(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path, beta=0.1, seed=3))
     clean, _, _ = run_gradcheck(cfg)
     assert clean <= GRADCHECK_TOLERANCE
-    monkeypatch.setattr(cli, "family_from_name", lambda name, nu: _SkewedJacobians(make_affine8(nu)))
+    monkeypatch.setattr(cli, "family_from_name", lambda name, nu: _SkewedJacobians(Affine8(nu)))
     skewed, _, _ = run_gradcheck(cfg)
     assert skewed > 1e-4
 

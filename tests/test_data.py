@@ -12,6 +12,7 @@ from diffeoflow import (
     save_dataset_csv,
     square_grid,
     target_from_name,
+    w1_grid_bound,
 )
 from diffeoflow.data import _EXPONENT_DECADES, _ROWS_PER_BLOCK, read_table, write_table
 
@@ -64,8 +65,23 @@ def test_identity_target(rng):
 def test_target_from_name(target):
     assert target_from_name("builtin").kind == target.kind
     assert target_from_name("identity").kind == "identity"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^target: expected 'builtin' or 'identity', got 'moebius'$"):
         target_from_name("moebius")
+
+
+@pytest.mark.parametrize("side", [0.0, -1.0, np.nan, np.inf])
+def test_side_must_be_positive_and_finite(side, target):
+    # Each maker of the square refuses the side itself, before numpy can
+    # make NaN points or warn about the span of an infinite square.
+    makers = (
+        lambda: square_grid(side, 3),
+        lambda: make_grid_dataset(target, side=side),
+        lambda: make_random_testset(target, side=side),
+        lambda: w1_grid_bound(900, side),
+    )
+    for make in makers:
+        with pytest.raises(ValueError, match=f"^side must be positive and finite, got {side}$"):
+            make()
 
 
 def test_square_grid_layout():

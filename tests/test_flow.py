@@ -11,16 +11,16 @@ import numpy as np
 import pytest
 
 from diffeoflow import (
+    Affine8,
     ControlGrid,
+    CustomFamily,
+    Enriched14,
     FieldSpec,
     FlowError,
     VectorFieldFamily,
     backward_covector,
     flow_endpoints,
     forward_euler,
-    make_affine8,
-    make_custom,
-    make_enriched14,
 )
 from diffeoflow import flow
 from diffeoflow.flow import (
@@ -240,7 +240,7 @@ def test_flows_name_the_overflowing_layer_though_the_row_turns_nan_after_it(affi
 
 def wavy_planar_family():
     """A custom planar family, flowed through the dense einsum of ``values``."""
-    return make_custom([
+    return CustomFamily([
         FieldSpec(value=lambda x: np.stack([np.sin(x[..., 1]), x[..., 0] * x[..., 1]], axis=-1),
                   jacobian=lambda x: np.zeros(x.shape + (2,))),
         FieldSpec(value=lambda x: np.stack([np.exp(-x[..., 0] ** 2), np.cos(x[..., 0])], axis=-1),
@@ -510,7 +510,7 @@ def test_planar_guard_screens_every_layer_in_one_lapack_call(monkeypatch):
         )
         for a in (0, 1)
     ]
-    fam = make_custom(half_squares)
+    fam = CustomFamily(half_squares)
     u = np.zeros((4, 2))
     u[2, 0] = 4.0
     u[0, 1] = 4.0
@@ -645,12 +645,12 @@ def rotation_and_bump():
         value=lambda x: np.stack([bump(x), np.zeros(x.shape[:-1])], axis=-1),
         jacobian=bump_jacobian,
     )
-    return make_custom([ROTATION, bump_e1])
+    return CustomFamily([ROTATION, bump_e1])
 
 
 FAMILIES = {
-    "affine8": lambda: make_affine8(20.0),
-    "enriched14": lambda: make_enriched14(20.0),
+    "affine8": lambda: Affine8(20.0),
+    "enriched14": lambda: Enriched14(20.0),
     "custom": rotation_and_bump,
 }
 

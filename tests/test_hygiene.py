@@ -9,17 +9,18 @@ from pathlib import Path
 import pytest
 
 import diffeoflow
-from diffeoflow import CustomFamily, VectorFieldFamily
-from diffeoflow.fields import Affine8, Enriched14
+from diffeoflow import Affine8, CustomFamily, Enriched14, VectorFieldFamily
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "diffeoflow"
 README = TESTS.parent / "README.md"
 
 PUBLIC_API = [
+    "Affine8",
     "ControlGrid",
     "CustomFamily",
     "Dataset",
+    "Enriched14",
     "FieldSpec",
     "FlowError",
     "IterationRecord",
@@ -45,9 +46,6 @@ PUBLIC_API = [
     "load_dataset_csv",
     "loss",
     "loss_grad",
-    "make_affine8",
-    "make_custom",
-    "make_enriched14",
     "make_grid_dataset",
     "make_random_testset",
     "mean_loss",

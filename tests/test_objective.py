@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from diffeoflow import (
+    Affine8,
     ControlGrid,
+    CustomFamily,
+    Enriched14,
     FieldSpec,
     adjoint_gradient,
     cost,
@@ -20,9 +23,6 @@ from diffeoflow import (
     forward_euler,
     loss,
     loss_grad,
-    make_affine8,
-    make_custom,
-    make_enriched14,
     mean_loss,
     spectral_norms,
 )
@@ -82,9 +82,11 @@ def test_reg_term_assembly():
     assert np.isclose(val.total, 8.0, rtol=1e-15)
 
 
-def test_negative_beta_rejected(affine8, grid25):
-    with pytest.raises(ValueError):
-        cost(affine8, ControlGrid.zeros(4, 8), grid25, beta=-0.1)
+def test_beta_must_be_nonnegative_and_finite(affine8, grid25):
+    # On the zero control an infinite beta times the zero norm would make the total NaN.
+    for beta in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^beta: must be nonnegative and finite, got {beta}$"):
+            cost(affine8, ControlGrid.zeros(4, 8), grid25, beta=beta)
 
 
 def test_constant_channel_gradient_at_zero_control(affine8):
@@ -99,7 +101,7 @@ def test_constant_channel_gradient_at_zero_control(affine8):
 
 
 def test_exact_gradient_matches_finite_differences(rng):
-    families = [make_affine8(20.0), make_enriched14(20.0)]
+    families = [Affine8(20.0), Enriched14(20.0)]
     cases = 0
     for n_layers in (2, 4, 8):
         for m in (1, 3, 10):
@@ -214,13 +216,13 @@ def three_field_family():
             axis=-2,
         ),
     )
-    return make_custom([ROTATION, DIAGONAL_SHIFT, bend])
+    return CustomFamily([ROTATION, DIAGONAL_SHIFT, bend])
 
 
 @pytest.mark.parametrize("size", [(7, 3), (900, 16), (10_000, 32)], ids=lambda s: f"m{s[0]}_n{s[1]}")
 @pytest.mark.parametrize("name", ["affine8", "enriched14", "custom"])
 def test_exact_gradient_is_the_two_pass_gradient_bit_for_bit(name, size):
-    fam = {"affine8": make_affine8(20.0), "enriched14": make_enriched14(5.0), "custom": three_field_family()}[name]
+    fam = {"affine8": Affine8(20.0), "enriched14": Enriched14(5.0), "custom": three_field_family()}[name]
     n_pts, n_layers = size
     rng = np.random.Generator(np.random.Philox(n_pts + n_layers))
     u = ControlGrid(rng.normal(scale=0.5, size=(n_layers, fam.n_fields)))

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from diffeoflow import (
+    Affine8,
     ControlGrid,
+    Enriched14,
     TrainConfig,
     build_metrics,
     cost,
     forward_euler,
-    make_affine8,
-    make_enriched14,
     square_grid,
     target_lipschitz_estimate,
     train_gradient_flow,
@@ -28,7 +28,7 @@ from diffeoflow.metrics import lipschitz_estimate
 from oracle import assert_same_bits, planted, planted_map
 
 N_LAYERS, PASSES = 8, 50
-FAMILIES = {"affine8": lambda: make_affine8(20.0), "enriched14": lambda: make_enriched14(5.0)}
+FAMILIES = {"affine8": lambda: Affine8(20.0), "enriched14": lambda: Enriched14(5.0)}
 
 # The least factor by which 50 passes from the zero control lower the
 # training error on the 10x10 grid of side 1.5, beta 0, u* ~ N(0, 1) from

@@ -16,6 +16,7 @@ import pytest
 
 from diffeoflow import (
     ControlGrid,
+    CustomFamily,
     Dataset,
     TrainConfig,
     backward_covector,
@@ -23,7 +24,6 @@ from diffeoflow import (
     family_from_name,
     flow_endpoints,
     forward_euler,
-    make_custom,
     square_grid,
     train_pmp,
 )
@@ -179,7 +179,7 @@ def test_every_layer_loop_loads_each_node_once(kind, monkeypatch):
 
     pmp's dense pairing runs on the base class's sweep, which this counts for no family.
     """
-    family = make_custom([ROTATION, DIAGONAL_SHIFT]) if kind == "custom" else FAMILIES[kind]
+    family = CustomFamily([ROTATION, DIAGONAL_SHIFT]) if kind == "custom" else FAMILIES[kind]
     sources = square_grid(1.5, 5)
     targets = builtin_target()(sources)
     u = ControlGrid(np.random.Generator(np.random.Philox(5)).normal(scale=0.3, size=(5, family.n_fields)))
@@ -262,7 +262,7 @@ def test_gradient_from_carried_weights_is_the_loaded_one_bit_for_bit(kind, n_pts
 
 
 def test_families_without_a_gaussian_weight_ignore_the_buffer():
-    family = make_custom([ROTATION, DIAGONAL_SHIFT])
+    family = CustomFamily([ROTATION, DIAGONAL_SHIFT])
     u, pts, targets = problem(family, 7, 3)
     weights = np.full((N_LAYERS, 7), 5.0)
     states = forward_euler(family, u, pts, weights=weights)

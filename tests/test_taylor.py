@@ -21,7 +21,7 @@ Sci. Comput. 2013.
 import numpy as np
 import pytest
 
-from diffeoflow import ControlGrid, FieldSpec, VectorFieldFamily, builtin_target, cost, forward_euler, make_custom
+from diffeoflow import ControlGrid, CustomFamily, FieldSpec, VectorFieldFamily, builtin_target, cost, forward_euler
 from diffeoflow import flow
 from diffeoflow.objective import Dataset, control_gradient
 
@@ -82,6 +82,6 @@ def test_custom_gradient_is_second_order_accurate():
         return jac
 
     bend = FieldSpec(value=lambda x: np.stack([np.sin(x[..., 1]), x[..., 0] ** 2], axis=-1), jacobian=bend_jacobian)
-    family = make_custom([ROTATION, DIAGONAL_SHIFT, bend])
+    family = CustomFamily([ROTATION, DIAGONAL_SHIFT, bend])
     assert type(family)._sweep is VectorFieldFamily._sweep
     assert_taylor(family, 8, 50)

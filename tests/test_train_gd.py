@@ -11,6 +11,7 @@ import diffeoflow.objective as objective_module
 import diffeoflow.train_gd as train_gd_module
 from diffeoflow import (
     ControlGrid,
+    CustomFamily,
     FieldSpec,
     FlowError,
     TrainAbort,
@@ -18,7 +19,6 @@ from diffeoflow import (
     cost,
     flow_endpoints,
     forward_euler,
-    make_custom,
     make_grid_dataset,
     make_random_testset,
     train_gradient_flow,
@@ -249,7 +249,7 @@ def test_overflowing_proposal_is_a_rejected_pass(affine8, grid25):
 
 def dilation_family():
     """One field F(x) = x: every layer scales all points by one factor."""
-    return make_custom(
+    return CustomFamily(
         [FieldSpec(value=np.array, jacobian=lambda x: np.broadcast_to(np.eye(2), x.shape + (2,)).copy())]
     )
 
